@@ -52,7 +52,7 @@ def _acquisition(strategy, head_params, calib, pool_ds, idx, rng):
     nig, _ = head_mod.forward(head_params, sub)
     if strategy == "epistemic_var":
         return head_mod.epistemic_variance(nig)
-    iv = conf_mod.intervals_from_nig(nig, calib, 0.9)
+    iv = conf_mod.intervals(nig, calib, 0.9)
     return iv[:, 1] - iv[:, 0]
 
 
@@ -91,9 +91,10 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
         entry = {"round": rnd, "queried": sorted(int(i) for i in labeled),
                  "best_found": float(np.max(pool.target_y[lab]))}
         if test_ds is not None:
-            iv = conf_mod.intervals(params, test_ds, calib, 0.9)
+            nig, _ = head_mod.forward(params, test_ds)
+            iv = conf_mod.intervals(nig, calib, 0.9)
             entry["coverage"] = metrics_mod.coverage(iv, test_ds.target_y)
-            entry["ece"] = metrics_mod.ece(params, calib, test_ds)
+            entry["ece"] = metrics_mod.ece(nig, test_ds.target_y, calib)
         rounds.append(entry)
 
         if rnd == cfg.rounds or not unlabeled:

@@ -66,12 +66,10 @@ def _embed(ds, mean=None, std=None):
     return (x - mean) / std
 
 
-def estimate_lipschitz(head_params, cal_ds, k_neighbors=5, standardize=True,
-                       score_mode="absolute"):
-    """Max local slope of the nonconformity score over k-NN pairs on the
-    calibration set.  Exact duplicate points are collapsed first, which
-    realizes the zero-distance skip."""
-    scores = conf_mod.nonconformity(head_params, cal_ds, score_mode)
+def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
+    """Max local slope of the per-node nonconformity scores over k-NN pairs
+    on the calibration set.  Exact duplicate points are collapsed first,
+    which realizes the zero-distance skip."""
     x = np.column_stack([cal_ds.features, cal_ds.target_y])
     if standardize:
         x, _, _ = _embed(cal_ds)
@@ -125,17 +123,6 @@ def required_ncal(target_delta, epsilon, lipschitz, kl, delta):
     return int(math.ceil((kl + math.log(1.0 / delta)) / (2.0 * slack * slack)))
 
 
-def choose_posterior_scale(w_hat, sigma_p=1.0, grid=None):
-    """Posterior sigma minimizing the KL complexity term over a log grid."""
-    if grid is None:
-        grid = sigma_p * np.logspace(-2, 1, 31)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty sigma grid")
-    kls = [kl_gaussian(PosteriorSurrogate(w_hat, float(s), sigma_p)) for s in grid]
-    return float(grid[int(np.argmin(kls))])
-
-
 def epsilon_proxy(ref_ds, shifted_ds, mean, std):
     """Mean standardized displacement between aligned node embeddings."""
     a = _embed(ref_ds, mean, std)
@@ -153,10 +140,13 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     """
     if len(shifted_series) == 0:
         raise ValueError("empty shift series")
+    if calib.n_cal != cal_ds.n_nodes:
+        raise ValueError(f"calibration holds {calib.n_cal} scores but cal_ds has "
+                         f"{cal_ds.n_nodes} nodes")
     _, mean, std = _embed(cal_ds)
-    lip = estimate_lipschitz(head_params, cal_ds, score_mode=calib.score_mode)
-    sigma = choose_posterior_scale(head_params.to_vector(), sigma_p)
-    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma, sigma_p))
+    lip = estimate_lipschitz(calib.scores, cal_ds)
+    # the KL is smallest at sigma = sigma_p whatever the weights, so use that scale
+    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma_p, sigma_p))
     conditions = [(0.0, ref_test_ds)]
     for ds in shifted_series:
         conditions.append((epsilon_proxy(ref_test_ds, ds, mean, std), ds))
@@ -164,8 +154,8 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     eps_list, bnds, raws, vac, emp, cons = [], [], [], [], [], []
     for eps, ds in conditions:
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
-        iv = conf_mod.intervals(head_params, ds, calib, tau)
-        cov = metrics_mod.coverage(iv, ds.target_y)
+        nig, _ = head_mod.forward(head_params, ds)
+        cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau), ds.target_y)
         eps_list.append(eps)
         bnds.append(b)
         raws.append(raw)
@@ -189,17 +179,18 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
     _, mean, std = _embed(cal_pool_ds)
-    sigma = choose_posterior_scale(head_params.to_vector(), sigma_p)
-    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma, sigma_p))
+    # the KL is smallest at sigma = sigma_p whatever the weights, so use that scale
+    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma_p, sigma_p))
     eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
+    nig, _ = head_mod.forward(head_params, shifted_test_ds)
     out = []
     for size in sizes:
         sub = cal_pool_ds.subset(np.arange(size))
         calib = conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
-        lip = estimate_lipschitz(head_params, sub, score_mode=score_mode)
+        lip = estimate_lipschitz(calib.scores, sub)
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, lip, eps)
-        iv = conf_mod.intervals(head_params, shifted_test_ds, calib, tau)
-        cov = metrics_mod.coverage(iv, shifted_test_ds.target_y)
+        cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau),
+                                   shifted_test_ds.target_y)
         out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
                     "empirical": cov, "gap": abs(cov - b)})
     return out

@@ -4,7 +4,7 @@ Every subcommand reads an optional strict JSON config (unknown keys are
 rejected), takes --seed / --out overrides, and writes its artifacts under the
 output directory.  Reports embed the artifact version, a hash of the
 effective config, and the seed; no wall-clock timestamps, so reruns are
-byte-identical.  CALPRO_THREADS caps worker threads for seed fan-out.
+byte-identical.
 """
 
 import argparse
@@ -114,17 +114,6 @@ def _out_dir(args):
     return args.out
 
 
-def _threads():
-    raw = os.environ.get("CALPRO_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: CALPRO_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit("error: CALPRO_THREADS must be >= 1")
-    return n
-
-
 def cmd_gen_data(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "kind", "split_mode"})
@@ -162,11 +151,12 @@ def cmd_pipeline(args):
     head_mod.save_head(run["params"], os.path.join(out, "head.json"))
     conf_mod.save_calibration(calib, os.path.join(out, "calibration.json"))
     report = metrics_mod.full_report(run["params"], calib, run["test_ds"])
+    nig, _ = head_mod.forward(run["params"], run["test_ds"])
+    y = run["test_ds"].target_y
     metrics_mod.export_calibration_curve(os.path.join(out, "calibration_curve.csv"),
-                                         run["params"], calib, run["test_ds"])
-    iv = conf_mod.intervals(run["params"], run["test_ds"], calib, 0.9)
+                                         nig, y, calib)
     conf_mod.export_intervals_csv(os.path.join(out, "intervals.csv"),
-                                  iv, run["test_ds"].target_y)
+                                  conf_mod.intervals(nig, calib, 0.9), y)
     _write_json(os.path.join(out, "report.json"),
                 _stamp({"metrics": report.to_dict(),
                         "train_record": run["record"].to_dict(),
@@ -332,7 +322,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _threads()
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError) as exc:

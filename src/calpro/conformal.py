@@ -45,18 +45,13 @@ class ConformalCalibration:
         return conformal_quantile(self.scores, 1.0 - tau)
 
 
-def nonconformity(head_params, ds, mode="absolute"):
-    """Per-node nonconformity scores under the head's predictions."""
-    nig, _ = head_mod.forward(head_params, ds)
-    return scores_from_nig(nig, ds.target_y, mode)
-
-
 def scores_from_nig(nig, y, mode):
+    """Per-node nonconformity scores of targets y under predictions nig."""
     resid = np.abs(y - nig.mu)
     if mode == "absolute":
         return resid
     if mode == "normalized":
-        var = np.maximum(head_mod.predictive_variance(nig), VAR_FLOOR)
+        var = np.maximum(head_mod.epistemic_variance(nig), VAR_FLOOR)
         return resid / np.sqrt(var)
     raise ValueError(f"unknown score mode {mode!r}")
 
@@ -67,27 +62,23 @@ def calibrate(head_params, cal_ds, levels=DEFAULT_LEVELS, mode="absolute") -> Co
         raise ValueError("empty calibration set")
     if any(t == "train" for t in cal_ds.splits):
         raise ValueError("calibration set overlaps the train split")
-    s = nonconformity(head_params, cal_ds, mode)
+    nig, _ = head_mod.forward(head_params, cal_ds)
+    s = scores_from_nig(nig, cal_ds.target_y, mode)
     qs = {float(tau): conformal_quantile(s, 1.0 - tau) for tau in levels}
     return ConformalCalibration(tuple(float(t) for t in levels), qs, mode,
                                 int(s.size), s).validate()
 
 
-def intervals(head_params, ds, calib: ConformalCalibration, tau):
-    """Per-node [lo, hi] at level tau.  Absolute mode: mu +/- q; normalized:
-    mu +/- q * sqrt(Var)."""
+def intervals(nig, calib: ConformalCalibration, tau):
+    """Per-node [lo, hi] at level tau around the predictions nig.  Absolute
+    mode: mu +/- q; normalized: mu +/- q * sqrt(Var)."""
     if tau not in calib.levels:
         raise ValueError(f"level {tau} not in calibration levels {calib.levels}")
-    nig, _ = head_mod.forward(head_params, ds)
-    return intervals_from_nig(nig, calib, tau)
-
-
-def intervals_from_nig(nig, calib: ConformalCalibration, tau):
-    q = calib.quantiles[float(tau)] if float(tau) in calib.quantiles else calib.quantile_at(tau)
+    q = calib.quantiles[float(tau)]
     if calib.score_mode == "absolute":
         half = np.full(nig.mu.shape, q)
     else:
-        var = np.maximum(head_mod.predictive_variance(nig), VAR_FLOOR)
+        var = np.maximum(head_mod.epistemic_variance(nig), VAR_FLOOR)
         half = q * np.sqrt(var)
     return np.column_stack([nig.mu - half, nig.mu + half])
 

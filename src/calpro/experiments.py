@@ -3,8 +3,6 @@ perturbation correlation, ablations, prior corruption, and the prior-aware
 efficiency comparison.  Everything is deterministic in (spec, seeds)."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,14 +79,6 @@ class ExperimentSpec:
         }
 
 
-def _map_seeds(fn, seeds):
-    workers = int(os.environ.get("CALPRO_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, seeds))
-    return [fn(s) for s in seeds]
-
-
 def _train_val(ds):
     """75/25 chain split of the train tag into fitting and validation sets."""
     train_idx = ds.split_indices("train")
@@ -137,7 +127,8 @@ def _evaluate(run, spec: ExperimentSpec, test_ds=None):
     params = run["params"]
     if run["config"] == "no_conformal":
         nig, _ = head_mod.forward(params, test_ds)
-        sd = np.sqrt(np.maximum(head_mod.predictive_variance(nig), conf_mod.VAR_FLOOR))
+        var = head_mod.epistemic_variance(nig)
+        sd = np.sqrt(np.maximum(var, conf_mod.VAR_FLOOR))
         cov, shp = {}, {}
         for tau in spec.levels:
             z = ndtri(0.5 * (1.0 + tau))
@@ -146,20 +137,14 @@ def _evaluate(run, spec: ExperimentSpec, test_ds=None):
             shp[float(tau)] = metrics_mod.sharpness(iv)
         devs = [abs(cov[float(t)] - t) for t in spec.levels]
         return {"coverage": cov, "sharpness": shp, "ece": float(np.mean(devs)),
-                "spearman": _spearman_for(params, test_ds)}
+                "spearman": spearman(np.sqrt(np.maximum(var, 0.0)),
+                                     np.abs(test_ds.target_y - nig.mu))}
     mode = "absolute" if run["config"] == "no_evidential" else spec.score_mode
     calib = conf_mod.calibrate(params, run["cal_ds"], levels=spec.levels, mode=mode)
     rep = metrics_mod.full_report(params, calib, test_ds, levels=spec.levels)
     return {"coverage": rep.coverage, "sharpness": rep.sharpness, "ece": rep.ece,
             "ace": rep.ace, "spearman": rep.spearman_uncertainty_error,
             "group_table": rep.group_table}
-
-
-def _spearman_for(params, ds):
-    nig, _ = head_mod.forward(params, ds)
-    rho = spearman(np.sqrt(np.maximum(head_mod.predictive_variance(nig), 0.0)),
-                   np.abs(ds.target_y - nig.mu))
-    return rho
 
 
 def _median_over(rows, path):
@@ -185,7 +170,7 @@ def run_calibration_experiment(spec: ExperimentSpec):
             out[name] = _evaluate(run, spec)
         return out
 
-    per_seed = _map_seeds(one_seed, spec.seeds)
+    per_seed = [one_seed(s) for s in spec.seeds]
     rows = {}
     for name in spec.ablations:
         rows[name] = {
@@ -230,13 +215,14 @@ def run_shift_experiment(spec: ExperimentSpec, tau=0.9):
             run = train_config_run(spec, name, seed, ds=ds)
             calib = conf_mod.calibrate(run["params"], run["cal_ds"],
                                        levels=(tau,), mode=spec.score_mode)
-            iv = conf_mod.intervals(run["params"], shifted, calib, tau)
+            nig, _ = head_mod.forward(run["params"], shifted)
+            iv = conf_mod.intervals(nig, calib, tau)
             cov = metrics_mod.coverage(iv, shifted.target_y)
             out[name] = {"coverage": cov, "degradation": tau - cov,
                          "sharpness": metrics_mod.sharpness(iv)}
         return out
 
-    per_seed = _map_seeds(one_seed, spec.seeds)
+    per_seed = [one_seed(s) for s in spec.seeds]
     rows = {name: {
         "coverage": _median_over(per_seed, (name, "coverage")),
         "degradation": _median_over(per_seed, (name, "degradation")),
@@ -265,13 +251,13 @@ def run_perturbation_correlation(spec: ExperimentSpec,
                 pert = datagen.perturb(ds, kind, magnitudes[kind], seed=seed)
                 test_ds = pert.subset(pert.split_indices("test"))
                 nig, _ = head_mod.forward(run["params"], test_ds)
-                unc = np.sqrt(np.maximum(head_mod.predictive_variance(nig), 0.0))
+                unc = np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0))
                 per_kind[kind] = spearman(unc, np.abs(test_ds.target_y - nig.mu))
             per_kind["overall"] = float(np.mean([per_kind[k] for k in kinds]))
             out[name] = per_kind
         return out
 
-    per_seed = _map_seeds(one_seed, spec.seeds)
+    per_seed = [one_seed(s) for s in spec.seeds]
     rows = {name: {k: _median_over(per_seed, (name, k)) for k in list(kinds) + ["overall"]}
             for name in configs}
     return {"experiment": "perturbation_correlation", "spec": spec.echo(),
@@ -293,13 +279,14 @@ def run_prior_corruption(spec: ExperimentSpec, tau=0.9):
             run = train_config_run(spec, "full", seed, ds=d)
             calib = conf_mod.calibrate(run["params"], run["cal_ds"],
                                        levels=(tau,), mode=spec.score_mode)
-            iv = conf_mod.intervals(run["params"], run["test_ds"], calib, tau)
+            nig, _ = head_mod.forward(run["params"], run["test_ds"])
+            iv = conf_mod.intervals(nig, calib, tau)
             cov = metrics_mod.coverage(iv, run["test_ds"].target_y)
             out[label] = {"coverage": cov, "degradation": tau - cov,
                           "sharpness": metrics_mod.sharpness(iv)}
         return out
 
-    per_seed = _map_seeds(one_seed, spec.seeds)
+    per_seed = [one_seed(s) for s in spec.seeds]
     labels = [label for label, _ in settings]
     rows = {label: {
         "coverage": _median_over(per_seed, (label, "coverage")),
@@ -325,8 +312,10 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
                                        levels=(tau,), mode="absolute")
         test_ds = full["test_ds"]
         stable = ~test_ds.disorder_flags
-        iv_full = conf_mod.intervals(full["params"], test_ds, calib_full, tau)
-        iv_van = conf_mod.intervals(van["params"], test_ds, calib_van, tau)
+        iv_full = conf_mod.intervals(head_mod.forward(full["params"], test_ds)[0],
+                                     calib_full, tau)
+        iv_van = conf_mod.intervals(head_mod.forward(van["params"], test_ds)[0],
+                                    calib_van, tau)
         cov_full = metrics_mod.coverage(iv_full, test_ds.target_y)
         cov_van = metrics_mod.coverage(iv_van, test_ds.target_y)
         w_full = float(np.mean(iv_full[stable, 1] - iv_full[stable, 0]))
@@ -338,7 +327,7 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
                 "coverage_slack": slack,
                 "inconclusive": abs(cov_full - cov_van) > 2 * slack}
 
-    per_seed = _map_seeds(one_seed, spec.seeds)
+    per_seed = [one_seed(s) for s in spec.seeds]
     return {
         "experiment": "efficiency", "spec": spec.echo(), "tau": tau,
         "median_width_ratio": _median_over(per_seed, ("width_ratio",)),
@@ -366,6 +355,6 @@ def run_bound_sweep(spec: ExperimentSpec, magnitudes=(0.1, 0.25, 0.5, 1.0), tau=
             run["params"], run["cal_ds"], calib, run["test_ds"], shifted, tau=tau)
         return report.to_dict()
 
-    per_seed = _map_seeds(one_seed, spec.seeds)
+    per_seed = [one_seed(s) for s in spec.seeds]
     return {"experiment": "bound_sweep", "spec": spec.echo(), "tau": tau,
             "per_seed": per_seed}

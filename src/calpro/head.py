@@ -201,13 +201,9 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
     return grads
 
 
-def predictive_variance(p: NIGParams):
-    """Marginal predictive variance beta / (nu * (alpha - 1))."""
-    return p.beta / (p.nu * (p.alpha - 1.0))
-
-
 def epistemic_variance(p: NIGParams):
-    """Variance of the mean under the NIG posterior."""
+    """Var[mu] = beta / (nu * (alpha - 1)), the variance of the mean under the
+    NIG."""
     return p.beta / (p.nu * (p.alpha - 1.0))
 
 

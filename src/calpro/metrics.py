@@ -8,7 +8,7 @@ import numpy as np
 
 from . import conformal as conf_mod
 from . import head as head_mod
-from .numerics import conformal_quantile, spearman
+from .numerics import spearman
 
 DEFAULT_LEVEL_GRID = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 
@@ -54,14 +54,13 @@ def sharpness(ivals):
     return float(np.mean(ivals[:, 1] - ivals[:, 0]))
 
 
-def ece(head_params, calib, test_ds, level_grid=DEFAULT_LEVEL_GRID):
+def ece(nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
     """Mean absolute deviation of empirical coverage from the nominal level
     over a grid; quantiles for off-calibration levels come from the retained
     calibration scores."""
-    if test_ds.n_nodes == 0:
+    if y.size == 0:
         raise ValueError("empty test set")
-    nig, _ = head_mod.forward(head_params, test_ds)
-    s_test = conf_mod.scores_from_nig(nig, test_ds.target_y, calib.score_mode)
+    s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
     devs = []
     for tau in level_grid:
         q = calib.quantile_at(tau)
@@ -69,14 +68,13 @@ def ece(head_params, calib, test_ds, level_grid=DEFAULT_LEVEL_GRID):
     return float(np.mean(devs))
 
 
-def ace(head_params, calib, test_ds, n_bins=10, tau=0.9):
+def ace(nig, y, calib, n_bins=10, tau=0.9):
     """Adaptive calibration error: equal-mass bins by predicted variance,
     mean absolute coverage deviation at tau within bins."""
-    if test_ds.n_nodes < n_bins:
+    if y.size < n_bins:
         raise ValueError("too few nodes for the requested number of bins")
-    nig, _ = head_mod.forward(head_params, test_ds)
-    var = head_mod.predictive_variance(nig)
-    s_test = conf_mod.scores_from_nig(nig, test_ds.target_y, calib.score_mode)
+    var = head_mod.epistemic_variance(nig)
+    s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
     q = calib.quantile_at(tau)
     order = np.argsort(var, kind="stable")
     bins = np.array_split(order, n_bins)
@@ -118,19 +116,19 @@ def full_report(head_params, calib, test_ds, levels=(0.8, 0.9, 0.95)) -> Metrics
     cov = {}
     shp = {}
     for tau in levels:
-        iv = conf_mod.intervals_from_nig(nig, calib, tau)
+        iv = conf_mod.intervals(nig, calib, tau)
         cov[float(tau)] = coverage(iv, y)
         shp[float(tau)] = sharpness(iv)
-    unc = np.sqrt(np.maximum(head_mod.predictive_variance(nig), 0.0))
+    unc = np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0))
     err = np.abs(y - nig.mu)
     rho = spearman(unc, err)
-    iv90 = conf_mod.intervals_from_nig(nig, calib, 0.9) if 0.9 in [float(t) for t in levels] \
-        else conf_mod.intervals_from_nig(nig, calib, levels[-1])
+    iv90 = conf_mod.intervals(nig, calib, 0.9 if 0.9 in [float(t) for t in levels]
+                              else levels[-1])
     groups = group_report(iv90, y, test_ds.group_tags, 0.9)
     return MetricsReport(
         coverage=cov,
-        ece=ece(head_params, calib, test_ds),
-        ace=ace(head_params, calib, test_ds) if test_ds.n_nodes >= 10 else UNDEFINED,
+        ece=ece(nig, y, calib),
+        ace=ace(nig, y, calib) if test_ds.n_nodes >= 10 else UNDEFINED,
         sharpness=shp,
         spearman_uncertainty_error=rho if not math.isnan(rho) else UNDEFINED,
         group_table=groups,
@@ -138,10 +136,9 @@ def full_report(head_params, calib, test_ds, levels=(0.8, 0.9, 0.95)) -> Metrics
     )
 
 
-def export_calibration_curve(path, head_params, calib, test_ds, level_grid=DEFAULT_LEVEL_GRID):
+def export_calibration_curve(path, nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
     """CSV of (nominal level, empirical coverage)."""
-    nig, _ = head_mod.forward(head_params, test_ds)
-    s_test = conf_mod.scores_from_nig(nig, test_ds.target_y, calib.score_mode)
+    s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["nominal_level", "empirical_coverage"])

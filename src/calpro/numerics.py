@@ -1,4 +1,4 @@
-"""Scalar special functions, smooth operators and quantile routines.
+"""Smooth operators, quantile routines and rank correlation.
 
 Everything here is pure and deterministic; randomized helpers draw from an
 explicit (seed, stream) pair so results are reproducible bit-for-bit.
@@ -8,68 +8,10 @@ import math
 
 import numpy as np
 
-# Lanczos approximation, g = 7, n = 9 (Godfrey coefficients).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_EULER_GAMMA = 0.57721566490153286060651209008240243
-
 
 def rng_stream(seed, stream=0):
     """Deterministic generator for a (seed, stream) pair."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),)))
-
-
-def lgamma(x):
-    """Natural log of the gamma function for x > 0 (Lanczos approximation)."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"lgamma requires x > 0, got {x}")
-    # Reflection is unnecessary for positive arguments; evaluate directly.
-    z = x - 1.0
-    a = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        a += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(a)
-
-
-def digamma(x):
-    """Derivative of lgamma for x > 0.
-
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to push the argument above 6,
-    then an asymptotic series in 1/x^2.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 6.0:
-        result -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    # Asymptotic expansion with Bernoulli-number coefficients.
-    series = (
-        inv2 * (1.0 / 12.0
-        - inv2 * (1.0 / 120.0
-        - inv2 * (1.0 / 252.0
-        - inv2 * (1.0 / 240.0
-        - inv2 * (1.0 / 132.0
-        - inv2 * (691.0 / 32760.0
-        - inv2 * (1.0 / 12.0)))))))
-    )
-    return result + math.log(x) - 0.5 * inv - series
 
 
 def softplus(z, scale=1.0):
@@ -147,19 +89,11 @@ def finite_difference_gradient(f, x, h=1e-6):
     return g
 
 
-def _midranks(v):
-    """Average ranks (1-based), ties get the mean of their rank span."""
-    v = np.asarray(v, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=float)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(v):
+    """1-based ranks; tied values share the mean of the ranks they span.
+    (Vectorized here because importing scipy.stats costs about 0.5 s.)"""
+    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
 
 
 def spearman(u, v):
@@ -171,8 +105,8 @@ def spearman(u, v):
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.size < 2:
         raise ValueError("spearman requires two equal-length vectors of size >= 2")
-    ru = _midranks(u)
-    rv = _midranks(v)
+    ru = _average_ranks(u)
+    rv = _average_ranks(v)
     su = np.std(ru)
     sv = np.std(rv)
     if su == 0.0 or sv == 0.0:

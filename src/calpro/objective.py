@@ -6,12 +6,10 @@ gradients.  total_loss chains everything through the head's backward pass.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, psi
 
 from . import head as head_mod
-from .numerics import digamma, lgamma, rng_stream, sigmoid, soft_quantile, soft_quantile_grad, softplus
-
-_lgamma = np.vectorize(lgamma)
-_digamma = np.vectorize(digamma)
+from .numerics import rng_stream, sigmoid, soft_quantile, soft_quantile_grad, softplus
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,8 @@ def monotone_eval(m: MonotoneMap, b):
 def nig_nll(p: head_mod.NIGParams, y, with_grads=False):
     """Per-node NIG negative log-likelihood, averaged over nodes.
 
-    L_i = 0.5 log(nu/pi) - alpha log(2 beta) + lgamma(alpha)
-          + (alpha + 0.5) log(nu (y - mu)^2 + 2 beta) - lgamma(alpha + 0.5)
+    L_i = 0.5 log(nu/pi) - alpha log(2 beta) + log Gamma(alpha)
+          + (alpha + 0.5) log(nu (y - mu)^2 + 2 beta) - log Gamma(alpha + 0.5)
     """
     mu, nu, alpha, beta = (np.atleast_1d(np.asarray(v, dtype=float))
                            for v in (p.mu, p.nu, p.alpha, p.beta))
@@ -120,14 +118,14 @@ def nig_nll(p: head_mod.NIGParams, y, with_grads=False):
     e = y - mu
     a_term = nu * e ** 2 + 2.0 * beta
     vals = (0.5 * np.log(nu / np.pi) - alpha * np.log(2.0 * beta)
-            + _lgamma(alpha) + (alpha + 0.5) * np.log(a_term) - _lgamma(alpha + 0.5))
+            + gammaln(alpha) + (alpha + 0.5) * np.log(a_term) - gammaln(alpha + 0.5))
     loss = float(np.mean(vals))
     if not with_grads:
         return loss
     n = mu.size
     d_mu = -(alpha + 0.5) * 2.0 * nu * e / a_term / n
     d_nu = (0.5 / nu + (alpha + 0.5) * e ** 2 / a_term) / n
-    d_alpha = (-np.log(2.0 * beta) + _digamma(alpha) + np.log(a_term) - _digamma(alpha + 0.5)) / n
+    d_alpha = (-np.log(2.0 * beta) + psi(alpha) + np.log(a_term) - psi(alpha + 0.5)) / n
     d_beta = (-alpha / beta + (alpha + 0.5) * 2.0 / a_term) / n
     return loss, (d_mu, d_nu, d_alpha, d_beta)
 

@@ -31,3 +31,17 @@ def trained(small_chain_ds):
     return {"ds": ds, "params": params, "mono": mono, "record": record,
             "cal_ds": ds.subset(ds.split_indices("calibration")),
             "test_ds": ds.subset(ds.split_indices("test"))}
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Datasets of every head.forward call made while the test runs."""
+    calls = []
+    forward = head.forward
+
+    def counting(params, ds, *args, **kwargs):
+        calls.append(ds)
+        return forward(params, ds, *args, **kwargs)
+
+    monkeypatch.setattr(head, "forward", counting)
+    return calls

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from calpro import bounds, conformal, datagen
+from calpro import bounds, conformal, datagen, head
 from calpro.bounds import PosteriorSurrogate
+
+
+def _abs_scores(params, ds):
+    """Absolute nonconformity scores of the head on ds."""
+    return conformal.scores_from_nig(head.forward(params, ds)[0], ds.target_y, "absolute")
 
 
 class TestKlGaussian:
@@ -32,6 +37,20 @@ class TestKlGaussian:
     def test_invalid_scales(self):
         with pytest.raises(ValueError):
             bounds.kl_gaussian(PosteriorSurrogate(np.zeros(2), 0.0, 1.0))
+
+    def test_prior_scale_minimizes(self):
+        """The sweeps fix sigma = sigma_p: no scale gives a smaller KL."""
+        rng = np.random.default_rng(1)
+        for sigma_p in (0.3, 1.0, 2.5):
+            w = rng.normal(size=6)
+            best = bounds.kl_gaussian(PosteriorSurrogate(w, sigma_p, sigma_p))
+            for s in sigma_p * np.logspace(-2, 1, 31):
+                assert best <= bounds.kl_gaussian(PosteriorSurrogate(w, float(s), sigma_p))
+
+    def test_larger_center_larger_kl(self):
+        kl1 = bounds.kl_gaussian(PosteriorSurrogate(np.full(10, 0.5), 1.0, 1.0))
+        kl2 = bounds.kl_gaussian(PosteriorSurrogate(np.full(10, 2.0), 1.0, 1.0))
+        assert kl2 > kl1
 
 
 class TestCoverageLowerBound:
@@ -75,25 +94,6 @@ class TestRequiredNcal:
             math.ceil(bounds.required_ncal(0.05, 0.0, 1.0, kl, 0.05) / 4)
 
 
-class TestChoosePosteriorScale:
-    def test_zero_center_picks_prior_scale(self):
-        assert bounds.choose_posterior_scale(np.zeros(20), sigma_p=1.0) == 1.0
-
-    def test_larger_center_larger_kl(self):
-        s1 = bounds.choose_posterior_scale(np.full(10, 0.5))
-        kl1 = bounds.kl_gaussian(PosteriorSurrogate(np.full(10, 0.5), s1, 1.0))
-        s2 = bounds.choose_posterior_scale(np.full(10, 2.0))
-        kl2 = bounds.kl_gaussian(PosteriorSurrogate(np.full(10, 2.0), s2, 1.0))
-        assert kl2 > kl1
-
-    def test_single_element_grid(self):
-        assert bounds.choose_posterior_scale(np.ones(3), grid=[0.7]) == 0.7
-
-    def test_empty_grid(self):
-        with pytest.raises(ValueError):
-            bounds.choose_posterior_scale(np.ones(3), grid=[])
-
-
 class TestEstimateLipschitz:
     def test_constant_scores_zero(self, trained):
         """Zero-weight head predicts mu = 0 everywhere; absolute scores then
@@ -102,13 +102,13 @@ class TestEstimateLipschitz:
         flat = datagen.replace(ds, target_y=np.zeros(ds.n_nodes))
         params = trained["params"].zeros_like()
         # mu = 0 and y = 0: scores constant zero
-        assert bounds.estimate_lipschitz(params, flat) == 0.0
+        assert bounds.estimate_lipschitz(_abs_scores(params, flat), flat) == 0.0
 
     def test_duplicated_dataset_invariant(self, trained):
         """Two disjoint copies of the graph: every point appears twice, and
         the zero-distance pairs are skipped, leaving L_s unchanged."""
         ds = trained["cal_ds"]
-        L = bounds.estimate_lipschitz(trained["params"], ds)
+        L = bounds.estimate_lipschitz(_abs_scores(trained["params"], ds), ds)
         n = ds.n_nodes
         doubled = datagen.Dataset(
             features=np.vstack([ds.features, ds.features]),
@@ -122,7 +122,7 @@ class TestEstimateLipschitz:
             chain_ids=np.concatenate([ds.chain_ids, ds.chain_ids + ds.chain_ids.max() + 1]),
             metadata={},
         )
-        L2 = bounds.estimate_lipschitz(trained["params"], doubled)
+        L2 = bounds.estimate_lipschitz(_abs_scores(trained["params"], doubled), doubled)
         assert L2 == pytest.approx(L)
 
     def test_linear_slope_oracle(self, trained):
@@ -136,16 +136,17 @@ class TestEstimateLipschitz:
         feats[:, 0] = x
         ds2 = datagen.replace(ds, features=feats, target_y=2.0 * x)
         params = trained["params"].zeros_like()
-        L = bounds.estimate_lipschitz(params, ds2, standardize=False)
+        L = bounds.estimate_lipschitz(_abs_scores(params, ds2), ds2, standardize=False)
         # metric includes the target coordinate: d = sqrt(dx^2 + (2 dx)^2)
         expected = 2.0 / math.sqrt(5.0)
         assert L == pytest.approx(expected, rel=0.05)
 
     def test_score_scale_covariance(self, trained):
         ds = trained["cal_ds"]
-        L1 = bounds.estimate_lipschitz(trained["params"], ds, standardize=False)
+        L1 = bounds.estimate_lipschitz(_abs_scores(trained["params"], ds), ds,
+                                       standardize=False)
         scaled = datagen.replace(ds, target_y=ds.target_y)  # same data
-        assert bounds.estimate_lipschitz(trained["params"], scaled,
+        assert bounds.estimate_lipschitz(_abs_scores(trained["params"], scaled), scaled,
                                          standardize=False) == pytest.approx(L1)
 
 
@@ -184,6 +185,23 @@ class TestSweeps:
                                  sizes=(20,))
         assert len(rows) == 1 and rows[0]["n_cal"] == 20
         assert set(rows[0]) >= {"bound", "empirical", "gap"}
+
+    def test_calibration_size_mismatch_rejected(self, trained):
+        part = trained["cal_ds"].subset(np.arange(10))
+        calib = conformal.calibrate(trained["params"], part, levels=(0.9,))
+        with pytest.raises(ValueError, match="calibration holds"):
+            bounds.bound_vs_empirical_sweep(trained["params"], trained["cal_ds"], calib,
+                                            trained["test_ds"], [trained["test_ds"]])
+
+    def test_ncal_sweep_predicts_once_per_size(self, trained, forward_calls):
+        """One forward per calibration subset plus one for the shifted set."""
+        pool = datagen.replace(trained["cal_ds"],
+                               splits=tuple(["calibration"] * trained["cal_ds"].n_nodes))
+        shifted = trained["test_ds"]
+        bounds.ncal_sweep(trained["params"], pool, trained["test_ds"], shifted,
+                          sizes=(10, 20))
+        assert len(forward_calls) == 3
+        assert sum(ds is shifted for ds in forward_calls) == 1
 
     def test_ncal_sweep_pool_too_small(self, trained):
         pool = trained["cal_ds"]

@@ -154,15 +154,3 @@ class TestCorruptPriors:
                      {"dataset": str(gen_out / "dataset.json"), "mode": "shuffle"})
         out = tmp_path / "run"
         assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(out)]) == 0
-
-
-class TestEnvironment:
-    def test_bad_threads_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CALPRO_THREADS", "zero")
-        with pytest.raises(SystemExit, match="CALPRO_THREADS"):
-            cli.main(["gen-data", "--out", str(tmp_path / "x")])
-
-    def test_threads_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CALPRO_THREADS", "2")
-        assert cli.main(["gen-data", "--config", _gen_cfg(tmp_path),
-                         "--out", str(tmp_path / "x")]) == 0

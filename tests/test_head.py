@@ -106,16 +106,16 @@ class TestBackward:
 class TestVariances:
     def test_predictive_substitution(self):
         p = NIGParams(np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([3.0]))
-        assert head.predictive_variance(p)[0] == pytest.approx(3.0)
+        assert head.epistemic_variance(p)[0] == pytest.approx(3.0)
 
     def test_beta_linearity(self):
         p1 = NIGParams(np.zeros(1), np.array([2.0]), np.array([3.0]), np.array([4.0]))
         p2 = NIGParams(np.zeros(1), np.array([2.0]), np.array([3.0]), np.array([8.0]))
-        assert head.predictive_variance(p2)[0] == pytest.approx(2 * head.predictive_variance(p1)[0])
+        assert head.epistemic_variance(p2)[0] == pytest.approx(2 * head.epistemic_variance(p1)[0])
 
     def test_alpha_limit(self):
         p = NIGParams(np.zeros(1), np.ones(1), np.array([1e9]), np.ones(1))
-        assert head.predictive_variance(p)[0] < 1e-8
+        assert head.epistemic_variance(p)[0] < 1e-8
 
     def test_decomposition(self):
         p = NIGParams(np.zeros(1), np.array([2.0]), np.array([3.0]), np.array([4.0]))

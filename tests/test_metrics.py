@@ -7,6 +7,12 @@ from calpro import conformal, datagen, head, metrics
 from calpro.metrics import DEFAULT_LEVEL_GRID
 
 
+def _predict(trained, ds=None):
+    """(NIG predictions, targets) of the trained head on ds (default: test)."""
+    ds = trained["test_ds"] if ds is None else ds
+    return head.forward(trained["params"], ds)[0], ds.target_y
+
+
 class TestCoverage:
     def test_all_infinite(self):
         iv = np.array([[-np.inf, np.inf]] * 4)
@@ -41,7 +47,7 @@ class TestEce:
         mean absolute deviation by construction."""
         calib = conformal.calibrate(trained["params"], trained["cal_ds"],
                                     levels=(0.9,), mode="absolute")
-        val = metrics.ece(trained["params"], calib, trained["test_ds"])
+        val = metrics.ece(*_predict(trained), calib)
         assert 0.0 <= val <= 1.0
 
     def test_always_empty_intervals(self, trained):
@@ -50,7 +56,7 @@ class TestEce:
         calib = conformal.ConformalCalibration(
             (0.9,), {0.9: -1.0}, "absolute", 100, np.full(100, -1.0))
         # negative quantile: no score can fall at or below it
-        val = metrics.ece(trained["params"], calib, trained["test_ds"])
+        val = metrics.ece(*_predict(trained), calib)
         assert val == pytest.approx(float(np.mean(DEFAULT_LEVEL_GRID)), abs=1e-12)
 
     def test_permutation_invariance(self, trained):
@@ -58,15 +64,16 @@ class TestEce:
                                     levels=(0.9,), mode="absolute")
         test = trained["test_ds"]
         perm = np.random.default_rng(0).permutation(test.n_nodes)
-        assert metrics.ece(trained["params"], calib, test.subset(perm)) == pytest.approx(
-            metrics.ece(trained["params"], calib, test), abs=1e-12)
+        permuted = test.subset(perm)
+        assert metrics.ece(*_predict(trained, permuted), calib) == pytest.approx(
+            metrics.ece(*_predict(trained, test), calib), abs=1e-12)
 
 
 class TestAce:
     def test_range(self, trained):
         calib = conformal.calibrate(trained["params"], trained["cal_ds"],
                                     levels=(0.9,), mode="normalized")
-        val = metrics.ace(trained["params"], calib, trained["test_ds"])
+        val = metrics.ace(*_predict(trained), calib)
         assert 0.0 <= val <= 0.9
 
     def test_too_few_nodes(self, trained):
@@ -74,7 +81,7 @@ class TestAce:
                                     levels=(0.9,))
         tiny = trained["test_ds"].subset(np.arange(5))
         with pytest.raises(ValueError):
-            metrics.ace(trained["params"], calib, tiny)
+            metrics.ace(*_predict(trained, tiny), calib)
 
     def test_one_hot_bin_arithmetic(self):
         """If one of ten bins over-covers fully and the rest are exactly
@@ -122,7 +129,7 @@ class TestGroupReport:
             cal = ds.subset(ds.split_indices("calibration"))
             test = ds.subset(ds.split_indices("test"))
             calib = conformal.calibrate(params, cal, levels=(0.9,), mode="absolute")
-            iv = conformal.intervals(params, test, calib, 0.9)
+            iv = conformal.intervals(head.forward(params, test)[0], calib, 0.9)
             dis = test.disorder_flags
             if dis.any() and (~dis).any():
                 total += 1
@@ -168,10 +175,17 @@ class TestFullReport:
         d = rep.to_dict()
         assert "group_table" in d and "ece" in d
 
+    def test_predicts_once(self, trained, forward_calls):
+        calib = conformal.calibrate(trained["params"], trained["cal_ds"],
+                                    mode="normalized")
+        forward_calls.clear()
+        metrics.full_report(trained["params"], calib, trained["test_ds"])
+        assert len(forward_calls) == 1 and forward_calls[0] is trained["test_ds"]
+
     def test_calibration_curve_csv(self, trained, tmp_path):
         calib = conformal.calibrate(trained["params"], trained["cal_ds"],
                                     levels=(0.9,))
         p = tmp_path / "curve.csv"
-        metrics.export_calibration_curve(p, trained["params"], calib, trained["test_ds"])
+        metrics.export_calibration_curve(p, *_predict(trained), calib)
         lines = p.read_text().strip().splitlines()
         assert len(lines) == len(DEFAULT_LEVEL_GRID) + 1
