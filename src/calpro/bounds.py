@@ -82,12 +82,10 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     k = min(k_neighbors, n - 1)
     tree = cKDTree(x)
     dist, nn = tree.query(x, k=k + 1)
-    best = 0.0
-    for i in range(n):
-        for d, j in zip(dist[i][1:], nn[i][1:]):
-            if d > 0:
-                best = max(best, abs(s[i] - s[j]) / d)
-    return float(best)
+    # column 0 is each point itself
+    d = dist[:, 1:]
+    slopes = np.abs(s[:, None] - s[nn[:, 1:]])[d > 0] / d[d > 0]
+    return float(slopes.max(initial=0.0))
 
 
 def kl_gaussian(surrogate: PosteriorSurrogate):

@@ -86,19 +86,16 @@ class Dataset:
                     self.group_tags[i], bool(self.disorder_flags[i]))
 
     def split_indices(self, tag):
-        return np.array([i for i, t in enumerate(self.splits) if t == tag], dtype=int)
+        return np.flatnonzero(np.asarray(self.splits, dtype=str) == tag)
 
     def subset(self, idx):
         """Induced sub-dataset on the given node indices (edges relabeled)."""
         idx = np.asarray(idx, dtype=int)
         pos = -np.ones(self.n_nodes, dtype=int)
         pos[idx] = np.arange(idx.size)
-        keep = []
-        if self.edges.size:
-            for a, b in self.edges:
-                if pos[a] >= 0 and pos[b] >= 0:
-                    keep.append((pos[a], pos[b]))
-        edges = np.array(keep, dtype=int).reshape(-1, 2)
+        # a row survives, in place and orientation, when both ends are in idx
+        rel = pos[self.edges]
+        edges = rel[(rel >= 0).all(axis=1)]
         meta = dict(self.metadata)
         if "reference_coords" in meta:
             meta["reference_coords"] = np.asarray(meta["reference_coords"])[idx]
@@ -135,13 +132,16 @@ class Dataset:
 
 
 def _dedupe_edges(pairs):
-    """Canonicalize to sorted unique (i, j) rows with i < j."""
-    if len(pairs) == 0:
-        return np.zeros((0, 2), dtype=int)
-    arr = np.asarray(pairs, dtype=int)
-    arr = np.sort(arr, axis=1)
+    """Canonicalize to sorted unique (i, j) rows with i < j.  Sorts the int64
+    keys i * n + j (n > every index): far faster than np.unique(axis=0)."""
+    arr = np.sort(np.asarray(pairs, dtype=int).reshape(-1, 2), axis=1)
     arr = arr[arr[:, 0] != arr[:, 1]]
-    return np.unique(arr, axis=0)
+    if arr.size == 0:
+        return np.zeros((0, 2), dtype=int)
+    n = int(arr[:, 1].max()) + 1
+    key = np.sort(arr[:, 0] * n + arr[:, 1])
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return np.column_stack((key // n, key % n))
 
 
 def _segment_layout(length, rng):
@@ -267,7 +267,7 @@ def gen_tabular_dataset(cfg: GeneratorConfig) -> Dataset:
     feats[:, d_cov + 1:] = rng.standard_normal((n, cfg.feature_dim - d_cov - 1))
     tree = cKDTree(x)
     _, nn = tree.query(x, k=6)
-    pairs = [(i, int(j)) for i in range(n) for j in nn[i][1:]]
+    pairs = np.column_stack((np.repeat(np.arange(n), 5), nn[:, 1:].ravel()))
     ds = Dataset(
         features=feats,
         prior_b=prior_b,
@@ -289,27 +289,30 @@ def build_edges(ds: Dataset, chain_window=5, spatial_radius=2.5) -> Dataset:
     spatial_radius of each other (predicted coordinates)."""
     if chain_window < 1 or spatial_radius < 0:
         raise ValueError("chain_window must be >= 1 and spatial_radius >= 0")
-    pairs = []
-    ids = ds.chain_ids
-    for c in np.unique(ids):
-        idx = np.flatnonzero(ids == c)
-        for a in range(idx.size):
-            for w in range(1, chain_window + 1):
-                if a + w < idx.size:
-                    pairs.append((int(idx[a]), int(idx[a + w])))
-    if spatial_radius > 0:
-        if ds.chain_coords is None:
-            raise ValueError("spatial edges require chain_coords")
-        if math.isinf(spatial_radius):
-            for c in np.unique(ids):
-                idx = np.flatnonzero(ids == c)
-                for a in range(idx.size):
-                    for b in range(a + 1, idx.size):
-                        pairs.append((int(idx[a]), int(idx[b])))
-        else:
-            tree = cKDTree(ds.chain_coords)
-            pairs.extend(tree.query_pairs(spatial_radius))
-    return replace(ds, edges=_dedupe_edges(pairs))
+    if spatial_radius > 0 and ds.chain_coords is None:
+        raise ValueError("spatial edges require chain_coords")
+    # an infinite radius joins every same-chain pair: a window no chain exceeds
+    window = ds.n_nodes if math.isinf(spatial_radius) else chain_window
+    pairs = [_chain_window_pairs(ds.chain_ids, window)]
+    if 0 < spatial_radius < math.inf:
+        tree = cKDTree(ds.chain_coords)
+        pairs.append(tree.query_pairs(spatial_radius, output_type="ndarray"))
+    return replace(ds, edges=_dedupe_edges(np.concatenate(pairs)))
+
+
+def _chain_window_pairs(chain_ids, window):
+    """(a, b) for nodes a before b in the same chain with at most window - 1
+    chain members between them; a chain's members are its nodes in index
+    order."""
+    order = np.argsort(chain_ids, kind="stable")
+    ids = chain_ids[order]
+    pairs = [np.zeros((0, 2), dtype=int)]
+    for w in range(1, window + 1):
+        same = ids[:-w] == ids[w:]
+        if not same.any():
+            break   # chains are contiguous in order: no pair at any larger w
+        pairs.append(np.column_stack((order[:-w][same], order[w:][same])))
+    return np.concatenate(pairs)
 
 
 def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
@@ -497,9 +500,7 @@ def load_dataset(path) -> Dataset:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed dataset file at byte offset {exc.pos}: {exc.msg}") from exc
-    if doc.get("version") != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset schema version {doc.get('version')!r}, "
-                         f"expected {DATASET_VERSION!r}")
+    _check_schema(doc)
     rows = doc["nodes"]
     fdim = len(rows[0]) - 4
     feats = np.array([r[:fdim] for r in rows], dtype=float)
@@ -521,6 +522,29 @@ def load_dataset(path) -> Dataset:
         metadata=meta,
     )
     return ds.validate()
+
+
+def _check_schema(doc):
+    """Raise ValueError unless doc has the calpro-dataset/1 layout that
+    load_dataset indexes into."""
+    if not isinstance(doc, dict):
+        raise ValueError("dataset file must hold a JSON object")
+    if doc.get("version") != DATASET_VERSION:
+        raise ValueError(f"unsupported dataset schema version {doc.get('version')!r}, "
+                         f"expected {DATASET_VERSION!r}")
+    missing = sorted({"nodes", "edges", "splits", "chain_coords", "metadata"} - set(doc))
+    if not isinstance(doc.get("metadata"), dict) or "chain_ids" not in doc["metadata"]:
+        missing.append("metadata.chain_ids")
+    if missing:
+        raise ValueError(f"dataset file lacks keys: {', '.join(missing)}")
+    rows = doc["nodes"]
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("dataset file has no nodes")
+    if any(not isinstance(r, list) or len(r) != len(rows[0]) for r in rows) or len(rows[0]) < 5:
+        raise ValueError("node rows must be lists of one length >= 5")
+    for key, seq in (("splits", doc["splits"]), ("chain_ids", doc["metadata"]["chain_ids"])):
+        if not isinstance(seq, list) or len(seq) != len(rows):
+            raise ValueError(f"{key} must list one entry per node ({len(rows)})")
 
 
 def export_csv(ds: Dataset, path):

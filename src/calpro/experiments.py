@@ -82,11 +82,11 @@ class ExperimentSpec:
 def _train_val(ds):
     """75/25 chain split of the train tag into fitting and validation sets."""
     train_idx = ds.split_indices("train")
-    chains = sorted(set(int(c) for c in ds.chain_ids[train_idx]))
-    n_fit = max(1, int(math.ceil(0.75 * len(chains))))
-    fit_chains = set(chains[:n_fit])
-    fit = np.array([i for i in train_idx if ds.chain_ids[i] in fit_chains], dtype=int)
-    val = np.array([i for i in train_idx if ds.chain_ids[i] not in fit_chains], dtype=int)
+    chains = np.unique(ds.chain_ids[train_idx])
+    n_fit = max(1, int(math.ceil(0.75 * chains.size)))
+    in_fit = np.isin(ds.chain_ids[train_idx], chains[:n_fit])
+    fit = train_idx[in_fit]
+    val = train_idx[~in_fit]
     if val.size == 0:
         val = fit
     return ds.subset(fit), ds.subset(val)

@@ -125,9 +125,10 @@ def forward(params: HeadParams, ds, with_cache=False):
                          f"({params.feature_dim})")
     adj = mean_adjacency(ds.n_nodes, ds.edges)
     h = ds.features
-    cache = {"adj": adj, "hs": [h], "zs": [], "ln": []}
+    cache = {"adj": adj, "hs": [h], "ms": [], "zs": [], "ln": []}
     for lay in params.layers:
         m = adj @ h
+        cache["ms"].append(m)
         z = h @ lay["w_self"] + m @ lay["w_msg"] + lay["b"]
         if params.config.layer_norm:
             mean = z.mean(axis=1, keepdims=True)
@@ -178,8 +179,7 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
     grads.w_out += h_last.T @ d_raw
     grads.b_out += d_raw.sum(axis=0)
     d_h = d_raw @ params.w_out.T
-    adj = cache["adj"]
-    adj_t = adj.T.tocsr()
+    adj_t = cache["adj"].T.tocsr()
     for li in reversed(range(len(params.layers))):
         lay = params.layers[li]
         z_post = cache["zs"][li]
@@ -191,11 +191,9 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
             # d/dz of parameter-free layer norm
             d_z = inv * (d_z - d_z.mean(axis=1, keepdims=True)
                          - zn * (d_z * zn).mean(axis=1, keepdims=True))
-        h_in = cache["hs"][li]
-        m_in = adj @ h_in
         g = grads.layers[li]
-        g["w_self"] += h_in.T @ d_z
-        g["w_msg"] += m_in.T @ d_z
+        g["w_self"] += cache["hs"][li].T @ d_z
+        g["w_msg"] += cache["ms"][li].T @ d_z
         g["b"] += d_z.sum(axis=0)
         d_h = d_z @ lay["w_self"].T + adj_t @ (d_z @ lay["w_msg"].T)
     return grads

@@ -84,17 +84,15 @@ def ace(nig, y, calib, n_bins=10, tau=0.9):
 
 def group_report(ivals, y, group_tags, tau):
     """Per-group conditional coverage and a single-level group ECE
-    (|coverage - tau|); empty groups get count 0 and nan coverage."""
+    (|coverage - tau|) for each tag present."""
     ivals = np.asarray(ivals, dtype=float)
     y = np.asarray(y, dtype=float)
+    tags = np.asarray(group_tags, dtype=str)
     table = {}
     for tag in sorted(set(group_tags)):
-        idx = np.array([i for i, t in enumerate(group_tags) if t == tag], dtype=int)
-        if idx.size == 0:
-            table[tag] = {"count": 0, "coverage": UNDEFINED, "ece": UNDEFINED}
-            continue
-        cov = coverage(ivals[idx], y[idx])
-        table[tag] = {"count": int(idx.size), "coverage": cov, "ece": abs(cov - tau)}
+        mask = tags == tag
+        cov = coverage(ivals[mask], y[mask])
+        table[tag] = {"count": int(mask.sum()), "coverage": cov, "ece": abs(cov - tau)}
     return table
 
 

@@ -82,11 +82,11 @@ def validation_ece(head_params, val_ds, level_grid=VALIDATION_GRID):
 
 def _batches(chain_ids, train_idx, batch_size, rng):
     """Minibatches of whole chains restricted to the given node indices."""
-    chains = np.unique(chain_ids[train_idx])
+    train_chains = chain_ids[train_idx]
+    chains = np.unique(train_chains)
     order = rng.permutation(chains.size)
     for start in range(0, chains.size, batch_size):
-        sel = set(chains[order[start:start + batch_size]].tolist())
-        yield np.array([i for i in train_idx if chain_ids[i] in sel], dtype=int)
+        yield train_idx[np.isin(train_chains, chains[order[start:start + batch_size]])]
 
 
 def train(cfg: TrainConfig, train_ds, val_ds):

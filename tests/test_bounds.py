@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from calpro import bounds, conformal, datagen, head
 from calpro.bounds import PosteriorSurrogate
@@ -148,6 +152,56 @@ class TestEstimateLipschitz:
         scaled = datagen.replace(ds, target_y=ds.target_y)  # same data
         assert bounds.estimate_lipschitz(_abs_scores(trained["params"], scaled), scaled,
                                          standardize=False) == pytest.approx(L1)
+
+
+def _lipschitz_loop(scores, cal_ds, k_neighbors=5, standardize=True):
+    """Reference: estimate_lipschitz with the per-pair double loop it used
+    to run over the k-NN pairs."""
+    x = np.column_stack([cal_ds.features, cal_ds.target_y])
+    if standardize:
+        x, _, _ = bounds._embed(cal_ds)
+    _, inv = np.unique(x, axis=0, return_index=True)
+    x = x[np.sort(inv)]
+    s = scores[np.sort(inv)]
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("all calibration pairs are zero-distance")
+    k = min(k_neighbors, n - 1)
+    dist, nn = cKDTree(x).query(x, k=k + 1)
+    best = 0.0
+    for i in range(n):
+        for d, j in zip(dist[i][1:], nn[i][1:]):
+            if d > 0:
+                best = max(best, abs(s[i] - s[j]) / d)
+    return float(best)
+
+
+@st.composite
+def _lipschitz_case(draw):
+    n = draw(st.integers(1, 40))
+    # a coarse grid makes duplicate points and tied distances common
+    grid = st.integers(-3, 3).map(float)
+    feats = draw(hnp.arrays(float, (n, draw(st.integers(1, 3))), elements=grid))
+    y = draw(hnp.arrays(float, n, elements=grid))
+    scores = draw(hnp.arrays(float, n, elements=st.floats(-5, 5)))
+    ds = datagen.Dataset(features=feats, prior_b=np.zeros(n), target_y=y,
+                         group_tags=("core",) * n, disorder_flags=np.zeros(n, dtype=bool),
+                         edges=np.zeros((0, 2), dtype=int), splits=("calibration",) * n,
+                         chain_coords=None, chain_ids=np.zeros(n, dtype=int))
+    return scores, ds, draw(st.integers(1, 6)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lipschitz_case())
+def test_estimate_lipschitz_matches_pair_loop(case):
+    scores, ds, k, standardize = case
+    try:
+        expected = _lipschitz_loop(scores, ds, k, standardize)
+    except ValueError:
+        with pytest.raises(ValueError):
+            bounds.estimate_lipschitz(scores, ds, k, standardize)
+        return
+    assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
 
 
 class TestSweeps:

@@ -154,3 +154,24 @@ class TestCorruptPriors:
                      {"dataset": str(gen_out / "dataset.json"), "mode": "shuffle"})
         out = tmp_path / "run"
         assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("mangle", [
+        lambda d: {**d, "nodes": []},
+        lambda d: {k: v for k, v in d.items() if k != "nodes"},
+        lambda d: {**d, "metadata": {k: v for k, v in d["metadata"].items() if k != "chain_ids"}},
+        lambda d: {**d, "nodes": d["nodes"][:1] + [d["nodes"][1][:-1]] + d["nodes"][2:]},
+        lambda d: {**d, "nodes": [r[-4:] for r in d["nodes"]]},
+        lambda d: {**d, "splits": d["splits"][:-1]},
+        lambda d: {**d, "metadata": {**d["metadata"], "chain_ids": d["metadata"]["chain_ids"][:-1]}},
+        lambda d: [d],
+    ], ids=["empty_nodes", "missing_nodes", "missing_chain_ids", "ragged_rows", "short_rows",
+            "short_splits", "short_chain_ids", "not_an_object"])
+    def test_malformed_dataset_clean_error(self, tmp_path, capsys, mangle):
+        gen_out = tmp_path / "gen"
+        assert cli.main(["gen-data", "--config", _gen_cfg(tmp_path), "--out", str(gen_out)]) == 0
+        bad = _write(tmp_path, "bad.json", mangle(json.loads((gen_out / "dataset.json").read_text())))
+        cfg = _write(tmp_path, "cor.json", {"dataset": bad, "mode": "shuffle"})
+        capsys.readouterr()
+        assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")

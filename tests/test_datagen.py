@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calpro import datagen
 from calpro.datagen import Dataset, GeneratorConfig
@@ -236,6 +238,123 @@ def test_generators_deterministic():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.target_y, b.target_y)
     assert a.splits == b.splits
+
+
+# sha256 of GeneratorConfig(seed=0)'s edges.tobytes(), recorded before
+# build_edges and _dedupe_edges became index arithmetic
+DEFAULT_EDGES_SHA256 = "538de0555d897465d6f42d86ea092b1f4410c76c05288dfa228e6e26047fcbaa"
+
+
+def test_default_edges_pinned(default_chain_ds):
+    edges = default_chain_ds.edges
+    assert edges.shape == (5361, 2) and edges.dtype == np.int64
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == DEFAULT_EDGES_SHA256
+
+
+def _graph(chain_ids, edges, splits=None):
+    """Minimal Dataset over the given chain ids: zero features and
+    coordinates, the given edge rows, all-train splits by default."""
+    chain_ids = np.asarray(chain_ids, dtype=int)
+    n = chain_ids.size
+    return Dataset(features=np.zeros((n, 8)), prior_b=np.zeros(n), target_y=np.zeros(n),
+                   group_tags=("loop-analog",) * n, disorder_flags=np.zeros(n, dtype=bool),
+                   edges=np.asarray(edges, dtype=int).reshape(-1, 2),
+                   splits=tuple(splits) if splits is not None else ("train",) * n,
+                   chain_coords=np.zeros((n, 3)), chain_ids=chain_ids)
+
+
+def _subset_edges_loop(ds, idx):
+    """Reference: the per-edge loop Dataset.subset used to run."""
+    pos = -np.ones(ds.n_nodes, dtype=int)
+    pos[idx] = np.arange(idx.size)
+    keep = []
+    if ds.edges.size:
+        for a, b in ds.edges:
+            if pos[a] >= 0 and pos[b] >= 0:
+                keep.append((pos[a], pos[b]))
+    return np.array(keep, dtype=int).reshape(-1, 2)
+
+
+def _dedupe_edges_unique(pairs):
+    """Reference: the np.unique(axis=0) canonicalization _dedupe_edges used."""
+    if len(pairs) == 0:
+        return np.zeros((0, 2), dtype=int)
+    arr = np.sort(np.asarray(pairs, dtype=int), axis=1)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    return np.unique(arr, axis=0)
+
+
+def _chain_window_brute_force(chain_ids, window):
+    """Every (a, b), a < b, in one chain with at most window - 1 chain
+    members between them, in lexicographic order."""
+    rank = {}
+    for c in set(chain_ids.tolist()):
+        for r, i in enumerate(np.flatnonzero(chain_ids == c)):
+            rank[int(i)] = r
+    n = chain_ids.size
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if chain_ids[a] == chain_ids[b] and rank[b] - rank[a] <= window]
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+@st.composite
+def _graph_and_index(draw):
+    n = draw(st.integers(0, 30))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=80)) if n else []
+    splits = draw(st.lists(st.sampled_from(("train", "calibration", "test")),
+                           min_size=n, max_size=n))
+    idx = draw(st.lists(node, unique=True, max_size=n)) if n else []
+    return _graph(np.zeros(n, dtype=int), edges, splits), np.array(idx, dtype=int)
+
+
+class TestVectorizedDataPlane:
+    """The index-arithmetic data plane against the loops it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_and_index())
+    def test_subset_matches_edge_loop(self, case):
+        ds, idx = case
+        sub = ds.subset(idx)
+        expected = _subset_edges_loop(ds, idx)
+        assert sub.edges.dtype == expected.dtype and sub.edges.shape == expected.shape
+        assert np.array_equal(sub.edges, expected)
+        # relabeled rows name the same original edges, in the same order
+        kept = [(a, b) for a, b in ds.edges.tolist() if a in idx and b in idx]
+        assert idx[sub.edges].tolist() == [list(e) for e in kept]
+        assert sub.splits == tuple(ds.splits[i] for i in idx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graph_and_index())
+    def test_split_indices_matches_loop(self, case):
+        ds, _ = case
+        for tag in ("train", "calibration", "test"):
+            expected = np.array([i for i, t in enumerate(ds.splits) if t == tag], dtype=int)
+            got = ds.split_indices(tag)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=40), st.integers(1, 8))
+    def test_chain_window_edges_brute_force(self, chain_ids, window):
+        ds = _graph(chain_ids, edges=())
+        out = datagen.build_edges(ds, chain_window=window, spatial_radius=0.0)
+        expected = _chain_window_brute_force(ds.chain_ids, window)
+        assert out.edges.dtype == expected.dtype and np.array_equal(out.edges, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=40))
+    def test_infinite_radius_is_every_same_chain_pair(self, chain_ids):
+        ds = _graph(chain_ids, edges=())
+        out = datagen.build_edges(ds, chain_window=1, spatial_radius=float("inf"))
+        assert np.array_equal(out.edges, _chain_window_brute_force(ds.chain_ids, ds.n_nodes))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=100))
+    def test_dedupe_matches_unique_rows(self, pairs):
+        got = datagen._dedupe_edges(pairs)
+        expected = _dedupe_edges_unique(pairs)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_subset_preserves_structure(small_chain_ds):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calpro import datagen, head, trainer
 from calpro.head import HeadConfig
+from calpro.numerics import rng_stream
 from calpro.trainer import TrainConfig
 
 
@@ -72,6 +75,36 @@ class TestTrain:
         _, _, rec = trainer.train(_fast_cfg(seed=5, max_epochs=2, patience=1), tr, tr)
         assert rec.wall_clock > 0
         assert "wall_clock" not in rec.to_dict()
+
+
+def _batches_loop(chain_ids, train_idx, batch_size, rng):
+    """Reference: the per-node membership loop trainer._batches used to run."""
+    chains = np.unique(chain_ids[train_idx])
+    order = rng.permutation(chains.size)
+    for start in range(0, chains.size, batch_size):
+        sel = set(chains[order[start:start + batch_size]].tolist())
+        yield np.array([i for i in train_idx if chain_ids[i] in sel], dtype=int)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=60), st.data(),
+       st.integers(1, 5), st.integers(0, 2**31 - 1))
+def test_batches_partition_whole_chains_in_order(chain_ids, data, batch_size, seed):
+    chain_ids = np.array(chain_ids)
+    # any subset of the nodes, in any order
+    train_idx = np.array(data.draw(st.permutations(range(chain_ids.size)))[
+        :data.draw(st.integers(0, chain_ids.size))], dtype=int)
+    got = list(trainer._batches(chain_ids, train_idx, batch_size, rng_stream(seed, 20)))
+    expected = list(_batches_loop(chain_ids, train_idx, batch_size, rng_stream(seed, 20)))
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
+    # each chain of train_idx in exactly one batch
+    batch_chains = [c for b in got for c in set(chain_ids[b].tolist())]
+    assert len(batch_chains) == len(set(batch_chains)) == len(set(chain_ids[train_idx].tolist()))
+    for b in got:
+        # every node of a batch's chains, in train_idx order
+        assert np.array_equal(b, train_idx[np.isin(chain_ids[train_idx], chain_ids[b])])
 
 
 class TestValidationEce:
