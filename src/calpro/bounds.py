@@ -19,7 +19,8 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 @dataclass(frozen=True)
 class PosteriorSurrogate:
     """Isotropic Gaussian posterior around the trained weights, isotropic
-    zero-mean Gaussian prior."""
+    zero-mean Gaussian prior.  The sweeps use sigma = sigma_p = 1: the KL is
+    smallest at sigma = sigma_p whatever the weights."""
     center: np.ndarray
     sigma: float
     sigma_p: float = 1.0
@@ -129,7 +130,7 @@ def epsilon_proxy(ref_ds, shifted_ds, mean, std):
 
 
 def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_series,
-                             tau=0.9, delta=0.05, sigma_p=1.0) -> BoundReport:
+                             tau=0.9, delta=0.05) -> BoundReport:
     """Bound value and empirical coverage per shift condition.
 
     shifted_series is a list of shifted test datasets aligned with
@@ -143,8 +144,7 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
                          f"{cal_ds.n_nodes} nodes")
     _, mean, std = _embed(cal_ds)
     lip = estimate_lipschitz(calib.scores, cal_ds)
-    # the KL is smallest at sigma = sigma_p whatever the weights, so use that scale
-    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma_p, sigma_p))
+    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
     conditions = [(0.0, ref_test_ds)]
     for ds in shifted_series:
         conditions.append((epsilon_proxy(ref_test_ds, ds, mean, std), ds))
@@ -168,7 +168,7 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
 
 def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
                sizes=(250, 500, 1000, 2000, 4000), tau=0.9, delta=0.05,
-               score_mode="absolute", sigma_p=1.0):
+               score_mode="absolute"):
     """Bound vs empirical shifted coverage for nested calibration subsets.
 
     Returns rows of {n_cal, bound, empirical, gap}.  Subsets are nested
@@ -177,8 +177,7 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
     _, mean, std = _embed(cal_pool_ds)
-    # the KL is smallest at sigma = sigma_p whatever the weights, so use that scale
-    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma_p, sigma_p))
+    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
     eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
     nig, _ = head_mod.forward(head_params, shifted_test_ds)
     out = []

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from . import trainer as trainer_mod
 from .objective import ObjectiveConfig
 
 REPORT_VERSION = "calpro-report/1"
-
-EXPERIMENT_NAMES = ("calibration", "shift", "perturbation", "prior_corruption",
-                    "efficiency", "bound_sweep")
 
 
 def _load_config(path):
@@ -125,7 +122,7 @@ def cmd_gen_data(args):
     datagen.export_csv(ds, os.path.join(out, "dataset.csv"))
     _write_json(os.path.join(out, "gen_report.json"),
                 _stamp({"n_nodes": ds.n_nodes, "n_edges": int(ds.edges.shape[0]),
-                        "generator": datagen._cfg_dict(gen)},
+                        "generator": asdict(gen)},
                        cfg, gen.seed, "gen-data"))
     return 0
 
@@ -150,8 +147,8 @@ def cmd_pipeline(args):
     datagen.save_dataset(run["ds"], os.path.join(out, "dataset.json"))
     head_mod.save_head(run["params"], os.path.join(out, "head.json"))
     conf_mod.save_calibration(calib, os.path.join(out, "calibration.json"))
-    report = metrics_mod.full_report(run["params"], calib, run["test_ds"])
     nig, _ = head_mod.forward(run["params"], run["test_ds"])
+    report = metrics_mod.report_from_nig(nig, calib, run["test_ds"], conf_mod.DEFAULT_LEVELS)
     y = run["test_ds"].target_y
     metrics_mod.export_calibration_curve(os.path.join(out, "calibration_curve.csv"),
                                          nig, y, calib)
@@ -226,48 +223,43 @@ def cmd_active(args):
     return 0
 
 
+def _shift(spec, cfg):
+    """The shift recipe; a gaussian perturbation of magnitude 0.5 unless the
+    config defines a shift."""
+    if spec.shifted_generator is None and spec.shift_perturbation is None:
+        spec = replace(spec, shift_perturbation={"kind": "gaussian", "magnitude": 0.5})
+    return exp_mod.run_shift_experiment(spec)
+
+
+# experiment name -> recipe(spec, cfg); each looks its function up when it runs
+EXPERIMENTS = {
+    "calibration": lambda spec, cfg: exp_mod.run_calibration_experiment(spec),
+    "shift": _shift,
+    "perturbation": lambda spec, cfg: exp_mod.run_perturbation_correlation(spec),
+    "prior_corruption": lambda spec, cfg: exp_mod.run_prior_corruption(spec),
+    "efficiency": lambda spec, cfg: exp_mod.run_efficiency_experiment(spec),
+    "bound_sweep": lambda spec, cfg: exp_mod.run_bound_sweep(
+        spec, magnitudes=tuple(cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0])),
+        tau=float(cfg.get("tau", 0.9))),
+}
+
+
 def cmd_experiment(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"generator", "shifted_generator", "shift_perturbation", "train",
-                      "ablations", "corruption_modes", "corruption_sigma", "seeds",
-                      "levels", "score_mode", "magnitudes", "tau"})
+    spec_keys = {f.name for f in fields(exp_mod.ExperimentSpec)} - {"name"}
+    _check_keys(cfg, spec_keys | {"magnitudes", "tau"})
     gen = _generator_config(cfg, args.seed)
-    tcfg = _train_config(cfg, args.seed)
-    spec = exp_mod.ExperimentSpec(
-        name=args.name,
-        generator=gen,
-        shifted_generator=None if "shifted_generator" not in cfg
-        else _dataclass_from(datagen.GeneratorConfig, cfg["shifted_generator"],
-                             "shifted_generator"),
-        shift_perturbation=cfg.get("shift_perturbation"),
-        train=tcfg,
-        ablations=tuple(cfg.get("ablations", ["full"])),
-        corruption_modes=tuple(cfg.get("corruption_modes", ["shuffle", "invert", "noise"])),
-        corruption_sigma=float(cfg.get("corruption_sigma", 0.2)),
-        seeds=tuple(cfg.get("seeds", [gen.seed])),
-        levels=tuple(cfg.get("levels", [0.8, 0.9, 0.95])),
-        score_mode=cfg.get("score_mode", args.score_mode),
-    )
-    if args.name == "calibration":
-        if spec.ablations == ("full",):
-            spec = replace(spec, ablations=exp_mod.ABLATIONS)
-        result = exp_mod.run_calibration_experiment(spec)
-    elif args.name == "shift":
-        if spec.shifted_generator is None and spec.shift_perturbation is None:
-            spec = replace(spec, shift_perturbation={"kind": "gaussian", "magnitude": 0.5})
-        result = exp_mod.run_shift_experiment(spec)
-    elif args.name == "perturbation":
-        result = exp_mod.run_perturbation_correlation(spec)
-    elif args.name == "prior_corruption":
-        result = exp_mod.run_prior_corruption(spec)
-    elif args.name == "efficiency":
-        result = exp_mod.run_efficiency_experiment(spec)
-    elif args.name == "bound_sweep":
-        result = exp_mod.run_bound_sweep(
-            spec, magnitudes=tuple(cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0])),
-            tau=float(cfg.get("tau", 0.9)))
-    else:
-        raise SystemExit(f"error: unknown experiment {args.name!r}")
+    sub = {k: cfg[k] for k in spec_keys & set(cfg)}
+    if "shifted_generator" in cfg:
+        sub["shifted_generator"] = _dataclass_from(
+            datagen.GeneratorConfig, cfg["shifted_generator"], "shifted_generator")
+    if "corruption_sigma" in cfg:
+        sub["corruption_sigma"] = float(cfg["corruption_sigma"])
+    spec = _dataclass_from(exp_mod.ExperimentSpec, dict(
+        sub, name=args.name, generator=gen, train=_train_config(cfg, args.seed),
+        seeds=cfg.get("seeds", [gen.seed]), score_mode=cfg.get("score_mode", args.score_mode)),
+        "experiment")
+    result = EXPERIMENTS[args.name](spec, cfg)
     out = _out_dir(args)
     _write_json(os.path.join(out, f"experiment_{args.name}.json"),
                 _stamp(result, cfg, gen.seed, f"experiment:{args.name}"))
@@ -314,7 +306,7 @@ def build_parser():
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("experiment")
-    sp.add_argument("name", choices=EXPERIMENT_NAMES)
+    sp.add_argument("name", choices=EXPERIMENTS)
     common(sp)
     sp.set_defaults(fn=cmd_experiment)
     return p

@@ -9,7 +9,7 @@ the non-geometric case.  All generators are deterministic in (config, seed).
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,16 +19,6 @@ from .numerics import rng_stream
 DATASET_VERSION = "calpro-dataset/1"
 
 GROUP_TAGS = ("helix-analog", "sheet-analog", "loop-analog")
-
-
-@dataclass(frozen=True)
-class Node:
-    """Single-node view of a Dataset row."""
-    features: np.ndarray
-    prior_b: float
-    target_y: float
-    group_tag: str
-    disorder_flag: bool
 
 
 @dataclass(frozen=True)
@@ -80,10 +70,6 @@ class Dataset:
     @property
     def n_nodes(self):
         return self.features.shape[0]
-
-    def node(self, i):
-        return Node(self.features[i], float(self.prior_b[i]), float(self.target_y[i]),
-                    self.group_tags[i], bool(self.disorder_flags[i]))
 
     def split_indices(self, tag):
         return np.flatnonzero(np.asarray(self.splits, dtype=str) == tag)
@@ -150,7 +136,6 @@ def _segment_layout(length, rng):
     tags = []
     disorder = []
     pos = 0
-    k = 0
     while pos < length:
         seg_len = min(int(rng.integers(5, 13)), length - pos)
         tag = GROUP_TAGS[int(rng.integers(0, 3))]
@@ -158,7 +143,6 @@ def _segment_layout(length, rng):
         tags.extend([tag] * seg_len)
         disorder.extend([dis] * seg_len)
         pos += seg_len
-        k += 1
     return tags, np.array(disorder, dtype=bool)
 
 
@@ -239,7 +223,7 @@ def gen_chain_dataset(cfg: GeneratorConfig) -> Dataset:
         splits=tuple(["train"] * len(tags)),
         chain_coords=pred_coords,
         chain_ids=np.array(chain_ids, dtype=int),
-        metadata={"generator": "chain", "config": _cfg_dict(cfg),
+        metadata={"generator": "chain", "config": asdict(cfg),
                   "reference_coords": ref_coords},
     )
     ds = build_edges(ds, chain_window=5, spatial_radius=2.5)
@@ -278,7 +262,7 @@ def gen_tabular_dataset(cfg: GeneratorConfig) -> Dataset:
         splits=tuple(["train"] * n),
         chain_coords=None,
         chain_ids=np.arange(n) // 50,
-        metadata={"generator": "tabular", "config": _cfg_dict(cfg)},
+        metadata={"generator": "tabular", "config": asdict(cfg)},
     )
     ds = split(ds, (0.6, 0.2, 0.2), mode="random", seed=cfg.seed)
     return ds.validate()
@@ -459,39 +443,31 @@ def _allocate(total, fractions):
     return counts
 
 
-def _cfg_dict(cfg):
-    return {
-        "n_chains": cfg.n_chains, "chain_length": cfg.chain_length,
-        "feature_dim": cfg.feature_dim,
-        "ordered_noise_scale": cfg.ordered_noise_scale,
-        "disordered_noise_scale": cfg.disordered_noise_scale,
-        "informativeness_eta": cfg.informativeness_eta,
-        "prior_noise": cfg.prior_noise, "seed": cfg.seed,
-    }
+def _float_lists(a):
+    return np.asarray(a, dtype=float).tolist()
 
 
 def save_dataset(ds: Dataset, path):
     """UTF-8 JSON, schema calpro-dataset/1."""
     meta = dict(ds.metadata)
     ref = meta.pop("reference_coords", None)
+    rows = zip(_float_lists(ds.features), _float_lists(ds.prior_b), _float_lists(ds.target_y),
+               ds.group_tags, np.asarray(ds.disorder_flags, dtype=bool).tolist())
     doc = {
         "version": DATASET_VERSION,
-        "nodes": [
-            list(map(float, ds.features[i])) + [float(ds.prior_b[i]), float(ds.target_y[i]),
-                                                ds.group_tags[i], bool(ds.disorder_flags[i])]
-            for i in range(ds.n_nodes)
-        ],
-        "edges": [[int(a), int(b)] for a, b in ds.edges],
+        "nodes": [f + [p, y, tag, flag] for f, p, y, tag, flag in rows],
+        "edges": np.asarray(ds.edges, dtype=int).tolist(),
         "splits": list(ds.splits),
-        "chain_coords": None if ds.chain_coords is None else [list(map(float, r)) for r in ds.chain_coords],
+        "chain_coords": None if ds.chain_coords is None else _float_lists(ds.chain_coords),
         "metadata": {
             **meta,
-            "chain_ids": [int(c) for c in ds.chain_ids],
-            "reference_coords": None if ref is None else [list(map(float, r)) for r in np.asarray(ref)],
+            "chain_ids": np.asarray(ds.chain_ids, dtype=int).tolist(),
+            "reference_coords": None if ref is None else _float_lists(ref),
         },
     }
+    # one json.dumps: json.dump streams through the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 def load_dataset(path) -> Dataset:

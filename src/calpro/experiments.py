@@ -3,7 +3,7 @@ perturbation correlation, ablations, prior corruption, and the prior-aware
 efficiency comparison.  Everything is deterministic in (spec, seeds)."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -47,17 +47,17 @@ class ExperimentSpec:
     shifted_generator: datagen.GeneratorConfig | None = None
     shift_perturbation: dict | None = None      # {"kind", "magnitude"}
     train: trainer_mod.TrainConfig = field(default_factory=desk_train_config)
-    ablations: tuple = ("full",)
+    ablations: tuple | None = None      # None: the recipe's default configurations
     corruption_modes: tuple = ("shuffle", "invert", "noise")
     corruption_sigma: float = 0.2
     seeds: tuple = (0,)
-    levels: tuple = (0.8, 0.9, 0.95)
+    levels: tuple = conf_mod.DEFAULT_LEVELS
     score_mode: str = "normalized"
 
     def validate(self):
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for a in self.ablations:
+        for a in self.ablations or ():
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation toggle {a!r}")
         return self
@@ -65,12 +65,13 @@ class ExperimentSpec:
     def echo(self):
         return {
             "name": self.name,
-            "generator": datagen._cfg_dict(self.generator),
+            "generator": asdict(self.generator),
             "shifted_generator": None if self.shifted_generator is None
-            else datagen._cfg_dict(self.shifted_generator),
+            else asdict(self.shifted_generator),
             "shift_perturbation": self.shift_perturbation,
             "train": trainer_mod._config_echo(self.train),
-            "ablations": list(self.ablations),
+            # a recipe that fixes its own configurations trains "full"
+            "ablations": ["full"] if self.ablations is None else list(self.ablations),
             "corruption_modes": list(self.corruption_modes),
             "corruption_sigma": self.corruption_sigma,
             "seeds": list(self.seeds),
@@ -90,6 +91,10 @@ def _train_val(ds):
     if val.size == 0:
         val = fit
     return ds.subset(fit), ds.subset(val)
+
+
+def _test_split(ds):
+    return ds.subset(ds.split_indices("test"))
 
 
 def _objective_for(config_name, base: ObjectiveConfig) -> ObjectiveConfig:
@@ -115,16 +120,15 @@ def train_config_run(spec: ExperimentSpec, config_name, seed, ds=None):
     tcfg = replace(spec.train, seed=seed,
                    objective=_objective_for(config_name, spec.train.objective))
     params, mono, record = trainer_mod.train(tcfg, fit_ds, val_ds)
-    cal_ds = ds.subset(ds.split_indices("calibration"))
-    test_ds = ds.subset(ds.split_indices("test"))
     return {"ds": ds, "params": params, "mono": mono, "record": record,
-            "cal_ds": cal_ds, "test_ds": test_ds, "config": config_name, "seed": seed}
+            "cal_ds": ds.subset(ds.split_indices("calibration")), "test_ds": _test_split(ds),
+            "config": config_name, "seed": seed}
 
 
-def _evaluate(run, spec: ExperimentSpec, test_ds=None):
-    """Coverage/ECE/sharpness for one trained configuration."""
-    test_ds = run["test_ds"] if test_ds is None else test_ds
-    params = run["params"]
+def _evaluate(run, spec: ExperimentSpec):
+    """Coverage/ECE/sharpness and the uncertainty-error Spearman for one
+    trained configuration."""
+    params, test_ds = run["params"], run["test_ds"]
     if run["config"] == "no_conformal":
         nig, _ = head_mod.forward(params, test_ds)
         var = head_mod.epistemic_variance(nig)
@@ -143,93 +147,80 @@ def _evaluate(run, spec: ExperimentSpec, test_ds=None):
     calib = conf_mod.calibrate(params, run["cal_ds"], levels=spec.levels, mode=mode)
     rep = metrics_mod.full_report(params, calib, test_ds, levels=spec.levels)
     return {"coverage": rep.coverage, "sharpness": rep.sharpness, "ece": rep.ece,
-            "ace": rep.ace, "spearman": rep.spearman_uncertainty_error,
-            "group_table": rep.group_table}
+            "spearman": rep.spearman_uncertainty_error}
 
 
-def _median_over(rows, path):
-    vals = []
-    for r in rows:
-        v = r
-        for p in path:
-            v = v[p]
-        vals.append(v)
-    return float(np.median(vals))
+def _scored(run, test_ds, tau, mode):
+    """Calibrate the run's head at tau, predict test_ds once and score the
+    tau-intervals: ({coverage, degradation, sharpness}, intervals)."""
+    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,), mode=mode)
+    nig, _ = head_mod.forward(run["params"], test_ds)
+    iv = conf_mod.intervals(nig, calib, tau)
+    cov = metrics_mod.coverage(iv, test_ds.target_y)
+    return {"coverage": cov, "degradation": tau - cov,
+            "sharpness": metrics_mod.sharpness(iv)}, iv
+
+
+def _configured(spec: ExperimentSpec, default):
+    """spec with the recipe's default configurations if it sets none."""
+    return spec if spec.ablations is not None else replace(spec, ablations=default)
+
+
+def _per_seed(spec: ExperimentSpec, one_seed):
+    """Validate spec, then one_seed(ds, seed) on each seed's generated dataset."""
+    spec.validate()
+    return [one_seed(datagen.gen_chain_dataset(replace(spec.generator, seed=seed)), seed)
+            for seed in spec.seeds]
+
+
+def _seed_median(per_seed):
+    """Median across seeds of same-shaped nested dicts, leaf by leaf; keys
+    become strings, as in the JSON artifacts."""
+    if isinstance(per_seed[0], dict):
+        return {str(k): _seed_median([s[k] for s in per_seed]) for k in per_seed[0]}
+    return float(np.median(per_seed))
 
 
 def run_calibration_experiment(spec: ExperimentSpec):
-    """Table-1-shaped rows: per configuration, median coverage/ECE/sharpness
-    across seeds at the requested levels."""
-    spec.validate()
-
-    def one_seed(seed):
-        out = {}
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
-        for name in spec.ablations:
-            run = train_config_run(spec, name, seed, ds=ds)
-            out[name] = _evaluate(run, spec)
-        return out
-
-    per_seed = [one_seed(s) for s in spec.seeds]
-    rows = {}
-    for name in spec.ablations:
-        rows[name] = {
-            "coverage": {str(t): _median_over(per_seed, (name, "coverage", float(t)))
-                         for t in spec.levels},
-            "sharpness": {str(t): _median_over(per_seed, (name, "sharpness", float(t)))
-                          for t in spec.levels},
-            "ece": _median_over(per_seed, (name, "ece")),
-        }
+    """Table-1-shaped rows: per configuration (default: every ablation),
+    median coverage/ECE/sharpness across seeds at the requested levels."""
+    spec = _configured(spec, ABLATIONS)
+    per_seed = _per_seed(spec, lambda ds, seed: {
+        name: _evaluate(train_config_run(spec, name, seed, ds=ds), spec)
+        for name in spec.ablations})
+    rows = _seed_median(per_seed)
+    for row in rows.values():
+        del row["spearman"]     # reported per seed only
     return {"experiment": "calibration", "spec": spec.echo(), "rows": rows,
-            "per_seed": [{k: _strip(v) for k, v in s.items()} for s in per_seed]}
-
-
-def _strip(ev):
-    return {k: v for k, v in ev.items() if k in ("coverage", "sharpness", "ece", "spearman")}
+            "per_seed": per_seed}
 
 
 def _shifted_test(spec: ExperimentSpec, ds, seed):
     """Shifted test condition: regenerated from the shifted generator and/or
     perturbed from the source structures."""
     if spec.shifted_generator is not None:
-        shifted = datagen.gen_chain_dataset(replace(spec.shifted_generator, seed=seed + 10000))
-        return shifted.subset(shifted.split_indices("test"))
+        return _test_split(datagen.gen_chain_dataset(
+            replace(spec.shifted_generator, seed=seed + 10000)))
     if spec.shift_perturbation is not None:
-        pert = datagen.perturb(ds, spec.shift_perturbation["kind"],
-                               spec.shift_perturbation["magnitude"], seed=seed)
-        return pert.subset(pert.split_indices("test"))
+        return _test_split(datagen.perturb(ds, spec.shift_perturbation["kind"],
+                                           spec.shift_perturbation["magnitude"], seed=seed))
     raise ValueError("shift experiment needs a shifted generator or a perturbation")
 
 
 def run_shift_experiment(spec: ExperimentSpec, tau=0.9):
     """Coverage and degradation on a shifted test condition for each
-    configuration (default full vs no_priors)."""
-    spec.validate()
-    configs = spec.ablations if spec.ablations != ("full",) else ("full", "no_priors")
+    configuration (default: full and no_priors)."""
+    spec = _configured(spec, ("full", "no_priors"))
 
-    def one_seed(seed):
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+    def one_seed(ds, seed):
         shifted = _shifted_test(spec, ds, seed)
-        out = {}
-        for name in configs:
-            run = train_config_run(spec, name, seed, ds=ds)
-            calib = conf_mod.calibrate(run["params"], run["cal_ds"],
-                                       levels=(tau,), mode=spec.score_mode)
-            nig, _ = head_mod.forward(run["params"], shifted)
-            iv = conf_mod.intervals(nig, calib, tau)
-            cov = metrics_mod.coverage(iv, shifted.target_y)
-            out[name] = {"coverage": cov, "degradation": tau - cov,
-                         "sharpness": metrics_mod.sharpness(iv)}
-        return out
+        return {name: _scored(train_config_run(spec, name, seed, ds=ds), shifted, tau,
+                              spec.score_mode)[0]
+                for name in spec.ablations}
 
-    per_seed = [one_seed(s) for s in spec.seeds]
-    rows = {name: {
-        "coverage": _median_over(per_seed, (name, "coverage")),
-        "degradation": _median_over(per_seed, (name, "degradation")),
-        "sharpness": _median_over(per_seed, (name, "sharpness")),
-    } for name in configs}
+    per_seed = _per_seed(spec, one_seed)
     return {"experiment": "shift", "spec": spec.echo(), "tau": tau,
-            "rows": rows, "per_seed": per_seed}
+            "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
 def run_perturbation_correlation(spec: ExperimentSpec,
@@ -237,102 +228,69 @@ def run_perturbation_correlation(spec: ExperimentSpec,
                                  magnitudes=None):
     """Spearman(predicted sqrt(Var), realized error) per perturbation kind
     for full and no_priors configurations."""
-    spec.validate()
     magnitudes = dict(DEFAULT_PERTURBATION_MAGNITUDE, **(magnitudes or {}))
-    configs = ("full", "no_priors")
 
-    def one_seed(seed):
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+    def one_seed(ds, seed):
+        tests = {kind: _test_split(datagen.perturb(ds, kind, magnitudes[kind], seed=seed))
+                 for kind in kinds}
         out = {}
-        for name in configs:
-            run = train_config_run(spec, name, seed, ds=ds)
-            per_kind = {}
-            for kind in kinds:
-                pert = datagen.perturb(ds, kind, magnitudes[kind], seed=seed)
-                test_ds = pert.subset(pert.split_indices("test"))
-                nig, _ = head_mod.forward(run["params"], test_ds)
+        for name in ("full", "no_priors"):
+            params = train_config_run(spec, name, seed, ds=ds)["params"]
+            row = {}
+            for kind, test_ds in tests.items():
+                nig, _ = head_mod.forward(params, test_ds)
                 unc = np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0))
-                per_kind[kind] = spearman(unc, np.abs(test_ds.target_y - nig.mu))
-            per_kind["overall"] = float(np.mean([per_kind[k] for k in kinds]))
-            out[name] = per_kind
+                row[kind] = spearman(unc, np.abs(test_ds.target_y - nig.mu))
+            row["overall"] = float(np.mean([row[k] for k in kinds]))
+            out[name] = row
         return out
 
-    per_seed = [one_seed(s) for s in spec.seeds]
-    rows = {name: {k: _median_over(per_seed, (name, k)) for k in list(kinds) + ["overall"]}
-            for name in configs}
+    per_seed = _per_seed(spec, one_seed)
     return {"experiment": "perturbation_correlation", "spec": spec.echo(),
-            "rows": rows, "per_seed": per_seed}
+            "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
 def run_prior_corruption(spec: ExperimentSpec, tau=0.9):
     """Retrain under corrupted priors with identical settings; report
     coverage, degradation and sharpness per corruption mode."""
-    spec.validate()
-    settings = [("full", None)] + [(m, m) for m in spec.corruption_modes]
-
-    def one_seed(seed):
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+    def one_seed(ds, seed):
         out = {}
-        for label, mode in settings:
+        for label, mode in [("full", None)] + [(m, m) for m in spec.corruption_modes]:
             d = ds if mode is None else datagen.corrupt_priors(
                 ds, mode, seed=seed, sigma=spec.corruption_sigma)
             run = train_config_run(spec, "full", seed, ds=d)
-            calib = conf_mod.calibrate(run["params"], run["cal_ds"],
-                                       levels=(tau,), mode=spec.score_mode)
-            nig, _ = head_mod.forward(run["params"], run["test_ds"])
-            iv = conf_mod.intervals(nig, calib, tau)
-            cov = metrics_mod.coverage(iv, run["test_ds"].target_y)
-            out[label] = {"coverage": cov, "degradation": tau - cov,
-                          "sharpness": metrics_mod.sharpness(iv)}
+            out[label] = _scored(run, run["test_ds"], tau, spec.score_mode)[0]
         return out
 
-    per_seed = [one_seed(s) for s in spec.seeds]
-    labels = [label for label, _ in settings]
-    rows = {label: {
-        "coverage": _median_over(per_seed, (label, "coverage")),
-        "degradation": _median_over(per_seed, (label, "degradation")),
-        "sharpness": _median_over(per_seed, (label, "sharpness")),
-    } for label in labels}
+    per_seed = _per_seed(spec, one_seed)
     return {"experiment": "prior_corruption", "spec": spec.echo(), "tau": tau,
-            "rows": rows, "per_seed": per_seed}
+            "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
 def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
     """Stable-region width of prior-aware normalized conformal vs vanilla
     absolute conformal on an unregularized head, at matched coverage."""
-    spec.validate()
-
-    def one_seed(seed):
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
-        full = train_config_run(spec, "full", seed, ds=ds)
-        van = train_config_run(spec, "vanilla", seed, ds=ds)
-        calib_full = conf_mod.calibrate(full["params"], full["cal_ds"],
-                                        levels=(tau,), mode="normalized")
-        calib_van = conf_mod.calibrate(van["params"], van["cal_ds"],
-                                       levels=(tau,), mode="absolute")
-        test_ds = full["test_ds"]
-        stable = ~test_ds.disorder_flags
-        iv_full = conf_mod.intervals(head_mod.forward(full["params"], test_ds)[0],
-                                     calib_full, tau)
-        iv_van = conf_mod.intervals(head_mod.forward(van["params"], test_ds)[0],
-                                    calib_van, tau)
-        cov_full = metrics_mod.coverage(iv_full, test_ds.target_y)
-        cov_van = metrics_mod.coverage(iv_van, test_ds.target_y)
-        w_full = float(np.mean(iv_full[stable, 1] - iv_full[stable, 0]))
-        w_van = float(np.mean(iv_van[stable, 1] - iv_van[stable, 0]))
-        slack = 1.96 * math.sqrt(tau * (1 - tau) / test_ds.n_nodes)
-        return {"width_ratio": w_full / w_van,
-                "stable_width_full": w_full, "stable_width_vanilla": w_van,
-                "coverage_full": cov_full, "coverage_vanilla": cov_van,
+    def one_seed(ds, seed):
+        cov, width = {}, {}
+        for name, mode in (("full", "normalized"), ("vanilla", "absolute")):
+            run = train_config_run(spec, name, seed, ds=ds)
+            row, iv = _scored(run, run["test_ds"], tau, mode)
+            stable = ~run["test_ds"].disorder_flags
+            cov[name] = row["coverage"]
+            width[name] = float(np.mean(iv[stable, 1] - iv[stable, 0]))
+        slack = 1.96 * math.sqrt(tau * (1 - tau) / run["test_ds"].n_nodes)
+        return {"width_ratio": width["full"] / width["vanilla"],
+                "stable_width_full": width["full"], "stable_width_vanilla": width["vanilla"],
+                "coverage_full": cov["full"], "coverage_vanilla": cov["vanilla"],
                 "coverage_slack": slack,
-                "inconclusive": abs(cov_full - cov_van) > 2 * slack}
+                "inconclusive": abs(cov["full"] - cov["vanilla"]) > 2 * slack}
 
-    per_seed = [one_seed(s) for s in spec.seeds]
+    per_seed = _per_seed(spec, one_seed)
+    medians = _seed_median(per_seed)
     return {
         "experiment": "efficiency", "spec": spec.echo(), "tau": tau,
-        "median_width_ratio": _median_over(per_seed, ("width_ratio",)),
-        "median_coverage_full": _median_over(per_seed, ("coverage_full",)),
-        "median_coverage_vanilla": _median_over(per_seed, ("coverage_vanilla",)),
+        **{f"median_{k}": medians[k] for k in ("width_ratio", "coverage_full",
+                                               "coverage_vanilla")},
         "per_seed": per_seed,
     }
 
@@ -340,21 +298,14 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
 def run_bound_sweep(spec: ExperimentSpec, magnitudes=(0.1, 0.25, 0.5, 1.0), tau=0.9):
     """Fig.-1-style bound-vs-empirical series over gaussian perturbations of
     increasing magnitude, one report per seed."""
-    spec.validate()
-
-    def one_seed(seed):
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+    def one_seed(ds, seed):
         run = train_config_run(spec, "full", seed, ds=ds)
         calib = conf_mod.calibrate(run["params"], run["cal_ds"],
                                    levels=(tau,), mode=spec.score_mode)
-        shifted = []
-        for mag in magnitudes:
-            pert = datagen.perturb(ds, "gaussian", mag, seed=seed)
-            shifted.append(pert.subset(pert.split_indices("test")))
-        report = bounds_mod.bound_vs_empirical_sweep(
-            run["params"], run["cal_ds"], calib, run["test_ds"], shifted, tau=tau)
-        return report.to_dict()
+        shifted = [_test_split(datagen.perturb(ds, "gaussian", mag, seed=seed))
+                   for mag in magnitudes]
+        return bounds_mod.bound_vs_empirical_sweep(
+            run["params"], run["cal_ds"], calib, run["test_ds"], shifted, tau=tau).to_dict()
 
-    per_seed = [one_seed(s) for s in spec.seeds]
     return {"experiment": "bound_sweep", "spec": spec.echo(), "tau": tau,
-            "per_seed": per_seed}
+            "per_seed": _per_seed(spec, one_seed)}

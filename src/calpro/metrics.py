@@ -106,10 +106,16 @@ def disorder_quartiles(ds):
     return tuple(tags)
 
 
-def full_report(head_params, calib, test_ds, levels=(0.8, 0.9, 0.95)) -> MetricsReport:
-    """Standard report: coverage/sharpness per level, ECE, ACE, uncertainty-
-    error correlation and a group table at tau=0.9."""
+def full_report(head_params, calib, test_ds, levels=conf_mod.DEFAULT_LEVELS) -> MetricsReport:
+    """Standard report on the head's predictions for test_ds."""
     nig, _ = head_mod.forward(head_params, test_ds)
+    return report_from_nig(nig, calib, test_ds, levels)
+
+
+def report_from_nig(nig, calib, test_ds, levels) -> MetricsReport:
+    """Standard report of the predictions nig for test_ds: coverage/sharpness
+    per level, ECE, ACE, uncertainty-error correlation and a group table at
+    tau=0.9."""
     y = test_ds.target_y
     cov = {}
     shp = {}

@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import head as head_mod
+from .metrics import DEFAULT_LEVEL_GRID
 from .numerics import rng_stream
 from .objective import MonotoneMap, ObjectiveConfig, total_loss
 
 GRAD_CLIP_NORM = 10.0
-
-VALIDATION_GRID = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class TrainRecord:
         }
 
 
-def validation_ece(head_params, val_ds, level_grid=VALIDATION_GRID):
+def validation_ece(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
     """Self-calibrated calibration-error proxy on the validation set.
 
     The validation nodes are split deterministically in half (even/odd

@@ -93,6 +93,12 @@ class TestPipeline:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_predicts_test_set_once(self, tmp_path, forward_calls):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN)
+        assert cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        test_sets = [ds for ds in forward_calls if set(ds.splits) == {"test"}]
+        assert len(test_sets) == 1
+
 
 class TestBoundCommands:
     def test_bound(self, tmp_path):
@@ -137,6 +143,27 @@ class TestExperimentCommand:
     def test_unknown_name_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["experiment", "nonsense", "--out", str(tmp_path)])
+
+    def _experiment(self, tmp_path, name, **extra):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, seeds=[0], **extra)
+        out = tmp_path / "run"
+        assert cli.main(["experiment", name, "--config", cfg, "--out", str(out)]) == 0
+        return json.loads((out / f"experiment_{name}.json").read_text())
+
+    def test_calibration_runs_explicit_ablations(self, tmp_path):
+        rep = self._experiment(tmp_path, "calibration", ablations=["full"])
+        assert set(rep["rows"]) == {"full"}
+        assert rep["spec"]["ablations"] == ["full"]
+        rep = self._experiment(tmp_path, "calibration")
+        assert set(rep["rows"]) == {"full", "no_conformal", "no_evidential", "no_priors"}
+
+    def test_shift_echoes_the_configurations_it_ran(self, tmp_path):
+        rep = self._experiment(tmp_path, "shift")
+        assert rep["spec"]["ablations"] == ["full", "no_priors"]
+        assert set(rep["rows"]) == {"full", "no_priors"}
+        rep = self._experiment(tmp_path, "shift", ablations=["full"])
+        assert rep["spec"]["ablations"] == ["full"]
+        assert set(rep["rows"]) == {"full"}
 
 
 class TestCorruptPriors:

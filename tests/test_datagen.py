@@ -179,6 +179,32 @@ class TestSplit:
             datagen.split(small_chain_ds, (0.5, 0.2, 0.2))
 
 
+def _reference_save_dataset(ds, path):
+    """The per-element writer save_dataset replaced: the byte reference."""
+    meta = dict(ds.metadata)
+    ref = meta.pop("reference_coords", None)
+    doc = {
+        "version": datagen.DATASET_VERSION,
+        "nodes": [
+            list(map(float, ds.features[i])) + [float(ds.prior_b[i]), float(ds.target_y[i]),
+                                                ds.group_tags[i], bool(ds.disorder_flags[i])]
+            for i in range(ds.n_nodes)
+        ],
+        "edges": [[int(a), int(b)] for a, b in ds.edges],
+        "splits": list(ds.splits),
+        "chain_coords": None if ds.chain_coords is None
+        else [list(map(float, r)) for r in ds.chain_coords],
+        "metadata": {
+            **meta,
+            "chain_ids": [int(c) for c in ds.chain_ids],
+            "reference_coords": None if ref is None
+            else [list(map(float, r)) for r in np.asarray(ref)],
+        },
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, small_chain_ds, tmp_path):
         p = tmp_path / "ds.json"
@@ -197,6 +223,13 @@ class TestRoundTrip:
         p.write_bytes(p.read_bytes()[:200])
         with pytest.raises(ValueError, match="byte offset"):
             datagen.load_dataset(p)
+
+    @pytest.mark.parametrize("make", [datagen.gen_chain_dataset, datagen.gen_tabular_dataset])
+    def test_bytes_match_reference_writer(self, make, tmp_path):
+        ds = make(_cfg(seed=4))
+        datagen.save_dataset(ds, tmp_path / "ds.json")
+        _reference_save_dataset(ds, tmp_path / "ref.json")
+        assert (tmp_path / "ds.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_version_mismatch(self, small_chain_ds, tmp_path):
         p = tmp_path / "ds.json"

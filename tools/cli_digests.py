@@ -1,0 +1,81 @@
+"""sha256 of every artifact of the desk-scale calpro CLI matrix.
+
+Runs each command of MATRIX in-process, against the calpro package found
+under --src, each in its own output directory, and writes
+{"<label>/<file>": sha256} as sorted JSON.  To check that a change leaves
+the artifacts byte-identical, run it once on a checkout of the parent and
+once on the change, then diff the two files:
+
+    python3 tools/cli_digests.py --src ../parent/src --out parent.json
+    python3 tools/cli_digests.py --src src --out change.json
+    diff parent.json change.json
+
+Uses the standard library and calpro only; the matrix takes a few seconds
+on one core.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GENERATOR = {"n_chains": 12, "chain_length": 40}
+# experiments.desk_train_config: a fixed 40-epoch budget, last epoch selected
+TRAIN = {"learning_rate": 1e-3, "batch_size": 16, "max_epochs": 40,
+         "patience": 0, "warmup_epochs": 39}
+PIPED = {"generator": GENERATOR, "train": TRAIN}
+
+RECIPES = ("calibration", "shift", "perturbation", "prior_corruption",
+           "efficiency", "bound_sweep")
+
+# (label, argv before --config/--seed/--out, config document)
+MATRIX = (
+    ("pipeline", ["pipeline"], PIPED),
+    ("pipeline_absolute", ["pipeline", "--score-mode", "absolute"], PIPED),
+    ("bound", ["bound"], PIPED),
+    ("ncal_sweep", ["ncal-sweep"], dict(PIPED, sizes=[50, 100, 150])),
+    *((f"experiment_{name}", ["experiment", name], PIPED) for name in RECIPES),
+    ("gen_data_chain", ["gen-data"], {"generator": GENERATOR}),
+    ("gen_data_tabular", ["gen-data"], {"generator": GENERATOR, "kind": "tabular"}),
+    ("corrupt_priors", ["corrupt-priors"], {"generator": GENERATOR}),
+)
+
+
+def digests(cli, seed, work):
+    out = {}
+    for label, argv, doc in MATRIX:
+        config = work / f"{label}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        target = work / label
+        rc = cli.main(argv + ["--config", str(config), "--seed", str(seed),
+                              "--out", str(target)])
+        if rc != 0:
+            raise SystemExit(f"calpro {' '.join(argv)} returned {rc}")
+        for path in sorted(target.iterdir()):
+            out[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", required=True, help="directory that holds the calpro package")
+    p.add_argument("--out", required=True, help="JSON file to write the digests to")
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from calpro import cli
+    if src not in Path(cli.__file__).resolve().parents:
+        raise SystemExit(f"imported calpro from {cli.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as work:
+        out = digests(cli, args.seed, Path(work))
+    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    print(f"{len(out)} artifacts -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
