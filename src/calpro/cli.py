@@ -127,6 +127,10 @@ def cmd_gen_data(args):
     return 0
 
 
+def _tau(cfg):
+    return float(cfg.get("tau", 0.9))
+
+
 def _pipeline_pieces(cfg, seed, score_mode):
     """Shared generate/train/calibrate path for pipeline and bound."""
     gen = _generator_config(cfg, seed)
@@ -166,14 +170,13 @@ def cmd_bound(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "magnitudes", "tau", "delta"})
     gen, run, calib = _pipeline_pieces(cfg, args.seed, args.score_mode)
-    tau = float(cfg.get("tau", 0.9))
     shifted = []
     for mag in cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0]):
         pert = datagen.perturb(run["ds"], "gaussian", float(mag), seed=gen.seed)
         shifted.append(pert.subset(pert.split_indices("test")))
     report = bounds_mod.bound_vs_empirical_sweep(
         run["params"], run["cal_ds"], calib, run["test_ds"], shifted,
-        tau=tau, delta=float(cfg.get("delta", 0.05)))
+        tau=_tau(cfg), delta=float(cfg.get("delta", 0.05)))
     out = _out_dir(args)
     bounds_mod.export_bound_curve(os.path.join(out, "bound_curve.csv"), report)
     _write_json(os.path.join(out, "bound_report.json"),
@@ -193,7 +196,7 @@ def cmd_ncal_sweep(args):
     pert = datagen.perturb(ds, "gaussian", float(cfg.get("magnitude", 0.5)), seed=gen.seed)
     rows = bounds_mod.ncal_sweep(run["params"], pool, run["test_ds"],
                                  pert.subset(pert.split_indices("test")),
-                                 sizes=sizes, tau=float(cfg.get("tau", 0.9)),
+                                 sizes=sizes, tau=_tau(cfg),
                                  delta=float(cfg.get("delta", 0.05)),
                                  score_mode=args.score_mode)
     out = _out_dir(args)
@@ -228,26 +231,29 @@ def _shift(spec, cfg):
     config defines a shift."""
     if spec.shifted_generator is None and spec.shift_perturbation is None:
         spec = replace(spec, shift_perturbation={"kind": "gaussian", "magnitude": 0.5})
-    return exp_mod.run_shift_experiment(spec)
+    return exp_mod.run_shift_experiment(spec, tau=_tau(cfg))
 
 
-# experiment name -> recipe(spec, cfg); each looks its function up when it runs
+# experiment name -> (which of ablations/tau/magnitudes it reads, recipe(spec, cfg));
+# each recipe looks its function up when it runs
 EXPERIMENTS = {
-    "calibration": lambda spec, cfg: exp_mod.run_calibration_experiment(spec),
-    "shift": _shift,
-    "perturbation": lambda spec, cfg: exp_mod.run_perturbation_correlation(spec),
-    "prior_corruption": lambda spec, cfg: exp_mod.run_prior_corruption(spec),
-    "efficiency": lambda spec, cfg: exp_mod.run_efficiency_experiment(spec),
-    "bound_sweep": lambda spec, cfg: exp_mod.run_bound_sweep(
-        spec, magnitudes=tuple(cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0])),
-        tau=float(cfg.get("tau", 0.9))),
+    "calibration": ({"ablations"}, lambda spec, cfg: exp_mod.run_calibration_experiment(spec)),
+    "shift": ({"ablations", "tau"}, _shift),
+    "perturbation": (set(), lambda spec, cfg: exp_mod.run_perturbation_correlation(spec)),
+    "prior_corruption": ({"tau"}, lambda spec, cfg: exp_mod.run_prior_corruption(
+        spec, tau=_tau(cfg))),
+    "efficiency": ({"tau"}, lambda spec, cfg: exp_mod.run_efficiency_experiment(
+        spec, tau=_tau(cfg))),
+    "bound_sweep": ({"magnitudes", "tau"}, lambda spec, cfg: exp_mod.run_bound_sweep(
+        spec, magnitudes=tuple(cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0])), tau=_tau(cfg))),
 }
 
 
 def cmd_experiment(args):
     cfg = _load_config(args.config)
     spec_keys = {f.name for f in fields(exp_mod.ExperimentSpec)} - {"name"}
-    _check_keys(cfg, spec_keys | {"magnitudes", "tau"})
+    reads, recipe = EXPERIMENTS[args.name]
+    _check_keys(cfg, (spec_keys - {"ablations"}) | reads, f"{args.name} experiment")
     gen = _generator_config(cfg, args.seed)
     sub = {k: cfg[k] for k in spec_keys & set(cfg)}
     if "shifted_generator" in cfg:
@@ -259,7 +265,7 @@ def cmd_experiment(args):
         sub, name=args.name, generator=gen, train=_train_config(cfg, args.seed),
         seeds=cfg.get("seeds", [gen.seed]), score_mode=cfg.get("score_mode", args.score_mode)),
         "experiment")
-    result = EXPERIMENTS[args.name](spec, cfg)
+    result = recipe(spec, cfg)
     out = _out_dir(args)
     _write_json(os.path.join(out, f"experiment_{args.name}.json"),
                 _stamp(result, cfg, gen.seed, f"experiment:{args.name}"))

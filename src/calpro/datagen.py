@@ -55,6 +55,8 @@ class Dataset:
     deduplicated with i < j per row; splits: per-node tag in
     {train, calibration, test}; chain_coords: (n, 3) predicted coordinates or
     None; metadata carries generator echo, chain ids and reference coords.
+    head.forward keeps the adjacency it builds on the instance, so a dataset's
+    arrays are never written in place; derive a new dataset instead.
     """
     features: np.ndarray
     prior_b: np.ndarray

@@ -114,6 +114,16 @@ def mean_adjacency(n_nodes, edges):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
 
+def _adjacency(ds):
+    """ds's mean_adjacency, built on first use and kept on the (immutable)
+    dataset, so it lives and dies with that instance."""
+    adj = ds.__dict__.get("_adjacency")
+    if adj is None:
+        adj = mean_adjacency(ds.n_nodes, ds.edges)
+        object.__setattr__(ds, "_adjacency", adj)
+    return adj
+
+
 def forward(params: HeadParams, ds, with_cache=False):
     """Evaluate the head on a dataset.
 
@@ -123,7 +133,7 @@ def forward(params: HeadParams, ds, with_cache=False):
     if ds.features.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
                          f"({params.feature_dim})")
-    adj = mean_adjacency(ds.n_nodes, ds.edges)
+    adj = _adjacency(ds)
     h = ds.features
     cache = {"adj": adj, "hs": [h], "ms": [], "zs": [], "ln": []}
     for lay in params.layers:
@@ -179,7 +189,7 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
     grads.w_out += h_last.T @ d_raw
     grads.b_out += d_raw.sum(axis=0)
     d_h = d_raw @ params.w_out.T
-    adj_t = cache["adj"].T.tocsr()
+    adj_t = cache["adj"].T     # CSC view; the same products as its CSR copy
     for li in reversed(range(len(params.layers))):
         lay = params.layers[li]
         z_post = cache["zs"][li]
@@ -195,7 +205,8 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
         g["w_self"] += cache["hs"][li].T @ d_z
         g["w_msg"] += cache["ms"][li].T @ d_z
         g["b"] += d_z.sum(axis=0)
-        d_h = d_z @ lay["w_self"].T + adj_t @ (d_z @ lay["w_msg"].T)
+        if li > 0:      # no gradient w.r.t. the input features
+            d_h = d_z @ lay["w_self"].T + adj_t @ (d_z @ lay["w_msg"].T)
     return grads
 
 

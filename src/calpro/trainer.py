@@ -125,7 +125,9 @@ def train(cfg: TrainConfig, train_ds, val_ds):
         for batch_idx in _batches(train_ds.chain_ids, train_idx, cfg.batch_size, rng):
             if batch_idx.size == 0:
                 continue
-            batch = train_ds.subset(batch_idx)
+            # a batch of every node is train_ds itself, in order, with its adjacency
+            batch = (train_ds if batch_idx.size == train_ds.n_nodes
+                     else train_ds.subset(batch_idx))
             val, parts, hg, mg = total_loss(params, mono, batch, cfg.objective,
                                             epoch=epoch, with_grads=True)
             if not np.isfinite(val):

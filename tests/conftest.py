@@ -45,3 +45,18 @@ def forward_calls(monkeypatch):
 
     monkeypatch.setattr(head, "forward", counting)
     return calls
+
+
+@pytest.fixture
+def adjacency_builds(monkeypatch):
+    """(n_nodes, edges) of every head.mean_adjacency build made while the
+    test runs."""
+    builds = []
+    build = head.mean_adjacency
+
+    def counting(n_nodes, edges):
+        builds.append((n_nodes, edges))
+        return build(n_nodes, edges)
+
+    monkeypatch.setattr(head, "mean_adjacency", counting)
+    return builds

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from calpro import cli
+from calpro import cli, datagen
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -164,6 +168,50 @@ class TestExperimentCommand:
         rep = self._experiment(tmp_path, "shift", ablations=["full"])
         assert rep["spec"]["ablations"] == ["full"]
         assert set(rep["rows"]) == {"full"}
+
+
+    @pytest.mark.parametrize("name", ["shift", "prior_corruption", "efficiency"])
+    def test_tau_is_the_level_run(self, tmp_path, name):
+        rep = self._experiment(tmp_path, name, tau=0.8)
+        assert rep["tau"] == 0.8
+        for row in rep["per_seed"][0].values():
+            if isinstance(row, dict):
+                assert row["degradation"] == pytest.approx(0.8 - row["coverage"])
+        if name == "efficiency":
+            ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(
+                n_chains=5, chain_length=20, seed=0))
+            n_test = ds.split_indices("test").size
+            assert rep["per_seed"][0]["coverage_slack"] == pytest.approx(
+                1.96 * (0.8 * 0.2 / n_test) ** 0.5)
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("calibration", "tau", 0.8),
+        ("calibration", "magnitudes", [0.5]),
+        ("shift", "magnitudes", [0.5]),
+        ("perturbation", "tau", 0.8),
+        ("perturbation", "magnitudes", [0.5]),
+        ("perturbation", "ablations", ["no_priors"]),
+        ("prior_corruption", "ablations", ["no_priors"]),
+        ("prior_corruption", "magnitudes", [0.5]),
+        ("efficiency", "ablations", ["no_priors"]),
+        ("efficiency", "magnitudes", [0.5]),
+        ("bound_sweep", "ablations", ["no_priors"]),
+    ])
+    def test_key_the_recipe_does_not_read_rejected(self, tmp_path, name, key, value):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, seeds=[0], **{key: value})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["experiment", name, "--config", cfg, "--out", str(tmp_path / "run")])
+        assert exc.value.code == f"error: unknown {name} experiment keys: {key}"
+        assert not (tmp_path / "run").exists()
+
+    def test_rejected_key_exits_1_with_one_error_line(self, tmp_path):
+        cfg = _gen_cfg(tmp_path, tau=0.8)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "calpro.cli", "experiment", "calibration",
+                               "--config", cfg, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: unknown calibration experiment keys: tau"]
 
 
 class TestCorruptPriors:

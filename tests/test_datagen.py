@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from calpro import datagen
 from calpro.datagen import Dataset, GeneratorConfig
-from calpro.numerics import spearman
+from calpro.numerics import rng_stream, spearman
 
 
 def _cfg(**kw):
@@ -330,6 +331,21 @@ def _chain_window_brute_force(chain_ids, window):
     return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
+def _assert_same_fields(a, b):
+    """Every field of a equals b's: arrays in dtype, shape and values."""
+    def same(x, y):
+        if isinstance(x, dict):
+            return isinstance(y, dict) and x.keys() == y.keys() and all(
+                same(x[k], y[k]) for k in x)
+        if isinstance(x, np.ndarray):
+            return (isinstance(y, np.ndarray) and x.dtype == y.dtype
+                    and np.array_equal(x, y))
+        return type(x) is type(y) and x == y
+
+    for f in fields(Dataset):
+        assert same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 @st.composite
 def _graph_and_index(draw):
     n = draw(st.integers(0, 30))
@@ -356,6 +372,18 @@ class TestVectorizedDataPlane:
         kept = [(a, b) for a, b in ds.edges.tolist() if a in idx and b in idx]
         assert idx[sub.edges].tolist() == [list(e) for e in kept]
         assert sub.splits == tuple(ds.splits[i] for i in idx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graph_and_index(), st.integers(0, 2**31 - 1))
+    def test_subset_of_every_node_is_the_same_dataset(self, case, seed):
+        """The trainer uses a dataset itself for a batch of all its nodes."""
+        ds, _ = case
+        rng = rng_stream(seed, 0)
+        ds = replace(ds, features=rng.standard_normal(ds.features.shape),
+                     chain_coords=rng.standard_normal((ds.n_nodes, 3)),
+                     metadata={"reference_coords": rng.standard_normal((ds.n_nodes, 3)),
+                               "config": {"seed": seed}})
+        _assert_same_fields(ds.subset(np.arange(ds.n_nodes)), ds)
 
     @settings(max_examples=100, deadline=None)
     @given(_graph_and_index())
@@ -396,6 +424,13 @@ def test_subset_preserves_structure(small_chain_ds):
     assert sub.n_nodes == idx.size
     sub.validate()
     assert np.array_equal(sub.target_y, small_chain_ds.target_y[idx])
+
+
+def test_subset_of_every_node_generated(small_chain_ds):
+    tr = small_chain_ds.subset(small_chain_ds.split_indices("train"))
+    _assert_same_fields(tr.subset(np.arange(tr.n_nodes)), tr)
+    _assert_same_fields(small_chain_ds.subset(np.arange(small_chain_ds.n_nodes)),
+                        small_chain_ds)
 
 
 def test_csv_export(small_chain_ds, tmp_path):

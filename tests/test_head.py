@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calpro import datagen, head
 from calpro.head import HeadConfig, NIGParams
@@ -101,6 +103,64 @@ class TestBackward:
         fd = finite_difference_gradient(scalar, x0, 1e-6)
         rel = np.abs(g[idx] - fd[idx]) / np.maximum(1.0, np.abs(fd[idx]))
         assert rel.max() < 1e-4
+
+
+class TestAdjacencyPerDataset:
+    def test_two_forwards_build_once(self, small_chain_ds, adjacency_builds):
+        ds = datagen.replace(small_chain_ds)    # a new instance, nothing built yet
+        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        first, _ = head.forward(params, ds)
+        second, _ = head.forward(params.from_vector(2 * params.to_vector()), ds)
+        assert len(adjacency_builds) == 1
+        assert adjacency_builds[0][0] == ds.n_nodes
+        assert not np.array_equal(first.mu, second.mu)
+
+    def test_derived_datasets_build_their_own(self, small_chain_ds, adjacency_builds):
+        ds = datagen.replace(small_chain_ds)
+        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        head.forward(params, ds)
+        derived = [ds.subset(np.arange(ds.n_nodes)),
+                   datagen.replace(ds, edges=ds.edges[::2]),
+                   datagen.perturb(ds, "gaussian", 0.5, seed=1)]
+        for d in derived:
+            head.forward(params, d)
+            head.forward(params, d)
+        assert [n for n, _ in adjacency_builds] == [ds.n_nodes] * 4
+        assert adjacency_builds[2][1] is derived[1].edges
+
+    def test_replaced_edges_not_stale(self, small_chain_ds):
+        ds = datagen.replace(small_chain_ds)
+        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        full = head.forward(params, ds, with_cache=True)[2]["adj"]
+        thinned = datagen.replace(ds, edges=ds.edges[::2])
+        adj = head.forward(params, thinned, with_cache=True)[2]["adj"]
+        assert (adj != head.mean_adjacency(ds.n_nodes, thinned.edges)).nnz == 0
+        assert (adj != full).nnz > 0
+
+
+@st.composite
+def _graph_and_vectors(draw):
+    """A random graph over n nodes (possibly edgeless, possibly with isolated
+    nodes) and an (n, k) block of vectors spanning many magnitudes."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=120))
+    edges = datagen._dedupe_edges(edges)
+    rng = rng_stream(draw(st.integers(0, 2**31 - 1)), 0)
+    k = draw(st.integers(1, 6))
+    x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    return n, edges, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_vectors())
+def test_transpose_view_products_bitwise_equal(case):
+    """backward multiplies by the CSC view adj.T; it must give the very bits
+    of the CSR copy adj.T.tocsr()."""
+    n, edges, x = case
+    adj = head.mean_adjacency(n, edges)
+    assert np.array_equal(adj.T @ x, adj.T.tocsr() @ x)
+    assert np.array_equal(adj.T @ x[:, 0], adj.T.tocsr() @ x[:, 0])
 
 
 class TestVariances:

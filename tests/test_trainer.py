@@ -77,6 +77,48 @@ class TestTrain:
         assert "wall_clock" not in rec.to_dict()
 
 
+class TestGraphPerEpoch:
+    """What the trainer builds per epoch: datasets and their adjacencies."""
+
+    @pytest.fixture
+    def sets(self):
+        ds = _ds(seed=6)      # 6 chains: 4 train, 1 calibration, 1 test
+        return (ds.subset(ds.split_indices("train")),
+                ds.subset(ds.split_indices("calibration")))
+
+    @pytest.fixture
+    def subset_sizes(self, monkeypatch, sets):
+        """Sizes of the subsets taken after sets are made."""
+        sizes = []
+        subset = datagen.Dataset.subset
+
+        def counting(ds, idx):
+            sizes.append(len(idx))
+            return subset(ds, idx)
+
+        monkeypatch.setattr(datagen.Dataset, "subset", counting)
+        return sizes
+
+    def test_one_batch_trains_on_the_set_itself(self, sets, subset_sizes, adjacency_builds,
+                                                forward_calls):
+        tr, val = sets
+        trainer.train(_fast_cfg(batch_size=16, max_epochs=4, patience=0), tr, val)
+        assert subset_sizes == []
+        assert len(forward_calls) == 8 and all(d is tr or d is val for d in forward_calls)
+        assert [n for n, _ in adjacency_builds] == [tr.n_nodes, val.n_nodes]
+
+    def test_multi_batch_subsets_each_batch(self, sets, subset_sizes, adjacency_builds):
+        tr, val = sets
+        n_chains = np.unique(tr.chain_ids).size
+        trainer.train(_fast_cfg(batch_size=2, max_epochs=3, patience=0), tr, val)
+        batches_per_epoch = -(-n_chains // 2)
+        assert batches_per_epoch > 1
+        assert len(subset_sizes) == 3 * batches_per_epoch
+        assert sum(subset_sizes) == 3 * tr.n_nodes
+        # one build per batch, plus one for the validation set
+        assert len(adjacency_builds) == len(subset_sizes) + 1
+
+
 def _batches_loop(chain_ids, train_idx, batch_size, rng):
     """Reference: the per-node membership loop trainer._batches used to run."""
     chains = np.unique(chain_ids[train_idx])

@@ -34,6 +34,9 @@ RECIPES = ("calibration", "shift", "perturbation", "prior_corruption",
 MATRIX = (
     ("pipeline", ["pipeline"], PIPED),
     ("pipeline_absolute", ["pipeline", "--score-mode", "absolute"], PIPED),
+    # 6 fitting chains in batches of 2: the trainer's multi-batch path
+    ("pipeline_multibatch", ["pipeline"],
+     {"generator": GENERATOR, "train": dict(TRAIN, batch_size=2)}),
     ("bound", ["bound"], PIPED),
     ("ncal_sweep", ["ncal-sweep"], dict(PIPED, sizes=[50, 100, 150])),
     *((f"experiment_{name}", ["experiment", name], PIPED) for name in RECIPES),
