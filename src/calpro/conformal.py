@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import head as head_mod
-from .numerics import conformal_quantile
+from .numerics import conformal_quantile, conformal_quantiles
 
 VAR_FLOOR = 1e-8
 
@@ -64,7 +64,8 @@ def calibrate(head_params, cal_ds, levels=DEFAULT_LEVELS, mode="absolute") -> Co
         raise ValueError("calibration set overlaps the train split")
     nig, _ = head_mod.forward(head_params, cal_ds)
     s = scores_from_nig(nig, cal_ds.target_y, mode)
-    qs = {float(tau): conformal_quantile(s, 1.0 - tau) for tau in levels}
+    qs = dict(zip((float(tau) for tau in levels),
+                  conformal_quantiles(s, [1.0 - tau for tau in levels])))
     return ConformalCalibration(tuple(float(t) for t in levels), qs, mode,
                                 int(s.size), s).validate()
 

@@ -7,6 +7,7 @@ w.r.t. all weights (the vector-Jacobian contract used by the objective).
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,28 +60,39 @@ class HeadParams:
         parts.extend([self.w_out.ravel(), self.b_out.ravel()])
         return np.concatenate(parts)
 
-    def from_vector(self, vec):
-        """New HeadParams with the same shapes, weights taken from vec."""
-        vec = np.asarray(vec, dtype=float)
-        layers = []
+    @property
+    def size(self):
+        """Number of weights, the length of to_vector()."""
+        return (sum(a.size for lay in self.layers for a in lay.values())
+                + self.w_out.size + self.b_out.size)
+
+    def view(self, vec):
+        """HeadParams with the same shapes whose weights are views into the
+        flat float array vec, in to_vector() order: writing into vec moves
+        the weights."""
         pos = 0
-        for lay in self.layers:
-            new = {}
-            for key in ("w_self", "w_msg", "b"):
-                n = lay[key].size
-                new[key] = vec[pos:pos + n].reshape(lay[key].shape).copy()
-                pos += n
-            layers.append(new)
-        w_out = vec[pos:pos + self.w_out.size].reshape(self.w_out.shape).copy()
-        pos += self.w_out.size
-        b_out = vec[pos:pos + self.b_out.size].copy()
-        pos += self.b_out.size
+
+        def take(shape):
+            nonlocal pos
+            n = math.prod(shape)
+            part = vec[pos:pos + n].reshape(shape)
+            pos += n
+            return part
+
+        layers = [{key: take(lay[key].shape) for key in ("w_self", "w_msg", "b")}
+                  for lay in self.layers]
+        w_out = take(self.w_out.shape)
+        b_out = take(self.b_out.shape)
         if pos != vec.size:
             raise ValueError("vector length mismatch")
         return HeadParams(layers, w_out, b_out, self.config, self.feature_dim)
 
+    def from_vector(self, vec):
+        """New HeadParams with the same shapes, weights copied from vec."""
+        return self.view(np.array(vec, dtype=float))
+
     def zeros_like(self):
-        return self.from_vector(np.zeros(self.to_vector().size))
+        return self.view(np.zeros(self.size))
 
 
 def init_head(config: HeadConfig, feature_dim) -> HeadParams:
@@ -114,14 +126,19 @@ def mean_adjacency(n_nodes, edges):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
 
+def _memo(ds, key, build):
+    """build(ds), computed on first use and kept on the (immutable) dataset
+    under key, so it lives and dies with that instance."""
+    value = ds.__dict__.get(key)
+    if value is None:
+        value = build(ds)
+        object.__setattr__(ds, key, value)
+    return value
+
+
 def _adjacency(ds):
-    """ds's mean_adjacency, built on first use and kept on the (immutable)
-    dataset, so it lives and dies with that instance."""
-    adj = ds.__dict__.get("_adjacency")
-    if adj is None:
-        adj = mean_adjacency(ds.n_nodes, ds.edges)
-        object.__setattr__(ds, "_adjacency", adj)
-    return adj
+    """ds's mean_adjacency, built once per dataset."""
+    return _memo(ds, "_adjacency", lambda d: mean_adjacency(d.n_nodes, d.edges))
 
 
 def forward(params: HeadParams, ds, with_cache=False):
@@ -134,10 +151,12 @@ def forward(params: HeadParams, ds, with_cache=False):
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
                          f"({params.feature_dim})")
     adj = _adjacency(ds)
+    # layer 0's message sees no weights: kept on the dataset beside adj
+    message0 = _memo(ds, "_message0", lambda d: adj @ d.features)
     h = ds.features
     cache = {"adj": adj, "hs": [h], "ms": [], "zs": [], "ln": []}
-    for lay in params.layers:
-        m = adj @ h
+    for li, lay in enumerate(params.layers):
+        m = message0 if li == 0 else adj @ h
         cache["ms"].append(m)
         z = h @ lay["w_self"] + m @ lay["w_msg"] + lay["b"]
         if params.config.layer_norm:
@@ -160,11 +179,12 @@ def forward(params: HeadParams, ds, with_cache=False):
     # above zero that the strict constraints hold and downstream terms like
     # beta / (nu^2 (alpha - 1)) stay finite
     floor = 1e-10
+    sp = softplus(raw[:, 1:4])
     nig = NIGParams(
         mu=raw[:, 0],
-        nu=np.maximum(softplus(raw[:, 1]), floor),
-        alpha=np.maximum(1.0 + softplus(raw[:, 2]), 1.0 + floor),
-        beta=np.maximum(softplus(raw[:, 3]), floor),
+        nu=np.maximum(sp[:, 0], floor),
+        alpha=np.maximum(1.0 + sp[:, 1], 1.0 + floor),
+        beta=np.maximum(sp[:, 2], floor),
     )
     risk = raw[:, 4]
     if with_cache:
@@ -172,19 +192,26 @@ def forward(params: HeadParams, ds, with_cache=False):
     return nig, risk
 
 
-def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None):
+def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None, out=None):
     """Vector-Jacobian product: gradients of a scalar loss w.r.t. HeadParams
-    given its gradients w.r.t. the constrained outputs."""
+    given its gradients w.r.t. the constrained outputs.
+
+    The gradients are written into the flat array out (to_vector() order;
+    a new one when None) and returned as a HeadParams view of it.
+    """
     raw = cache["raw"]
-    n = raw.shape[0]
     d_raw = np.zeros_like(raw)
     d_raw[:, 0] = d_mu
-    d_raw[:, 1] = d_nu * sigmoid(raw[:, 1])
-    d_raw[:, 2] = d_alpha * sigmoid(raw[:, 2])
-    d_raw[:, 3] = d_beta * sigmoid(raw[:, 3])
+    sig = sigmoid(raw[:, 1:4])
+    d_raw[:, 1] = d_nu * sig[:, 0]
+    d_raw[:, 2] = d_alpha * sig[:, 1]
+    d_raw[:, 3] = d_beta * sig[:, 2]
     if d_risk is not None:
         d_raw[:, 4] = d_risk
-    grads = params.zeros_like()
+    if out is None:
+        out = np.empty(params.size)
+    out.fill(0.0)
+    grads = params.view(out)
     h_last = cache["hs"][-1]
     grads.w_out += h_last.T @ d_raw
     grads.b_out += d_raw.sum(axis=0)

@@ -19,8 +19,7 @@ def softplus(z, scale=1.0):
     if scale <= 0:
         raise ValueError("softplus scale must be positive")
     t = np.asarray(z, dtype=float) * scale
-    out = np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
-    out = out / scale
+    out = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / scale
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -29,7 +28,8 @@ def softplus(z, scale=1.0):
 def sigmoid(z):
     """Logistic function, stable for large |z|."""
     t = np.asarray(z, dtype=float)
-    out = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0, e) / (1.0 + e)
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -62,16 +62,23 @@ def soft_quantile_grad(scores, gamma):
 def conformal_quantile(scores, alpha):
     """Conservative finite-sample quantile: k-th smallest with
     k = ceil((n+1)(1-alpha)).  Returns +inf when the rank exceeds n."""
+    return conformal_quantiles(scores, (alpha,))[0]
+
+
+def conformal_quantiles(scores, alphas):
+    """conformal_quantile of the scores at each alpha, from one sort."""
     s = np.asarray(scores, dtype=float)
     n = s.size
     if n == 0:
         raise ValueError("conformal_quantile of empty scores")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    k = math.ceil((n + 1) * (1.0 - alpha))
-    if k > n:
-        return math.inf
-    return float(np.sort(s)[k - 1])
+    s = np.sort(s)
+    out = []
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+        k = math.ceil((n + 1) * (1.0 - alpha))
+        out.append(math.inf if k > n else float(s[k - 1]))
+    return out
 
 
 def finite_difference_gradient(f, x, h=1e-6):

@@ -43,10 +43,25 @@ class MonotoneMap:
     are nonnegative and the composition with ReLU is monotone."""
 
     def __init__(self, w1_raw, b1, w2_raw, b2):
-        self.w1_raw = np.asarray(w1_raw, dtype=float)
-        self.b1 = np.asarray(b1, dtype=float)
-        self.w2_raw = np.asarray(w2_raw, dtype=float)
-        self.b2 = float(b2)
+        self._bind(np.concatenate([np.asarray(w1_raw, dtype=float), np.asarray(b1, dtype=float),
+                                   np.asarray(w2_raw, dtype=float), [float(b2)]]))
+
+    def _bind(self, vec):
+        """Take the weights as views into the flat vector vec, laid out
+        [w1_raw, b1, w2_raw, b2]."""
+        h = (vec.size - 1) // 3
+        self._vec = vec
+        self.w1_raw, self.b1, self.w2_raw = vec[:h], vec[h:2 * h], vec[2 * h:3 * h]
+        self._raw = vec[:3 * h].reshape(3, h)[::2]     # rows w1_raw, w2_raw
+        return self
+
+    @property
+    def b2(self):
+        return float(self._vec[-1])
+
+    @property
+    def size(self):
+        return self._vec.size
 
     @classmethod
     def init(cls, hidden=8, seed=0):
@@ -55,22 +70,26 @@ class MonotoneMap:
                    rng.uniform(-1.0, 1.0, hidden), 0.0)
 
     def to_vector(self):
-        return np.concatenate([self.w1_raw, self.b1, self.w2_raw, [self.b2]])
+        return self._vec.copy()
+
+    def view(self, vec):
+        """MonotoneMap of the same size whose weights are views into the flat
+        float array vec: writing into vec moves the weights."""
+        if vec.size != self.size:
+            raise ValueError("vector length mismatch")
+        return MonotoneMap.__new__(MonotoneMap)._bind(vec)
 
     def from_vector(self, vec):
-        h = self.w1_raw.size
-        return MonotoneMap(vec[:h], vec[h:2 * h], vec[2 * h:3 * h], vec[3 * h])
+        return self.view(np.array(vec, dtype=float))
 
     def zeros_like(self):
-        return self.from_vector(np.zeros(self.to_vector().size))
+        return self.view(np.zeros(self.size))
 
     def __call__(self, b):
-        b = np.asarray(b, dtype=float)
-        w1 = softplus(self.w1_raw)
-        w2 = softplus(self.w2_raw)
-        hidden = np.maximum(np.outer(b, w1) + self.b1, 0.0)
-        out = hidden @ w2 + self.b2
-        return out
+        b = np.asarray(b, dtype=float).reshape(-1)
+        w1, w2 = softplus(self._raw)
+        hidden = np.maximum(b[:, None] * w1 + self.b1, 0.0)
+        return hidden @ w2 + self.b2
 
     def value_and_grads(self, b):
         """m(b) plus gradients of sum-weighted outputs w.r.t. raw params.
@@ -79,21 +98,19 @@ class MonotoneMap:
         gradient for a downstream gradient d_out per input.
         """
         b = np.asarray(b, dtype=float)
-        w1 = softplus(self.w1_raw)
-        w2 = softplus(self.w2_raw)
-        pre = np.outer(b, w1) + self.b1
+        w1, w2 = softplus(self._raw)
+        pre = b[:, None] * w1 + self.b1
         hidden = np.maximum(pre, 0.0)
         out = hidden @ w2 + self.b2
 
         def vjp(d_out):
             d_out = np.asarray(d_out, dtype=float)
-            d_hidden = np.outer(d_out, w2)
-            d_pre = d_hidden * (pre > 0)
-            g_w1 = (d_pre * b[:, None]).sum(axis=0) * sigmoid(self.w1_raw)
+            d_pre = d_out[:, None] * w2 * (pre > 0)
+            sig1, sig2 = sigmoid(self._raw)
+            g_w1 = (d_pre * b[:, None]).sum(axis=0) * sig1
             g_b1 = d_pre.sum(axis=0)
-            g_w2 = (hidden * d_out[:, None]).sum(axis=0) * sigmoid(self.w2_raw)
-            g_b2 = d_out.sum()
-            return MonotoneMap(g_w1, g_b1, g_w2, g_b2)
+            g_w2 = (hidden * d_out[:, None]).sum(axis=0) * sig2
+            return MonotoneMap(g_w1, g_b1, g_w2, d_out.sum())
 
         return out, vjp
 
@@ -176,13 +193,18 @@ def soft_conf_loss(scores, cfg: ObjectiveConfig, stopgrad=False, with_grads=Fals
     return val, d_s
 
 
-def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_grads=False):
+def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_grads=False,
+               out=None):
     """Composite objective on one dataset/batch.
 
     Returns (value, parts) or, with_grads, (value, parts, head_grads,
-    monotone_grads) where the gradients are HeadParams / MonotoneMap shaped.
+    monotone_grads) where the gradients are HeadParams / MonotoneMap shaped
+    views into the flat array out: the head's to_vector() followed by the
+    map's (a new array when None).
     """
     cfg.validate()
+    if with_grads and out is None:
+        out = np.empty(head_params.size + monotone.size)
     nig, _risk, cache = head_mod.forward(head_params, ds, with_cache=True)
     y = ds.target_y
     stopgrad = epoch < cfg.stopgrad_epochs
@@ -196,8 +218,11 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_gr
             return mse, parts
         d_mu = 2.0 * (nig.mu - y) / y.size
         zeros = np.zeros_like(d_mu)
-        head_grads = head_mod.backward(head_params, cache, d_mu, zeros, zeros, zeros)
-        return mse, parts, head_grads, monotone.zeros_like()
+        n_head = head_params.size
+        head_grads = head_mod.backward(head_params, cache, d_mu, zeros, zeros, zeros,
+                                       out=out[:n_head])
+        out[n_head:] = 0.0
+        return mse, parts, head_grads, monotone.view(out[n_head:])
 
     if not with_grads:
         l_nig = nig_nll(nig, y)
@@ -226,6 +251,8 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_gr
     # scores s = |y - mu|
     d_mu = d_mu + cfg.lambda_conf * d_s * (-np.sign(y - nig.mu))
 
-    head_grads = head_mod.backward(head_params, cache, d_mu, d_nu, d_alpha, d_beta)
-    mono_grads = mono_grads.from_vector(cfg.lambda_prior * mono_grads.to_vector())
-    return total, parts, head_grads, mono_grads
+    n_head = head_params.size
+    head_grads = head_mod.backward(head_params, cache, d_mu, d_nu, d_alpha, d_beta,
+                                   out=out[:n_head])
+    np.multiply(cfg.lambda_prior, mono_grads._vec, out=out[n_head:])
+    return total, parts, head_grads, monotone.view(out[n_head:])

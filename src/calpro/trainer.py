@@ -8,7 +8,7 @@ import numpy as np
 
 from . import head as head_mod
 from .metrics import DEFAULT_LEVEL_GRID
-from .numerics import rng_stream
+from .numerics import conformal_quantiles, rng_stream
 from .objective import MonotoneMap, ObjectiveConfig, total_loss
 
 GRAD_CLIP_NORM = 10.0
@@ -43,7 +43,10 @@ class TrainRecord:
     selected_epoch: int
     seed: int
     config_echo: dict
-    wall_clock: float = 0.0     # excluded from serialized reports
+    # wall time and training health, all excluded from serialized reports
+    wall_clock: float = 0.0
+    grad_norms: list = field(default_factory=list)   # per epoch, largest pre-clip norm
+    clip_events: int = 0                             # steps whose gradient was clipped
 
     def to_dict(self):
         return {
@@ -65,18 +68,15 @@ def validation_ece(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
     if val_ds.n_nodes == 0:
         raise ValueError("empty validation set")
     from . import conformal as conf_mod
-    from .numerics import conformal_quantile
     nig, _ = head_mod.forward(head_params, val_ds)
     s = conf_mod.scores_from_nig(nig, val_ds.target_y, "normalized")
     half_a = s[0::2]
     half_b = s[1::2]
     if half_a.size == 0 or half_b.size == 0:
         half_a = half_b = s
-    devs = []
-    for tau in level_grid:
-        q = conformal_quantile(half_a, 1.0 - tau)
-        devs.append(abs(float(np.mean(half_b <= q)) - tau))
-    return float(np.mean(devs))
+    qs = conformal_quantiles(half_a, [1.0 - tau for tau in level_grid])
+    covered = (half_b <= np.array(qs)[:, None]).mean(axis=1)
+    return float(np.mean([abs(float(c) - tau) for c, tau in zip(covered, level_grid)]))
 
 
 def _batches(chain_ids, train_idx, batch_size, rng):
@@ -84,6 +84,9 @@ def _batches(chain_ids, train_idx, batch_size, rng):
     train_chains = chain_ids[train_idx]
     chains = np.unique(train_chains)
     order = rng.permutation(chains.size)
+    if 0 < chains.size <= batch_size:
+        yield train_idx     # one batch of every chain, in train_idx order
+        return
     for start in range(0, chains.size, batch_size):
         yield train_idx[np.isin(train_chains, chains[order[start:start + batch_size]])]
 
@@ -105,9 +108,14 @@ def train(cfg: TrainConfig, train_ds, val_ds):
     rng = rng_stream(cfg.seed, 20)
 
     theta = np.concatenate([params.to_vector(), mono.to_vector()])
-    n_head = params.to_vector().size
+    n_head = params.size
+    # the weights are views into theta, which each step updates in place
+    params, mono = params.view(theta[:n_head]), mono.view(theta[n_head:])
+    g = np.empty_like(theta)        # total_loss writes the gradient here
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
+    mhat = np.empty_like(theta)
+    vhat = np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -117,9 +125,12 @@ def train(cfg: TrainConfig, train_ds, val_ds):
     best_epoch = -1
     bad_epochs = 0
     records = []
+    grad_norms = []
+    clip_events = 0
 
     for epoch in range(cfg.max_epochs):
         losses = []
+        norms = []
         parts_acc = {"nig": 0.0, "evidence": 0.0, "prior": 0.0, "soft_conf": 0.0}
         n_batches = 0
         for batch_idx in _batches(train_ds.chain_ids, train_idx, cfg.batch_size, rng):
@@ -128,23 +139,31 @@ def train(cfg: TrainConfig, train_ds, val_ds):
             # a batch of every node is train_ds itself, in order, with its adjacency
             batch = (train_ds if batch_idx.size == train_ds.n_nodes
                      else train_ds.subset(batch_idx))
-            val, parts, hg, mg = total_loss(params, mono, batch, cfg.objective,
-                                            epoch=epoch, with_grads=True)
+            val, parts, _, _ = total_loss(params, mono, batch, cfg.objective,
+                                          epoch=epoch, with_grads=True, out=g)
             if not np.isfinite(val):
                 bad = [k for k, v in parts.items() if not np.isfinite(v)]
                 raise FloatingPointError(f"non-finite training loss; offending terms: {bad}")
-            g = np.concatenate([hg.to_vector(), mg.to_vector()])
             norm = float(np.linalg.norm(g))
+            norms.append(norm)
             if norm > GRAD_CLIP_NORM:
                 g *= GRAD_CLIP_NORM / norm
+                clip_events += 1
             step += 1
-            m1 = beta1 * m1 + (1 - beta1) * g
-            m2 = beta2 * m2 + (1 - beta2) * g * g
-            mhat = m1 / (1 - beta1 ** step)
-            vhat = m2 / (1 - beta2 ** step)
-            theta = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
-            params = params.from_vector(theta[:n_head])
-            mono = mono.from_vector(theta[n_head:])
+            # Adam in place, in the operation order of
+            # m1 = beta1 * m1 + (1 - beta1) * g, m2 = beta2 * m2 + (1 - beta2) * g * g,
+            # theta = theta - lr * mhat / (sqrt(vhat) + eps), so every bit is kept
+            m1 *= beta1
+            m1 += (1 - beta1) * g
+            m2 *= beta2
+            m2 += (1 - beta2) * g * g
+            np.divide(m1, 1 - beta1 ** step, out=mhat)
+            np.divide(m2, 1 - beta2 ** step, out=vhat)
+            mhat *= cfg.learning_rate
+            np.sqrt(vhat, out=vhat)
+            vhat += eps
+            mhat /= vhat
+            theta -= mhat
             losses.append(val)
             for k in parts_acc:
                 parts_acc[k] += parts[k]
@@ -156,11 +175,12 @@ def train(cfg: TrainConfig, train_ds, val_ds):
             "parts": {k: v / max(n_batches, 1) for k, v in parts_acc.items()},
             "val_ece": ece_val,
         })
+        grad_norms.append(float(np.max(norms)))
         if epoch < cfg.warmup_epochs:
             continue
         if ece_val < best_ece - 1e-12:
             best_ece = ece_val
-            best_theta = theta.copy()
+            best_theta[:] = theta
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -168,15 +188,17 @@ def train(cfg: TrainConfig, train_ds, val_ds):
             if bad_epochs >= cfg.patience > 0:
                 break
 
-    if best_epoch >= 0:
-        params = params.from_vector(best_theta[:n_head])
-        mono = mono.from_vector(best_theta[n_head:])
+    # copies: the returned weights share no memory with theta
+    final = best_theta if best_epoch >= 0 else theta
+    params, mono = params.from_vector(final[:n_head]), mono.from_vector(final[n_head:])
     record = TrainRecord(
         epochs=records,
         selected_epoch=best_epoch,
         seed=cfg.seed,
         config_echo=_config_echo(cfg),
         wall_clock=time.perf_counter() - t0,
+        grad_norms=grad_norms,
+        clip_events=clip_events,
     )
     return params, mono, record
 

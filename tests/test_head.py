@@ -105,6 +105,50 @@ class TestBackward:
         assert rel.max() < 1e-4
 
 
+class TestFlatParameters:
+    """HeadParams over one flat vector: view shares it, from_vector copies."""
+
+    @staticmethod
+    def _arrays(p):
+        return [a for lay in p.layers for a in lay.values()] + [p.w_out, p.b_out]
+
+    def test_from_vector_shares_no_memory(self, random_head):
+        vec = random_head.to_vector()
+        p = random_head.from_vector(vec)
+        assert not any(np.shares_memory(a, vec) for a in self._arrays(p))
+        assert p.to_vector().tobytes() == vec.tobytes()
+        assert p.size == vec.size
+
+    def test_view_writes_through(self, random_head):
+        vec = random_head.to_vector()
+        p = random_head.view(vec)
+        assert all(np.shares_memory(a, vec) for a in self._arrays(p))
+        vec *= 3.0
+        assert p.to_vector().tobytes() == vec.tobytes()
+
+    def test_zeros_like(self, random_head):
+        z = random_head.zeros_like()
+        assert z.size == random_head.size and not z.to_vector().any()
+
+    @pytest.mark.parametrize("size_delta", [-1, 1])
+    def test_length_mismatch(self, random_head, size_delta):
+        with pytest.raises(ValueError):
+            random_head.from_vector(np.zeros(random_head.size + size_delta))
+
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_backward_into_buffer_bitwise(self, layer_norm):
+        ds = _tiny_ds(seed=12, n_chains=3, chain_length=12)
+        params = head.init_head(HeadConfig(layer_norm=layer_norm, init_seed=13),
+                                ds.features.shape[1])
+        w = rng_stream(14, 0).normal(size=(5, ds.n_nodes))
+        _, _, cache = head.forward(params, ds, with_cache=True)
+        fresh = head.backward(params, cache, *w[:4], d_risk=w[4]).to_vector()
+        buf = np.full(params.size, np.nan)      # stale contents must not leak in
+        into = head.backward(params, cache, *w[:4], d_risk=w[4], out=buf)
+        assert buf.tobytes() == fresh.tobytes()
+        assert all(np.shares_memory(a, buf) for a in self._arrays(into))
+
+
 class TestAdjacencyPerDataset:
     def test_two_forwards_build_once(self, small_chain_ds, adjacency_builds):
         ds = datagen.replace(small_chain_ds)    # a new instance, nothing built yet
@@ -127,6 +171,19 @@ class TestAdjacencyPerDataset:
             head.forward(params, d)
         assert [n for n, _ in adjacency_builds] == [ds.n_nodes] * 4
         assert adjacency_builds[2][1] is derived[1].edges
+
+    def test_layer0_message_kept_per_dataset(self, small_chain_ds):
+        ds = datagen.replace(small_chain_ds)
+        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        first = head.forward(params, ds, with_cache=True)[2]
+        second = head.forward(params.from_vector(2 * params.to_vector()), ds,
+                              with_cache=True)[2]
+        assert second["ms"][0] is first["ms"][0]
+        assert np.array_equal(first["ms"][0], first["adj"] @ ds.features)
+        moved = datagen.replace(ds, features=ds.features + 1.0)
+        cache = head.forward(params, moved, with_cache=True)[2]
+        assert np.array_equal(cache["ms"][0], cache["adj"] @ moved.features)
+        assert not np.array_equal(cache["ms"][0], first["ms"][0])
 
     def test_replaced_edges_not_stale(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)

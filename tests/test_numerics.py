@@ -3,10 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, psi
 
 from calpro.numerics import (
     conformal_quantile,
+    conformal_quantiles,
     finite_difference_gradient,
     rng_stream,
     sigmoid,
@@ -133,6 +136,88 @@ class TestConformalQuantile:
             q = conformal_quantile(cal, 0.1)
             covs.append(np.mean(test <= q))
         assert np.mean(covs) >= 0.9
+
+
+def _conformal_quantile_sort_each(scores, alpha):
+    """Reference: conformal_quantile as it was before conformal_quantiles,
+    sorting the scores on every call."""
+    s = np.asarray(scores, dtype=float)
+    n = s.size
+    k = math.ceil((n + 1) * (1.0 - alpha))
+    if k > n:
+        return math.inf
+    return float(np.sort(s)[k - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+       st.lists(st.sampled_from((0.5, 0.8, 0.9, 0.95, 0.99)) | st.floats(0.001, 0.999),
+                min_size=1, max_size=12))
+def test_conformal_quantiles_rank_rule(values, taus):
+    """Scores from a few integers (so with ties); sizes from 1, where any
+    tau above 1/2 gives k > n and so inf."""
+    s = np.array(values, dtype=float) / 4.0
+    n = s.size
+    alphas = [1.0 - tau for tau in taus]
+    qs = conformal_quantiles(s, alphas)
+    ref = [_conformal_quantile_sort_each(s, a) for a in alphas]
+    assert np.array(qs).tobytes() == np.array(ref).tobytes()
+    assert [conformal_quantile(s, a) for a in alphas] == qs
+    for alpha, q in zip(alphas, qs):
+        k = math.ceil((n + 1) * (1.0 - alpha))
+        if k > n:
+            assert q == math.inf
+        else:
+            assert q in s and np.sum(s <= q) >= k
+    by_tau = [q for _, q in sorted(zip(taus, qs))]
+    assert all(a <= b for a, b in zip(by_tau, by_tau[1:]))
+
+
+def test_conformal_quantiles_checks():
+    with pytest.raises(ValueError, match="empty"):
+        conformal_quantiles(np.array([]), [0.1])
+    with pytest.raises(ValueError, match="alpha"):
+        conformal_quantiles(np.arange(5.0), [0.1, 1.0])
+
+
+def _softplus_three_expressions(z, scale=1.0):
+    """Reference: softplus as written with exp(-|t|) in each branch."""
+    t = np.asarray(z, dtype=float) * scale
+    out = np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
+    return out / scale
+
+
+def _sigmoid_three_expressions(z):
+    """Reference: sigmoid as written with exp(-|t|) three times."""
+    t = np.asarray(z, dtype=float)
+    return np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))),
+                    np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12,
+                         1.0, -1.0, 36.7, -36.7, 709.0, -709.0, 745.2, -745.2,
+                         1e3, -1e3, 1e300, -1e300, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**31 - 1), st.sampled_from((1.0, 0.1, 0.5, 3.0)))
+def test_softplus_sigmoid_block_bitwise(n, seed, scale):
+    """On a strided (n, 3) block, as forward and backward pass raw[:, 1:4],
+    each column gets the very bits of the three-expression formulas."""
+    rng = rng_stream(seed, 0)
+    raw = rng.standard_normal((n, 5)) * 10.0 ** rng.uniform(-8, 3, size=(n, 5))
+    edges = rng.random((n, 5)) < 0.3
+    raw[edges] = rng.choice(_EDGE_VALUES, size=int(edges.sum()))
+    block = raw[:, 1:4]
+    sp = softplus(block, scale)
+    sg = sigmoid(block)
+    for j in range(3):
+        col = np.ascontiguousarray(block[:, j])
+        assert sp[:, j].tobytes() == _softplus_three_expressions(col, scale).tobytes()
+        assert sg[:, j].tobytes() == _sigmoid_three_expressions(col).tobytes()
+    for v in _EDGE_VALUES:
+        assert np.float64(softplus(v)).tobytes() == _softplus_three_expressions(v).tobytes()
+        assert np.float64(sigmoid(v)).tobytes() == _sigmoid_three_expressions(v).tobytes()
 
 
 class TestFiniteDifference:

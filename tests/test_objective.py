@@ -3,10 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calpro import datagen, head
 from calpro.head import HeadConfig, NIGParams
-from calpro.numerics import finite_difference_gradient, rng_stream, softplus
+from calpro.numerics import finite_difference_gradient, rng_stream, sigmoid, softplus
 from calpro.objective import (
     MonotoneMap,
     ObjectiveConfig,
@@ -121,6 +123,55 @@ class TestMonotoneMap:
         m = MonotoneMap.init(hidden=4, seed=1)
         with pytest.raises(ValueError):
             monotone_eval(m, 1.5)
+
+
+def _monotone_outer(m, b, d_out):
+    """Reference: MonotoneMap.value_and_grads as written with np.outer and one
+    softplus and sigmoid call per raw weight vector; returns the values and
+    the flat gradient."""
+    w1 = softplus(m.w1_raw)
+    w2 = softplus(m.w2_raw)
+    pre = np.outer(b, w1) + m.b1
+    hidden = np.maximum(pre, 0.0)
+    out = hidden @ w2 + m.b2
+    d_pre = np.outer(d_out, w2) * (pre > 0)
+    grad = np.concatenate([(d_pre * b[:, None]).sum(axis=0) * sigmoid(m.w1_raw),
+                           d_pre.sum(axis=0),
+                           (hidden * d_out[:, None]).sum(axis=0) * sigmoid(m.w2_raw),
+                           [d_out.sum()]])
+    return out, grad
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 50), st.integers(0, 2**31 - 1))
+def test_monotone_map_bitwise_reference(hidden, n, seed):
+    rng = rng_stream(seed, 0)
+    m = MonotoneMap.init(hidden=hidden, seed=seed).from_vector(
+        rng.normal(size=3 * hidden + 1) * 10.0 ** rng.uniform(-3, 2))
+    b = rng.uniform(0.0, 1.0, n)
+    d_out = rng.normal(size=n)
+    out, vjp = m.value_and_grads(b)
+    ref_out, ref_grad = _monotone_outer(m, b, d_out)
+    assert out.tobytes() == ref_out.tobytes() == m(b).tobytes()
+    assert vjp(d_out).to_vector().tobytes() == ref_grad.tobytes()
+
+
+class TestMonotoneMapVector:
+    def test_from_vector_copies_and_view_shares(self):
+        m = MonotoneMap.init(hidden=5, seed=3)
+        vec = m.to_vector()
+        copied, viewed = m.from_vector(vec), m.view(vec)
+        assert not any(np.shares_memory(a, vec) for a in (copied.w1_raw, copied.b1,
+                                                          copied.w2_raw))
+        assert all(np.shares_memory(a, vec) for a in (viewed.w1_raw, viewed.b1, viewed.w2_raw))
+        vec[-1] = 2.5
+        assert viewed.b2 == 2.5 and copied.b2 == m.b2
+        assert m.to_vector()[-1] == m.b2 and not np.shares_memory(m.to_vector(), m.w1_raw)
+
+    def test_length_mismatch(self):
+        m = MonotoneMap.init(hidden=5, seed=3)
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            m.from_vector(np.zeros(m.size + 1))
 
 
 class TestPriorPenalty:
@@ -305,6 +356,24 @@ class TestTotalLoss:
         total, parts = total_loss(params, mono, ds, cfg)
         nig, _ = head.forward(params, ds)
         assert total == pytest.approx(float(np.mean((ds.target_y - nig.mu) ** 2)))
+
+
+@pytest.mark.parametrize("mu_only", [False, True])
+def test_total_loss_into_buffer_bitwise(mu_only):
+    """with out=, the gradients land in out with the bits of a fresh call,
+    and the returned gradients are views of it."""
+    ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(n_chains=3, chain_length=12, seed=7))
+    params = head.init_head(HeadConfig(init_seed=7), ds.features.shape[1])
+    mono = MonotoneMap.init(hidden=4, seed=7)
+    cfg = ObjectiveConfig(mu_only=mu_only)
+    val, parts, hg, mg = total_loss(params, mono, ds, cfg, epoch=20, with_grads=True)
+    fresh = np.concatenate([hg.to_vector(), mg.to_vector()])
+    buf = np.full(fresh.size, np.nan)
+    val_b, parts_b, hg_b, mg_b = total_loss(params, mono, ds, cfg, epoch=20,
+                                            with_grads=True, out=buf)
+    assert (val_b, parts_b) == (val, parts)
+    assert buf.tobytes() == fresh.tobytes()
+    assert np.shares_memory(hg_b.w_out, buf) and np.shares_memory(mg_b.w1_raw, buf)
 
 
 def test_config_validation():

@@ -1,11 +1,16 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calpro import datagen, head, trainer
+from calpro import conformal, datagen, experiments, head, trainer
 from calpro.head import HeadConfig
-from calpro.numerics import rng_stream
+from calpro.metrics import DEFAULT_LEVEL_GRID
+from calpro.numerics import conformal_quantile, rng_stream
 from calpro.trainer import TrainConfig
 
 
@@ -75,6 +80,120 @@ class TestTrain:
         _, _, rec = trainer.train(_fast_cfg(seed=5, max_epochs=2, patience=1), tr, tr)
         assert rec.wall_clock > 0
         assert "wall_clock" not in rec.to_dict()
+
+
+# sha256 of the trained head weights, monotone-map weights and record JSON
+# of a desk-scale training (experiments.train_config_run on the default
+# 12x40 generator) at seed 0, as computed before the trainer updated one flat
+# weight vector in place.  Pinned with numpy 2.4 on x86-64; another BLAS or
+# CPU may round differently.
+TRAIN_PINS = {
+    ("full", 16): ("fc19a7c0c1ee732d1e65c19dd2fec8d5be54270bb702830516ff572e1960a126",
+                   "f9c96a0e09f517cc005cfafb048937b0cb0b3d77f7e1c07660e4ab751d9f98b7",
+                   "0e557a03fda51f1b86d345a168a6d95cb74228c2c6f0f2f2c7810e78b9ad6dc4"),
+    ("full", 2): ("653081d78740464cd669e773e464dc34527a2a4242b02ae5118617ac22c22d80",
+                  "9d97bb1f6dd353ce402af3767b985dd7001fbb74e4467b2d975ced6f16187182",
+                  "96e267457b73956870dc45a8b4c233f9f470eaf0a6d1fd561a833e38ce2d4e46"),
+    ("no_evidential", 16): ("1e19f0b3010d15c2a4e91a979f5e7cab4344962393998c70aac7ddb86fe54f31",
+                            "3046351b8ee59cefb0a1722c52ff325681d51fc09cd7c41c401e4b689bc9c664",
+                            "d774d7bdf777c2c5788fb36cd2e5624dcef3b9d8db51da51c554e8d48ba9c068"),
+}
+
+
+@pytest.mark.parametrize("config,batch_size", sorted(TRAIN_PINS))
+def test_train_pinned(config, batch_size):
+    """One batch per epoch (16), several (6 fitting chains in batches of 2),
+    and the mu-only objective."""
+    spec = experiments.ExperimentSpec(
+        train=replace(experiments.desk_train_config(), batch_size=batch_size))
+    run = experiments.train_config_run(spec, config, seed=0)
+    got = (hashlib.sha256(run["params"].to_vector().tobytes()).hexdigest(),
+           hashlib.sha256(run["mono"].to_vector().tobytes()).hexdigest(),
+           hashlib.sha256(json.dumps(run["record"].to_dict(), sort_keys=True)
+                          .encode()).hexdigest())
+    assert got == TRAIN_PINS[(config, batch_size)]
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """(head params, monotone map, gradient buffer, pre-clip gradient norm)
+    of every training step."""
+    calls = []
+    total_loss = trainer.total_loss
+
+    def spy(params, mono, *args, out, **kwargs):
+        result = total_loss(params, mono, *args, out=out, **kwargs)
+        calls.append((params, mono, out, float(np.linalg.norm(out))))
+        return result
+
+    monkeypatch.setattr(trainer, "total_loss", spy)
+    return calls
+
+
+def _weight_arrays(params, mono):
+    return ([a for lay in params.layers for a in lay.values()]
+            + [params.w_out, params.b_out, mono.w1_raw, mono.b1, mono.w2_raw])
+
+
+class TestFlatBuffers:
+    """The trainer updates one flat weight vector in place; what it returns
+    must not alias it."""
+
+    @pytest.mark.parametrize("max_epochs,warmup_epochs", [(3, 0), (3, 3)])
+    def test_returned_weights_share_no_buffer(self, max_epochs, warmup_epochs, loss_calls):
+        ds = _ds(seed=7)
+        tr = ds.subset(ds.split_indices("train"))
+        cfg = _fast_cfg(seed=7, max_epochs=max_epochs, patience=0, warmup_epochs=warmup_epochs)
+        params, mono, rec = trainer.train(cfg, tr, tr)
+        assert (rec.selected_epoch < 0) == (warmup_epochs == max_epochs)
+        step_params, step_mono, grad, _ = loss_calls[-1]
+        buffers = _weight_arrays(step_params, step_mono) + [grad]
+        returned = _weight_arrays(params, mono)
+        for a in returned:
+            assert not any(np.shares_memory(a, b) for b in buffers)
+            assert not any(np.shares_memory(a, b) for b in returned if b is not a)
+
+    @pytest.mark.parametrize("max_epochs", [3, 0])
+    def test_writing_returned_weights_changes_no_later_training(self, max_epochs):
+        ds = _ds(seed=7)
+        tr = ds.subset(ds.split_indices("train"))
+        cfg = _fast_cfg(seed=7, max_epochs=max_epochs, patience=0)
+        params, mono, _ = trainer.train(cfg, tr, tr)
+        ref = params.to_vector(), mono.to_vector()
+        for a in _weight_arrays(params, mono):
+            a[...] = 1e6
+        again, mono_again, _ = trainer.train(cfg, tr, tr)
+        assert again.to_vector().tobytes() == ref[0].tobytes()
+        assert mono_again.to_vector().tobytes() == ref[1].tobytes()
+
+
+class TestTrainingHealth:
+    @staticmethod
+    def _setup():
+        ds = _ds(seed=8)
+        tr = ds.subset(ds.split_indices("train"))
+        n_batches = -(-np.unique(tr.chain_ids).size // 2)
+        assert n_batches > 1
+        return tr, _fast_cfg(seed=8, batch_size=2, max_epochs=3, patience=0), n_batches
+
+    def test_grad_norms_are_per_epoch_maxima(self, loss_calls):
+        tr, cfg, n_batches = self._setup()
+        _, _, rec = trainer.train(cfg, tr, tr)
+        norms = [norm for *_, norm in loss_calls]
+        assert len(norms) == 3 * n_batches
+        assert rec.grad_norms == [max(norms[i:i + n_batches])
+                                  for i in range(0, len(norms), n_batches)]
+        assert rec.clip_events == sum(n > trainer.GRAD_CLIP_NORM for n in norms)
+        assert set(rec.to_dict()) == {"epochs", "selected_epoch", "seed", "config_echo"}
+
+    def test_tiny_clip_norm_clips_every_step(self, monkeypatch):
+        tr, cfg, n_batches = self._setup()
+        _, _, rec = trainer.train(cfg, tr, tr)
+        monkeypatch.setattr(trainer, "GRAD_CLIP_NORM", 1e-12)
+        _, _, clipped = trainer.train(cfg, tr, tr)
+        assert clipped.clip_events == 3 * n_batches
+        assert set(clipped.to_dict()) == set(rec.to_dict())
+        assert clipped.to_dict() != rec.to_dict()
 
 
 class TestGraphPerEpoch:
@@ -147,6 +266,34 @@ def test_batches_partition_whole_chains_in_order(chain_ids, data, batch_size, se
     for b in got:
         # every node of a batch's chains, in train_idx order
         assert np.array_equal(b, train_idx[np.isin(chain_ids[train_idx], chain_ids[b])])
+
+
+def _validation_ece_sort_per_level(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
+    """Reference: validation_ece as it sorted once per level and took one
+    boolean mean per level."""
+    nig, _ = head.forward(head_params, val_ds)
+    s = conformal.scores_from_nig(nig, val_ds.target_y, "normalized")
+    half_a = s[0::2]
+    half_b = s[1::2]
+    if half_a.size == 0 or half_b.size == 0:
+        half_a = half_b = s
+    devs = []
+    for tau in level_grid:
+        q = conformal_quantile(half_a, 1.0 - tau)
+        devs.append(abs(float(np.mean(half_b <= q)) - tau))
+    return float(np.mean(devs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 60),
+       st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12) | st.just(DEFAULT_LEVEL_GRID))
+def test_validation_ece_matches_per_level_reference(small_chain_ds, seed, n_nodes, grid):
+    val = small_chain_ds.subset(rng_stream(seed, 0).choice(small_chain_ds.n_nodes, n_nodes,
+                                                           replace=False))
+    params = head.init_head(HeadConfig(init_seed=seed % 1000), small_chain_ds.features.shape[1])
+    got = trainer.validation_ece(params, val, tuple(grid))
+    assert np.float64(got).tobytes() == np.float64(
+        _validation_ece_sort_per_level(params, val, tuple(grid))).tobytes()
 
 
 class TestValidationEce:
