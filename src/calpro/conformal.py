@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import head as head_mod
-from .numerics import conformal_quantile, conformal_quantiles
+from .numerics import conformal_quantiles
 
 VAR_FLOOR = 1e-8
 
@@ -40,9 +40,16 @@ class ConformalCalibration:
     def quantile_at(self, tau):
         """Quantile for tau, computed from the retained scores if the level
         was not part of the calibration."""
-        if tau in self.quantiles:
-            return self.quantiles[tau]
-        return conformal_quantile(self.scores, 1.0 - tau)
+        return self.quantiles_at((tau,))[0]
+
+    def quantiles_at(self, taus):
+        """quantile_at for each tau; the levels that were not part of the
+        calibration share one sort of the retained scores."""
+        off = [t for t in taus if t not in self.quantiles]
+        known = dict(self.quantiles)
+        if off:
+            known.update(zip(off, conformal_quantiles(self.scores, [1.0 - t for t in off])))
+        return [known[t] for t in taus]
 
 
 def scores_from_nig(nig, y, mode):

@@ -9,6 +9,7 @@ the non-geometric case.  All generators are deterministic in (config, seed).
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -307,6 +308,8 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     so downstream predictions see the perturbed geometry."""
     if ds.chain_coords is None or "reference_coords" not in ds.metadata:
         raise ValueError("perturb requires chain_coords and reference coordinates")
+    if not isinstance(magnitude, numbers.Real) or not math.isfinite(magnitude):
+        raise ValueError(f"magnitude must be a finite number, got {magnitude!r}")
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     rng = rng_stream(seed, 2)
@@ -337,15 +340,7 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
         centroid = coords[blk].mean(axis=0)
         coords[blk] = (coords[blk] - centroid) @ rot.T + centroid
     elif kind == "blur":
-        half = max(1, int(round(magnitude)))
-        out = np.array(coords)
-        for c in np.unique(ids):
-            idx = np.flatnonzero(ids == c)
-            for k, i in enumerate(idx):
-                lo = max(0, k - half)
-                hi = min(idx.size, k + half + 1)
-                out[i] = coords[idx[lo:hi]].mean(axis=0)
-        coords = out
+        coords = _blur(coords, ids, max(1, int(round(magnitude))))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     ref = np.asarray(ds.metadata["reference_coords"])
@@ -357,6 +352,33 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     meta = dict(ds.metadata)
     meta["perturbation"] = {"kind": kind, "magnitude": magnitude, "seed": seed}
     return replace(ds, chain_coords=coords, target_y=target_y, features=feats, metadata=meta)
+
+
+def _blur(coords, ids, half):
+    """Each node's coordinates replaced by the mean over the nodes at most
+    `half` places from it along its chain.  The window's rows are added in
+    chain order and the sum divided by the row count, which is what
+    `coords[window].mean(axis=0)` does, so the result is bitwise the same."""
+    order = np.argsort(ids, kind="stable")    # chain by chain, node order within
+    sorted_ids = ids[order]
+    n = order.size
+    first = np.ones(n, dtype=bool)            # first node of its chain
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    chain = np.cumsum(first) - 1
+    limits = np.r_[np.flatnonzero(first), n]  # chain c holds [limits[c], limits[c + 1])
+    pos = np.arange(n)
+    lo = np.maximum(limits[chain], pos - half)
+    hi = np.minimum(limits[chain + 1], pos + half + 1)
+    width = hi - lo
+    rows = coords[order]
+    # numpy's sum starts from +0.0, so a window of -0.0 rows sums to +0.0
+    acc = rows[lo] + 0.0
+    for step in range(1, int(width.max(initial=1))):
+        take = width > step
+        acc[take] += rows[lo[take] + step]
+    out = np.empty_like(coords)
+    out[order] = acc / width[:, None]
+    return out
 
 
 def _loop_runs(ds):

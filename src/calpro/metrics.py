@@ -61,10 +61,8 @@ def ece(nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
     if y.size == 0:
         raise ValueError("empty test set")
     s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
-    devs = []
-    for tau in level_grid:
-        q = calib.quantile_at(tau)
-        devs.append(abs(float(np.mean(s_test <= q)) - tau))
+    devs = [abs(float(np.mean(s_test <= q)) - tau)
+            for q, tau in zip(calib.quantiles_at(level_grid), level_grid)]
     return float(np.mean(devs))
 
 
@@ -146,6 +144,5 @@ def export_calibration_curve(path, nig, y, calib, level_grid=DEFAULT_LEVEL_GRID)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["nominal_level", "empirical_coverage"])
-        for tau in level_grid:
-            q = calib.quantile_at(tau)
+        for q, tau in zip(calib.quantiles_at(level_grid), level_grid):
             w.writerow([tau, float(np.mean(s_test <= q))])

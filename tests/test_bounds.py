@@ -155,8 +155,10 @@ class TestEstimateLipschitz:
 
 
 def _lipschitz_loop(scores, cal_ds, k_neighbors=5, standardize=True):
-    """Reference: estimate_lipschitz with the per-pair double loop it used
-    to run over the k-NN pairs."""
+    """Reference: estimate_lipschitz as a double loop over every pair, with
+    the inclusive rule written out: j is a neighbour of i when their
+    distance is positive and at most i's k-th nearest distance.  The
+    distances come from a one-leaf tree, a brute-force scan."""
     x = np.column_stack([cal_ds.features, cal_ds.target_y])
     if standardize:
         x, _, _ = bounds._embed(cal_ds)
@@ -167,18 +169,18 @@ def _lipschitz_loop(scores, cal_ds, k_neighbors=5, standardize=True):
     if n < 2:
         raise ValueError("all calibration pairs are zero-distance")
     k = min(k_neighbors, n - 1)
-    dist, nn = cKDTree(x).query(x, k=k + 1)
+    dist, nn = cKDTree(x, leafsize=n).query(x, k=n)
     best = 0.0
     for i in range(n):
-        for d, j in zip(dist[i][1:], nn[i][1:]):
-            if d > 0:
+        for d, j in zip(dist[i], nn[i]):
+            if 0 < d <= dist[i][k]:
                 best = max(best, abs(s[i] - s[j]) / d)
     return float(best)
 
 
 @st.composite
-def _lipschitz_case(draw):
-    n = draw(st.integers(1, 40))
+def _lipschitz_case(draw, min_n=1, max_n=40):
+    n = draw(st.integers(min_n, max_n))
     # a coarse grid makes duplicate points and tied distances common
     grid = st.integers(-3, 3).map(float)
     feats = draw(hnp.arrays(float, (n, draw(st.integers(1, 3))), elements=grid))
@@ -202,6 +204,53 @@ def test_estimate_lipschitz_matches_pair_loop(case):
             bounds.estimate_lipschitz(scores, ds, k, standardize)
         return
     assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lipschitz_case(min_n=65, max_n=300))
+def test_estimate_lipschitz_independent_of_tree(case):
+    """Past one 64-point leaf, with ties at the k-th distance common: the
+    estimate follows the inclusive rule and is the same for every leaf
+    size, so which tied neighbour a tree meets first does not matter."""
+    scores, ds, k, standardize = case
+    try:
+        expected = _lipschitz_loop(scores, ds, k, standardize)
+    except ValueError:
+        return
+    for leafsize in (1, 16, 64, ds.n_nodes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
+            assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
+
+
+def test_estimate_lipschitz_counts_every_tie():
+    """Points 1 and 2 are both at distance 1 from point 0; with k = 1 both
+    are its neighbours, whichever the tree returns first.  Every other
+    nearest pair has equal scores, so a tie-break that drops either one
+    reads 0 for one of the two score vectors."""
+    feats = np.array([[0.0], [1.0], [-1.0], [1.5], [-1.5]])
+    n = feats.shape[0]
+    ds = datagen.Dataset(features=feats, prior_b=np.zeros(n), target_y=np.zeros(n),
+                         group_tags=("core",) * n, disorder_flags=np.zeros(n, dtype=bool),
+                         edges=np.zeros((0, 2), dtype=int), splits=("calibration",) * n,
+                         chain_coords=None, chain_ids=np.zeros(n, dtype=int))
+    for scores in ([0.0, 3.0, 0.0, 3.0, 0.0], [0.0, 0.0, 3.0, 0.0, 3.0]):
+        assert bounds.estimate_lipschitz(np.array(scores), ds, 1, standardize=False) == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.0, 0.5), kl=st.floats(0.0, 1e3), delta=st.floats(1e-6, 0.999),
+       lipschitz=st.floats(0.0, 1e3), n_cal=st.integers(1, 10 ** 7),
+       eps=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2),
+       dn=st.integers(0, 10 ** 7))
+def test_coverage_lower_bound_monotone(alpha, kl, delta, lipschitz, n_cal, eps, dn):
+    """Clamped and raw bound: nonincreasing in epsilon, nondecreasing in n_cal."""
+    e_lo, e_hi = sorted(eps)
+    at = lambda n, e: bounds.coverage_lower_bound(alpha, kl, delta, n, lipschitz, e)[:2]
+    for a, b in zip(at(n_cal, e_lo), at(n_cal, e_hi)):
+        assert b <= a
+    for a, b in zip(at(n_cal, e_lo), at(n_cal + dn, e_lo)):
+        assert b >= a
 
 
 class TestSweeps:

@@ -120,6 +120,21 @@ class TestBoundCommands:
         rep = json.loads((out / "ncal_sweep.json").read_text())
         assert [r["n_cal"] for r in rep["rows"]] == [15, 30]
 
+    @pytest.mark.parametrize("command, extra", [
+        ("bound", {"magnitudes": [float("nan"), 0.5]}),
+        ("ncal-sweep", {"sizes": [15, 30], "magnitude": float("inf")}),
+    ], ids=["bound_nan", "ncal_sweep_inf"])
+    def test_non_finite_magnitude_exits_1_with_one_error_line(self, tmp_path, command, extra):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, **extra)   # json writes NaN / Infinity
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "calpro.cli", command,
+                               "--config", cfg, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: magnitude must be a finite number")
+        assert not (tmp_path / "run").exists()
+
 
 class TestActiveCommand:
     def test_runs(self, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from calpro import datagen
 from calpro.datagen import Dataset, GeneratorConfig
@@ -129,6 +130,52 @@ class TestPerturb:
             datagen.perturb(small_chain_ds, "gaussian", 0.0)
         with pytest.raises(ValueError):
             datagen.perturb(small_chain_ds, "melt", 1.0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "segment_swap", "block_rotate", "blur"])
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf, "2"])
+    def test_magnitude_not_a_finite_number_rejected(self, small_chain_ds, kind, magnitude):
+        with pytest.raises(ValueError, match="magnitude must be a finite number"):
+            datagen.perturb(small_chain_ds, kind, magnitude)
+
+    def test_blur_matches_window_loop(self, small_chain_ds):
+        out = datagen.perturb(small_chain_ds, "blur", 2.0, seed=0)
+        expected = _blur_loop(np.asarray(small_chain_ds.chain_coords),
+                              small_chain_ds.chain_ids, 2)
+        assert out.chain_coords.tobytes() == expected.tobytes()
+
+
+def _blur_loop(coords, ids, half):
+    """Reference: the per-chain, per-node loop `perturb` ran for "blur"."""
+    out = np.array(coords)
+    for c in np.unique(ids):
+        idx = np.flatnonzero(ids == c)
+        for k, i in enumerate(idx):
+            lo = max(0, k - half)
+            hi = min(idx.size, k + half + 1)
+            out[i] = coords[idx[lo:hi]].mean(axis=0)
+    return out
+
+
+@st.composite
+def _blur_case(draw):
+    # chain lengths from 1, so single-node chains occur; labels are drawn
+    # sparse and nodes shuffled, so chain ids are neither contiguous nor sorted
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    labels = draw(st.lists(st.integers(0, 1000), min_size=len(lengths),
+                           max_size=len(lengths), unique=True))
+    ids = np.repeat(np.array(labels), lengths)
+    ids = ids[draw(st.permutations(range(ids.size)))] if draw(st.booleans()) else ids
+    coords = draw(hnp.arrays(float, (ids.size, 3),
+                             elements=st.floats(-1e6, 1e6, allow_subnormal=True)))
+    # half-windows up to past the longest chain
+    return coords, ids, draw(st.integers(1, 14))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blur_case())
+def test_blur_bitwise_matches_window_loop(case):
+    coords, ids, half = case
+    assert datagen._blur(coords, ids, half).tobytes() == _blur_loop(coords, ids, half).tobytes()
 
 
 class TestCorruptPriors:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from calpro import conformal, datagen, head, metrics
 from calpro.metrics import DEFAULT_LEVEL_GRID
+from calpro.numerics import conformal_quantile
 
 
 def _predict(trained, ds=None):
@@ -67,6 +71,36 @@ class TestEce:
         permuted = test.subset(perm)
         assert metrics.ece(*_predict(trained, permuted), calib) == pytest.approx(
             metrics.ece(*_predict(trained, test), calib), abs=1e-12)
+
+
+def _ece_per_level(nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
+    """Reference: metrics.ece as it was, one quantile_at (and so one sort of
+    the calibration scores) per off-calibration level."""
+    s_test = conformal.scores_from_nig(nig, y, calib.score_mode)
+    devs = []
+    for tau in level_grid:
+        if tau in calib.quantiles:
+            q = calib.quantiles[tau]
+        else:
+            q = conformal_quantile(calib.scores, 1.0 - tau)
+        devs.append(abs(float(np.mean(s_test <= q)) - tau))
+    return float(np.mean(devs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cal=hnp.arrays(float, st.integers(1, 60), elements=st.integers(0, 8).map(float)),
+       y=hnp.arrays(float, st.integers(1, 60), elements=st.integers(-8, 8).map(float)),
+       levels=st.lists(st.sampled_from(DEFAULT_LEVEL_GRID), unique=True),
+       stored=st.floats(-1.0, 9.0))
+def test_ece_matches_per_level_reference(cal, y, levels, stored):
+    """Bitwise, with ties in the scores, ranks past n (q = inf) and stored
+    calibration-level quantiles that the retained scores would not give."""
+    levels = tuple(sorted(levels))
+    calib = conformal.ConformalCalibration(levels, {t: stored for t in levels}, "absolute",
+                                           cal.size, cal)
+    ones = np.ones(y.size)
+    nig = head.NIGParams(mu=np.zeros(y.size), nu=ones, alpha=2.0 * ones, beta=ones)
+    assert metrics.ece(nig, y, calib) == _ece_per_level(nig, y, calib)
 
 
 class TestAce:
