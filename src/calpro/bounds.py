@@ -82,9 +82,10 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     k-th nearest (the inclusive k-NN ball), so points tied at the k-th
     distance all count and the estimate depends on the point set alone, not
     on the order in which the tree meets them."""
-    x = np.column_stack([cal_ds.features, cal_ds.target_y])
     if standardize:
         x, _, _ = _embed(cal_ds)
+    else:
+        x = np.column_stack([cal_ds.features, cal_ds.target_y])
     uniq, inv = np.unique(x, axis=0, return_index=True)
     x = x[np.sort(inv)]
     s = scores[np.sort(inv)]

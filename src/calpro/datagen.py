@@ -7,9 +7,11 @@ the non-geometric case.  All generators are deterministic in (config, seed).
 """
 
 import csv
+import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -20,6 +22,11 @@ from .numerics import rng_stream
 DATASET_VERSION = "calpro-dataset/1"
 
 GROUP_TAGS = ("helix-analog", "sheet-analog", "loop-analog")
+
+# perturb(kind="segment_swap") makes round(magnitude) swaps of loop runs, one
+# Python step each (about 30 µs); past a few swaps per run they only reshuffle
+# the same runs, so a swap count above this is rejected (about 0.3 s).
+MAX_SEGMENT_SWAPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,27 +82,29 @@ class Dataset:
         return self.features.shape[0]
 
     def split_indices(self, tag):
-        return np.flatnonzero(np.asarray(self.splits, dtype=str) == tag)
+        return np.flatnonzero(_tag_mask(self.splits, tag))
 
     def subset(self, idx):
         """Induced sub-dataset on the given node indices (edges relabeled)."""
         idx = np.asarray(idx, dtype=int)
         pos = -np.ones(self.n_nodes, dtype=int)
         pos[idx] = np.arange(idx.size)
-        # a row survives, in place and orientation, when both ends are in idx
+        # a row survives, in place and orientation, when both ends are in idx;
+        # two column tests, not .all(axis=1), which is slow over a length-2 axis
         rel = pos[self.edges]
-        edges = rel[(rel >= 0).all(axis=1)]
+        edges = np.compress((rel[:, 0] >= 0) & (rel[:, 1] >= 0), rel, axis=0)
         meta = dict(self.metadata)
         if "reference_coords" in meta:
             meta["reference_coords"] = np.asarray(meta["reference_coords"])[idx]
+        at = idx.tolist()
         return Dataset(
             features=self.features[idx],
             prior_b=self.prior_b[idx],
             target_y=self.target_y[idx],
-            group_tags=tuple(self.group_tags[i] for i in idx),
+            group_tags=tuple(map(self.group_tags.__getitem__, at)),
             disorder_flags=self.disorder_flags[idx],
             edges=edges,
-            splits=tuple(self.splits[i] for i in idx),
+            splits=tuple(map(self.splits.__getitem__, at)),
             chain_coords=None if self.chain_coords is None else self.chain_coords[idx],
             chain_ids=self.chain_ids[idx],
             metadata=meta,
@@ -118,6 +127,12 @@ class Dataset:
             if t not in ("train", "calibration", "test"):
                 raise ValueError(f"bad split tag {t!r}")
         return self
+
+
+def _tag_mask(tags, tag):
+    """Boolean array, True where an entry of the tuple tags equals tag."""
+    return np.fromiter(map(operator.eq, tags, itertools.repeat(tag)), dtype=bool,
+                       count=len(tags))
 
 
 def _dedupe_edges(pairs):
@@ -172,7 +187,7 @@ def _chain_features(pred_coords, target_y, group_tags, feature_dim, rng):
     feats[:, 1] = step_bwd
     feats[:, 2] = curv
     for j, tag in enumerate(GROUP_TAGS):
-        feats[:, 3 + j] = [t == tag for t in group_tags]
+        feats[:, 3 + j] = _tag_mask(group_tags, tag)
     feats[:, 6] = target_y + 0.5 * rng.standard_normal(n)
     feats[:, 7] = np.linalg.norm(pred_coords - pred_coords.mean(axis=0), axis=1)
     if feature_dim > 8:
@@ -236,7 +251,8 @@ def gen_chain_dataset(cfg: GeneratorConfig) -> Dataset:
 
 def gen_tabular_dataset(cfg: GeneratorConfig) -> Dataset:
     """Tabular regression with covariate-dependent noise; the prior flags
-    extreme covariate magnitude.  Edges are 5-NN in covariate space."""
+    extreme covariate magnitude.  Edges are 5-NN in covariate space (all
+    other nodes when there are fewer than 6)."""
     cfg.validate()
     rng = rng_stream(cfg.seed, 1)
     n = cfg.n_chains * cfg.chain_length
@@ -253,8 +269,10 @@ def gen_tabular_dataset(cfg: GeneratorConfig) -> Dataset:
     feats[:, d_cov] = target_y + 0.5 * rng.standard_normal(n)
     feats[:, d_cov + 1:] = rng.standard_normal((n, cfg.feature_dim - d_cov - 1))
     tree = cKDTree(x)
-    _, nn = tree.query(x, k=6)
-    pairs = np.column_stack((np.repeat(np.arange(n), 5), nn[:, 1:].ravel()))
+    # past the n - 1 other nodes the tree pads with index n, out of range
+    k = min(6, n)
+    _, nn = tree.query(x, k=k)
+    pairs = np.column_stack((np.repeat(np.arange(n), k - 1), nn[:, 1:].ravel()))
     ds = Dataset(
         features=feats,
         prior_b=prior_b,
@@ -319,6 +337,9 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
         coords = coords + magnitude * rng.standard_normal(coords.shape)
     elif kind == "segment_swap":
         n_swaps = max(1, int(round(magnitude)))
+        if n_swaps > MAX_SEGMENT_SWAPS:
+            raise ValueError(f"segment_swap magnitude {magnitude!r} asks for {n_swaps} swaps, "
+                             f"above the limit of {MAX_SEGMENT_SWAPS} (MAX_SEGMENT_SWAPS)")
         runs = _loop_runs(ds)
         for _ in range(n_swaps):
             if len(runs) < 2:
@@ -382,19 +403,17 @@ def _blur(coords, ids, half):
 
 
 def _loop_runs(ds):
-    """Contiguous same-chain runs of loop-analog nodes."""
-    runs = []
-    cur = []
-    for i in range(ds.n_nodes):
-        if ds.group_tags[i] == "loop-analog" and (not cur or (ds.chain_ids[i] == ds.chain_ids[cur[-1]] and i == cur[-1] + 1)):
-            cur.append(i)
-        else:
-            if len(cur) >= 3:
-                runs.append(np.array(cur))
-            cur = [i] if ds.group_tags[i] == "loop-analog" else []
-    if len(cur) >= 3:
-        runs.append(np.array(cur))
-    return runs
+    """Maximal runs of consecutive node indices, at least 3 long, that are
+    loop-analog and on one chain, as int arrays in index order."""
+    loop = _tag_mask(ds.group_tags, "loop-analog")
+    ids = ds.chain_ids
+    n = loop.size
+    # joined[i]: node i continues node i - 1's run (for 0 < i < n)
+    joined = np.zeros(n + 1, dtype=bool)
+    joined[1:n] = loop[1:] & loop[:-1] & (ids[1:] == ids[:-1])
+    starts = np.flatnonzero(loop & ~joined[:n])
+    stops = np.flatnonzero(loop & ~joined[1:]) + 1
+    return [np.arange(a, b) for a, b in zip(starts.tolist(), stops.tolist()) if b - a >= 3]
 
 
 def _rotation_matrix(axis, theta):

@@ -228,6 +228,19 @@ class TestExperimentCommand:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: unknown calibration experiment keys: tau"]
 
+    def test_segment_swap_count_above_limit_exits_1_with_one_error_line(self, tmp_path):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN,
+                       shift_perturbation={"kind": "segment_swap", "magnitude": 1e9})
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "calpro.cli", "experiment", "shift",
+                               "--config", cfg, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: segment_swap magnitude 1000000000.0 asks for ")
+        assert f"limit of {datagen.MAX_SEGMENT_SWAPS}" in proc.stderr
+        assert not (tmp_path / "run").exists()
+
 
 class TestCorruptPriors:
     def test_generate_and_corrupt(self, tmp_path):

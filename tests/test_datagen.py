@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from hypothesis.extra import numpy as hnp
 from calpro import datagen
 from calpro.datagen import Dataset, GeneratorConfig
 from calpro.numerics import rng_stream, spearman
+
+
+PERTURB_KINDS = ("gaussian", "segment_swap", "block_rotate", "blur")
 
 
 def _cfg(**kw):
@@ -85,6 +90,11 @@ class TestTabularGenerator:
             rhos.append(spearman(ds.prior_b, ds.target_y))
         assert np.median(rhos) > 0.3
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_up_to_six_nodes_join_every_pair(self, n):
+        ds = datagen.gen_tabular_dataset(_cfg(n_chains=1, chain_length=n))
+        assert ds.validate().edges.shape == (n * (n - 1) // 2, 2)
+
     def test_deterministic_file_hash(self, tmp_path):
         hashes = []
         for _ in range(2):
@@ -121,7 +131,7 @@ class TestPerturb:
         assert np.array_equal(small_chain_ds.target_y, before)
 
     def test_all_kinds_run(self, small_chain_ds):
-        for kind in ("gaussian", "segment_swap", "block_rotate", "blur"):
+        for kind in PERTURB_KINDS:
             out = datagen.perturb(small_chain_ds, kind, 1.0, seed=2)
             out.validate()
 
@@ -131,11 +141,23 @@ class TestPerturb:
         with pytest.raises(ValueError):
             datagen.perturb(small_chain_ds, "melt", 1.0)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "segment_swap", "block_rotate", "blur"])
+    @pytest.mark.parametrize("kind", PERTURB_KINDS)
     @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf, "2"])
     def test_magnitude_not_a_finite_number_rejected(self, small_chain_ds, kind, magnitude):
         with pytest.raises(ValueError, match="magnitude must be a finite number"):
             datagen.perturb(small_chain_ds, kind, magnitude)
+
+    @pytest.mark.parametrize("magnitude", [0.2, 1.0, 2.0, 7.4, 250.0,
+                                           datagen.MAX_SEGMENT_SWAPS])
+    def test_segment_swap_matches_run_loop(self, small_chain_ds, magnitude):
+        out = datagen.perturb(small_chain_ds, "segment_swap", magnitude, seed=3)
+        expected = _segment_swap_loop(small_chain_ds, magnitude, seed=3)
+        assert out.chain_coords.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("magnitude", [datagen.MAX_SEGMENT_SWAPS + 1, 1e6, 1e9, 1e300])
+    def test_segment_swap_count_above_limit_rejected(self, small_chain_ds, magnitude):
+        with pytest.raises(ValueError, match=f"limit of {datagen.MAX_SEGMENT_SWAPS} "):
+            datagen.perturb(small_chain_ds, "segment_swap", magnitude)
 
     def test_blur_matches_window_loop(self, small_chain_ds):
         out = datagen.perturb(small_chain_ds, "blur", 2.0, seed=0)
@@ -253,6 +275,25 @@ def _reference_save_dataset(ds, path):
         json.dump(doc, fh, sort_keys=True)
 
 
+@st.composite
+def _round_trip_case(draw):
+    """A small generated dataset as it comes, an induced subset of it, or
+    (chain generator only) a perturbation of it."""
+    cfg = GeneratorConfig(n_chains=draw(st.integers(1, 4)), chain_length=draw(st.integers(4, 15)),
+                          feature_dim=draw(st.integers(8, 10)), seed=draw(st.integers(0, 2**16)))
+    chain = draw(st.booleans())
+    ds = (datagen.gen_chain_dataset if chain else datagen.gen_tabular_dataset)(cfg)
+    variant = draw(st.sampled_from(("generated", "subset", "perturbed") if chain
+                                   else ("generated", "subset")))
+    if variant == "subset":
+        idx = draw(st.lists(st.integers(0, ds.n_nodes - 1), min_size=1, unique=True))
+        return ds.subset(idx)
+    if variant == "perturbed":
+        return datagen.perturb(ds, draw(st.sampled_from(PERTURB_KINDS)),
+                               draw(st.floats(0.05, 3.0)), seed=draw(st.integers(0, 99)))
+    return ds
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, small_chain_ds, tmp_path):
         p = tmp_path / "ds.json"
@@ -264,6 +305,14 @@ class TestRoundTrip:
         assert back.splits == small_chain_ds.splits
         assert np.array_equal(back.edges, small_chain_ds.edges)
         assert np.array_equal(back.chain_ids, small_chain_ds.chain_ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_round_trip_case())
+    def test_save_load_every_field(self, ds):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "ds.json"
+            datagen.save_dataset(ds, path)
+            _assert_same_fields(datagen.load_dataset(path), ds)
 
     def test_truncated_file_names_offset(self, small_chain_ds, tmp_path):
         p = tmp_path / "ds.json"
@@ -332,16 +381,71 @@ def test_default_edges_pinned(default_chain_ds):
     assert hashlib.sha256(edges.tobytes()).hexdigest() == DEFAULT_EDGES_SHA256
 
 
-def _graph(chain_ids, edges, splits=None):
-    """Minimal Dataset over the given chain ids: zero features and
-    coordinates, the given edge rows, all-train splits by default."""
+def _graph(chain_ids, edges, splits=None, group_tags=None):
+    """Minimal Dataset over the given chain ids: per-node values that tell
+    every node apart, the given edge rows, all-train splits and all
+    loop-analog tags by default."""
     chain_ids = np.asarray(chain_ids, dtype=int)
     n = chain_ids.size
-    return Dataset(features=np.zeros((n, 8)), prior_b=np.zeros(n), target_y=np.zeros(n),
-                   group_tags=("loop-analog",) * n, disorder_flags=np.zeros(n, dtype=bool),
+    node = np.arange(n, dtype=float)
+    return Dataset(features=np.arange(8.0 * n).reshape(n, 8), prior_b=node / max(n, 1),
+                   target_y=node + 0.5, disorder_flags=node % 2 == 1,
+                   group_tags=tuple(group_tags) if group_tags is not None
+                   else ("loop-analog",) * n,
                    edges=np.asarray(edges, dtype=int).reshape(-1, 2),
                    splits=tuple(splits) if splits is not None else ("train",) * n,
-                   chain_coords=np.zeros((n, 3)), chain_ids=chain_ids)
+                   chain_coords=-np.arange(3.0 * n).reshape(n, 3), chain_ids=chain_ids,
+                   metadata={"generator": "chain",
+                             "reference_coords": np.arange(3.0 * n).reshape(n, 3) + 0.25})
+
+
+def _subset_loop(ds, idx):
+    """Reference: the whole sub-dataset as Dataset.subset used to build it,
+    with the per-edge loop and per-node generator expressions."""
+    meta = dict(ds.metadata)
+    if "reference_coords" in meta:
+        meta["reference_coords"] = np.asarray(meta["reference_coords"])[idx]
+    return Dataset(
+        features=ds.features[idx], prior_b=ds.prior_b[idx], target_y=ds.target_y[idx],
+        group_tags=tuple(ds.group_tags[i] for i in idx),
+        disorder_flags=ds.disorder_flags[idx], edges=_subset_edges_loop(ds, idx),
+        splits=tuple(ds.splits[i] for i in idx),
+        chain_coords=None if ds.chain_coords is None else ds.chain_coords[idx],
+        chain_ids=ds.chain_ids[idx], metadata=meta)
+
+
+def _loop_runs_loop(ds):
+    """Reference: the per-node loop perturb's segment_swap used to find its
+    loop runs."""
+    runs = []
+    cur = []
+    for i in range(ds.n_nodes):
+        if ds.group_tags[i] == "loop-analog" and (not cur or (ds.chain_ids[i] == ds.chain_ids[cur[-1]] and i == cur[-1] + 1)):
+            cur.append(i)
+        else:
+            if len(cur) >= 3:
+                runs.append(np.array(cur))
+            cur = [i] if ds.group_tags[i] == "loop-analog" else []
+    if len(cur) >= 3:
+        runs.append(np.array(cur))
+    return runs
+
+
+def _segment_swap_loop(ds, magnitude, seed):
+    """Reference: the chain coordinates perturb's segment_swap produced with
+    the per-node run loop."""
+    rng = rng_stream(seed, 2)
+    coords = np.array(ds.chain_coords)
+    runs = _loop_runs_loop(ds)
+    for _ in range(max(1, int(round(magnitude)))):
+        if len(runs) < 2:
+            break
+        i, j = rng.choice(len(runs), size=2, replace=False)
+        a, b = runs[i], runs[j]
+        L = min(len(a), len(b))
+        a, b = a[:L], b[:L]
+        coords[a], coords[b] = coords[b].copy(), coords[a].copy()
+    return coords
 
 
 def _subset_edges_loop(ds, idx):
@@ -393,6 +497,15 @@ def _assert_same_fields(a, b):
         assert same(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
+def _tags_and_chains(draw, n):
+    """n group tags, loop-analog about half the time so that loop runs
+    occur, and n chain ids: sorted into contiguous chains, or drawn per node."""
+    tags = draw(st.lists(st.sampled_from(datagen.GROUP_TAGS + ("loop-analog",) * 2),
+                         min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return tags, sorted(ids) if draw(st.booleans()) else ids
+
+
 @st.composite
 def _graph_and_index(draw):
     n = draw(st.integers(0, 30))
@@ -400,8 +513,15 @@ def _graph_and_index(draw):
     edges = draw(st.lists(st.tuples(node, node), max_size=80)) if n else []
     splits = draw(st.lists(st.sampled_from(("train", "calibration", "test")),
                            min_size=n, max_size=n))
+    tags, chain_ids = _tags_and_chains(draw, n)
     idx = draw(st.lists(node, unique=True, max_size=n)) if n else []
-    return _graph(np.zeros(n, dtype=int), edges, splits), np.array(idx, dtype=int)
+    return _graph(chain_ids, edges, splits, tags), np.array(idx, dtype=int)
+
+
+@st.composite
+def _tagged_graph(draw):
+    tags, chain_ids = _tags_and_chains(draw, draw(st.integers(0, 40)))
+    return _graph(chain_ids, (), group_tags=tags)
 
 
 class TestVectorizedDataPlane:
@@ -412,13 +532,28 @@ class TestVectorizedDataPlane:
     def test_subset_matches_edge_loop(self, case):
         ds, idx = case
         sub = ds.subset(idx)
-        expected = _subset_edges_loop(ds, idx)
-        assert sub.edges.dtype == expected.dtype and sub.edges.shape == expected.shape
-        assert np.array_equal(sub.edges, expected)
+        _assert_same_fields(sub, _subset_loop(ds, idx))
         # relabeled rows name the same original edges, in the same order
         kept = [(a, b) for a, b in ds.edges.tolist() if a in idx and b in idx]
         assert idx[sub.edges].tolist() == [list(e) for e in kept]
-        assert sub.splits == tuple(ds.splits[i] for i in idx)
+
+    @pytest.mark.parametrize("idx", [[], [7], [3, 0, 9, 4], [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]],
+                             ids=["empty", "one", "unsorted", "reversed"])
+    def test_subset_edge_cases(self, idx):
+        ds = _graph([0, 0, 0, 1, 1, 1, 1, 2, 2, 2], [(0, 1), (1, 2), (2, 3), (3, 9), (4, 0)],
+                    splits=["train", "test", "calibration"] * 3 + ["test"],
+                    group_tags=datagen.GROUP_TAGS * 3 + ("loop-analog",))
+        idx = np.array(idx, dtype=int)
+        _assert_same_fields(ds.subset(idx), _subset_loop(ds, idx))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tagged_graph())
+    def test_loop_runs_match_node_loop(self, ds):
+        got = datagen._loop_runs(ds)
+        expected = _loop_runs_loop(ds)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(_graph_and_index(), st.integers(0, 2**31 - 1))

@@ -1,9 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from calpro import datagen, head
 from calpro.head import HeadConfig, NIGParams
@@ -265,7 +268,29 @@ class TestRisk:
             head.label_risk(small_chain_ds, threshold=0.0)
 
 
+@st.composite
+def _head_case(draw):
+    """A head of drawn shape and config whose weights are any non-NaN
+    floats: ±0.0, subnormals, huge values and ±inf included."""
+    cfg = HeadConfig(widths=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))),
+                     layer_norm=draw(st.booleans()), init_seed=draw(st.integers(0, 2**31 - 1)))
+    template = head.init_head(cfg, draw(st.integers(1, 6)))
+    weights = draw(hnp.arrays(float, template.size,
+                              elements=st.floats(allow_nan=False, allow_subnormal=True)))
+    return template.from_vector(weights)
+
+
 class TestCheckpoint:
+    @settings(max_examples=100, deadline=None)
+    @given(_head_case())
+    def test_save_load_round_trip_bitwise(self, params):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "head.json"
+            head.save_head(params, path)
+            back = head.load_head(path)
+        assert back.config == params.config and back.feature_dim == params.feature_dim
+        assert back.to_vector().tobytes() == params.to_vector().tobytes()
+
     def test_round_trip_bitwise(self, small_chain_ds, random_head, tmp_path):
         p = tmp_path / "head.json"
         head.save_head(random_head, p)

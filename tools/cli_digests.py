@@ -10,6 +10,11 @@ once on the change, then diff the two files:
     python3 tools/cli_digests.py --src src --out change.json
     diff parent.json change.json
 
+or check the change against the saved file directly: --check lists every
+artifact whose digest differs, is missing or is new, and exits 1 if any does:
+
+    python3 tools/cli_digests.py --src src --check parent.json
+
 Uses the standard library and calpro only; the matrix takes a few seconds
 on one core.
 """
@@ -69,9 +74,17 @@ def digests(cli, seed, work):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", required=True, help="directory that holds the calpro package")
-    p.add_argument("--out", required=True, help="JSON file to write the digests to")
+    p.add_argument("--out", help="JSON file to write the digests to")
+    p.add_argument("--check", help="digest JSON file to compare the run with; "
+                   "exit 1 on any mismatch")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
+    if args.out is None and args.check is None:
+        p.error("give --out, --check or both")
+    expected = None
+    if args.check is not None:
+        # read before the run, so a missing or malformed file fails at once
+        expected = json.loads(Path(args.check).read_text(encoding="utf-8"))
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     from calpro import cli
@@ -79,10 +92,19 @@ def main(argv=None):
         raise SystemExit(f"imported calpro from {cli.__file__}, not from {src}")
     with tempfile.TemporaryDirectory() as work:
         out = digests(cli, args.seed, Path(work))
-    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
-                              encoding="utf-8")
-    print(f"{len(out)} artifacts -> {args.out}")
-    return 0
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n",
+                                  encoding="utf-8")
+        print(f"{len(out)} artifacts -> {args.out}")
+    if expected is None:
+        return 0
+    # a label only one side has differs too
+    labels = expected.keys() | out.keys()
+    bad = sorted(k for k in labels if expected.get(k) != out.get(k))
+    for label in bad:
+        print(f"differs: {label}")
+    print(f"{len(labels) - len(bad)}/{len(labels)} artifacts match {args.check}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
