@@ -86,9 +86,9 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
         x, _, _ = _embed(cal_ds)
     else:
         x = np.column_stack([cal_ds.features, cal_ds.target_y])
-    uniq, inv = np.unique(x, axis=0, return_index=True)
-    x = x[np.sort(inv)]
-    s = scores[np.sort(inv)]
+    # the first occurrence of each distinct row, in their original order
+    first = np.sort(np.unique(x, axis=0, return_index=True)[1])
+    x, s = x[first], scores[first]
     n = x.shape[0]
     if n < 2:
         raise ValueError("all calibration pairs are zero-distance")

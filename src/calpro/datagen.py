@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import operator
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -63,8 +64,14 @@ class Dataset:
     deduplicated with i < j per row; splits: per-node tag in
     {train, calibration, test}; chain_coords: (n, 3) predicted coordinates or
     None; metadata carries generator echo, chain ids and reference coords.
-    head.forward keeps the adjacency it builds on the instance, so a dataset's
-    arrays are never written in place; derive a new dataset instead.
+
+    Values that depend only on the graph's structure (n_nodes, edges, splits,
+    group_tags, chain_ids) are built once and kept in a graph memo: the mean
+    adjacency head.forward uses, split_indices, tag_mask.  perturb and
+    corrupt_priors change node values only, so their result shares its
+    source's memo; dataclasses.replace gives a dataset of its own, as it may
+    change the structure.  A dataset's arrays are therefore never written in
+    place; derive a new dataset instead.
     """
     features: np.ndarray
     prior_b: np.ndarray
@@ -81,23 +88,54 @@ class Dataset:
     def n_nodes(self):
         return self.features.shape[0]
 
+    def __getstate__(self):
+        # the graph memo holds weak references, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_graph"}
+
+    def structural(self, key, build):
+        """build(self) for a value that depends only on the graph's
+        structure, built on first use and kept in the graph memo under key."""
+        values = _graph_memo(self).values
+        value = values.get(key)
+        if value is None:
+            value = values[key] = build(self)
+        return value
+
     def split_indices(self, tag):
-        return np.flatnonzero(_tag_mask(self.splits, tag))
+        """Ascending indices of the nodes whose split is tag (read-only)."""
+        return self.structural(("split", tag), lambda d: _read_only(
+            np.flatnonzero(_tag_mask(d.splits, tag))))
+
+    def tag_mask(self, tag):
+        """Boolean mask of the nodes whose group tag is tag (read-only)."""
+        return self.structural(("group", tag), lambda d: _read_only(
+            _tag_mask(d.group_tags, tag)))
 
     def subset(self, idx):
-        """Induced sub-dataset on the given node indices (edges relabeled)."""
+        """Induced sub-dataset on the given node indices (edges relabeled).
+
+        While a sub-dataset on the same idx of a dataset sharing this one's
+        graph memo is alive, the result takes its edge rows and graph memo
+        instead of scanning the edges again; otherwise the result is
+        registered, weakly, for the next such call."""
         idx = np.asarray(idx, dtype=int)
-        pos = -np.ones(self.n_nodes, dtype=int)
-        pos[idx] = np.arange(idx.size)
-        # a row survives, in place and orientation, when both ends are in idx;
-        # two column tests, not .all(axis=1), which is slow over a length-2 axis
-        rel = pos[self.edges]
-        edges = np.compress((rel[:, 0] >= 0) & (rel[:, 1] >= 0), rel, axis=0)
+        children = _graph_memo(self).children
+        key = (idx.shape, idx.tobytes())
+        twin = children.get(key)
+        if twin is None:
+            pos = -np.ones(self.n_nodes, dtype=int)
+            pos[idx] = np.arange(idx.size)
+            # a row survives, in place and orientation, when both ends are in
+            # idx; two column tests, not .all(axis=1), slow over a length-2 axis
+            rel = pos[self.edges]
+            edges = np.compress((rel[:, 0] >= 0) & (rel[:, 1] >= 0), rel, axis=0)
+        else:
+            edges = twin.edges
         meta = dict(self.metadata)
         if "reference_coords" in meta:
             meta["reference_coords"] = np.asarray(meta["reference_coords"])[idx]
         at = idx.tolist()
-        return Dataset(
+        sub = Dataset(
             features=self.features[idx],
             prior_b=self.prior_b[idx],
             target_y=self.target_y[idx],
@@ -109,6 +147,10 @@ class Dataset:
             chain_ids=self.chain_ids[idx],
             metadata=meta,
         )
+        if twin is None:
+            children[key] = sub
+            return sub
+        return _sharing_graph(twin, sub)
 
     def validate(self):
         n = self.n_nodes
@@ -127,6 +169,38 @@ class Dataset:
             if t not in ("train", "calibration", "test"):
                 raise ValueError(f"bad split tag {t!r}")
         return self
+
+
+class _GraphMemo:
+    """One graph's structure-only values (values, by key) and the
+    sub-datasets already taken from it (children, by index key, held
+    weakly so that none outlives its holder's own references)."""
+
+    def __init__(self):
+        self.values = {}
+        self.children = weakref.WeakValueDictionary()
+
+
+def _graph_memo(ds):
+    """ds's graph memo, made on first use.  An attribute, not a field, so
+    dataclasses.replace does not carry it over."""
+    memo = ds.__dict__.get("_graph")
+    if memo is None:
+        memo = _GraphMemo()
+        object.__setattr__(ds, "_graph", memo)
+    return memo
+
+
+def _sharing_graph(source, derived):
+    """derived, given source's graph memo: for a dataset with source's
+    structure that differs from it in node values only."""
+    object.__setattr__(derived, "_graph", _graph_memo(source))
+    return derived
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _tag_mask(tags, tag):
@@ -164,9 +238,10 @@ def _segment_layout(length, rng):
     return tags, np.array(disorder, dtype=bool)
 
 
-def _chain_features(pred_coords, target_y, group_tags, feature_dim, rng):
+def _chain_features(pred_coords, target_y, onehots, feature_dim, rng):
     """Per-node features: local geometry from the predicted chain, segment
-    one-hots, a noisy copy of the target magnitude, and noise padding.
+    one-hots (the masks of GROUP_TAGS, in order), a noisy copy of the target
+    magnitude, and noise padding.
 
     The rng governs only the feature noise; callers reuse the same stream
     across perturbations so feature noise stays fixed and measured shifts
@@ -186,8 +261,8 @@ def _chain_features(pred_coords, target_y, group_tags, feature_dim, rng):
     feats[:, 0] = step_fwd
     feats[:, 1] = step_bwd
     feats[:, 2] = curv
-    for j, tag in enumerate(GROUP_TAGS):
-        feats[:, 3 + j] = _tag_mask(group_tags, tag)
+    for j, mask in enumerate(onehots):
+        feats[:, 3 + j] = mask
     feats[:, 6] = target_y + 0.5 * rng.standard_normal(n)
     feats[:, 7] = np.linalg.norm(pred_coords - pred_coords.mean(axis=0), axis=1)
     if feature_dim > 8:
@@ -229,8 +304,8 @@ def gen_chain_dataset(cfg: GeneratorConfig) -> Dataset:
     target_y = np.concatenate(y_list)
     prior_b = (1.0 - cfg.prior_noise) * disorder + cfg.prior_noise * rng.random(disorder.size)
     prior_b = np.clip(prior_b, 0.0, 1.0)
-    feats = _chain_features(pred_coords, target_y, tags, cfg.feature_dim,
-                            rng_stream(cfg.seed, 5))
+    feats = _chain_features(pred_coords, target_y, [_tag_mask(tags, t) for t in GROUP_TAGS],
+                            cfg.feature_dim, rng_stream(cfg.seed, 5))
     ds = Dataset(
         features=feats,
         prior_b=prior_b,
@@ -323,9 +398,21 @@ def _chain_window_pairs(chain_ids, window):
 def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     """Perturb the predicted chain and recompute target_y as the displacement
     from the reference chain.  Features are rebuilt from the perturbed chain
-    so downstream predictions see the perturbed geometry."""
+    so downstream predictions see the perturbed geometry; the result shares
+    ds's graph memo.
+
+    The feature noise is redrawn from the generator's stream, so a dataset
+    that carries its generator config must hold the generator's whole node
+    set in generator order: a node count other than n_chains * chain_length,
+    or a chain id below its predecessor's, raises ValueError.  Nodes
+    reordered within one chain go undetected."""
     if ds.chain_coords is None or "reference_coords" not in ds.metadata:
         raise ValueError("perturb requires chain_coords and reference coordinates")
+    cfg = ds.metadata.get("config")
+    if cfg is not None and (ds.n_nodes != cfg["n_chains"] * cfg["chain_length"]
+                            or np.any(ds.chain_ids[1:] < ds.chain_ids[:-1])):
+        raise ValueError("perturb requires the generator's whole node set in generator order "
+                         "(the feature noise is redrawn from the generator's stream)")
     if not isinstance(magnitude, numbers.Real) or not math.isfinite(magnitude):
         raise ValueError(f"magnitude must be a finite number, got {magnitude!r}")
     if magnitude <= 0:
@@ -368,11 +455,12 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     target_y = np.linalg.norm(coords - ref, axis=1)
     fdim = ds.features.shape[1]
     feat_seed = ds.metadata.get("config", {}).get("seed", 0)
-    feats = _chain_features(coords, target_y, ds.group_tags, fdim,
+    feats = _chain_features(coords, target_y, [ds.tag_mask(t) for t in GROUP_TAGS], fdim,
                             rng_stream(feat_seed, 5))
     meta = dict(ds.metadata)
     meta["perturbation"] = {"kind": kind, "magnitude": magnitude, "seed": seed}
-    return replace(ds, chain_coords=coords, target_y=target_y, features=feats, metadata=meta)
+    return _sharing_graph(ds, replace(ds, chain_coords=coords, target_y=target_y,
+                                      features=feats, metadata=meta))
 
 
 def _blur(coords, ids, half):
@@ -405,7 +493,7 @@ def _blur(coords, ids, half):
 def _loop_runs(ds):
     """Maximal runs of consecutive node indices, at least 3 long, that are
     loop-analog and on one chain, as int arrays in index order."""
-    loop = _tag_mask(ds.group_tags, "loop-analog")
+    loop = ds.tag_mask("loop-analog")
     ids = ds.chain_ids
     n = loop.size
     # joined[i]: node i continues node i - 1's run (for 0 < i < n)
@@ -425,7 +513,8 @@ def _rotation_matrix(axis, theta):
 
 
 def corrupt_priors(ds: Dataset, mode, seed=0, sigma=0.2) -> Dataset:
-    """Replace prior_b per the corruption mode; all other fields untouched."""
+    """Replace prior_b per the corruption mode; all other fields untouched,
+    and the result shares ds's graph memo."""
     rng = rng_stream(seed, 3)
     b = np.array(ds.prior_b)
     if mode == "shuffle":
@@ -438,7 +527,7 @@ def corrupt_priors(ds: Dataset, mode, seed=0, sigma=0.2) -> Dataset:
         b = np.clip(b + sigma * rng.standard_normal(b.size), 0.0, 1.0)
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
-    return replace(ds, prior_b=b)
+    return _sharing_graph(ds, replace(ds, prior_b=b))
 
 
 def split(ds: Dataset, fractions, mode="family_aware", seed=0) -> Dataset:

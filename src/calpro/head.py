@@ -137,8 +137,12 @@ def _memo(ds, key, build):
 
 
 def _adjacency(ds):
-    """ds's mean_adjacency, built once per dataset."""
-    return _memo(ds, "_adjacency", lambda d: mean_adjacency(d.n_nodes, d.edges))
+    """(ds's mean_adjacency, its transpose as a CSC view), built once per
+    graph and kept in ds's graph memo (see datagen.Dataset)."""
+    def build(d):
+        adj = mean_adjacency(d.n_nodes, d.edges)
+        return adj, adj.T
+    return ds.structural("adjacency", build)
 
 
 def forward(params: HeadParams, ds, with_cache=False):
@@ -150,11 +154,11 @@ def forward(params: HeadParams, ds, with_cache=False):
     if ds.features.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
                          f"({params.feature_dim})")
-    adj = _adjacency(ds)
-    # layer 0's message sees no weights: kept on the dataset beside adj
+    adj, adj_t = _adjacency(ds)
+    # layer 0's message sees no weights: kept per instance, as it reads the features
     message0 = _memo(ds, "_message0", lambda d: adj @ d.features)
     h = ds.features
-    cache = {"adj": adj, "hs": [h], "ms": [], "zs": [], "ln": []}
+    cache = {"adj": adj, "adj_t": adj_t, "hs": [h], "ms": [], "zs": [], "ln": []}
     for li, lay in enumerate(params.layers):
         m = message0 if li == 0 else adj @ h
         cache["ms"].append(m)
@@ -216,7 +220,7 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
     grads.w_out += h_last.T @ d_raw
     grads.b_out += d_raw.sum(axis=0)
     d_h = d_raw @ params.w_out.T
-    adj_t = cache["adj"].T     # CSC view; the same products as its CSR copy
+    adj_t = cache["adj_t"]     # CSC view; the same products as its CSR copy
     for li in reversed(range(len(params.layers))):
         lay = params.layers[li]
         z_post = cache["zs"][li]

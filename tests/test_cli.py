@@ -113,6 +113,16 @@ class TestBoundCommands:
         assert len(rep["epsilons"]) == 2   # reference + one condition
         assert (out / "bound_curve.csv").exists()
 
+    def test_bound_builds_each_adjacency_once(self, tmp_path, adjacency_builds):
+        """Desk scale: one build each for fit, validation, calibration and
+        test; the four shifted test sets reuse the held test set's."""
+        cfg = _write(tmp_path, "cfg.json", {
+            "generator": {"n_chains": 12, "chain_length": 40},
+            "train": {"learning_rate": 1e-3, "batch_size": 16, "max_epochs": 3,
+                      "patience": 0, "warmup_epochs": 2}})
+        assert cli.main(["bound", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert [n for n, _ in adjacency_builds] == [240, 40, 120, 80]
+
     def test_ncal_sweep(self, tmp_path):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, sizes=[15, 30])
         out = tmp_path / "run"

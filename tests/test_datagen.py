@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import pickle
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -598,6 +600,108 @@ class TestVectorizedDataPlane:
         expected = _dedupe_edges_unique(pairs)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+@st.composite
+def _held_subset_case(draw):
+    """A graph of at least one node, an index into it, and a perturbation of
+    the graph's node values."""
+    ds, idx = draw(_graph_and_index().filter(lambda case: case[0].n_nodes > 0))
+    kind = draw(st.sampled_from(("gaussian", "segment_swap", "blur")))
+    return ds, idx, kind, draw(st.floats(0.05, 3.0)), draw(st.integers(0, 99))
+
+
+class TestGraphMemo:
+    """Structure-only values are built once per graph and shared by the
+    derivations that change node values alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_held_subset_case())
+    def test_subset_of_a_perturbation_beside_a_held_subset(self, case):
+        ds, idx, kind, magnitude, seed = case
+        held = ds.subset(idx)
+        pert = datagen.perturb(ds, kind, magnitude, seed=seed)
+        sub = pert.subset(idx)
+        _assert_same_fields(sub, _subset_loop(pert, idx))
+        assert sub.edges is held.edges
+
+    @pytest.mark.parametrize("idx", [[], [7], [3, 0, 9, 4]], ids=["empty", "one", "unsorted"])
+    def test_held_subset_edge_cases(self, idx):
+        ds = _graph([0, 0, 0, 1, 1, 1, 1, 2, 2, 2], [(0, 1), (1, 2), (2, 3), (3, 9), (4, 0)],
+                    splits=["train", "test", "calibration"] * 3 + ["test"],
+                    group_tags=datagen.GROUP_TAGS * 3 + ("loop-analog",))
+        idx = np.array(idx, dtype=int)
+        held = ds.subset(idx)
+        for derived in (datagen.perturb(ds, "gaussian", 0.5, seed=1),
+                        datagen.corrupt_priors(ds, "invert")):
+            sub = derived.subset(idx)
+            _assert_same_fields(sub, _subset_loop(derived, idx))
+            assert sub.edges is held.edges
+
+    def test_registry_holds_subsets_weakly(self, small_chain_ds):
+        ds = replace(small_chain_ds)
+        idx = ds.split_indices("test")
+        children = datagen._graph_memo(ds).children
+        child = ds.subset(idx)
+        assert list(children.values()) == [child]
+        del child
+        gc.collect()
+        assert len(children) == 0
+        again = datagen.perturb(ds, "gaussian", 0.5).subset(idx)    # scans again
+        assert list(children.values()) == [again]
+        _assert_same_fields(again, _subset_loop(datagen.perturb(ds, "gaussian", 0.5), idx))
+
+    def test_split_indices_shared_by_value_derivations(self, small_chain_ds):
+        ds = replace(small_chain_ds)
+        test = ds.split_indices("test")
+        assert ds.split_indices("test") is test
+        assert datagen.perturb(ds, "blur", 2.0).split_indices("test") is test
+        assert datagen.corrupt_priors(ds, "shuffle").split_indices("test") is test
+        assert ds.tag_mask("loop-analog") is datagen.perturb(ds, "blur", 2.0).tag_mask("loop-analog")
+
+    def test_new_splits_get_fresh_split_indices(self, small_chain_ds):
+        pert = datagen.perturb(replace(small_chain_ds), "gaussian", 0.5)
+        stale = pert.split_indices("test")
+        retagged = replace(pert, splits=("test",) * pert.n_nodes)
+        assert np.array_equal(retagged.split_indices("test"), np.arange(pert.n_nodes))
+        resplit = datagen.split(pert, (0.2, 0.2, 0.6), mode="random", seed=5)
+        expected = np.array([i for i, t in enumerate(resplit.splits) if t == "test"])
+        assert np.array_equal(resplit.split_indices("test"), expected)
+        assert not np.array_equal(expected, stale)
+
+    def test_pickles_without_its_graph_memo(self, small_chain_ds):
+        ds = replace(small_chain_ds)
+        held = ds.subset(ds.split_indices("test"))
+        back = pickle.loads(pickle.dumps(ds))
+        _assert_same_fields(back, ds)
+        assert "_graph" not in back.__dict__
+        assert back.subset(back.split_indices("test")).edges is not held.edges
+
+    def test_cached_arrays_are_read_only(self, small_chain_ds):
+        ds = replace(small_chain_ds)
+        with pytest.raises(ValueError):
+            ds.split_indices("test")[0] = 1
+        with pytest.raises(ValueError):
+            ds.tag_mask("helix-analog")[0] = True
+
+    def test_perturb_rejects_a_split_subset(self, small_chain_ds):
+        """Features are redrawn from the generator's noise stream, which only
+        lines up with the generator's own node set."""
+        sub = small_chain_ds.subset(small_chain_ds.split_indices("test"))
+        with pytest.raises(ValueError, match="whole node set in generator order"):
+            datagen.perturb(sub, "gaussian", 1e-13)
+
+    def test_perturb_rejects_chains_out_of_generator_order(self, small_chain_ds):
+        ds = small_chain_ds
+        reordered = ds.subset(np.argsort(-ds.chain_ids, kind="stable"))
+        with pytest.raises(ValueError, match="whole node set in generator order"):
+            datagen.perturb(reordered, "gaussian", 1e-13)
+
+    def test_perturb_of_a_subset_without_config_runs(self, small_chain_ds):
+        meta = {k: v for k, v in small_chain_ds.metadata.items() if k != "config"}
+        ds = replace(small_chain_ds, metadata=meta)
+        sub = ds.subset(ds.split_indices("test"))
+        assert datagen.perturb(sub, "gaussian", 0.5).n_nodes == sub.n_nodes
 
 
 def test_subset_preserves_structure(small_chain_ds):

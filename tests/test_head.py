@@ -163,17 +163,55 @@ class TestAdjacencyPerDataset:
         assert not np.array_equal(first.mu, second.mu)
 
     def test_derived_datasets_build_their_own(self, small_chain_ds, adjacency_builds):
+        """A subset and a replace build their own adjacency; perturb and
+        corrupt_priors change node values only and reuse their source's."""
         ds = datagen.replace(small_chain_ds)
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
-        head.forward(params, ds)
+        source = head.forward(params, ds, with_cache=True)[2]
         derived = [ds.subset(np.arange(ds.n_nodes)),
                    datagen.replace(ds, edges=ds.edges[::2]),
-                   datagen.perturb(ds, "gaussian", 0.5, seed=1)]
-        for d in derived:
-            head.forward(params, d)
-            head.forward(params, d)
-        assert [n for n, _ in adjacency_builds] == [ds.n_nodes] * 4
+                   datagen.perturb(ds, "gaussian", 0.5, seed=1),
+                   datagen.corrupt_priors(ds, "invert")]
+        caches = [[head.forward(params, d, with_cache=True)[2] for _ in range(2)]
+                  for d in derived]
+        assert [n for n, _ in adjacency_builds] == [ds.n_nodes] * 3
         assert adjacency_builds[2][1] is derived[1].edges
+        for pair in caches[2:]:
+            assert all(c["adj"] is source["adj"] and c["adj_t"] is source["adj_t"]
+                       for c in pair)
+
+    def test_build_edges_gets_a_fresh_adjacency(self, small_chain_ds):
+        pert = datagen.perturb(datagen.replace(small_chain_ds), "gaussian", 0.5, seed=1)
+        adj = head._adjacency(pert)[0]
+        rebuilt = datagen.build_edges(pert, chain_window=2, spatial_radius=0.0)
+        fresh = head._adjacency(rebuilt)[0]
+        assert fresh is not adj
+        assert (fresh != head.mean_adjacency(rebuilt.n_nodes, rebuilt.edges)).nnz == 0
+        assert (fresh != adj).nnz > 0
+
+    def test_live_subset_lends_its_adjacency(self, small_chain_ds, adjacency_builds):
+        """perturb(ds).subset(test) of a ds whose test subset is held: the
+        shifted test set of every shift evaluation."""
+        ds = datagen.replace(small_chain_ds)
+        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        test = ds.subset(ds.split_indices("test"))
+        first = head.forward(params, test, with_cache=True)[2]
+        for mag in (0.1, 0.5):
+            pert = datagen.perturb(ds, "gaussian", mag, seed=3)
+            shifted = pert.subset(pert.split_indices("test"))
+            assert shifted.edges is test.edges
+            cache = head.forward(params, shifted, with_cache=True)[2]
+            assert cache["adj"] is first["adj"]
+            assert np.array_equal(cache["ms"][0], cache["adj"] @ shifted.features)
+        assert [n for n, _ in adjacency_builds] == [test.n_nodes]
+
+    def test_transpose_view_kept_beside_adjacency(self, small_chain_ds):
+        ds = datagen.replace(small_chain_ds)
+        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        first = head.forward(params, ds, with_cache=True)[2]
+        second = head.forward(params, ds, with_cache=True)[2]
+        assert second["adj_t"] is first["adj_t"]
+        assert (first["adj_t"] != first["adj"].T).nnz == 0
 
     def test_layer0_message_kept_per_dataset(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
