@@ -49,7 +49,7 @@ def _acquisition(strategy, head_params, calib, pool_ds, idx, rng):
     if strategy == "random":
         return rng.random(idx.size)
     sub = pool_ds.subset(idx)
-    nig, _ = head_mod.forward(head_params, sub)
+    nig = head_mod.forward(head_params, sub)
     if strategy == "epistemic_var":
         return head_mod.epistemic_variance(nig)
     iv = conf_mod.intervals(nig, calib, 0.9)
@@ -91,7 +91,7 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
         entry = {"round": rnd, "queried": sorted(int(i) for i in labeled),
                  "best_found": float(np.max(pool.target_y[lab]))}
         if test_ds is not None:
-            nig, _ = head_mod.forward(params, test_ds)
+            nig = head_mod.forward(params, test_ds)
             iv = conf_mod.intervals(nig, calib, 0.9)
             entry["coverage"] = metrics_mod.coverage(iv, test_ds.target_y)
             entry["ece"] = metrics_mod.ece(nig, test_ds.target_y, calib)
@@ -132,15 +132,17 @@ def queries_to_top_fraction(curve: ActiveCurve, pool, fraction=0.05):
 
 def compare_strategies(pool, configs, seeds):
     """Median curves with interquartile bands per strategy plus a query-
-    savings statistic at the top-5% attainment threshold."""
+    savings statistic at the top-5% attainment threshold.  "curves" holds
+    each strategy's ActiveCurve per seed, in seeds order."""
     budgets = {cfg.seed_set_size + cfg.batch_size * cfg.rounds for cfg in configs}
     if len(budgets) != 1:
         raise ValueError("strategies must share the same budget")
-    table = {}
+    table, all_curves = {}, {}
     for cfg in configs:
         curves = []
         for seed in seeds:
             curves.append(run_active(pool, dc_replace(cfg, seed=seed)))
+        all_curves[cfg.strategy] = curves
         per_round = {}
         for rnd in range(cfg.rounds + 1):
             vals = [c.rounds[rnd]["best_found"] for c in curves if rnd < len(c.rounds)]
@@ -157,7 +159,7 @@ def compare_strategies(pool, configs, seeds):
             "median_attainment_auc": float(np.median(auc)),
         }
     order = sorted(table, key=lambda s: -table[s]["median_attainment_auc"])
-    return {"strategies": table, "ordering": order}
+    return {"strategies": table, "ordering": order, "curves": all_curves}
 
 
 def export_curve_csv(path, curve: ActiveCurve):

@@ -172,7 +172,7 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     eps_list, bnds, raws, vac, emp, cons = [], [], [], [], [], []
     for eps, ds in conditions:
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
-        nig, _ = head_mod.forward(head_params, ds)
+        nig = head_mod.forward(head_params, ds)
         cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau), ds.target_y)
         eps_list.append(eps)
         bnds.append(b)
@@ -199,7 +199,7 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     _, mean, std = _embed(cal_pool_ds)
     kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
     eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
-    nig, _ = head_mod.forward(head_params, shifted_test_ds)
+    nig = head_mod.forward(head_params, shifted_test_ds)
     out = []
     for size in sizes:
         sub = cal_pool_ds.subset(np.arange(size))

@@ -68,7 +68,10 @@ def _generator_config(cfg, seed):
 def _train_config(cfg, seed):
     sub = dict(cfg.get("train", {}))
     obj = _dataclass_from(ObjectiveConfig, sub.pop("objective", {}), "objective")
-    head = _dataclass_from(head_mod.HeadConfig, sub.pop("head", {}), "head")
+    head_cfg = sub.pop("head", {})
+    # the trainer seeds the head's init with the training seed
+    _check_keys(head_cfg, {f.name for f in fields(head_mod.HeadConfig)} - {"init_seed"}, "head")
+    head = _dataclass_from(head_mod.HeadConfig, head_cfg, "head")
     tcfg = _dataclass_from(trainer_mod.TrainConfig,
                            dict(sub, objective=obj, head=head), "train")
     if seed is not None:
@@ -132,26 +135,25 @@ def _tau(cfg):
 
 
 def _pipeline_pieces(cfg, seed, score_mode):
-    """Shared generate/train/calibrate path for pipeline and bound."""
+    """Shared generate/train path for pipeline, bound and ncal-sweep."""
     gen = _generator_config(cfg, seed)
     tcfg = _train_config(cfg, seed)
     spec = exp_mod.ExperimentSpec(generator=gen, train=tcfg, score_mode=score_mode,
                                   seeds=(gen.seed,))
-    run = exp_mod.train_config_run(spec, "full", gen.seed)
-    calib = conf_mod.calibrate(run["params"], run["cal_ds"],
-                               levels=conf_mod.DEFAULT_LEVELS, mode=score_mode)
-    return gen, run, calib
+    return gen, exp_mod.train_config_run(spec, "full", gen.seed)
 
 
 def cmd_pipeline(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train"})
-    gen, run, calib = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    calib = conf_mod.calibrate(run["params"], run["cal_ds"],
+                               levels=conf_mod.DEFAULT_LEVELS, mode=args.score_mode)
     out = _out_dir(args)
     datagen.save_dataset(run["ds"], os.path.join(out, "dataset.json"))
     head_mod.save_head(run["params"], os.path.join(out, "head.json"))
     conf_mod.save_calibration(calib, os.path.join(out, "calibration.json"))
-    nig, _ = head_mod.forward(run["params"], run["test_ds"])
+    nig = head_mod.forward(run["params"], run["test_ds"])
     report = metrics_mod.report_from_nig(nig, calib, run["test_ds"], conf_mod.DEFAULT_LEVELS)
     y = run["test_ds"].target_y
     metrics_mod.export_calibration_curve(os.path.join(out, "calibration_curve.csv"),
@@ -169,14 +171,17 @@ def cmd_pipeline(args):
 def cmd_bound(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "magnitudes", "tau", "delta"})
-    gen, run, calib = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    tau = _tau(cfg)
+    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,),
+                               mode=args.score_mode)
     shifted = []
     for mag in cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0]):
         pert = datagen.perturb(run["ds"], "gaussian", float(mag), seed=gen.seed)
         shifted.append(pert.subset(pert.split_indices("test")))
     report = bounds_mod.bound_vs_empirical_sweep(
         run["params"], run["cal_ds"], calib, run["test_ds"], shifted,
-        tau=_tau(cfg), delta=float(cfg.get("delta", 0.05)))
+        tau=tau, delta=float(cfg.get("delta", 0.05)))
     out = _out_dir(args)
     bounds_mod.export_bound_curve(os.path.join(out, "bound_curve.csv"), report)
     _write_json(os.path.join(out, "bound_report.json"),
@@ -187,7 +192,7 @@ def cmd_bound(args):
 def cmd_ncal_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "sizes", "tau", "delta", "magnitude"})
-    gen, run, _calib = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
     sizes = tuple(int(s) for s in cfg.get("sizes", (250, 500, 1000, 2000, 4000)))
     ds = run["ds"]
     pool_idx = np.concatenate([ds.split_indices("calibration"), ds.split_indices("train")])
@@ -218,9 +223,8 @@ def cmd_active(args):
     table = active_mod.compare_strategies(
         pool, [replace(acfg, strategy=s) for s in strategies], seeds)
     out = _out_dir(args)
-    for s in strategies:
-        curve = active_mod.run_active(pool, replace(acfg, strategy=s, seed=seeds[0]))
-        active_mod.export_curve_csv(os.path.join(out, f"active_{s}.csv"), curve)
+    for s, curves in table.pop("curves").items():
+        active_mod.export_curve_csv(os.path.join(out, f"active_{s}.csv"), curves[0])
     _write_json(os.path.join(out, "active_report.json"),
                 _stamp(table, cfg, gen.seed, "active"))
     return 0

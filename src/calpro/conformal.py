@@ -69,7 +69,7 @@ def calibrate(head_params, cal_ds, levels=DEFAULT_LEVELS, mode="absolute") -> Co
         raise ValueError("empty calibration set")
     if any(t == "train" for t in cal_ds.splits):
         raise ValueError("calibration set overlaps the train split")
-    nig, _ = head_mod.forward(head_params, cal_ds)
+    nig = head_mod.forward(head_params, cal_ds)
     s = scores_from_nig(nig, cal_ds.target_y, mode)
     qs = dict(zip((float(tau) for tau in levels),
                   conformal_quantiles(s, [1.0 - tau for tau in levels])))

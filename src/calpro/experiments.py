@@ -130,7 +130,7 @@ def _evaluate(run, spec: ExperimentSpec):
     trained configuration."""
     params, test_ds = run["params"], run["test_ds"]
     if run["config"] == "no_conformal":
-        nig, _ = head_mod.forward(params, test_ds)
+        nig = head_mod.forward(params, test_ds)
         var = head_mod.epistemic_variance(nig)
         sd = np.sqrt(np.maximum(var, conf_mod.VAR_FLOOR))
         cov, shp = {}, {}
@@ -154,7 +154,7 @@ def _scored(run, test_ds, tau, mode):
     """Calibrate the run's head at tau, predict test_ds once and score the
     tau-intervals: ({coverage, degradation, sharpness}, intervals)."""
     calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,), mode=mode)
-    nig, _ = head_mod.forward(run["params"], test_ds)
+    nig = head_mod.forward(run["params"], test_ds)
     iv = conf_mod.intervals(nig, calib, tau)
     cov = metrics_mod.coverage(iv, test_ds.target_y)
     return {"coverage": cov, "degradation": tau - cov,
@@ -238,7 +238,7 @@ def run_perturbation_correlation(spec: ExperimentSpec,
             params = train_config_run(spec, name, seed, ds=ds)["params"]
             row = {}
             for kind, test_ds in tests.items():
-                nig, _ = head_mod.forward(params, test_ds)
+                nig = head_mod.forward(params, test_ds)
                 unc = np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0))
                 row[kind] = spearman(unc, np.abs(test_ds.target_y - nig.mu))
             row["overall"] = float(np.mean([row[k] for k in kinds]))

@@ -1,9 +1,9 @@
 """Message-passing evidential head.
 
-Produces per-node Normal-Inverse-Gamma parameters (mu, nu, alpha, beta) and a
-risk logit.  Forward and backward passes are written out explicitly; backward
-consumes gradients w.r.t. the five constrained outputs and returns gradients
-w.r.t. all weights (the vector-Jacobian contract used by the objective).
+Produces per-node Normal-Inverse-Gamma parameters (mu, nu, alpha, beta).
+Forward and backward passes are written out explicitly; backward consumes
+gradients w.r.t. the four constrained outputs and returns gradients w.r.t.
+all weights (the vector-Jacobian contract used by the objective).
 """
 
 import json
@@ -46,7 +46,8 @@ class HeadConfig:
 
 @dataclass
 class HeadParams:
-    """Per-layer self/message/bias weights plus a 5-channel readout."""
+    """Per-layer self/message/bias weights plus a 5-column readout, of which
+    forward reads the first four (see init_head)."""
     layers: list                 # dicts with w_self, w_msg, b
     w_out: np.ndarray
     b_out: np.ndarray
@@ -91,9 +92,6 @@ class HeadParams:
         """New HeadParams with the same shapes, weights copied from vec."""
         return self.view(np.array(vec, dtype=float))
 
-    def zeros_like(self):
-        return self.view(np.zeros(self.size))
-
 
 def init_head(config: HeadConfig, feature_dim) -> HeadParams:
     """Symmetric uniform init scaled by fan-in."""
@@ -109,6 +107,9 @@ def init_head(config: HeadConfig, feature_dim) -> HeadParams:
             "b": np.zeros(dout),
         })
     s = 1.0 / np.sqrt(dims[-1])
+    # column 4 feeds no output, but dropping it rounds the readout product
+    # differently and changes the weights the bound's KL counts (ROADMAP
+    # item 3), so it stays until the KL changes anyway
     w_out = rng.uniform(-s, s, size=(dims[-1], 5))
     return HeadParams(layers, w_out, np.zeros(5), config, feature_dim)
 
@@ -148,8 +149,8 @@ def _adjacency(ds):
 def forward(params: HeadParams, ds, with_cache=False):
     """Evaluate the head on a dataset.
 
-    Returns (NIGParams, risk_logits) or, with_cache, an extra cache dict for
-    the backward pass.
+    Returns NIGParams or, with_cache, (NIGParams, cache) where the cache
+    dict feeds the backward pass.
     """
     if ds.features.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
@@ -190,13 +191,12 @@ def forward(params: HeadParams, ds, with_cache=False):
         alpha=np.maximum(1.0 + sp[:, 1], 1.0 + floor),
         beta=np.maximum(sp[:, 2], floor),
     )
-    risk = raw[:, 4]
     if with_cache:
-        return nig, risk, cache
-    return nig, risk
+        return nig, cache
+    return nig
 
 
-def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None, out=None):
+def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, out=None):
     """Vector-Jacobian product: gradients of a scalar loss w.r.t. HeadParams
     given its gradients w.r.t. the constrained outputs.
 
@@ -210,8 +210,6 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, d_risk=None
     d_raw[:, 1] = d_nu * sig[:, 0]
     d_raw[:, 2] = d_alpha * sig[:, 1]
     d_raw[:, 3] = d_beta * sig[:, 2]
-    if d_risk is not None:
-        d_raw[:, 4] = d_risk
     if out is None:
         out = np.empty(params.size)
     out.fill(0.0)
@@ -250,17 +248,6 @@ def epistemic_variance(p: NIGParams):
 def aleatoric_variance(p: NIGParams):
     """Expected observation variance beta / (alpha - 1)."""
     return p.beta / (p.alpha - 1.0)
-
-
-def risk_probability(logit):
-    return sigmoid(logit)
-
-
-def label_risk(ds, threshold=2.0):
-    """True where the realized per-node error exceeds the risk threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return ds.target_y > threshold
 
 
 def save_head(params: HeadParams, path):

@@ -106,7 +106,7 @@ def disorder_quartiles(ds):
 
 def full_report(head_params, calib, test_ds, levels=conf_mod.DEFAULT_LEVELS) -> MetricsReport:
     """Standard report on the head's predictions for test_ds."""
-    nig, _ = head_mod.forward(head_params, test_ds)
+    nig = head_mod.forward(head_params, test_ds)
     return report_from_nig(nig, calib, test_ds, levels)
 
 

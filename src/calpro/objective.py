@@ -82,15 +82,6 @@ class MonotoneMap:
     def from_vector(self, vec):
         return self.view(np.array(vec, dtype=float))
 
-    def zeros_like(self):
-        return self.view(np.zeros(self.size))
-
-    def __call__(self, b):
-        b = np.asarray(b, dtype=float).reshape(-1)
-        w1, w2 = softplus(self._raw)
-        hidden = np.maximum(b[:, None] * w1 + self.b1, 0.0)
-        return hidden @ w2 + self.b2
-
     def value_and_grads(self, b):
         """m(b) plus gradients of sum-weighted outputs w.r.t. raw params.
 
@@ -115,16 +106,9 @@ class MonotoneMap:
         return out, vjp
 
 
-def monotone_eval(m: MonotoneMap, b):
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0) or np.any(b > 1):
-        raise ValueError("prior inputs must lie in [0, 1]")
-    out = m(b)
-    return float(out[0]) if np.ndim(b) == 0 else out
-
-
-def nig_nll(p: head_mod.NIGParams, y, with_grads=False):
-    """Per-node NIG negative log-likelihood, averaged over nodes.
+def nig_nll(p: head_mod.NIGParams, y):
+    """Per-node NIG negative log-likelihood, averaged over nodes, and its
+    gradients (d_mu, d_nu, d_alpha, d_beta) per node.
 
     L_i = 0.5 log(nu/pi) - alpha log(2 beta) + log Gamma(alpha)
           + (alpha + 0.5) log(nu (y - mu)^2 + 2 beta) - log Gamma(alpha + 0.5)
@@ -137,8 +121,6 @@ def nig_nll(p: head_mod.NIGParams, y, with_grads=False):
     vals = (0.5 * np.log(nu / np.pi) - alpha * np.log(2.0 * beta)
             + gammaln(alpha) + (alpha + 0.5) * np.log(a_term) - gammaln(alpha + 0.5))
     loss = float(np.mean(vals))
-    if not with_grads:
-        return loss
     n = mu.size
     d_mu = -(alpha + 0.5) * 2.0 * nu * e / a_term / n
     d_nu = (0.5 / nu + (alpha + 0.5) * e ** 2 / a_term) / n
@@ -147,18 +129,17 @@ def nig_nll(p: head_mod.NIGParams, y, with_grads=False):
     return loss, (d_mu, d_nu, d_alpha, d_beta)
 
 
-def evidence_reg(alphas, with_grads=False):
-    """Sum of exp(-alpha); penalizes low evidence."""
+def evidence_reg(alphas):
+    """Sum of exp(-alpha), which penalizes low evidence, and its gradient."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     val = float(np.sum(np.exp(-alphas)))
-    if not with_grads:
-        return val
     return val, -np.exp(-alphas)
 
 
-def prior_penalty(b, u, m: MonotoneMap, cfg: ObjectiveConfig, with_grads=False):
+def prior_penalty(b, u, m: MonotoneMap, cfg: ObjectiveConfig):
     """Hinge sum/mean of max(0, m(b) - u): prior volatility must be matched
-    by at least that much epistemic variance."""
+    by at least that much epistemic variance.  Returns (value, d_u, d_m),
+    d_m MonotoneMap shaped."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(b < 0) or np.any(b > 1):
@@ -168,24 +149,21 @@ def prior_penalty(b, u, m: MonotoneMap, cfg: ObjectiveConfig, with_grads=False):
     active = gap > 0
     red = 1.0 / b.size if cfg.prior_penalty_reduction == "mean" else 1.0
     val = float(np.sum(np.maximum(gap, 0.0)) * red)
-    if not with_grads:
-        return val
     d_u = -active.astype(float) * red
     d_m = vjp(active.astype(float) * red)
     return val, d_u, d_m
 
 
-def soft_conf_loss(scores, cfg: ObjectiveConfig, stopgrad=False, with_grads=False):
+def soft_conf_loss(scores, cfg: ObjectiveConfig, stopgrad=False):
     """Mean softplus((s_i - Q_gamma(s)) / kappa) with the log-sum-exp soft
-    quantile; with stopgrad the quantile is treated as a constant."""
+    quantile, and its gradient w.r.t. the scores; with stopgrad the quantile
+    is treated as a constant."""
     s = np.atleast_1d(np.asarray(scores, dtype=float))
     if s.size == 0:
         raise ValueError("soft_conf_loss of empty scores")
     q = soft_quantile(s, cfg.gamma)
     arg = (s - q) / cfg.kappa
     val = float(np.mean(softplus(arg)))
-    if not with_grads:
-        return val
     sig = sigmoid(arg) / cfg.kappa
     d_s = sig / s.size
     if not stopgrad:
@@ -193,19 +171,18 @@ def soft_conf_loss(scores, cfg: ObjectiveConfig, stopgrad=False, with_grads=Fals
     return val, d_s
 
 
-def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_grads=False,
-               out=None):
+def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=None):
     """Composite objective on one dataset/batch.
 
-    Returns (value, parts) or, with_grads, (value, parts, head_grads,
-    monotone_grads) where the gradients are HeadParams / MonotoneMap shaped
-    views into the flat array out: the head's to_vector() followed by the
-    map's (a new array when None).
+    Returns (value, parts, head_grads, monotone_grads) where the gradients
+    are HeadParams / MonotoneMap shaped views into the flat array out: the
+    head's to_vector() followed by the map's (a new array when None).
     """
     cfg.validate()
-    if with_grads and out is None:
-        out = np.empty(head_params.size + monotone.size)
-    nig, _risk, cache = head_mod.forward(head_params, ds, with_cache=True)
+    n_head = head_params.size
+    if out is None:
+        out = np.empty(n_head + monotone.size)
+    nig, cache = head_mod.forward(head_params, ds, with_cache=True)
     y = ds.target_y
     stopgrad = epoch < cfg.stopgrad_epochs
     u = head_mod.epistemic_variance(nig)
@@ -214,29 +191,17 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_gr
     if cfg.mu_only:
         mse = float(np.mean((y - nig.mu) ** 2))
         parts = {"nig": mse, "evidence": 0.0, "prior": 0.0, "soft_conf": 0.0}
-        if not with_grads:
-            return mse, parts
         d_mu = 2.0 * (nig.mu - y) / y.size
         zeros = np.zeros_like(d_mu)
-        n_head = head_params.size
         head_grads = head_mod.backward(head_params, cache, d_mu, zeros, zeros, zeros,
                                        out=out[:n_head])
         out[n_head:] = 0.0
         return mse, parts, head_grads, monotone.view(out[n_head:])
 
-    if not with_grads:
-        l_nig = nig_nll(nig, y)
-        l_evid = evidence_reg(nig.alpha)
-        l_prior = prior_penalty(ds.prior_b, u, monotone, cfg)
-        l_conf = soft_conf_loss(scores, cfg, stopgrad=stopgrad)
-        total = (l_nig + cfg.lambda_evid * l_evid + cfg.lambda_prior * l_prior
-                 + cfg.lambda_conf * l_conf)
-        return total, {"nig": l_nig, "evidence": l_evid, "prior": l_prior, "soft_conf": l_conf}
-
-    l_nig, (d_mu, d_nu, d_alpha, d_beta) = nig_nll(nig, y, with_grads=True)
-    l_evid, d_alpha_evid = evidence_reg(nig.alpha, with_grads=True)
-    l_prior, d_u, mono_grads = prior_penalty(ds.prior_b, u, monotone, cfg, with_grads=True)
-    l_conf, d_s = soft_conf_loss(scores, cfg, stopgrad=stopgrad, with_grads=True)
+    l_nig, (d_mu, d_nu, d_alpha, d_beta) = nig_nll(nig, y)
+    l_evid, d_alpha_evid = evidence_reg(nig.alpha)
+    l_prior, d_u, mono_grads = prior_penalty(ds.prior_b, u, monotone, cfg)
+    l_conf, d_s = soft_conf_loss(scores, cfg, stopgrad=stopgrad)
     total = (l_nig + cfg.lambda_evid * l_evid + cfg.lambda_prior * l_prior
              + cfg.lambda_conf * l_conf)
     parts = {"nig": l_nig, "evidence": l_evid, "prior": l_prior, "soft_conf": l_conf}
@@ -251,7 +216,6 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, with_gr
     # scores s = |y - mu|
     d_mu = d_mu + cfg.lambda_conf * d_s * (-np.sign(y - nig.mu))
 
-    n_head = head_params.size
     head_grads = head_mod.backward(head_params, cache, d_mu, d_nu, d_alpha, d_beta,
                                    out=out[:n_head])
     np.multiply(cfg.lambda_prior, mono_grads._vec, out=out[n_head:])

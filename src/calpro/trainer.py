@@ -68,7 +68,7 @@ def validation_ece(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
     if val_ds.n_nodes == 0:
         raise ValueError("empty validation set")
     from . import conformal as conf_mod
-    nig, _ = head_mod.forward(head_params, val_ds)
+    nig = head_mod.forward(head_params, val_ds)
     s = conf_mod.scores_from_nig(nig, val_ds.target_y, "normalized")
     half_a = s[0::2]
     half_b = s[1::2]
@@ -140,7 +140,7 @@ def train(cfg: TrainConfig, train_ds, val_ds):
             batch = (train_ds if batch_idx.size == train_ds.n_nodes
                      else train_ds.subset(batch_idx))
             val, parts, _, _ = total_loss(params, mono, batch, cfg.objective,
-                                          epoch=epoch, with_grads=True, out=g)
+                                          epoch=epoch, out=g)
             if not np.isfinite(val):
                 bad = [k for k, v in parts.items() if not np.isfinite(v)]
                 raise FloatingPointError(f"non-finite training loss; offending terms: {bad}")

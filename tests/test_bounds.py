@@ -13,7 +13,7 @@ from calpro.bounds import PosteriorSurrogate
 
 def _abs_scores(params, ds):
     """Absolute nonconformity scores of the head on ds."""
-    return conformal.scores_from_nig(head.forward(params, ds)[0], ds.target_y, "absolute")
+    return conformal.scores_from_nig(head.forward(params, ds), ds.target_y, "absolute")
 
 
 class TestKlGaussian:
@@ -104,7 +104,7 @@ class TestEstimateLipschitz:
         equal target_y, so use a truly constant synthetic check instead."""
         ds = trained["cal_ds"]
         flat = datagen.replace(ds, target_y=np.zeros(ds.n_nodes))
-        params = trained["params"].zeros_like()
+        params = trained["params"].from_vector(np.zeros(trained["params"].size))
         # mu = 0 and y = 0: scores constant zero
         assert bounds.estimate_lipschitz(_abs_scores(params, flat), flat) == 0.0
 
@@ -139,7 +139,7 @@ class TestEstimateLipschitz:
         feats = np.zeros_like(ds.features)
         feats[:, 0] = x
         ds2 = datagen.replace(ds, features=feats, target_y=2.0 * x)
-        params = trained["params"].zeros_like()
+        params = trained["params"].from_vector(np.zeros(trained["params"].size))
         L = bounds.estimate_lipschitz(_abs_scores(params, ds2), ds2, standardize=False)
         # metric includes the target coordinate: d = sqrt(dx^2 + (2 dx)^2)
         expected = 2.0 / math.sqrt(5.0)

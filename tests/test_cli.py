@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from calpro import cli, datagen
+from calpro import active, cli, datagen
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -97,6 +97,17 @@ class TestPipeline:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_head_init_seed_rejected(self, tmp_path):
+        """The trainer seeds the head's init with the training seed, so a
+        head init_seed would be ignored."""
+        cfg = _gen_cfg(tmp_path, train=dict(FAST_TRAIN, head={"init_seed": 7}))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "calpro.cli", "pipeline",
+                               "--config", cfg, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: unknown head keys: init_seed\n"
+
     def test_predicts_test_set_once(self, tmp_path, forward_calls):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN)
         assert cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
@@ -112,6 +123,13 @@ class TestBoundCommands:
         rep = json.loads((out / "bound_report.json").read_text())
         assert len(rep["epsilons"]) == 2   # reference + one condition
         assert (out / "bound_curve.csv").exists()
+
+    def test_bound_at_a_level_outside_the_default_grid(self, tmp_path):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, magnitudes=[0.3], tau=0.85)
+        out = tmp_path / "run"
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "bound_report.json").read_text())
+        assert len(rep["bounds"]) == 2 and all(b <= 0.85 for b in rep["bounds"])
 
     def test_bound_builds_each_adjacency_once(self, tmp_path, adjacency_builds):
         """Desk scale: one build each for fit, validation, calibration and
@@ -157,6 +175,24 @@ class TestActiveCommand:
         rep = json.loads((out / "active_report.json").read_text())
         assert "random" in rep["strategies"]
         assert (out / "active_random.csv").exists()
+
+    def test_one_loop_per_strategy_and_seed(self, tmp_path, monkeypatch):
+        """The CSV curves are the comparison's own first-seed curves."""
+        calls = []
+        run_active = active.run_active
+
+        def counting(pool, cfg):
+            calls.append((cfg.strategy, cfg.seed))
+            return run_active(pool, cfg)
+
+        monkeypatch.setattr(active, "run_active", counting)
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN,
+                       active={"seed_set_size": 20, "batch_size": 5, "rounds": 1}, seeds=[0])
+        out = tmp_path / "run"
+        assert cli.main(["active", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(calls) == sorted((s, 0) for s in active.STRATEGIES)
+        for s in active.STRATEGIES:
+            assert len((out / f"active_{s}.csv").read_text().splitlines()) == 3
 
 
 class TestExperimentCommand:

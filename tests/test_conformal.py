@@ -41,7 +41,7 @@ class TestCalibrate:
     def test_rank_rule(self, small_chain_ds, random_head):
         cal = small_chain_ds.subset(small_chain_ds.split_indices("calibration"))
         calib = conformal.calibrate(random_head, cal, levels=(0.9,), mode="absolute")
-        s = conformal.scores_from_nig(head.forward(random_head, cal)[0], cal.target_y,
+        s = conformal.scores_from_nig(head.forward(random_head, cal), cal.target_y,
                                       "absolute")
         assert calib.quantiles[0.9] == conformal_quantile(s, 0.1)
         assert calib.n_cal == cal.n_nodes
@@ -81,7 +81,7 @@ class TestIntervals:
         cal = small_chain_ds.subset(small_chain_ds.split_indices("calibration"))
         test = small_chain_ds.subset(small_chain_ds.split_indices("test"))
         calib = conformal.calibrate(random_head, cal, levels=(0.9,), mode="absolute")
-        iv = conformal.intervals(head.forward(random_head, test)[0], calib, 0.9)
+        iv = conformal.intervals(head.forward(random_head, test), calib, 0.9)
         widths = iv[:, 1] - iv[:, 0]
         assert np.allclose(widths, 2 * calib.quantiles[0.9])
 
@@ -89,14 +89,14 @@ class TestIntervals:
         cal = small_chain_ds.subset(small_chain_ds.split_indices("calibration"))
         calib = conformal.calibrate(random_head, cal, levels=(0.9,))
         with pytest.raises(ValueError):
-            conformal.intervals(head.forward(random_head, cal)[0], calib, 0.85)
+            conformal.intervals(head.forward(random_head, cal), calib, 0.85)
 
     def test_nested_across_levels(self, small_chain_ds, random_head):
         cal = small_chain_ds.subset(small_chain_ds.split_indices("calibration"))
         test = small_chain_ds.subset(small_chain_ds.split_indices("test"))
         for mode in ("absolute", "normalized"):
             calib = conformal.calibrate(random_head, cal, mode=mode)
-            nig, _ = head.forward(random_head, test)
+            nig = head.forward(random_head, test)
             iv80 = conformal.intervals(nig, calib, 0.8)
             iv95 = conformal.intervals(nig, calib, 0.95)
             assert np.all(iv95[:, 0] <= iv80[:, 0] + 1e-12)
@@ -108,7 +108,7 @@ class TestIntervals:
         calib = conformal.calibrate(trained["params"], trained["cal_ds"],
                                     levels=(0.9,), mode="normalized")
         test = trained["test_ds"]
-        iv = conformal.intervals(head.forward(trained["params"], test)[0], calib, 0.9)
+        iv = conformal.intervals(head.forward(trained["params"], test), calib, 0.9)
         w = iv[:, 1] - iv[:, 0]
         dis = test.disorder_flags
         if dis.any() and (~dis).any():

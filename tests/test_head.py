@@ -20,24 +20,24 @@ def _tiny_ds(seed=0, n_chains=2, chain_length=10):
 
 class TestForward:
     def test_zero_weights_forced_outputs(self, small_chain_ds):
-        params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1]).zeros_like()
-        nig, risk = head.forward(params, small_chain_ds)
+        params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1])
+        params = params.from_vector(np.zeros(params.size))
+        nig = head.forward(params, small_chain_ds)
         log2 = math.log(2.0)
         assert np.allclose(nig.mu, 0.0)
         assert np.allclose(nig.nu, log2)
         assert np.allclose(nig.alpha - 1.0, log2)
         assert np.allclose(nig.beta, log2)
-        assert np.allclose(risk, 0.0)
 
     def test_isolated_node_uses_own_features_only(self):
         ds = _tiny_ds()
         isolated = datagen.replace(ds, edges=np.zeros((0, 2), dtype=int))
         params = head.init_head(HeadConfig(init_seed=3), ds.features.shape[1])
-        nig_a, _ = head.forward(params, isolated)
+        nig_a = head.forward(params, isolated)
         # changing another node's features must not affect node 0
         feats = np.array(isolated.features)
         feats[5] += 10.0
-        nig_b, _ = head.forward(params, datagen.replace(isolated, features=feats))
+        nig_b = head.forward(params, datagen.replace(isolated, features=feats))
         assert nig_a.mu[0] == nig_b.mu[0]
         assert nig_b.mu[5] != nig_a.mu[5]
 
@@ -46,7 +46,7 @@ class TestForward:
             params = head.init_head(HeadConfig(init_seed=seed), small_chain_ds.features.shape[1])
             scale = 10.0 ** rng_stream(seed, 0).uniform(-1, 1)
             params = params.from_vector(scale * params.to_vector())
-            nig, _ = head.forward(params, small_chain_ds)
+            nig = head.forward(params, small_chain_ds)
             nig.validate()
 
     def test_feature_dim_mismatch(self, small_chain_ds):
@@ -57,7 +57,7 @@ class TestForward:
     def test_permutation_equivariance(self):
         ds = _tiny_ds(seed=4)
         params = head.init_head(HeadConfig(init_seed=1), ds.features.shape[1])
-        nig, risk = head.forward(params, ds)
+        nig = head.forward(params, ds)
         perm = rng_stream(5, 0).permutation(ds.n_nodes)
         pos = np.argsort(perm)
         edges = np.sort(pos[ds.edges], axis=1) if ds.edges.size else ds.edges
@@ -73,34 +73,32 @@ class TestForward:
             chain_ids=ds.chain_ids[perm],
             edges=edges,
         )
-        nig_p, risk_p = head.forward(params, permuted)
+        nig_p = head.forward(params, permuted)
         assert np.allclose(nig_p.mu, nig.mu[perm])
         assert np.allclose(nig_p.beta, nig.beta[perm])
-        assert np.allclose(risk_p, risk[perm])
 
     def test_layer_norm_variant_runs(self, small_chain_ds):
         params = head.init_head(HeadConfig(layer_norm=True, init_seed=2),
                                 small_chain_ds.features.shape[1])
-        nig, _ = head.forward(params, small_chain_ds)
+        nig = head.forward(params, small_chain_ds)
         nig.validate()
 
 
 class TestBackward:
     @pytest.mark.parametrize("layer_norm", [False, True])
     def test_matches_finite_differences(self, layer_norm):
-        """Gradient of a composite scalar of all five channels."""
+        """Gradient of a composite scalar of all four outputs."""
         ds = _tiny_ds(seed=8, n_chains=2, chain_length=8)
         params = head.init_head(HeadConfig(widths=(6, 6), layer_norm=layer_norm,
                                            init_seed=9), ds.features.shape[1])
-        w = rng_stream(10, 0).normal(size=(5, ds.n_nodes))
+        w = rng_stream(10, 0).normal(size=(4, ds.n_nodes))
 
         def scalar(vec):
-            nig, risk = head.forward(params.from_vector(vec), ds)
-            return float(w[0] @ nig.mu + w[1] @ nig.nu + w[2] @ nig.alpha
-                         + w[3] @ nig.beta + w[4] @ risk)
+            nig = head.forward(params.from_vector(vec), ds)
+            return float(w[0] @ nig.mu + w[1] @ nig.nu + w[2] @ nig.alpha + w[3] @ nig.beta)
 
-        nig, risk, cache = head.forward(params, ds, with_cache=True)
-        g = head.backward(params, cache, w[0], w[1], w[2], w[3], d_risk=w[4]).to_vector()
+        nig, cache = head.forward(params, ds, with_cache=True)
+        g = head.backward(params, cache, w[0], w[1], w[2], w[3]).to_vector()
         x0 = params.to_vector()
         idx = rng_stream(11, 0).choice(x0.size, 50, replace=False)
         fd = finite_difference_gradient(scalar, x0, 1e-6)
@@ -129,10 +127,6 @@ class TestFlatParameters:
         vec *= 3.0
         assert p.to_vector().tobytes() == vec.tobytes()
 
-    def test_zeros_like(self, random_head):
-        z = random_head.zeros_like()
-        assert z.size == random_head.size and not z.to_vector().any()
-
     @pytest.mark.parametrize("size_delta", [-1, 1])
     def test_length_mismatch(self, random_head, size_delta):
         with pytest.raises(ValueError):
@@ -143,11 +137,11 @@ class TestFlatParameters:
         ds = _tiny_ds(seed=12, n_chains=3, chain_length=12)
         params = head.init_head(HeadConfig(layer_norm=layer_norm, init_seed=13),
                                 ds.features.shape[1])
-        w = rng_stream(14, 0).normal(size=(5, ds.n_nodes))
-        _, _, cache = head.forward(params, ds, with_cache=True)
-        fresh = head.backward(params, cache, *w[:4], d_risk=w[4]).to_vector()
+        w = rng_stream(14, 0).normal(size=(4, ds.n_nodes))
+        _, cache = head.forward(params, ds, with_cache=True)
+        fresh = head.backward(params, cache, *w).to_vector()
         buf = np.full(params.size, np.nan)      # stale contents must not leak in
-        into = head.backward(params, cache, *w[:4], d_risk=w[4], out=buf)
+        into = head.backward(params, cache, *w, out=buf)
         assert buf.tobytes() == fresh.tobytes()
         assert all(np.shares_memory(a, buf) for a in self._arrays(into))
 
@@ -156,8 +150,8 @@ class TestAdjacencyPerDataset:
     def test_two_forwards_build_once(self, small_chain_ds, adjacency_builds):
         ds = datagen.replace(small_chain_ds)    # a new instance, nothing built yet
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
-        first, _ = head.forward(params, ds)
-        second, _ = head.forward(params.from_vector(2 * params.to_vector()), ds)
+        first = head.forward(params, ds)
+        second = head.forward(params.from_vector(2 * params.to_vector()), ds)
         assert len(adjacency_builds) == 1
         assert adjacency_builds[0][0] == ds.n_nodes
         assert not np.array_equal(first.mu, second.mu)
@@ -167,12 +161,12 @@ class TestAdjacencyPerDataset:
         corrupt_priors change node values only and reuse their source's."""
         ds = datagen.replace(small_chain_ds)
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
-        source = head.forward(params, ds, with_cache=True)[2]
+        source = head.forward(params, ds, with_cache=True)[1]
         derived = [ds.subset(np.arange(ds.n_nodes)),
                    datagen.replace(ds, edges=ds.edges[::2]),
                    datagen.perturb(ds, "gaussian", 0.5, seed=1),
                    datagen.corrupt_priors(ds, "invert")]
-        caches = [[head.forward(params, d, with_cache=True)[2] for _ in range(2)]
+        caches = [[head.forward(params, d, with_cache=True)[1] for _ in range(2)]
                   for d in derived]
         assert [n for n, _ in adjacency_builds] == [ds.n_nodes] * 3
         assert adjacency_builds[2][1] is derived[1].edges
@@ -195,12 +189,12 @@ class TestAdjacencyPerDataset:
         ds = datagen.replace(small_chain_ds)
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
         test = ds.subset(ds.split_indices("test"))
-        first = head.forward(params, test, with_cache=True)[2]
+        first = head.forward(params, test, with_cache=True)[1]
         for mag in (0.1, 0.5):
             pert = datagen.perturb(ds, "gaussian", mag, seed=3)
             shifted = pert.subset(pert.split_indices("test"))
             assert shifted.edges is test.edges
-            cache = head.forward(params, shifted, with_cache=True)[2]
+            cache = head.forward(params, shifted, with_cache=True)[1]
             assert cache["adj"] is first["adj"]
             assert np.array_equal(cache["ms"][0], cache["adj"] @ shifted.features)
         assert [n for n, _ in adjacency_builds] == [test.n_nodes]
@@ -208,30 +202,30 @@ class TestAdjacencyPerDataset:
     def test_transpose_view_kept_beside_adjacency(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
-        first = head.forward(params, ds, with_cache=True)[2]
-        second = head.forward(params, ds, with_cache=True)[2]
+        first = head.forward(params, ds, with_cache=True)[1]
+        second = head.forward(params, ds, with_cache=True)[1]
         assert second["adj_t"] is first["adj_t"]
         assert (first["adj_t"] != first["adj"].T).nnz == 0
 
     def test_layer0_message_kept_per_dataset(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
-        first = head.forward(params, ds, with_cache=True)[2]
+        first = head.forward(params, ds, with_cache=True)[1]
         second = head.forward(params.from_vector(2 * params.to_vector()), ds,
-                              with_cache=True)[2]
+                              with_cache=True)[1]
         assert second["ms"][0] is first["ms"][0]
         assert np.array_equal(first["ms"][0], first["adj"] @ ds.features)
         moved = datagen.replace(ds, features=ds.features + 1.0)
-        cache = head.forward(params, moved, with_cache=True)[2]
+        cache = head.forward(params, moved, with_cache=True)[1]
         assert np.array_equal(cache["ms"][0], cache["adj"] @ moved.features)
         assert not np.array_equal(cache["ms"][0], first["ms"][0])
 
     def test_replaced_edges_not_stale(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
         params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
-        full = head.forward(params, ds, with_cache=True)[2]["adj"]
+        full = head.forward(params, ds, with_cache=True)[1]["adj"]
         thinned = datagen.replace(ds, edges=ds.edges[::2])
-        adj = head.forward(params, thinned, with_cache=True)[2]["adj"]
+        adj = head.forward(params, thinned, with_cache=True)[1]["adj"]
         assert (adj != head.mean_adjacency(ds.n_nodes, thinned.edges)).nnz == 0
         assert (adj != full).nnz > 0
 
@@ -290,22 +284,6 @@ class TestVariances:
         assert head.aleatoric_variance(p)[0] == pytest.approx(1.0)
 
 
-class TestRisk:
-    def test_logit_zero(self):
-        assert head.risk_probability(0.0) == pytest.approx(0.5)
-
-    def test_infinite_threshold(self, small_chain_ds):
-        assert not head.label_risk(small_chain_ds, threshold=float("inf")).any()
-
-    def test_default_threshold_positive_rate(self, default_chain_ds):
-        labels = head.label_risk(default_chain_ds)
-        assert 0.0 < labels.mean() < 1.0
-
-    def test_bad_threshold(self, small_chain_ds):
-        with pytest.raises(ValueError):
-            head.label_risk(small_chain_ds, threshold=0.0)
-
-
 @st.composite
 def _head_case(draw):
     """A head of drawn shape and config whose weights are any non-NaN
@@ -333,11 +311,10 @@ class TestCheckpoint:
         p = tmp_path / "head.json"
         head.save_head(random_head, p)
         back = head.load_head(p)
-        nig_a, risk_a = head.forward(random_head, small_chain_ds)
-        nig_b, risk_b = head.forward(back, small_chain_ds)
+        nig_a = head.forward(random_head, small_chain_ds)
+        nig_b = head.forward(back, small_chain_ds)
         assert np.array_equal(nig_a.mu, nig_b.mu)
         assert np.array_equal(nig_a.beta, nig_b.beta)
-        assert np.array_equal(risk_a, risk_b)
 
     def test_shape_mismatch_rejected(self, random_head, tmp_path):
         import json

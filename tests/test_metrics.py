@@ -14,7 +14,7 @@ from calpro.numerics import conformal_quantile
 def _predict(trained, ds=None):
     """(NIG predictions, targets) of the trained head on ds (default: test)."""
     ds = trained["test_ds"] if ds is None else ds
-    return head.forward(trained["params"], ds)[0], ds.target_y
+    return head.forward(trained["params"], ds), ds.target_y
 
 
 class TestCoverage:
@@ -163,7 +163,7 @@ class TestGroupReport:
             cal = ds.subset(ds.split_indices("calibration"))
             test = ds.subset(ds.split_indices("test"))
             calib = conformal.calibrate(params, cal, levels=(0.9,), mode="absolute")
-            iv = conformal.intervals(head.forward(params, test)[0], calib, 0.9)
+            iv = conformal.intervals(head.forward(params, test), calib, 0.9)
             dis = test.disorder_flags
             if dis.any() and (~dis).any():
                 total += 1

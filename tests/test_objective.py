@@ -13,7 +13,6 @@ from calpro.objective import (
     MonotoneMap,
     ObjectiveConfig,
     evidence_reg,
-    monotone_eval,
     nig_nll,
     prior_penalty,
     soft_conf_loss,
@@ -45,8 +44,8 @@ class TestNigNll:
     def test_spot_value(self):
         p = NIGParams(np.array([0.0]), np.array([1.0]), np.array([2.0]), np.array([1.0]))
         ref = _nll_reference(0, 1, 2, 1, 0)
-        assert nig_nll(p, np.array([0.0])) == pytest.approx(ref, abs=1e-12)
-        assert nig_nll(p, np.array([0.0])) == pytest.approx(-0.5104742, abs=1e-6)
+        assert nig_nll(p, np.array([0.0]))[0] == pytest.approx(ref, abs=1e-12)
+        assert nig_nll(p, np.array([0.0]))[0] == pytest.approx(-0.5104742, abs=1e-6)
 
     def test_matches_reference_on_random_points(self):
         rng = rng_stream(0, 0)
@@ -54,13 +53,13 @@ class TestNigNll:
             p = _random_nig(rng, 1)
             y = rng.normal()
             ref = _nll_reference(p.mu[0], p.nu[0], p.alpha[0], p.beta[0], y)
-            assert nig_nll(p, np.array([y])) == pytest.approx(ref, rel=1e-10)
+            assert nig_nll(p, np.array([y]))[0] == pytest.approx(ref, rel=1e-10)
 
     def test_even_in_residual(self):
         rng = rng_stream(1, 0)
         p = _random_nig(rng, 1)
         d = 0.73
-        assert nig_nll(p, p.mu + d) == pytest.approx(nig_nll(p, p.mu - d), rel=1e-12)
+        assert nig_nll(p, p.mu + d)[0] == pytest.approx(nig_nll(p, p.mu - d)[0], rel=1e-12)
 
     def test_gradients(self):
         rng = rng_stream(2, 0)
@@ -68,10 +67,10 @@ class TestNigNll:
         for _ in range(100):
             p = _random_nig(rng, 1)
             y = rng.normal()
-            _, (dm, dn, da, db) = nig_nll(p, np.array([y]), with_grads=True)
+            _, (dm, dn, da, db) = nig_nll(p, np.array([y]))
             x0 = np.array([p.mu[0], p.nu[0], p.alpha[0], p.beta[0]])
             fd = finite_difference_gradient(
-                lambda v: nig_nll(NIGParams(*[np.array([c]) for c in v]), np.array([y])),
+                lambda v: nig_nll(NIGParams(*[np.array([c]) for c in v]), np.array([y]))[0],
                 x0, 1e-6)
             g = np.array([dm[0], dn[0], da[0], db[0]])
             worst = max(worst, float(np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(fd)))))
@@ -80,20 +79,20 @@ class TestNigNll:
 
 class TestEvidenceReg:
     def test_single_alpha(self):
-        assert evidence_reg(np.array([1.0])) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert evidence_reg(np.array([1.0]))[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_vanishes_for_large_alpha(self):
-        assert evidence_reg(np.array([1e4])) == 0.0
+        assert evidence_reg(np.array([1e4]))[0] == 0.0
 
     def test_monotone_decreasing(self):
         a = np.linspace(1.1, 5.0, 20)
-        vals = [evidence_reg(np.array([x])) for x in a]
+        vals = [evidence_reg(np.array([x]))[0] for x in a]
         assert all(b < c for b, c in zip(vals[1:], vals))
 
     def test_gradient(self):
         a = np.array([1.3, 2.7])
-        _, g = evidence_reg(a, with_grads=True)
-        fd = finite_difference_gradient(lambda v: evidence_reg(v), a, 1e-6)
+        _, g = evidence_reg(a)
+        fd = finite_difference_gradient(lambda v: evidence_reg(v)[0], a, 1e-6)
         assert np.allclose(g, fd, atol=1e-8)
 
 
@@ -102,13 +101,13 @@ class TestMonotoneMap:
         grid = np.linspace(0.0, 1.0, 50)
         for seed in range(1000):
             m = MonotoneMap.init(hidden=4, seed=seed)
-            out = m(grid)
+            out = m.value_and_grads(grid)[0]
             assert np.all(np.diff(out) >= -1e-12)
 
     def test_zero_effective_weights_constant(self):
         # raw weights at -40 push the reparameterized weights to ~0
         m = MonotoneMap(np.full(8, -40.0), np.zeros(8), np.full(8, -40.0), 1.25)
-        out = m(np.linspace(0, 1, 11))
+        out = m.value_and_grads(np.linspace(0, 1, 11))[0]
         assert np.allclose(out, 1.25, atol=1e-15)
 
     def test_hand_evaluated_tiny_network(self):
@@ -116,13 +115,14 @@ class TestMonotoneMap:
         # m(b) = H * relu(log2 * b) * log2 = H * (log 2)^2 * b
         m = MonotoneMap(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
         log2 = math.log(2.0)
-        assert monotone_eval(m, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert monotone_eval(m, 1.0) == pytest.approx(3 * log2 * log2, abs=1e-12)
+        out = m.value_and_grads(np.array([0.0, 1.0]))[0]
+        assert out[0] == pytest.approx(0.0, abs=1e-12)
+        assert out[1] == pytest.approx(3 * log2 * log2, abs=1e-12)
 
     def test_domain_check(self):
         m = MonotoneMap.init(hidden=4, seed=1)
         with pytest.raises(ValueError):
-            monotone_eval(m, 1.5)
+            prior_penalty(np.array([1.5]), np.array([0.0]), m, ObjectiveConfig())
 
 
 def _monotone_outer(m, b, d_out):
@@ -152,7 +152,7 @@ def test_monotone_map_bitwise_reference(hidden, n, seed):
     d_out = rng.normal(size=n)
     out, vjp = m.value_and_grads(b)
     ref_out, ref_grad = _monotone_outer(m, b, d_out)
-    assert out.tobytes() == ref_out.tobytes() == m(b).tobytes()
+    assert out.tobytes() == ref_out.tobytes()
     assert vjp(d_out).to_vector().tobytes() == ref_grad.tobytes()
 
 
@@ -183,13 +183,13 @@ class TestPriorPenalty:
     def test_satisfied_hinge_zero(self):
         cfg = ObjectiveConfig()
         m = self._flat_map(0.0)
-        val = prior_penalty(np.array([0.5]), np.array([2.0]), m, cfg)
+        val = prior_penalty(np.array([0.5]), np.array([2.0]), m, cfg)[0]
         assert val == 0.0
 
     def test_single_node_sum(self):
         cfg = ObjectiveConfig(prior_penalty_reduction="sum")
         m = self._flat_map(1.0)
-        val = prior_penalty(np.array([0.5]), np.array([0.4]), m, cfg)
+        val = prior_penalty(np.array([0.5]), np.array([0.4]), m, cfg)[0]
         assert val == pytest.approx(0.6, abs=1e-10)
 
     def test_increasing_u_never_increases(self):
@@ -197,8 +197,8 @@ class TestPriorPenalty:
         m = MonotoneMap.init(hidden=4, seed=2)
         b = rng_stream(3, 0).uniform(0, 1, 20)
         u = rng_stream(3, 1).uniform(0, 1, 20)
-        v0 = prior_penalty(b, u, m, cfg)
-        v1 = prior_penalty(b, u + 0.3, m, cfg)
+        v0 = prior_penalty(b, u, m, cfg)[0]
+        v1 = prior_penalty(b, u + 0.3, m, cfg)[0]
         assert v1 <= v0 + 1e-12
 
     def test_gradients(self):
@@ -207,12 +207,12 @@ class TestPriorPenalty:
         rng = rng_stream(6, 0)
         b = rng.uniform(0, 1, 15)
         u = rng.uniform(0, 0.5, 15)
-        _, d_u, d_m = prior_penalty(b, u, m, cfg, with_grads=True)
-        fd_u = finite_difference_gradient(lambda v: prior_penalty(b, v, m, cfg), u, 1e-6)
+        _, d_u, d_m = prior_penalty(b, u, m, cfg)
+        fd_u = finite_difference_gradient(lambda v: prior_penalty(b, v, m, cfg)[0], u, 1e-6)
         assert np.allclose(d_u, fd_u, atol=1e-6)
         x0 = m.to_vector()
         fd_m = finite_difference_gradient(
-            lambda v: prior_penalty(b, u, m.from_vector(v), cfg), x0, 1e-6)
+            lambda v: prior_penalty(b, u, m.from_vector(v), cfg)[0], x0, 1e-6)
         assert np.allclose(d_m.to_vector(), fd_m, atol=1e-6)
 
     def test_domain_check(self):
@@ -224,7 +224,7 @@ class TestPriorPenalty:
 class TestSoftConfLoss:
     def test_equal_scores(self):
         cfg = ObjectiveConfig()
-        val = soft_conf_loss(np.full(9, 1.7), cfg)
+        val = soft_conf_loss(np.full(9, 1.7), cfg)[0]
         assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_small_kappa_limit(self):
@@ -235,27 +235,27 @@ class TestSoftConfLoss:
         # their positive part over kappa
         q = soft_quantile(s, cfg.gamma)
         expected = float(np.mean(np.maximum(s - q, 0.0))) / cfg.kappa
-        assert soft_conf_loss(s, cfg) == pytest.approx(expected, rel=1e-3)
+        assert soft_conf_loss(s, cfg)[0] == pytest.approx(expected, rel=1e-3)
 
     def test_permutation_invariance(self):
         cfg = ObjectiveConfig()
         rng = rng_stream(7, 0)
         s = rng.uniform(0, 3, 25)
-        v = soft_conf_loss(s, cfg)
-        assert soft_conf_loss(rng.permutation(s), cfg) == pytest.approx(v, rel=1e-12)
+        v = soft_conf_loss(s, cfg)[0]
+        assert soft_conf_loss(rng.permutation(s), cfg)[0] == pytest.approx(v, rel=1e-12)
 
     def test_gradient_without_stopgrad(self):
         cfg = ObjectiveConfig()
         s = rng_stream(8, 0).uniform(0, 3, 12)
-        _, g = soft_conf_loss(s, cfg, stopgrad=False, with_grads=True)
-        fd = finite_difference_gradient(lambda v: soft_conf_loss(v, cfg), s, 1e-6)
+        _, g = soft_conf_loss(s, cfg, stopgrad=False)
+        fd = finite_difference_gradient(lambda v: soft_conf_loss(v, cfg)[0], s, 1e-6)
         assert np.max(np.abs(g - fd)) < 1e-6
 
     def test_stopgrad_drops_quantile_path(self):
         from calpro.numerics import soft_quantile, sigmoid
         cfg = ObjectiveConfig()
         s = rng_stream(9, 0).uniform(0, 3, 12)
-        _, g = soft_conf_loss(s, cfg, stopgrad=True, with_grads=True)
+        _, g = soft_conf_loss(s, cfg, stopgrad=True)
         q = soft_quantile(s, cfg.gamma)
         expected = sigmoid((s - q) / cfg.kappa) / cfg.kappa / s.size
         assert np.allclose(g, expected, atol=1e-12)
@@ -276,31 +276,30 @@ class TestTotalLoss:
     def test_all_lambda_zero_equals_nll(self):
         ds, params, mono = self._setup()
         cfg = ObjectiveConfig(lambda_evid=0.0, lambda_prior=0.0, lambda_conf=0.0)
-        total, parts = total_loss(params, mono, ds, cfg)
-        nig, _ = head.forward(params, ds)
-        assert total == pytest.approx(nig_nll(nig, ds.target_y), rel=1e-12)
+        total, parts, _, _ = total_loss(params, mono, ds, cfg)
+        nig = head.forward(params, ds)
+        assert total == pytest.approx(nig_nll(nig, ds.target_y)[0], rel=1e-12)
 
     def test_prior_term_scales_linearly(self):
         ds, params, mono = self._setup(seed=3)
         base = ObjectiveConfig(lambda_evid=0.0, lambda_conf=0.0, lambda_prior=0.1)
         dbl = ObjectiveConfig(lambda_evid=0.0, lambda_conf=0.0, lambda_prior=0.2)
-        t1, p1 = total_loss(params, mono, ds, base)
-        t2, p2 = total_loss(params, mono, ds, dbl)
+        t1, p1, _, _ = total_loss(params, mono, ds, base)
+        t2, p2, _, _ = total_loss(params, mono, ds, dbl)
         assert (t2 - p2["nig"]) == pytest.approx(2 * (t1 - p1["nig"]), rel=1e-9)
 
     def test_end_to_end_gradient(self):
         ds, params, mono = self._setup(seed=4)
         cfg = ObjectiveConfig()
         epoch = 50   # past the stop-gradient phase, so FD sees the true loss
-        _, _, hg, mg = total_loss(params, mono, ds, cfg, epoch=epoch, with_grads=True)
+        _, _, hg, mg = total_loss(params, mono, ds, cfg, epoch=epoch)
         g = np.concatenate([hg.to_vector(), mg.to_vector()])
         theta0 = np.concatenate([params.to_vector(), mono.to_vector()])
         n_head = params.to_vector().size
 
         def scalar(v):
-            val, _ = total_loss(params.from_vector(v[:n_head]),
-                                mono.from_vector(v[n_head:]), ds, cfg, epoch=epoch)
-            return val
+            return total_loss(params.from_vector(v[:n_head]),
+                              mono.from_vector(v[n_head:]), ds, cfg, epoch=epoch)[0]
 
         idx = rng_stream(12, 0).choice(theta0.size, 60, replace=False)
         h = 1e-6
@@ -318,19 +317,19 @@ class TestTotalLoss:
         from calpro.numerics import soft_quantile
         ds, params, mono = self._setup(seed=13)
         cfg = ObjectiveConfig()
-        _, _, hg, mg = total_loss(params, mono, ds, cfg, epoch=0, with_grads=True)
+        _, _, hg, mg = total_loss(params, mono, ds, cfg, epoch=0)
         g = np.concatenate([hg.to_vector(), mg.to_vector()])
-        nig0, _ = head.forward(params, ds)
+        nig0 = head.forward(params, ds)
         q0 = soft_quantile(np.abs(ds.target_y - nig0.mu), cfg.gamma)
         n_head = params.to_vector().size
 
         def frozen_q_loss(v):
             p = params.from_vector(v[:n_head])
             m = mono.from_vector(v[n_head:])
-            nig, _ = head.forward(p, ds)
+            nig = head.forward(p, ds)
             s = np.abs(ds.target_y - nig.mu)
             conf = float(np.mean(softplus((s - q0) / cfg.kappa)))
-            val, parts = total_loss(p, m, ds, cfg, epoch=0)
+            val, parts, _, _ = total_loss(p, m, ds, cfg, epoch=0)
             return val - cfg.lambda_conf * parts["soft_conf"] + cfg.lambda_conf * conf
 
         theta0 = np.concatenate([params.to_vector(), mono.to_vector()])
@@ -346,15 +345,15 @@ class TestTotalLoss:
 
     def test_parts_reported(self):
         ds, params, mono = self._setup(seed=5)
-        _, parts = total_loss(params, mono, ds, ObjectiveConfig())
+        _, parts, _, _ = total_loss(params, mono, ds, ObjectiveConfig())
         assert set(parts) == {"nig", "evidence", "prior", "soft_conf"}
         assert parts["evidence"] >= 0 and parts["prior"] >= 0 and parts["soft_conf"] >= 0
 
     def test_mu_only_is_mse(self):
         ds, params, mono = self._setup(seed=6)
         cfg = ObjectiveConfig(mu_only=True)
-        total, parts = total_loss(params, mono, ds, cfg)
-        nig, _ = head.forward(params, ds)
+        total, parts, _, _ = total_loss(params, mono, ds, cfg)
+        nig = head.forward(params, ds)
         assert total == pytest.approx(float(np.mean((ds.target_y - nig.mu) ** 2)))
 
 
@@ -366,11 +365,10 @@ def test_total_loss_into_buffer_bitwise(mu_only):
     params = head.init_head(HeadConfig(init_seed=7), ds.features.shape[1])
     mono = MonotoneMap.init(hidden=4, seed=7)
     cfg = ObjectiveConfig(mu_only=mu_only)
-    val, parts, hg, mg = total_loss(params, mono, ds, cfg, epoch=20, with_grads=True)
+    val, parts, hg, mg = total_loss(params, mono, ds, cfg, epoch=20)
     fresh = np.concatenate([hg.to_vector(), mg.to_vector()])
     buf = np.full(fresh.size, np.nan)
-    val_b, parts_b, hg_b, mg_b = total_loss(params, mono, ds, cfg, epoch=20,
-                                            with_grads=True, out=buf)
+    val_b, parts_b, hg_b, mg_b = total_loss(params, mono, ds, cfg, epoch=20, out=buf)
     assert (val_b, parts_b) == (val, parts)
     assert buf.tobytes() == fresh.tobytes()
     assert np.shares_memory(hg_b.w_out, buf) and np.shares_memory(mg_b.w1_raw, buf)

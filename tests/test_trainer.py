@@ -271,7 +271,7 @@ def test_batches_partition_whole_chains_in_order(chain_ids, data, batch_size, se
 def _validation_ece_sort_per_level(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
     """Reference: validation_ece as it sorted once per level and took one
     boolean mean per level."""
-    nig, _ = head.forward(head_params, val_ds)
+    nig = head.forward(head_params, val_ds)
     s = conformal.scores_from_nig(nig, val_ds.target_y, "normalized")
     half_a = s[0::2]
     half_b = s[1::2]

@@ -50,6 +50,10 @@ MATRIX = (
      {"generator": {"n_chains": 40, "chain_length": 40},
       "train": dict(TRAIN, max_epochs=2, warmup_epochs=1), "sizes": [300, 600, 900]}),
     *((f"experiment_{name}", ["experiment", name], PIPED) for name in RECIPES),
+    # every strategy's select-label-retrain loop, 2 acquisition rounds
+    ("active", ["active"],
+     {"generator": GENERATOR, "train": dict(TRAIN, max_epochs=10, warmup_epochs=9),
+      "active": {"rounds": 2}}),
     ("gen_data_chain", ["gen-data"], {"generator": GENERATOR}),
     ("gen_data_tabular", ["gen-data"], {"generator": GENERATOR, "kind": "tabular"}),
     ("corrupt_priors", ["corrupt-priors"], {"generator": GENERATOR}),
