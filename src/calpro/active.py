@@ -66,7 +66,7 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
     cfg.validate()
     rng = rng_stream(cfg.seed, 30)
     test_idx = pool.split_indices("test")
-    selectable = np.array([i for i in range(pool.n_nodes) if pool.splits[i] != "test"], dtype=int)
+    selectable = np.flatnonzero(pool.splits != "test")
     cfg.validate(pool_size=selectable.size)
     order = rng.permutation(selectable.size)
     labeled = list(selectable[order[:cfg.seed_set_size]])
@@ -111,7 +111,7 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
 
 
 def _retag(ds, tag):
-    return dc_replace(ds, splits=tuple([tag] * ds.n_nodes))
+    return dc_replace(ds, splits=np.full(ds.n_nodes, tag))
 
 
 def queries_to_top_fraction(curve: ActiveCurve, pool, fraction=0.05):
@@ -120,9 +120,9 @@ def queries_to_top_fraction(curve: ActiveCurve, pool, fraction=0.05):
     reached.  The threshold ignores seed nodes so the statistic reflects the
     acquisition policy rather than the seed draw."""
     seed_ids = set(curve.rounds[0]["queried"])
-    candidates = [i for i in range(pool.n_nodes)
-                  if pool.splits[i] != "test" and i not in seed_ids]
-    thresh = np.quantile(pool.target_y[np.array(candidates, dtype=int)], 1.0 - fraction)
+    candidates = pool.splits != "test"
+    candidates[curve.rounds[0]["queried"]] = False
+    thresh = np.quantile(pool.target_y[candidates], 1.0 - fraction)
     for entry in curve.rounds[1:]:
         acquired = [i for i in entry["queried"] if i not in seed_ids]
         if any(pool.target_y[i] >= thresh for i in acquired):

@@ -21,6 +21,11 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # traversal overhead, about a quarter of the query time from 4k to 16k points.
 KNN_LEAFSIZE = 64
 
+# confidence parameter of the PAC-Bayes term, and the calibration-set sizes
+# ncal_sweep walks through
+DEFAULT_DELTA = 0.05
+DEFAULT_NCAL_SIZES = (250, 500, 1000, 2000, 4000)
+
 
 @dataclass(frozen=True)
 class PosteriorSurrogate:
@@ -150,7 +155,7 @@ def epsilon_proxy(ref_ds, shifted_ds, mean, std):
 
 
 def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_series,
-                             tau=0.9, delta=0.05) -> BoundReport:
+                             tau=0.9, delta=DEFAULT_DELTA) -> BoundReport:
     """Bound value and empirical coverage per shift condition.
 
     shifted_series is a list of shifted test datasets aligned with
@@ -187,7 +192,7 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
 
 
 def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
-               sizes=(250, 500, 1000, 2000, 4000), tau=0.9, delta=0.05,
+               sizes=DEFAULT_NCAL_SIZES, tau=0.9, delta=DEFAULT_DELTA,
                score_mode="absolute"):
     """Bound vs empirical shifted coverage for nested calibration subsets.
 

@@ -43,6 +43,8 @@ def _load_config(path):
 
 
 def _check_keys(cfg, allowed, where="config"):
+    if not isinstance(cfg, dict):
+        raise SystemExit(f"error: {where} must be a JSON object")
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
         raise SystemExit(f"error: unknown {where} keys: {', '.join(unknown)}")
@@ -66,9 +68,10 @@ def _generator_config(cfg, seed):
 
 
 def _train_config(cfg, seed):
-    sub = dict(cfg.get("train", {}))
-    obj = _dataclass_from(ObjectiveConfig, sub.pop("objective", {}), "objective")
-    head_cfg = sub.pop("head", {})
+    sub = cfg.get("train", {})
+    _check_keys(sub, {f.name for f in fields(trainer_mod.TrainConfig)}, "train")
+    obj = _dataclass_from(ObjectiveConfig, sub.get("objective", {}), "objective")
+    head_cfg = sub.get("head", {})
     # the trainer seeds the head's init with the training seed
     _check_keys(head_cfg, {f.name for f in fields(head_mod.HeadConfig)} - {"init_seed"}, "head")
     head = _dataclass_from(head_mod.HeadConfig, head_cfg, "head")
@@ -176,12 +179,12 @@ def cmd_bound(args):
     calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,),
                                mode=args.score_mode)
     shifted = []
-    for mag in cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0]):
+    for mag in cfg.get("magnitudes", exp_mod.DEFAULT_MAGNITUDES):
         pert = datagen.perturb(run["ds"], "gaussian", float(mag), seed=gen.seed)
         shifted.append(pert.subset(pert.split_indices("test")))
     report = bounds_mod.bound_vs_empirical_sweep(
         run["params"], run["cal_ds"], calib, run["test_ds"], shifted,
-        tau=tau, delta=float(cfg.get("delta", 0.05)))
+        tau=tau, delta=float(cfg.get("delta", bounds_mod.DEFAULT_DELTA)))
     out = _out_dir(args)
     bounds_mod.export_bound_curve(os.path.join(out, "bound_curve.csv"), report)
     _write_json(os.path.join(out, "bound_report.json"),
@@ -193,16 +196,16 @@ def cmd_ncal_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "sizes", "tau", "delta", "magnitude"})
     gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
-    sizes = tuple(int(s) for s in cfg.get("sizes", (250, 500, 1000, 2000, 4000)))
+    sizes = tuple(int(s) for s in cfg.get("sizes", bounds_mod.DEFAULT_NCAL_SIZES))
     ds = run["ds"]
     pool_idx = np.concatenate([ds.split_indices("calibration"), ds.split_indices("train")])
     pool = ds.subset(pool_idx)
-    pool = datagen.replace(pool, splits=tuple(["calibration"] * pool.n_nodes))
+    pool = datagen.replace(pool, splits=np.full(pool.n_nodes, "calibration"))
     pert = datagen.perturb(ds, "gaussian", float(cfg.get("magnitude", 0.5)), seed=gen.seed)
     rows = bounds_mod.ncal_sweep(run["params"], pool, run["test_ds"],
                                  pert.subset(pert.split_indices("test")),
                                  sizes=sizes, tau=_tau(cfg),
-                                 delta=float(cfg.get("delta", 0.05)),
+                                 delta=float(cfg.get("delta", bounds_mod.DEFAULT_DELTA)),
                                  score_mode=args.score_mode)
     out = _out_dir(args)
     _write_json(os.path.join(out, "ncal_sweep.json"),
@@ -215,7 +218,9 @@ def cmd_active(args):
     _check_keys(cfg, {"generator", "train", "active", "seeds"})
     gen = _generator_config(cfg, args.seed)
     tcfg = _train_config(cfg, args.seed)
-    sub = dict(cfg.get("active", {}))
+    sub = cfg.get("active", {})
+    _check_keys(sub, {f.name for f in fields(active_mod.ActiveConfig)} | {"strategies"}, "active")
+    sub = dict(sub)
     strategies = tuple(sub.pop("strategies", active_mod.STRATEGIES))
     acfg = _dataclass_from(active_mod.ActiveConfig, dict(sub, retrain=tcfg), "active")
     pool = datagen.gen_chain_dataset(gen)
@@ -249,7 +254,7 @@ EXPERIMENTS = {
     "efficiency": ({"tau"}, lambda spec, cfg: exp_mod.run_efficiency_experiment(
         spec, tau=_tau(cfg))),
     "bound_sweep": ({"magnitudes", "tau"}, lambda spec, cfg: exp_mod.run_bound_sweep(
-        spec, magnitudes=tuple(cfg.get("magnitudes", [0.1, 0.25, 0.5, 1.0])), tau=_tau(cfg))),
+        spec, magnitudes=tuple(cfg.get("magnitudes", exp_mod.DEFAULT_MAGNITUDES)), tau=_tau(cfg))),
 }
 
 

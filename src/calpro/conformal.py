@@ -67,7 +67,7 @@ def calibrate(head_params, cal_ds, levels=DEFAULT_LEVELS, mode="absolute") -> Co
     """Conformal quantiles on a held-out calibration set."""
     if cal_ds.n_nodes == 0:
         raise ValueError("empty calibration set")
-    if any(t == "train" for t in cal_ds.splits):
+    if np.any(cal_ds.splits == "train"):
         raise ValueError("calibration set overlaps the train split")
     nig = head_mod.forward(head_params, cal_ds)
     s = scores_from_nig(nig, cal_ds.target_y, mode)

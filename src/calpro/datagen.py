@@ -7,11 +7,9 @@ the non-geometric case.  All generators are deterministic in (config, seed).
 """
 
 import csv
-import itertools
 import json
 import math
 import numbers
-import operator
 import weakref
 from dataclasses import asdict, dataclass, field, replace
 
@@ -23,6 +21,8 @@ from .numerics import rng_stream
 DATASET_VERSION = "calpro-dataset/1"
 
 GROUP_TAGS = ("helix-analog", "sheet-analog", "loop-analog")
+
+SPLITS = ("train", "calibration", "test")
 
 # perturb(kind="segment_swap") makes round(magnitude) swaps of loop runs, one
 # Python step each (about 30 µs); past a few swaps per run they only reshuffle
@@ -56,18 +56,26 @@ class GeneratorConfig:
             raise ValueError("prior_noise must be in [0, 1]")
 
 
+# the fields of Dataset that hold one row per node
+_NODE_COLUMNS = ("features", "prior_b", "target_y", "group_tags", "disorder_flags", "splits",
+                 "chain_coords", "chain_ids", "reference_coords")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable graph-structured regression corpus.
 
-    features: (n, F); prior_b, target_y: (n,); edges: (m, 2) symmetric and
-    deduplicated with i < j per row; splits: per-node tag in
-    {train, calibration, test}; chain_coords: (n, 3) predicted coordinates or
-    None; metadata carries generator echo, chain ids and reference coords.
+    Every per-node column is a numpy array with one row per node:
+    features (n, F); prior_b, target_y, disorder_flags, chain_ids (n,);
+    group_tags and splits (n,) string arrays, splits in
+    {train, calibration, test}; chain_coords and reference_coords (n, 3)
+    predicted and reference coordinates, or None.  edges: (m, 2) symmetric
+    and deduplicated with i < j per row; metadata carries the generator
+    echo.  group_tags and splits may be given as any sequence of strings;
+    construction turns them into arrays.
 
-    Values that depend only on the graph's structure (n_nodes, edges, splits,
-    group_tags, chain_ids) are built once and kept in a graph memo: the mean
-    adjacency head.forward uses, split_indices, tag_mask.  perturb and
+    Values that depend only on the graph's structure are built once and kept
+    in a graph memo (the mean adjacency head.forward uses).  perturb and
     corrupt_priors change node values only, so their result shares its
     source's memo; dataclasses.replace gives a dataset of its own, as it may
     change the structure.  A dataset's arrays are therefore never written in
@@ -76,13 +84,18 @@ class Dataset:
     features: np.ndarray
     prior_b: np.ndarray
     target_y: np.ndarray
-    group_tags: tuple
+    group_tags: np.ndarray
     disorder_flags: np.ndarray
     edges: np.ndarray
-    splits: tuple
+    splits: np.ndarray
     chain_coords: np.ndarray | None
     chain_ids: np.ndarray
+    reference_coords: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "group_tags", np.asarray(self.group_tags, dtype=str))
+        object.__setattr__(self, "splits", np.asarray(self.splits, dtype=str))
 
     @property
     def n_nodes(self):
@@ -102,14 +115,8 @@ class Dataset:
         return value
 
     def split_indices(self, tag):
-        """Ascending indices of the nodes whose split is tag (read-only)."""
-        return self.structural(("split", tag), lambda d: _read_only(
-            np.flatnonzero(_tag_mask(d.splits, tag))))
-
-    def tag_mask(self, tag):
-        """Boolean mask of the nodes whose group tag is tag (read-only)."""
-        return self.structural(("group", tag), lambda d: _read_only(
-            _tag_mask(d.group_tags, tag)))
+        """Ascending indices of the nodes whose split is tag."""
+        return np.flatnonzero(self.splits == tag)
 
     def subset(self, idx):
         """Induced sub-dataset on the given node indices (edges relabeled).
@@ -131,22 +138,10 @@ class Dataset:
             edges = np.compress((rel[:, 0] >= 0) & (rel[:, 1] >= 0), rel, axis=0)
         else:
             edges = twin.edges
-        meta = dict(self.metadata)
-        if "reference_coords" in meta:
-            meta["reference_coords"] = np.asarray(meta["reference_coords"])[idx]
-        at = idx.tolist()
-        sub = Dataset(
-            features=self.features[idx],
-            prior_b=self.prior_b[idx],
-            target_y=self.target_y[idx],
-            group_tags=tuple(map(self.group_tags.__getitem__, at)),
-            disorder_flags=self.disorder_flags[idx],
-            edges=edges,
-            splits=tuple(map(self.splits.__getitem__, at)),
-            chain_coords=None if self.chain_coords is None else self.chain_coords[idx],
-            chain_ids=self.chain_ids[idx],
-            metadata=meta,
-        )
+        columns = {name: getattr(self, name) for name in _NODE_COLUMNS}
+        sub = Dataset(**{name: None if column is None else column[idx]
+                         for name, column in columns.items()},
+                      edges=edges, metadata=dict(self.metadata))
         if twin is None:
             children[key] = sub
             return sub
@@ -165,9 +160,9 @@ class Dataset:
                 raise ValueError("edge index out of range")
             if np.any(self.edges[:, 0] == self.edges[:, 1]):
                 raise ValueError("self-loop edge")
-        for t in self.splits:
-            if t not in ("train", "calibration", "test"):
-                raise ValueError(f"bad split tag {t!r}")
+        bad = self.splits[~np.isin(self.splits, SPLITS)]
+        if bad.size:
+            raise ValueError(f"bad split tag {str(bad[0])!r}")
         return self
 
 
@@ -196,17 +191,6 @@ def _sharing_graph(source, derived):
     structure that differs from it in node values only."""
     object.__setattr__(derived, "_graph", _graph_memo(source))
     return derived
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-def _tag_mask(tags, tag):
-    """Boolean array, True where an entry of the tuple tags equals tag."""
-    return np.fromiter(map(operator.eq, tags, itertools.repeat(tag)), dtype=bool,
-                       count=len(tags))
 
 
 def _dedupe_edges(pairs):
@@ -298,26 +282,26 @@ def gen_chain_dataset(cfg: GeneratorConfig) -> Dataset:
         dis_list.append(seg_dis)
         y_list.append(np.linalg.norm(disp, axis=1))
         chain_ids.extend([c] * n)
-    ref_coords = np.vstack(ref_list)
     pred_coords = np.vstack(pred_list)
+    tags = np.array(tags)
     disorder = np.concatenate(dis_list)
     target_y = np.concatenate(y_list)
     prior_b = (1.0 - cfg.prior_noise) * disorder + cfg.prior_noise * rng.random(disorder.size)
     prior_b = np.clip(prior_b, 0.0, 1.0)
-    feats = _chain_features(pred_coords, target_y, [_tag_mask(tags, t) for t in GROUP_TAGS],
+    feats = _chain_features(pred_coords, target_y, [tags == t for t in GROUP_TAGS],
                             cfg.feature_dim, rng_stream(cfg.seed, 5))
     ds = Dataset(
         features=feats,
         prior_b=prior_b,
         target_y=target_y,
-        group_tags=tuple(tags),
+        group_tags=tags,
         disorder_flags=disorder,
         edges=np.zeros((0, 2), dtype=int),
-        splits=tuple(["train"] * len(tags)),
+        splits=np.full(tags.size, "train"),
         chain_coords=pred_coords,
         chain_ids=np.array(chain_ids, dtype=int),
-        metadata={"generator": "chain", "config": asdict(cfg),
-                  "reference_coords": ref_coords},
+        reference_coords=np.vstack(ref_list),
+        metadata={"generator": "chain", "config": asdict(cfg)},
     )
     ds = build_edges(ds, chain_window=5, spatial_radius=2.5)
     ds = split(ds, (0.6, 0.2, 0.2), mode="family_aware", seed=cfg.seed)
@@ -352,10 +336,10 @@ def gen_tabular_dataset(cfg: GeneratorConfig) -> Dataset:
         features=feats,
         prior_b=prior_b,
         target_y=target_y,
-        group_tags=tuple("extreme" if e else "core" for e in extreme),
+        group_tags=np.where(extreme, "extreme", "core"),
         disorder_flags=extreme,
         edges=_dedupe_edges(pairs),
-        splits=tuple(["train"] * n),
+        splits=np.full(n, "train"),
         chain_coords=None,
         chain_ids=np.arange(n) // 50,
         metadata={"generator": "tabular", "config": asdict(cfg)},
@@ -406,7 +390,7 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     set in generator order: a node count other than n_chains * chain_length,
     or a chain id below its predecessor's, raises ValueError.  Nodes
     reordered within one chain go undetected."""
-    if ds.chain_coords is None or "reference_coords" not in ds.metadata:
+    if ds.chain_coords is None or ds.reference_coords is None:
         raise ValueError("perturb requires chain_coords and reference coordinates")
     cfg = ds.metadata.get("config")
     if cfg is not None and (ds.n_nodes != cfg["n_chains"] * cfg["chain_length"]
@@ -451,11 +435,10 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
         coords = _blur(coords, ids, max(1, int(round(magnitude))))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    ref = np.asarray(ds.metadata["reference_coords"])
-    target_y = np.linalg.norm(coords - ref, axis=1)
+    target_y = np.linalg.norm(coords - ds.reference_coords, axis=1)
     fdim = ds.features.shape[1]
     feat_seed = ds.metadata.get("config", {}).get("seed", 0)
-    feats = _chain_features(coords, target_y, [ds.tag_mask(t) for t in GROUP_TAGS], fdim,
+    feats = _chain_features(coords, target_y, [ds.group_tags == t for t in GROUP_TAGS], fdim,
                             rng_stream(feat_seed, 5))
     meta = dict(ds.metadata)
     meta["perturbation"] = {"kind": kind, "magnitude": magnitude, "seed": seed}
@@ -493,7 +476,7 @@ def _blur(coords, ids, half):
 def _loop_runs(ds):
     """Maximal runs of consecutive node indices, at least 3 long, that are
     loop-analog and on one chain, as int arrays in index order."""
-    loop = ds.tag_mask("loop-analog")
+    loop = ds.group_tags == "loop-analog"
     ids = ds.chain_ids
     n = loop.size
     # joined[i]: node i continues node i - 1's run (for 0 < i < n)
@@ -537,31 +520,20 @@ def split(ds: Dataset, fractions, mode="family_aware", seed=0) -> Dataset:
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
         raise ValueError("fractions must be three nonnegative values summing to 1")
     rng = rng_stream(seed, 4)
-    names = ("train", "calibration", "test")
+    # a unit (a chain, or a node in random mode) takes one tag
     if mode == "family_aware":
-        chains = np.unique(ds.chain_ids)
-        order = rng.permutation(chains.size)
-        counts = _allocate(chains.size, fractions)
-        tag_by_chain = {}
-        pos = 0
-        for name, cnt in zip(names, counts):
-            for k in order[pos:pos + cnt]:
-                tag_by_chain[chains[k]] = name
-            pos += cnt
-        tags = tuple(tag_by_chain[c] for c in ds.chain_ids)
+        chains, node_unit = np.unique(ds.chain_ids, return_inverse=True)
+        n_units = chains.size
     elif mode == "random":
-        order = rng.permutation(ds.n_nodes)
-        counts = _allocate(ds.n_nodes, fractions)
-        tags = [""] * ds.n_nodes
-        pos = 0
-        for name, cnt in zip(names, counts):
-            for i in order[pos:pos + cnt]:
-                tags[i] = name
-            pos += cnt
-        tags = tuple(tags)
+        n_units = ds.n_nodes
+        node_unit = np.arange(n_units)
     else:
         raise ValueError(f"unknown split mode {mode!r}")
-    return replace(ds, splits=tags)
+    order = rng.permutation(n_units)
+    tags = np.repeat(SPLITS, _allocate(n_units, fractions))
+    unit_tags = np.empty_like(tags)
+    unit_tags[order] = tags
+    return replace(ds, splits=unit_tags[node_unit])
 
 
 def _allocate(total, fractions):
@@ -581,20 +553,19 @@ def _float_lists(a):
 
 def save_dataset(ds: Dataset, path):
     """UTF-8 JSON, schema calpro-dataset/1."""
-    meta = dict(ds.metadata)
-    ref = meta.pop("reference_coords", None)
     rows = zip(_float_lists(ds.features), _float_lists(ds.prior_b), _float_lists(ds.target_y),
-               ds.group_tags, np.asarray(ds.disorder_flags, dtype=bool).tolist())
+               ds.group_tags.tolist(), np.asarray(ds.disorder_flags, dtype=bool).tolist())
     doc = {
         "version": DATASET_VERSION,
         "nodes": [f + [p, y, tag, flag] for f, p, y, tag, flag in rows],
         "edges": np.asarray(ds.edges, dtype=int).tolist(),
-        "splits": list(ds.splits),
+        "splits": ds.splits.tolist(),
         "chain_coords": None if ds.chain_coords is None else _float_lists(ds.chain_coords),
         "metadata": {
-            **meta,
+            **ds.metadata,
             "chain_ids": np.asarray(ds.chain_ids, dtype=int).tolist(),
-            "reference_coords": None if ref is None else _float_lists(ref),
+            "reference_coords": (None if ds.reference_coords is None
+                                 else _float_lists(ds.reference_coords)),
         },
     }
     # one json.dumps: json.dump streams through the pure-Python encoder
@@ -615,18 +586,17 @@ def load_dataset(path) -> Dataset:
     meta = dict(doc["metadata"])
     chain_ids = np.array(meta.pop("chain_ids"), dtype=int)
     ref = meta.pop("reference_coords", None)
-    if ref is not None:
-        meta["reference_coords"] = np.array(ref, dtype=float)
     ds = Dataset(
         features=feats,
         prior_b=np.array([r[fdim] for r in rows], dtype=float),
         target_y=np.array([r[fdim + 1] for r in rows], dtype=float),
-        group_tags=tuple(r[fdim + 2] for r in rows),
+        group_tags=[r[fdim + 2] for r in rows],
         disorder_flags=np.array([r[fdim + 3] for r in rows], dtype=bool),
         edges=np.array(doc["edges"], dtype=int).reshape(-1, 2),
-        splits=tuple(doc["splits"]),
+        splits=doc["splits"],
         chain_coords=None if doc["chain_coords"] is None else np.array(doc["chain_coords"], dtype=float),
         chain_ids=chain_ids,
+        reference_coords=None if ref is None else np.array(ref, dtype=float),
         metadata=meta,
     )
     return ds.validate()

@@ -25,6 +25,9 @@ DEFAULT_PERTURBATION_MAGNITUDE = {
     "gaussian": 0.5, "segment_swap": 2.0, "block_rotate": 0.8, "blur": 2.0,
 }
 
+# gaussian perturbation magnitudes of the bound sweep (and of `calpro bound`)
+DEFAULT_MAGNITUDES = (0.1, 0.25, 0.5, 1.0)
+
 
 def desk_train_config(seed=0):
     """Fast desk-scale training defaults used by the experiment recipes.
@@ -295,7 +298,7 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
     }
 
 
-def run_bound_sweep(spec: ExperimentSpec, magnitudes=(0.1, 0.25, 0.5, 1.0), tau=0.9):
+def run_bound_sweep(spec: ExperimentSpec, magnitudes=DEFAULT_MAGNITUDES, tau=0.9):
     """Fig.-1-style bound-vs-empirical series over gaussian perturbations of
     increasing magnitude, one report per seed."""
     def one_seed(ds, seed):

@@ -87,21 +87,11 @@ def group_report(ivals, y, group_tags, tau):
     y = np.asarray(y, dtype=float)
     tags = np.asarray(group_tags, dtype=str)
     table = {}
-    for tag in sorted(set(group_tags)):
+    for tag in np.unique(tags).tolist():
         mask = tags == tag
         cov = coverage(ivals[mask], y[mask])
         table[tag] = {"count": int(mask.sum()), "coverage": cov, "ece": abs(cov - tau)}
     return table
-
-
-def disorder_quartiles(ds):
-    """Equal-mass quartile tags of prior_b, ties broken by node index."""
-    order = np.argsort(ds.prior_b, kind="stable")
-    n = ds.n_nodes
-    tags = [""] * n
-    for rank, i in enumerate(order):
-        tags[i] = f"q{rank * 4 // n + 1}"
-    return tuple(tags)
 
 
 def full_report(head_params, calib, test_ds, levels=conf_mod.DEFAULT_LEVELS) -> MetricsReport:

@@ -30,7 +30,6 @@ from calpro.experiments import ExperimentSpec
 from calpro.head import NIGParams
 from calpro.numerics import (
     conformal_quantile,
-    finite_difference_gradient,
     rng_stream,
     soft_quantile,
 )
@@ -43,6 +42,8 @@ from calpro.objective import (
     soft_conf_loss,
     total_loss,
 )
+
+from finite_differences import finite_difference_gradient
 
 
 def _fixed_budget(max_epochs, **kw):

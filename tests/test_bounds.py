@@ -118,10 +118,10 @@ class TestEstimateLipschitz:
             features=np.vstack([ds.features, ds.features]),
             prior_b=np.concatenate([ds.prior_b, ds.prior_b]),
             target_y=np.concatenate([ds.target_y, ds.target_y]),
-            group_tags=ds.group_tags * 2,
+            group_tags=np.concatenate([ds.group_tags, ds.group_tags]),
             disorder_flags=np.concatenate([ds.disorder_flags, ds.disorder_flags]),
             edges=np.vstack([ds.edges, ds.edges + n]),
-            splits=ds.splits * 2,
+            splits=np.concatenate([ds.splits, ds.splits]),
             chain_coords=np.vstack([ds.chain_coords, ds.chain_coords]),
             chain_ids=np.concatenate([ds.chain_ids, ds.chain_ids + ds.chain_ids.max() + 1]),
             metadata={},

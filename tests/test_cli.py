@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 from calpro import active, cli, datagen
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def _write(tmp_path, name, doc):
@@ -65,6 +68,16 @@ class TestGenData:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("doc, where", [({"generator": 5}, "generator"),
+                                            ({"train": {"head": [1]}}, "head")],
+                             ids=["generator_int", "head_list"])
+    def test_non_object_section_rejected(self, tmp_path, doc, where):
+        cfg = _write(tmp_path, "bad.json", doc)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert exc.value.code == f"error: {where} must be a JSON object"
+        assert not (tmp_path / "run").exists()
+
     def test_end_to_end(self, tmp_path):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN)
         out = tmp_path / "run"
@@ -324,3 +337,15 @@ class TestCorruptPriors:
         assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_artifacts_match_pinned_digests(tmp_path):
+    """Every artifact of the tools/cli_digests.py matrix at seed 0 has the
+    sha256 pinned in tools/cli_digests_seed0.json.  A change that alters an
+    artifact on purpose re-pins the file and says why."""
+    spec = importlib.util.spec_from_file_location("cli_digests", TOOLS / "cli_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    expected = json.loads((TOOLS / "cli_digests_seed0.json").read_text(encoding="utf-8"))
+    got = tool.digests(cli, 0, tmp_path)
+    assert sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k)) == []

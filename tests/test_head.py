@@ -10,7 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from calpro import datagen, head
 from calpro.head import HeadConfig, NIGParams
-from calpro.numerics import finite_difference_gradient, rng_stream
+from calpro.numerics import rng_stream
+
+from finite_differences import finite_difference_gradient
 
 
 def _tiny_ds(seed=0, n_chains=2, chain_length=10):

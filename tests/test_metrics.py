@@ -173,30 +173,6 @@ class TestGroupReport:
         assert worse >= total / 2
 
 
-class TestDisorderQuartiles:
-    def test_uniform_priors(self):
-        ds = datagen.gen_chain_dataset(
-            datagen.GeneratorConfig(n_chains=10, chain_length=40, seed=2))
-        tags = metrics.disorder_quartiles(ds)
-        counts = {t: tags.count(t) for t in set(tags)}
-        assert set(counts) == {"q1", "q2", "q3", "q4"}
-        assert all(c == 100 for c in counts.values())
-
-    def test_constant_priors_tie_rule(self, small_chain_ds):
-        flat = datagen.replace(small_chain_ds, prior_b=np.full(small_chain_ds.n_nodes, 0.5))
-        tags = metrics.disorder_quartiles(flat)
-        # ties broken by node index: first quarter of nodes lands in q1
-        n = small_chain_ds.n_nodes
-        assert tags[0] == "q1" and tags[n - 1] == "q4"
-
-    def test_boundaries_are_order_statistics(self, small_chain_ds):
-        tags = metrics.disorder_quartiles(small_chain_ds)
-        b = small_chain_ds.prior_b
-        q1_max = max(b[i] for i, t in enumerate(tags) if t == "q1")
-        q2_min = min(b[i] for i, t in enumerate(tags) if t == "q2")
-        assert q1_max <= q2_min
-
-
 class TestFullReport:
     def test_shapes_and_ranges(self, trained):
         calib = conformal.calibrate(trained["params"], trained["cal_ds"],

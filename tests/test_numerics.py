@@ -10,7 +10,6 @@ from scipy.special import gammaln, psi
 from calpro.numerics import (
     conformal_quantile,
     conformal_quantiles,
-    finite_difference_gradient,
     rng_stream,
     sigmoid,
     soft_quantile,
@@ -18,6 +17,8 @@ from calpro.numerics import (
     softplus,
     spearman,
 )
+
+from finite_differences import finite_difference_gradient
 
 
 class TestLgamma:

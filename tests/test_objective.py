@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from calpro import datagen, head
 from calpro.head import HeadConfig, NIGParams
-from calpro.numerics import finite_difference_gradient, rng_stream, sigmoid, softplus
+from calpro.numerics import rng_stream, sigmoid, softplus
 from calpro.objective import (
     MonotoneMap,
     ObjectiveConfig,
@@ -18,6 +18,8 @@ from calpro.objective import (
     soft_conf_loss,
     total_loss,
 )
+
+from finite_differences import finite_difference_gradient
 
 
 def _random_nig(rng, n):
