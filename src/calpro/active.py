@@ -52,7 +52,7 @@ def _acquisition(strategy, head_params, calib, pool_ds, idx, rng):
     nig = head_mod.forward(head_params, sub)
     if strategy == "epistemic_var":
         return head_mod.epistemic_variance(nig)
-    iv = conf_mod.intervals(nig, calib, 0.9)
+    iv = conf_mod.intervals(nig, calib, conf_mod.DEFAULT_TAU)
     return iv[:, 1] - iv[:, 0]
 
 
@@ -86,13 +86,14 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
         cal_ds = _retag(pool.subset(cal_idx), "calibration")
         retrain = dc_replace(cfg.retrain, seed=cfg.seed)
         params, _mono, _rec = trainer_mod.train(retrain, train_ds, cal_ds)
-        calib = conf_mod.calibrate(params, cal_ds, levels=(0.9,), mode="normalized")
+        calib = conf_mod.calibrate(params, cal_ds, levels=(conf_mod.DEFAULT_TAU,),
+                                   mode="normalized")
 
         entry = {"round": rnd, "queried": sorted(int(i) for i in labeled),
                  "best_found": float(np.max(pool.target_y[lab]))}
         if test_ds is not None:
             nig = head_mod.forward(params, test_ds)
-            iv = conf_mod.intervals(nig, calib, 0.9)
+            iv = conf_mod.intervals(nig, calib, conf_mod.DEFAULT_TAU)
             entry["coverage"] = metrics_mod.coverage(iv, test_ds.target_y)
             entry["ece"] = metrics_mod.ece(nig, test_ds.target_y, calib)
         rounds.append(entry)

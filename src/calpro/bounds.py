@@ -4,7 +4,7 @@ lower bound, calibration-set sizing, and bound-vs-empirical sweeps."""
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -57,14 +57,7 @@ class BoundReport:
     metric: str = METRIC_DESCRIPTION
 
     def to_dict(self):
-        return {
-            "kl": self.kl, "lipschitz": self.lipschitz, "delta": self.delta,
-            "n_cal": self.n_cal, "epsilons": list(self.epsilons),
-            "bounds": list(self.bounds), "raw_bounds": list(self.raw_bounds),
-            "vacuous": list(self.vacuous),
-            "empirical_coverage": list(self.empirical_coverage),
-            "conservative": list(self.conservative), "metric": self.metric,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _embed(ds, mean=None, std=None):
@@ -124,6 +117,11 @@ def kl_gaussian(surrogate: PosteriorSurrogate):
                  + np.sum(w * w) / (2 * sp * sp))
 
 
+def _kl(head_params):
+    """The KL term of the sweeps: N(w_hat, I) against the zero-mean N(0, I)."""
+    return kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
+
+
 def coverage_lower_bound(alpha, kl, delta, n_cal, lipschitz, epsilon):
     """Worst-case coverage 1 - alpha - sqrt((KL + log(1/delta)) / (2 n_cal))
     - L_s * epsilon, clamped to [0, 1 - alpha].
@@ -155,7 +153,7 @@ def epsilon_proxy(ref_ds, shifted_ds, mean, std):
 
 
 def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_series,
-                             tau=0.9, delta=DEFAULT_DELTA) -> BoundReport:
+                             tau=conf_mod.DEFAULT_TAU, delta=DEFAULT_DELTA) -> BoundReport:
     """Bound value and empirical coverage per shift condition.
 
     shifted_series is a list of shifted test datasets aligned with
@@ -169,30 +167,25 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
                          f"{cal_ds.n_nodes} nodes")
     _, mean, std = _embed(cal_ds)
     lip = estimate_lipschitz(calib.scores, cal_ds)
-    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
+    kl = _kl(head_params)
     conditions = [(0.0, ref_test_ds)]
     for ds in shifted_series:
         conditions.append((epsilon_proxy(ref_test_ds, ds, mean, std), ds))
     conditions.sort(key=lambda t: t[0])
-    eps_list, bnds, raws, vac, emp, cons = [], [], [], [], [], []
+    rows = []       # (epsilon, bound, raw bound, vacuous, empirical, conservative)
     for eps, ds in conditions:
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
         nig = head_mod.forward(head_params, ds)
         cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau), ds.target_y)
-        eps_list.append(eps)
-        bnds.append(b)
-        raws.append(raw)
-        vac.append(v)
-        emp.append(cov)
-        cons.append(b <= cov)
+        rows.append((eps, b, raw, v, cov, b <= cov))
+    epsilons, bnds, raws, vac, emp, cons = zip(*rows)
     return BoundReport(kl=kl, lipschitz=lip, delta=delta, n_cal=calib.n_cal,
-                       epsilons=tuple(eps_list), bounds=tuple(bnds),
-                       raw_bounds=tuple(raws), vacuous=tuple(vac),
-                       empirical_coverage=tuple(emp), conservative=tuple(cons))
+                       epsilons=epsilons, bounds=bnds, raw_bounds=raws, vacuous=vac,
+                       empirical_coverage=emp, conservative=cons)
 
 
 def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
-               sizes=DEFAULT_NCAL_SIZES, tau=0.9, delta=DEFAULT_DELTA,
+               sizes=DEFAULT_NCAL_SIZES, tau=conf_mod.DEFAULT_TAU, delta=DEFAULT_DELTA,
                score_mode="absolute"):
     """Bound vs empirical shifted coverage for nested calibration subsets.
 
@@ -202,7 +195,7 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
     _, mean, std = _embed(cal_pool_ds)
-    kl = kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
+    kl = _kl(head_params)
     eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
     nig = head_mod.forward(head_params, shifted_test_ds)
     out = []

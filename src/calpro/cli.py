@@ -50,12 +50,36 @@ def _check_keys(cfg, allowed, where="config"):
         raise SystemExit(f"error: unknown {where} keys: {', '.join(unknown)}")
 
 
+def _json_kind(value):
+    """"boolean", "number", "string" or "array" for a config value, else None."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, (list, tuple)) else None
+
+
+def _value(cfg, key, default, where="config"):
+    """cfg[key], or default if absent.  A value whose JSON kind differs from
+    default's, or an array with items of another kind than default's first
+    item, is an error; a default of no JSON kind (None) checks nothing."""
+    value = cfg.get(key, default)
+    kind = _json_kind(default)
+    item = _json_kind(default[0]) if kind == "array" and default else None
+    if kind and (_json_kind(value) != kind
+                 or item and any(_json_kind(v) != item for v in value)):
+        raise SystemExit(f"error: {where} key {key} must be a JSON {kind}"
+                         + (f" of {item}s" if item else ""))
+    return value
+
+
 def _dataclass_from(cls, cfg, where):
-    names = {f.name for f in fields(cls)}
-    _check_keys(cfg, names, where)
-    kwargs = dict(cfg)
-    for key in ("widths", "seeds", "ablations", "corruption_modes", "levels", "sizes"):
-        if key in kwargs and isinstance(kwargs[key], list):
+    _check_keys(cfg, {f.name for f in fields(cls)}, where)
+    kwargs = {f.name: _value(cfg, f.name, f.default, where) for f in fields(cls) if f.name in cfg}
+    for key in ("widths", "seeds", "ablations", "corruption_modes", "levels"):
+        if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
     return cls(**kwargs)
 
@@ -119,9 +143,12 @@ def _out_dir(args):
 
 def cmd_gen_data(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"generator", "kind", "split_mode"})
+    _check_keys(cfg, {"generator", "kind"})
+    kind = cfg.get("kind", "chain")
+    if kind not in ("chain", "tabular"):
+        raise SystemExit(f"error: kind must be chain or tabular, got {kind!r}")
     gen = _generator_config(cfg, args.seed)
-    maker = datagen.gen_tabular_dataset if cfg.get("kind") == "tabular" else datagen.gen_chain_dataset
+    maker = datagen.gen_tabular_dataset if kind == "tabular" else datagen.gen_chain_dataset
     ds = maker(gen)
     out = _out_dir(args)
     datagen.save_dataset(ds, os.path.join(out, "dataset.json"))
@@ -134,7 +161,15 @@ def cmd_gen_data(args):
 
 
 def _tau(cfg):
-    return float(cfg.get("tau", 0.9))
+    return float(_value(cfg, "tau", conf_mod.DEFAULT_TAU))
+
+
+def _delta(cfg):
+    return float(_value(cfg, "delta", bounds_mod.DEFAULT_DELTA))
+
+
+def _magnitudes(cfg):
+    return tuple(float(m) for m in _value(cfg, "magnitudes", exp_mod.DEFAULT_MAGNITUDES))
 
 
 def _pipeline_pieces(cfg, seed, score_mode):
@@ -162,7 +197,7 @@ def cmd_pipeline(args):
     metrics_mod.export_calibration_curve(os.path.join(out, "calibration_curve.csv"),
                                          nig, y, calib)
     conf_mod.export_intervals_csv(os.path.join(out, "intervals.csv"),
-                                  conf_mod.intervals(nig, calib, 0.9), y)
+                                  conf_mod.intervals(nig, calib, conf_mod.DEFAULT_TAU), y)
     _write_json(os.path.join(out, "report.json"),
                 _stamp({"metrics": report.to_dict(),
                         "train_record": run["record"].to_dict(),
@@ -174,17 +209,9 @@ def cmd_pipeline(args):
 def cmd_bound(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "magnitudes", "tau", "delta"})
+    magnitudes, tau, delta = _magnitudes(cfg), _tau(cfg), _delta(cfg)
     gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
-    tau = _tau(cfg)
-    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,),
-                               mode=args.score_mode)
-    shifted = []
-    for mag in cfg.get("magnitudes", exp_mod.DEFAULT_MAGNITUDES):
-        pert = datagen.perturb(run["ds"], "gaussian", float(mag), seed=gen.seed)
-        shifted.append(pert.subset(pert.split_indices("test")))
-    report = bounds_mod.bound_vs_empirical_sweep(
-        run["params"], run["cal_ds"], calib, run["test_ds"], shifted,
-        tau=tau, delta=float(cfg.get("delta", bounds_mod.DEFAULT_DELTA)))
+    report = exp_mod.bound_report(run, magnitudes, tau, args.score_mode, delta=delta)
     out = _out_dir(args)
     bounds_mod.export_bound_curve(os.path.join(out, "bound_curve.csv"), report)
     _write_json(os.path.join(out, "bound_report.json"),
@@ -195,18 +222,18 @@ def cmd_bound(args):
 def cmd_ncal_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "sizes", "tau", "delta", "magnitude"})
+    sizes = tuple(int(s) for s in _value(cfg, "sizes", bounds_mod.DEFAULT_NCAL_SIZES))
+    magnitude = _value(cfg, "magnitude", exp_mod.DEFAULT_PERTURBATION_MAGNITUDE["gaussian"])
+    tau, delta = _tau(cfg), _delta(cfg)
     gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
-    sizes = tuple(int(s) for s in cfg.get("sizes", bounds_mod.DEFAULT_NCAL_SIZES))
     ds = run["ds"]
     pool_idx = np.concatenate([ds.split_indices("calibration"), ds.split_indices("train")])
     pool = ds.subset(pool_idx)
     pool = datagen.replace(pool, splits=np.full(pool.n_nodes, "calibration"))
-    pert = datagen.perturb(ds, "gaussian", float(cfg.get("magnitude", 0.5)), seed=gen.seed)
+    pert = datagen.perturb(ds, "gaussian", float(magnitude), seed=gen.seed)
     rows = bounds_mod.ncal_sweep(run["params"], pool, run["test_ds"],
                                  pert.subset(pert.split_indices("test")),
-                                 sizes=sizes, tau=_tau(cfg),
-                                 delta=float(cfg.get("delta", bounds_mod.DEFAULT_DELTA)),
-                                 score_mode=args.score_mode)
+                                 sizes=sizes, tau=tau, delta=delta, score_mode=args.score_mode)
     out = _out_dir(args)
     _write_json(os.path.join(out, "ncal_sweep.json"),
                 _stamp({"rows": rows}, cfg, gen.seed, "ncal-sweep"))
@@ -220,11 +247,11 @@ def cmd_active(args):
     tcfg = _train_config(cfg, args.seed)
     sub = cfg.get("active", {})
     _check_keys(sub, {f.name for f in fields(active_mod.ActiveConfig)} | {"strategies"}, "active")
-    sub = dict(sub)
-    strategies = tuple(sub.pop("strategies", active_mod.STRATEGIES))
+    strategies = tuple(_value(sub, "strategies", active_mod.STRATEGIES, "active"))
+    sub = {k: v for k, v in sub.items() if k != "strategies"}
     acfg = _dataclass_from(active_mod.ActiveConfig, dict(sub, retrain=tcfg), "active")
     pool = datagen.gen_chain_dataset(gen)
-    seeds = tuple(cfg.get("seeds", [gen.seed]))
+    seeds = tuple(_value(cfg, "seeds", (gen.seed,)))
     table = active_mod.compare_strategies(
         pool, [replace(acfg, strategy=s) for s in strategies], seeds)
     out = _out_dir(args)
@@ -236,10 +263,11 @@ def cmd_active(args):
 
 
 def _shift(spec, cfg):
-    """The shift recipe; a gaussian perturbation of magnitude 0.5 unless the
-    config defines a shift."""
+    """The shift recipe; a gaussian perturbation of the default magnitude
+    unless the config defines a shift."""
     if spec.shifted_generator is None and spec.shift_perturbation is None:
-        spec = replace(spec, shift_perturbation={"kind": "gaussian", "magnitude": 0.5})
+        spec = replace(spec, shift_perturbation={
+            "kind": "gaussian", "magnitude": exp_mod.DEFAULT_PERTURBATION_MAGNITUDE["gaussian"]})
     return exp_mod.run_shift_experiment(spec, tau=_tau(cfg))
 
 
@@ -254,7 +282,7 @@ EXPERIMENTS = {
     "efficiency": ({"tau"}, lambda spec, cfg: exp_mod.run_efficiency_experiment(
         spec, tau=_tau(cfg))),
     "bound_sweep": ({"magnitudes", "tau"}, lambda spec, cfg: exp_mod.run_bound_sweep(
-        spec, magnitudes=tuple(cfg.get("magnitudes", exp_mod.DEFAULT_MAGNITUDES)), tau=_tau(cfg))),
+        spec, magnitudes=_magnitudes(cfg), tau=_tau(cfg))),
 }
 
 
@@ -269,7 +297,11 @@ def cmd_experiment(args):
         sub["shifted_generator"] = _dataclass_from(
             datagen.GeneratorConfig, cfg["shifted_generator"], "shifted_generator")
     if "corruption_sigma" in cfg:
-        sub["corruption_sigma"] = float(cfg["corruption_sigma"])
+        sigma = _value(cfg, "corruption_sigma", exp_mod.ExperimentSpec.corruption_sigma,
+                       "experiment")
+        sub["corruption_sigma"] = float(sigma)
+    if "ablations" in cfg:
+        _value(cfg, "ablations", exp_mod.ABLATIONS, "experiment")
     spec = _dataclass_from(exp_mod.ExperimentSpec, dict(
         sub, name=args.name, generator=gen, train=_train_config(cfg, args.seed),
         seeds=cfg.get("seeds", [gen.seed]), score_mode=cfg.get("score_mode", args.score_mode)),
@@ -292,7 +324,7 @@ def cmd_corrupt_priors(args):
         ds = datagen.gen_chain_dataset(_generator_config(cfg, args.seed))
         seed = ds.metadata["config"]["seed"]
     corrupted = datagen.corrupt_priors(ds, mode, seed=seed,
-                                       sigma=float(cfg.get("sigma", 0.2)))
+                                       sigma=float(_value(cfg, "sigma", 0.2)))
     out = _out_dir(args)
     datagen.save_dataset(corrupted, os.path.join(out, "dataset_corrupted.json"))
     _write_json(os.path.join(out, "corrupt_report.json"),

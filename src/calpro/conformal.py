@@ -17,6 +17,10 @@ VAR_FLOOR = 1e-8
 
 DEFAULT_LEVELS = (0.8, 0.9, 0.95)
 
+# the level of every single-level interval: reports' group tables, ACE,
+# sweeps, bounds and active selection
+DEFAULT_TAU = 0.9
+
 
 @dataclass(frozen=True)
 class ConformalCalibration:
@@ -37,14 +41,9 @@ class ConformalCalibration:
             raise ValueError("quantiles must be nondecreasing in the level")
         return self
 
-    def quantile_at(self, tau):
-        """Quantile for tau, computed from the retained scores if the level
-        was not part of the calibration."""
-        return self.quantiles_at((tau,))[0]
-
     def quantiles_at(self, taus):
-        """quantile_at for each tau; the levels that were not part of the
-        calibration share one sort of the retained scores."""
+        """The quantile for each tau; the levels that were not part of the
+        calibration are computed from one sort of the retained scores."""
         off = [t for t in taus if t not in self.quantiles]
         known = dict(self.quantiles)
         if off:
@@ -52,15 +51,27 @@ class ConformalCalibration:
         return [known[t] for t in taus]
 
 
-def scores_from_nig(nig, y, mode):
-    """Per-node nonconformity scores of targets y under predictions nig."""
-    resid = np.abs(y - nig.mu)
+def _scale(nig, mode):
+    """Per-node scale of the scores and interval half-widths: 1 for absolute
+    scores, the floored epistemic sd sqrt(max(Var, VAR_FLOOR)) for
+    normalized ones."""
     if mode == "absolute":
-        return resid
+        return 1.0
     if mode == "normalized":
-        var = np.maximum(head_mod.epistemic_variance(nig), VAR_FLOOR)
-        return resid / np.sqrt(var)
+        return np.sqrt(np.maximum(head_mod.epistemic_variance(nig), VAR_FLOOR))
     raise ValueError(f"unknown score mode {mode!r}")
+
+
+def scores_from_nig(nig, y, mode):
+    """Per-node nonconformity scores |y - mu| / scale of targets y under
+    predictions nig."""
+    return np.abs(y - nig.mu) / _scale(nig, mode)
+
+
+def band(nig, q, mode):
+    """Per-node [lo, hi] = mu -/+ q * scale: the intervals of score quantile q."""
+    half = q * _scale(nig, mode)
+    return np.column_stack([nig.mu - half, nig.mu + half])
 
 
 def calibrate(head_params, cal_ds, levels=DEFAULT_LEVELS, mode="absolute") -> ConformalCalibration:
@@ -78,17 +89,11 @@ def calibrate(head_params, cal_ds, levels=DEFAULT_LEVELS, mode="absolute") -> Co
 
 
 def intervals(nig, calib: ConformalCalibration, tau):
-    """Per-node [lo, hi] at level tau around the predictions nig.  Absolute
-    mode: mu +/- q; normalized: mu +/- q * sqrt(Var)."""
+    """Per-node [lo, hi] at the calibrated level tau around the predictions
+    nig: the band of the level's quantile."""
     if tau not in calib.levels:
         raise ValueError(f"level {tau} not in calibration levels {calib.levels}")
-    q = calib.quantiles[float(tau)]
-    if calib.score_mode == "absolute":
-        half = np.full(nig.mu.shape, q)
-    else:
-        var = np.maximum(head_mod.epistemic_variance(nig), VAR_FLOOR)
-        half = q * np.sqrt(var)
-    return np.column_stack([nig.mu - half, nig.mu + half])
+    return band(nig, calib.quantiles[float(tau)], calib.score_mode)
 
 
 def save_calibration(calib: ConformalCalibration, path):

@@ -14,7 +14,6 @@ from . import datagen
 from . import head as head_mod
 from . import metrics as metrics_mod
 from . import trainer as trainer_mod
-from .numerics import spearman
 from .objective import ObjectiveConfig
 
 ABLATIONS = ("full", "no_conformal", "no_evidential", "no_priors")
@@ -66,21 +65,12 @@ class ExperimentSpec:
         return self
 
     def echo(self):
-        return {
-            "name": self.name,
-            "generator": asdict(self.generator),
-            "shifted_generator": None if self.shifted_generator is None
-            else asdict(self.shifted_generator),
-            "shift_perturbation": self.shift_perturbation,
-            "train": trainer_mod._config_echo(self.train),
+        doc = asdict(self)
+        doc["train"] = trainer_mod._config_echo(self.train)
+        if self.ablations is None:
             # a recipe that fixes its own configurations trains "full"
-            "ablations": ["full"] if self.ablations is None else list(self.ablations),
-            "corruption_modes": list(self.corruption_modes),
-            "corruption_sigma": self.corruption_sigma,
-            "seeds": list(self.seeds),
-            "levels": list(self.levels),
-            "score_mode": self.score_mode,
-        }
+            doc["ablations"] = ["full"]
+        return doc
 
 
 def _train_val(ds):
@@ -134,18 +124,14 @@ def _evaluate(run, spec: ExperimentSpec):
     params, test_ds = run["params"], run["test_ds"]
     if run["config"] == "no_conformal":
         nig = head_mod.forward(params, test_ds)
-        var = head_mod.epistemic_variance(nig)
-        sd = np.sqrt(np.maximum(var, conf_mod.VAR_FLOOR))
         cov, shp = {}, {}
         for tau in spec.levels:
-            z = ndtri(0.5 * (1.0 + tau))
-            iv = np.column_stack([nig.mu - z * sd, nig.mu + z * sd])
+            iv = conf_mod.band(nig, ndtri(0.5 * (1.0 + tau)), "normalized")
             cov[float(tau)] = metrics_mod.coverage(iv, test_ds.target_y)
             shp[float(tau)] = metrics_mod.sharpness(iv)
         devs = [abs(cov[float(t)] - t) for t in spec.levels]
         return {"coverage": cov, "sharpness": shp, "ece": float(np.mean(devs)),
-                "spearman": spearman(np.sqrt(np.maximum(var, 0.0)),
-                                     np.abs(test_ds.target_y - nig.mu))}
+                "spearman": metrics_mod.uncertainty_error_spearman(nig, test_ds.target_y)}
     mode = "absolute" if run["config"] == "no_evidential" else spec.score_mode
     calib = conf_mod.calibrate(params, run["cal_ds"], levels=spec.levels, mode=mode)
     rep = metrics_mod.full_report(params, calib, test_ds, levels=spec.levels)
@@ -210,7 +196,7 @@ def _shifted_test(spec: ExperimentSpec, ds, seed):
     raise ValueError("shift experiment needs a shifted generator or a perturbation")
 
 
-def run_shift_experiment(spec: ExperimentSpec, tau=0.9):
+def run_shift_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Coverage and degradation on a shifted test condition for each
     configuration (default: full and no_priors)."""
     spec = _configured(spec, ("full", "no_priors"))
@@ -241,9 +227,8 @@ def run_perturbation_correlation(spec: ExperimentSpec,
             params = train_config_run(spec, name, seed, ds=ds)["params"]
             row = {}
             for kind, test_ds in tests.items():
-                nig = head_mod.forward(params, test_ds)
-                unc = np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0))
-                row[kind] = spearman(unc, np.abs(test_ds.target_y - nig.mu))
+                row[kind] = metrics_mod.uncertainty_error_spearman(
+                    head_mod.forward(params, test_ds), test_ds.target_y)
             row["overall"] = float(np.mean([row[k] for k in kinds]))
             out[name] = row
         return out
@@ -253,7 +238,7 @@ def run_perturbation_correlation(spec: ExperimentSpec,
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
-def run_prior_corruption(spec: ExperimentSpec, tau=0.9):
+def run_prior_corruption(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Retrain under corrupted priors with identical settings; report
     coverage, degradation and sharpness per corruption mode."""
     def one_seed(ds, seed):
@@ -270,7 +255,7 @@ def run_prior_corruption(spec: ExperimentSpec, tau=0.9):
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
-def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
+def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Stable-region width of prior-aware normalized conformal vs vanilla
     absolute conformal on an unregularized head, at matched coverage."""
     def one_seed(ds, seed):
@@ -298,17 +283,24 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=0.9):
     }
 
 
-def run_bound_sweep(spec: ExperimentSpec, magnitudes=DEFAULT_MAGNITUDES, tau=0.9):
+def bound_report(run, magnitudes, tau, score_mode, delta=bounds_mod.DEFAULT_DELTA):
+    """Bound vs empirical coverage of a trained run (as train_config_run
+    returns it): calibrate at tau, then shift its test split by a gaussian
+    perturbation at the run's seed for each magnitude."""
+    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,), mode=score_mode)
+    shifted = [_test_split(datagen.perturb(run["ds"], "gaussian", mag, seed=run["seed"]))
+               for mag in magnitudes]
+    return bounds_mod.bound_vs_empirical_sweep(run["params"], run["cal_ds"], calib,
+                                               run["test_ds"], shifted, tau=tau, delta=delta)
+
+
+def run_bound_sweep(spec: ExperimentSpec, magnitudes=DEFAULT_MAGNITUDES,
+                    tau=conf_mod.DEFAULT_TAU):
     """Fig.-1-style bound-vs-empirical series over gaussian perturbations of
     increasing magnitude, one report per seed."""
     def one_seed(ds, seed):
         run = train_config_run(spec, "full", seed, ds=ds)
-        calib = conf_mod.calibrate(run["params"], run["cal_ds"],
-                                   levels=(tau,), mode=spec.score_mode)
-        shifted = [_test_split(datagen.perturb(ds, "gaussian", mag, seed=seed))
-                   for mag in magnitudes]
-        return bounds_mod.bound_vs_empirical_sweep(
-            run["params"], run["cal_ds"], calib, run["test_ds"], shifted, tau=tau).to_dict()
+        return bound_report(run, magnitudes, tau, spec.score_mode).to_dict()
 
     return {"experiment": "bound_sweep", "spec": spec.echo(), "tau": tau,
             "per_seed": _per_seed(spec, one_seed)}

@@ -1,8 +1,7 @@
 """Calibration, sharpness, correlation and group-conditional reporting."""
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,15 +25,10 @@ class MetricsReport:
     counts: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "coverage": {str(k): v for k, v in self.coverage.items()},
-            "ece": self.ece,
-            "ace": self.ace,
-            "sharpness": {str(k): v for k, v in self.sharpness.items()},
-            "spearman_uncertainty_error": self.spearman_uncertainty_error,
-            "group_table": self.group_table,
-            "counts": self.counts,
-        }
+        doc = asdict(self)
+        for key in ("coverage", "sharpness"):
+            doc[key] = {str(k): v for k, v in doc[key].items()}
+        return doc
 
 
 def coverage(ivals, y):
@@ -54,26 +48,31 @@ def sharpness(ivals):
     return float(np.mean(ivals[:, 1] - ivals[:, 0]))
 
 
+def calibration_curve(nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
+    """Empirical coverage of targets y at each nominal level of the grid;
+    quantiles for off-calibration levels come from the retained calibration
+    scores."""
+    s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
+    return [float(np.mean(s_test <= q)) for q in calib.quantiles_at(level_grid)]
+
+
 def ece(nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
     """Mean absolute deviation of empirical coverage from the nominal level
-    over a grid; quantiles for off-calibration levels come from the retained
-    calibration scores."""
+    over a grid."""
     if y.size == 0:
         raise ValueError("empty test set")
-    s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
-    devs = [abs(float(np.mean(s_test <= q)) - tau)
-            for q, tau in zip(calib.quantiles_at(level_grid), level_grid)]
-    return float(np.mean(devs))
+    curve = calibration_curve(nig, y, calib, level_grid)
+    return float(np.mean([abs(cov - tau) for cov, tau in zip(curve, level_grid)]))
 
 
-def ace(nig, y, calib, n_bins=10, tau=0.9):
+def ace(nig, y, calib, n_bins=10, tau=conf_mod.DEFAULT_TAU):
     """Adaptive calibration error: equal-mass bins by predicted variance,
     mean absolute coverage deviation at tau within bins."""
     if y.size < n_bins:
         raise ValueError("too few nodes for the requested number of bins")
     var = head_mod.epistemic_variance(nig)
     s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
-    q = calib.quantile_at(tau)
+    q = calib.quantiles_at((tau,))[0]
     order = np.argsort(var, kind="stable")
     bins = np.array_split(order, n_bins)
     devs = [abs(float(np.mean(s_test[b] <= q)) - tau) for b in bins if b.size]
@@ -100,39 +99,36 @@ def full_report(head_params, calib, test_ds, levels=conf_mod.DEFAULT_LEVELS) -> 
     return report_from_nig(nig, calib, test_ds, levels)
 
 
+def uncertainty_error_spearman(nig, y):
+    """Spearman correlation of the predicted sd sqrt(Var[mu]) with the
+    realized error |y - mu|.  The variance is floored at 0, not at VAR_FLOOR,
+    which would tie the smallest variances and move their ranks."""
+    return spearman(np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0)),
+                    np.abs(y - nig.mu))
+
+
 def report_from_nig(nig, calib, test_ds, levels) -> MetricsReport:
     """Standard report of the predictions nig for test_ds: coverage/sharpness
-    per level, ECE, ACE, uncertainty-error correlation and a group table at
-    tau=0.9."""
+    per level, ECE, ACE, uncertainty-error correlation and a group table
+    graded at DEFAULT_TAU, or at the last level if levels lack it."""
     y = test_ds.target_y
-    cov = {}
-    shp = {}
-    for tau in levels:
-        iv = conf_mod.intervals(nig, calib, tau)
-        cov[float(tau)] = coverage(iv, y)
-        shp[float(tau)] = sharpness(iv)
-    unc = np.sqrt(np.maximum(head_mod.epistemic_variance(nig), 0.0))
-    err = np.abs(y - nig.mu)
-    rho = spearman(unc, err)
-    iv90 = conf_mod.intervals(nig, calib, 0.9 if 0.9 in [float(t) for t in levels]
-                              else levels[-1])
-    groups = group_report(iv90, y, test_ds.group_tags, 0.9)
+    ivals = {float(tau): conf_mod.intervals(nig, calib, tau) for tau in levels}
+    group_tau = conf_mod.DEFAULT_TAU if conf_mod.DEFAULT_TAU in ivals else float(levels[-1])
     return MetricsReport(
-        coverage=cov,
+        coverage={tau: coverage(iv, y) for tau, iv in ivals.items()},
         ece=ece(nig, y, calib),
         ace=ace(nig, y, calib) if test_ds.n_nodes >= 10 else UNDEFINED,
-        sharpness=shp,
-        spearman_uncertainty_error=rho if not math.isnan(rho) else UNDEFINED,
-        group_table=groups,
+        sharpness={tau: sharpness(iv) for tau, iv in ivals.items()},
+        spearman_uncertainty_error=uncertainty_error_spearman(nig, y),
+        group_table=group_report(ivals[group_tau], y, test_ds.group_tags, group_tau),
         counts={"test": int(test_ds.n_nodes), "cal": int(calib.n_cal)},
     )
 
 
 def export_calibration_curve(path, nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
     """CSV of (nominal level, empirical coverage)."""
-    s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["nominal_level", "empirical_coverage"])
-        for q, tau in zip(calib.quantiles_at(level_grid), level_grid):
-            w.writerow([tau, float(np.mean(s_test <= q))])
+        for tau, cov in zip(level_grid, calibration_curve(nig, y, calib, level_grid)):
+            w.writerow([tau, cov])

@@ -2,7 +2,7 @@
 and validation-ECE early stopping."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -204,21 +204,9 @@ def train(cfg: TrainConfig, train_ds, val_ds):
 
 
 def _config_echo(cfg: TrainConfig):
-    return {
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "warmup_epochs": cfg.warmup_epochs,
-        "seed": cfg.seed,
-        "objective": {
-            "gamma": cfg.objective.gamma, "kappa": cfg.objective.kappa,
-            "lambda_evid": cfg.objective.lambda_evid,
-            "lambda_prior": cfg.objective.lambda_prior,
-            "lambda_conf": cfg.objective.lambda_conf,
-            "stopgrad_epochs": cfg.objective.stopgrad_epochs,
-            "prior_penalty_reduction": cfg.objective.prior_penalty_reduction,
-            "monotone_hidden": cfg.objective.monotone_hidden,
-        },
-        "head": {"widths": list(cfg.head.widths), "layer_norm": cfg.head.layer_norm},
-    }
+    doc = asdict(cfg)
+    # never echoed: mu_only is set only by the no_evidential ablation, which a
+    # report names, and the trainer seeds the head's init with cfg.seed.
+    # Echoing them would change the bytes of every report.
+    del doc["objective"]["mu_only"], doc["head"]["init_seed"]
+    return doc

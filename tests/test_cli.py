@@ -66,6 +66,20 @@ class TestGenData:
         with pytest.raises(SystemExit, match="byte offset"):
             cli.main(["gen-data", "--config", str(p), "--out", str(tmp_path / "x")])
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        cfg = _gen_cfg(tmp_path, kind="tabualr")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert exc.value.code == "error: kind must be chain or tabular, got 'tabualr'"
+        assert not (tmp_path / "x").exists()
+
+    def test_split_mode_rejected(self, tmp_path):
+        """split_mode was accepted and never read."""
+        cfg = _gen_cfg(tmp_path, split_mode="chain")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert exc.value.code == "error: unknown config keys: split_mode"
+
 
 class TestPipeline:
     @pytest.mark.parametrize("doc, where", [({"generator": 5}, "generator"),
@@ -175,6 +189,36 @@ class TestBoundCommands:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: magnitude must be a finite number")
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (["bound"], {"magnitudes": 5}, "config key magnitudes must be a JSON array of numbers"),
+    (["bound"], {"tau": [1]}, "config key tau must be a JSON number"),
+    (["bound"], {"delta": [1]}, "config key delta must be a JSON number"),
+    (["ncal-sweep"], {"sizes": 5}, "config key sizes must be a JSON array of numbers"),
+    (["ncal-sweep"], {"magnitude": [1]}, "config key magnitude must be a JSON number"),
+    (["experiment", "calibration"], {"seeds": 5},
+     "experiment key seeds must be a JSON array of numbers"),
+    (["experiment", "calibration"], {"levels": 0.9},
+     "experiment key levels must be a JSON array of numbers"),
+    (["experiment", "bound_sweep"], {"magnitudes": 5},
+     "config key magnitudes must be a JSON array of numbers"),
+    (["active"], {"active": {"strategies": 5}},
+     "active key strategies must be a JSON array of strings"),
+    (["corrupt-priors"], {"sigma": [1]}, "config key sigma must be a JSON number"),
+    (["pipeline"], {"generator": {"n_chains": "4"}},
+     "generator key n_chains must be a JSON number"),
+], ids=["bound_magnitudes", "bound_tau", "bound_delta", "ncal_sweep_sizes",
+        "ncal_sweep_magnitude", "calibration_seeds", "calibration_levels",
+        "bound_sweep_magnitudes", "active_strategies", "corrupt_priors_sigma",
+        "pipeline_n_chains"])
+def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, argv, extra, message):
+    """Each value is read before any training."""
+    cfg = _gen_cfg(tmp_path, **extra)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "run")])
+    assert exc.value.code == f"error: {message}"
+    assert not (tmp_path / "run").exists()
 
 
 class TestActiveCommand:

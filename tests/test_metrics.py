@@ -192,6 +192,19 @@ class TestFullReport:
         metrics.full_report(trained["params"], calib, trained["test_ds"])
         assert len(forward_calls) == 1 and forward_calls[0] is trained["test_ds"]
 
+    def test_group_table_graded_at_its_own_level(self, trained):
+        """Without DEFAULT_TAU among the levels, the group table's intervals
+        and its per-group ece both use the last level."""
+        levels = (0.8, 0.95)
+        calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=levels,
+                                    mode="normalized")
+        test = trained["test_ds"]
+        rep = metrics.full_report(trained["params"], calib, test, levels=levels)
+        iv = conformal.intervals(head.forward(trained["params"], test), calib, 0.95)
+        assert rep.group_table == metrics.group_report(iv, test.target_y, test.group_tags, 0.95)
+        for row in rep.group_table.values():
+            assert row["ece"] == abs(row["coverage"] - 0.95)
+
     def test_calibration_curve_csv(self, trained, tmp_path):
         calib = conformal.calibrate(trained["params"], trained["cal_ds"],
                                     levels=(0.9,))
