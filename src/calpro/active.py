@@ -135,6 +135,10 @@ def compare_strategies(pool, configs, seeds):
     """Median curves with interquartile bands per strategy plus a query-
     savings statistic at the top-5% attainment threshold.  "curves" holds
     each strategy's ActiveCurve per seed, in seeds order."""
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    if not configs:
+        raise ValueError("strategies must be non-empty")
     budgets = {cfg.seed_set_size + cfg.batch_size * cfg.rounds for cfg in configs}
     if len(budgets) != 1:
         raise ValueError("strategies must share the same budget")

@@ -4,6 +4,7 @@ lower bound, calibration-set sizing, and bound-vs-empirical sweeps."""
 
 import csv
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,9 +18,17 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 
 # k-d tree leaf size for the k-NN query.  The standardized embedding has 17
 # columns and near-isotropic spread, so a query visits nearly every point
-# whatever the tree; leaves of 64 rather than scipy's default 16 cut the
-# traversal overhead, about a quarter of the query time from 4k to 16k points.
-KNN_LEAFSIZE = 64
+# whatever the tree, and larger leaves than scipy's default 16 cut the
+# traversal overhead.  The six queries of a bound sweep plus an n_cal sweep
+# on a 100x100 graph (250 to 4000 points) take about 250 ms with 16-point
+# leaves, 187 ms with 64 and 179 ms with 128 (two threads, 2-core x86-64).
+KNN_LEAFSIZE = 128
+
+# threads for the k-NN query: every CPU the process may run on.  scipy answers
+# each query row on its own, with the same distance code in every thread, so
+# the estimate does not depend on the count.
+KNN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 # confidence parameter of the PAC-Bayes term, and the calibration-set sizes
 # ncal_sweep walks through
@@ -96,7 +105,7 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     rows, m = np.arange(n), k + 2
     while rows.size:
         # column 0 is each point itself, column k its k-th neighbour
-        dist, nn = tree.query(x[rows], k=min(m, n))
+        dist, nn = tree.query(x[rows], k=min(m, n), workers=KNN_WORKERS)
         pair = (dist > 0) & (dist <= dist[:, k:k + 1])
         slopes = np.abs(s[rows, None] - s[nn])[pair] / dist[pair]
         best = max(best, float(slopes.max(initial=0.0)))

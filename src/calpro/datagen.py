@@ -379,6 +379,15 @@ def _chain_window_pairs(chain_ids, window):
     return np.concatenate(pairs)
 
 
+def check_magnitude(magnitude):
+    """Raise ValueError unless magnitude is a finite, positive number."""
+    if (isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real)
+            or not math.isfinite(magnitude)):
+        raise ValueError(f"magnitude must be a finite number, got {magnitude!r}")
+    if magnitude <= 0:
+        raise ValueError("magnitude must be positive")
+
+
 def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     """Perturb the predicted chain and recompute target_y as the displacement
     from the reference chain.  Features are rebuilt from the perturbed chain
@@ -397,10 +406,7 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
                             or np.any(ds.chain_ids[1:] < ds.chain_ids[:-1])):
         raise ValueError("perturb requires the generator's whole node set in generator order "
                          "(the feature noise is redrawn from the generator's stream)")
-    if not isinstance(magnitude, numbers.Real) or not math.isfinite(magnitude):
-        raise ValueError(f"magnitude must be a finite number, got {magnitude!r}")
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
+    check_magnitude(magnitude)
     rng = rng_stream(seed, 2)
     coords = np.array(ds.chain_coords)
     ids = ds.chain_ids

@@ -62,6 +62,14 @@ class ExperimentSpec:
         for a in self.ablations or ():
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation toggle {a!r}")
+        shift = self.shift_perturbation
+        if shift is not None:
+            if not isinstance(shift, dict) or set(shift) != {"kind", "magnitude"}:
+                raise ValueError("shift_perturbation must be an object with exactly the keys "
+                                 "kind and magnitude")
+            if shift["kind"] not in PERTURBATION_KINDS:
+                raise ValueError(f"unknown perturbation kind {shift['kind']!r}")
+            datagen.check_magnitude(shift["magnitude"])
         return self
 
     def echo(self):

@@ -59,18 +59,14 @@ def soft_quantile_grad(scores, gamma):
     return w / np.sum(w)
 
 
-def conformal_quantile(scores, alpha):
-    """Conservative finite-sample quantile: k-th smallest with
-    k = ceil((n+1)(1-alpha)).  Returns +inf when the rank exceeds n."""
-    return conformal_quantiles(scores, (alpha,))[0]
-
-
 def conformal_quantiles(scores, alphas):
-    """conformal_quantile of the scores at each alpha, from one sort."""
+    """Conservative finite-sample quantile of the scores at each alpha, from
+    one sort: the k-th smallest with k = ceil((n+1)(1-alpha)), or +inf when
+    the rank exceeds n."""
     s = np.asarray(scores, dtype=float)
     n = s.size
     if n == 0:
-        raise ValueError("conformal_quantile of empty scores")
+        raise ValueError("conformal_quantiles of empty scores")
     s = np.sort(s)
     out = []
     for alpha in alphas:

@@ -29,7 +29,6 @@ from calpro import (
 from calpro.experiments import ExperimentSpec
 from calpro.head import NIGParams
 from calpro.numerics import (
-    conformal_quantile,
     rng_stream,
     soft_quantile,
 )
@@ -43,6 +42,7 @@ from calpro.objective import (
     total_loss,
 )
 
+from conformal_reference import conformal_quantile
 from finite_differences import finite_difference_gradient
 
 

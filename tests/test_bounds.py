@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -211,16 +212,25 @@ def test_estimate_lipschitz_matches_pair_loop(case):
 def test_estimate_lipschitz_independent_of_tree(case):
     """Past one 64-point leaf, with ties at the k-th distance common: the
     estimate follows the inclusive rule and is the same for every leaf
-    size, so which tied neighbour a tree meets first does not matter."""
+    size and query thread count, so which tied neighbour a tree meets
+    first, and which thread answers a row, does not matter."""
     scores, ds, k, standardize = case
     try:
         expected = _lipschitz_loop(scores, ds, k, standardize)
     except ValueError:
         return
-    for leafsize in (1, 16, 64, ds.n_nodes):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
-            assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
+    for leafsize in (1, 16, 64, 128, ds.n_nodes):
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
+                mp.setattr(bounds, "KNN_WORKERS", workers)
+                assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
+
+
+def test_knn_workers_follows_cpu_affinity():
+    assert bounds.KNN_WORKERS >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert bounds.KNN_WORKERS == len(os.sched_getaffinity(0))
 
 
 def test_estimate_lipschitz_counts_every_tie():

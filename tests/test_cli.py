@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from calpro import active, cli, datagen
+from calpro import active, cli, datagen, trainer
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -251,6 +251,21 @@ class TestActiveCommand:
         for s in active.STRATEGIES:
             assert len((out / f"active_{s}.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"seeds": []}, "seeds must be non-empty"),
+        ({"active": {"strategies": []}}, "strategies must be non-empty"),
+    ], ids=["seeds", "strategies"])
+    def test_empty_list_exits_1_before_any_loop(self, tmp_path, monkeypatch, capsys,
+                                                extra, message):
+        def refuse(pool, cfg):
+            raise AssertionError("an active loop ran")
+
+        monkeypatch.setattr(active, "run_active", refuse)
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, **extra)
+        assert cli.main(["active", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
 
 class TestExperimentCommand:
     def test_efficiency_dispatch(self, tmp_path):
@@ -330,6 +345,30 @@ class TestExperimentCommand:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: unknown calibration experiment keys: tau"]
+
+    @pytest.mark.parametrize("shift, message", [
+        ({"kind": "gaussian"},
+         "shift_perturbation must be an object with exactly the keys kind and magnitude"),
+        ([1], "shift_perturbation must be an object with exactly the keys kind and magnitude"),
+        ({"kind": "gaussian", "magnitude": 0.5, "extra": 1},
+         "shift_perturbation must be an object with exactly the keys kind and magnitude"),
+        ({"kind": "twist", "magnitude": 0.5}, "unknown perturbation kind 'twist'"),
+        ({"kind": "gaussian", "magnitude": "0.5"}, "magnitude must be a finite number, got '0.5'"),
+        ({"kind": "gaussian", "magnitude": True}, "magnitude must be a finite number, got True"),
+        ({"kind": "gaussian", "magnitude": 0}, "magnitude must be positive"),
+    ], ids=["no_magnitude", "array", "extra_key", "unknown_kind", "string_magnitude",
+            "boolean_magnitude", "zero_magnitude"])
+    def test_malformed_shift_perturbation_exits_1_before_training(self, tmp_path, monkeypatch,
+                                                                   capsys, shift, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a head was trained")
+
+        monkeypatch.setattr(trainer, "train", refuse)
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, shift_perturbation=shift)
+        assert cli.main(["experiment", "shift", "--config", cfg,
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
 
     def test_segment_swap_count_above_limit_exits_1_with_one_error_line(self, tmp_path):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN,

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from calpro import conformal, datagen, head, metrics
 from calpro.metrics import DEFAULT_LEVEL_GRID
-from calpro.numerics import conformal_quantile
+
+from conformal_reference import conformal_quantile
 
 
 def _predict(trained, ds=None):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, psi
 
 from calpro.numerics import (
-    conformal_quantile,
     conformal_quantiles,
     rng_stream,
     sigmoid,
@@ -18,6 +17,7 @@ from calpro.numerics import (
     spearman,
 )
 
+from conformal_reference import conformal_quantile
 from finite_differences import finite_difference_gradient
 
 
@@ -108,23 +108,27 @@ class TestSoftQuantile:
             soft_quantile(np.array([]), 10.0)
 
 
+def _one_level(scores, alpha):
+    return conformal_quantiles(scores, (alpha,))[0]
+
+
 class TestConformalQuantile:
     def test_rank_rule_nine(self):
-        assert conformal_quantile(np.arange(1.0, 10.0), 0.1) == 9.0
+        assert _one_level(np.arange(1.0, 10.0), 0.1) == 9.0
 
     def test_rank_rule_nineteen(self):
-        assert conformal_quantile(np.arange(1.0, 20.0), 0.05) == 19.0
+        assert _one_level(np.arange(1.0, 20.0), 0.05) == 19.0
 
     def test_infinite_sentinel(self):
         # k = ceil((n+1)(1-alpha)) > n
-        assert conformal_quantile(np.array([1.0, 2.0]), 0.05) == float("inf")
+        assert _one_level(np.array([1.0, 2.0]), 0.05) == float("inf")
 
     def test_permutation_invariance(self):
         rng = rng_stream(2, 0)
         s = rng.normal(size=31)
-        q = conformal_quantile(s, 0.1)
+        q = _one_level(s, 0.1)
         for _ in range(10):
-            assert conformal_quantile(rng.permutation(s), 0.1) == q
+            assert _one_level(rng.permutation(s), 0.1) == q
 
     def test_monte_carlo_coverage(self):
         # n_cal=10 makes the conservative rank's expected coverage 10/11,
@@ -134,20 +138,9 @@ class TestConformalQuantile:
         for _ in range(500):
             cal = rng.normal(size=10)
             test = rng.normal(size=200)
-            q = conformal_quantile(cal, 0.1)
+            q = _one_level(cal, 0.1)
             covs.append(np.mean(test <= q))
         assert np.mean(covs) >= 0.9
-
-
-def _conformal_quantile_sort_each(scores, alpha):
-    """Reference: conformal_quantile as it was before conformal_quantiles,
-    sorting the scores on every call."""
-    s = np.asarray(scores, dtype=float)
-    n = s.size
-    k = math.ceil((n + 1) * (1.0 - alpha))
-    if k > n:
-        return math.inf
-    return float(np.sort(s)[k - 1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -161,9 +154,8 @@ def test_conformal_quantiles_rank_rule(values, taus):
     n = s.size
     alphas = [1.0 - tau for tau in taus]
     qs = conformal_quantiles(s, alphas)
-    ref = [_conformal_quantile_sort_each(s, a) for a in alphas]
+    ref = [conformal_quantile(s, a) for a in alphas]
     assert np.array(qs).tobytes() == np.array(ref).tobytes()
-    assert [conformal_quantile(s, a) for a in alphas] == qs
     for alpha, q in zip(alphas, qs):
         k = math.ceil((n + 1) * (1.0 - alpha))
         if k > n:
