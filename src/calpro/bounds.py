@@ -16,12 +16,16 @@ from . import metrics as metrics_mod
 
 METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) space"
 
-# k-d tree leaf size for the k-NN query.  The standardized embedding has 17
+# k-d tree leaf size for the k-NN queries.  The standardized embedding has 17
 # columns and near-isotropic spread, so a query visits nearly every point
 # whatever the tree, and larger leaves than scipy's default 16 cut the
-# traversal overhead.  The six queries of a bound sweep plus an n_cal sweep
-# on a 100x100 graph (250 to 4000 points) take about 250 ms with 16-point
-# leaves, 187 ms with 64 and 179 ms with 128 (two threads, 2-core x86-64).
+# traversal overhead.  estimate_lipschitz queries each block of rows with
+# equal one-hot columns against a tree of its own, and the rows whose k-NN
+# ball may leave their block against a tree of all points.  The six calls of
+# a bound sweep plus an n_cal sweep on a 100x100 graph (250 to 4000 points,
+# blocks of about a third of them) take 134-144 ms with 64-point leaves,
+# 130-139 ms with 128, 125-137 ms with 256 and 131-132 ms with 512 (two
+# threads, 2-core x86-64): no size beats 128 beyond the noise.
 KNN_LEAFSIZE = 128
 
 # threads for the k-NN query: every CPU the process may run on.  scipy answers
@@ -80,6 +84,30 @@ def _embed(ds, mean=None, std=None):
     return (x - mean) / std
 
 
+def _ball_slopes(x, s, rows, k, limit=math.inf):
+    """Query rows of the distinct points x against a tree of x: the max slope
+    |s_i - s_j| / d_ij over the inclusive k-NN ball of each row whose k-th
+    distance lies below limit, and the rows whose k-th distance does not."""
+    n = x.shape[0]
+    tree = cKDTree(x, leafsize=KNN_LEAFSIZE)
+    best, m = 0.0, k + 2
+    dist, nn = tree.query(x[rows], k=min(m, n), workers=KNN_WORKERS)
+    near = dist[:, k] < limit
+    far, rows, dist, nn = rows[~near], rows[near], dist[near], nn[near]
+    while True:
+        # column 0 is each point itself, column k its k-th neighbour
+        pair = (dist > 0) & (dist <= dist[:, k:k + 1])
+        slopes = np.abs(s[rows, None] - s[nn])[pair] / dist[pair]
+        best = max(best, float(slopes.max(initial=0.0)))
+        # a row whose last column still ties its k-th distance may have more
+        # ties beyond it: query those rows again, twice as deep
+        rows = rows[dist[:, -1] == dist[:, k]] if m < n else rows[:0]
+        if not rows.size:
+            return best, far
+        m *= 2
+        dist, nn = tree.query(x[rows], k=min(m, n), workers=KNN_WORKERS)
+
+
 def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     """Max local slope of the per-node nonconformity scores over k-NN pairs
     on the calibration set.  Exact duplicate points are collapsed first,
@@ -88,7 +116,18 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     A point's neighbours are all points at a distance no greater than its
     k-th nearest (the inclusive k-NN ball), so points tied at the k-th
     distance all count and the estimate depends on the point set alone, not
-    on the order in which the tree meets them."""
+    on the order in which the tree meets them.
+
+    Rows that agree on every two-valued column (each entry its column's min
+    or max, min < max: one-hot indicators, say) form a block.  A point
+    outside block b lies at least gap_b from every point in it, gap_b being
+    the distance over those columns alone from b's key to the nearest other
+    key, since the other columns only add nonnegative terms.  So a row of a
+    block of more than k rows whose k-th distance in a tree of its own block
+    lies below gap_b (less a 1e-9 share for rounding) has the same inclusive
+    ball, hence the same slopes, as in a tree of all points.  Every other
+    row is queried against all points.  With no two-valued column that is
+    every row, in one query."""
     if standardize:
         x, _, _ = _embed(cal_ds)
     else:
@@ -100,19 +139,32 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     if n < 2:
         raise ValueError("all calibration pairs are zero-distance")
     k = min(k_neighbors, n - 1)
-    tree = cKDTree(x, leafsize=KNN_LEAFSIZE)
-    best = 0.0
-    rows, m = np.arange(n), k + 2
-    while rows.size:
-        # column 0 is each point itself, column k its k-th neighbour
-        dist, nn = tree.query(x[rows], k=min(m, n), workers=KNN_WORKERS)
-        pair = (dist > 0) & (dist <= dist[:, k:k + 1])
-        slopes = np.abs(s[rows, None] - s[nn])[pair] / dist[pair]
-        best = max(best, float(slopes.max(initial=0.0)))
-        # a row whose last column still ties its k-th distance may have more
-        # ties beyond it: query those rows again, twice as deep
-        rows = rows[dist[:, -1] == dist[:, k]] if m < n else rows[:0]
-        m *= 2
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    two = np.flatnonzero((lo < hi) & ((x == lo) | (x == hi)).all(axis=0))
+    if not two.size:
+        return _ball_slopes(x, s, np.arange(n), k)[0]
+    # rows sorted by their key (which columns sit at their max); a block
+    # starts wherever the key changes
+    bits = x[:, two] == hi[two]
+    order = np.lexsort(bits.T)
+    bits = bits[order]
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    keys = bits[starts]
+    span2 = (hi[two] - lo[two]) ** 2
+    best, rest = 0.0, []
+    for b, members in enumerate(np.split(order, starts[1:])):
+        if members.size <= k:
+            rest.append(members)
+            continue
+        gap2 = (keys != keys[b]) @ span2
+        gap2[b] = math.inf
+        slope, far = _ball_slopes(x[members], s[members], np.arange(members.size), k,
+                                  math.sqrt(gap2.min()) * (1.0 - 1e-9))
+        best = max(best, slope)
+        rest.append(members[far])
+    rest = np.concatenate(rest)
+    if rest.size:
+        best = max(best, _ball_slopes(x, s, rest, k)[0])
     return best
 
 

@@ -1,10 +1,10 @@
 """Command-line entry points.
 
-Every subcommand reads an optional strict JSON config (unknown keys are
-rejected), takes --seed / --out overrides, and writes its artifacts under the
-output directory.  Reports embed the artifact version, a hash of the
-effective config, and the seed; no wall-clock timestamps, so reruns are
-byte-identical.
+Every subcommand reads an optional strict JSON config (a key the command
+does not read is rejected), takes --seed / --out overrides, and writes its
+artifacts under the output directory.  Reports embed the artifact version, a
+hash of the effective config, and the seed; no wall-clock timestamps, so
+reruns are byte-identical.
 """
 
 import argparse
@@ -271,18 +271,21 @@ def _shift(spec, cfg):
     return exp_mod.run_shift_experiment(spec, tau=_tau(cfg))
 
 
-# experiment name -> (which of ablations/tau/magnitudes it reads, recipe(spec, cfg));
-# each recipe looks its function up when it runs
+# experiment name -> (the config keys its recipe reads besides generator, train
+# and seeds, recipe(spec, cfg)); each recipe looks its function up when it runs
 EXPERIMENTS = {
-    "calibration": ({"ablations"}, lambda spec, cfg: exp_mod.run_calibration_experiment(spec)),
-    "shift": ({"ablations", "tau"}, _shift),
+    "calibration": ({"ablations", "levels", "score_mode"},
+                    lambda spec, cfg: exp_mod.run_calibration_experiment(spec)),
+    "shift": ({"ablations", "shifted_generator", "shift_perturbation", "score_mode", "tau"},
+              _shift),
     "perturbation": (set(), lambda spec, cfg: exp_mod.run_perturbation_correlation(spec)),
-    "prior_corruption": ({"tau"}, lambda spec, cfg: exp_mod.run_prior_corruption(
-        spec, tau=_tau(cfg))),
+    "prior_corruption": ({"corruption_modes", "corruption_sigma", "score_mode", "tau"},
+                         lambda spec, cfg: exp_mod.run_prior_corruption(spec, tau=_tau(cfg))),
     "efficiency": ({"tau"}, lambda spec, cfg: exp_mod.run_efficiency_experiment(
         spec, tau=_tau(cfg))),
-    "bound_sweep": ({"magnitudes", "tau"}, lambda spec, cfg: exp_mod.run_bound_sweep(
-        spec, magnitudes=_magnitudes(cfg), tau=_tau(cfg))),
+    "bound_sweep": ({"magnitudes", "score_mode", "tau"},
+                    lambda spec, cfg: exp_mod.run_bound_sweep(
+                        spec, magnitudes=_magnitudes(cfg), tau=_tau(cfg))),
 }
 
 
@@ -290,7 +293,7 @@ def cmd_experiment(args):
     cfg = _load_config(args.config)
     spec_keys = {f.name for f in fields(exp_mod.ExperimentSpec)} - {"name"}
     reads, recipe = EXPERIMENTS[args.name]
-    _check_keys(cfg, (spec_keys - {"ablations"}) | reads, f"{args.name} experiment")
+    _check_keys(cfg, {"generator", "train", "seeds"} | reads, f"{args.name} experiment")
     gen = _generator_config(cfg, args.seed)
     sub = {k: cfg[k] for k in spec_keys & set(cfg)}
     if "shifted_generator" in cfg:

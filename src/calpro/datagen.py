@@ -24,6 +24,9 @@ GROUP_TAGS = ("helix-analog", "sheet-analog", "loop-analog")
 
 SPLITS = ("train", "calibration", "test")
 
+# the prior corruptions corrupt_priors applies
+CORRUPTION_MODES = ("shuffle", "invert", "noise")
+
 # perturb(kind="segment_swap") makes round(magnitude) swaps of loop runs, one
 # Python step each (about 30 µs); past a few swaps per run they only reshuffle
 # the same runs, so a swap count above this is rejected (about 0.3 s).
@@ -501,21 +504,26 @@ def _rotation_matrix(axis, theta):
     return np.eye(3) * c + s * k + (1 - c) * np.outer(axis, axis)
 
 
+def check_corruption_mode(mode):
+    """Raise ValueError unless mode is one of CORRUPTION_MODES."""
+    if mode not in CORRUPTION_MODES:
+        raise ValueError(f"unknown corruption mode {mode!r}")
+
+
 def corrupt_priors(ds: Dataset, mode, seed=0, sigma=0.2) -> Dataset:
     """Replace prior_b per the corruption mode; all other fields untouched,
     and the result shares ds's graph memo."""
+    check_corruption_mode(mode)
     rng = rng_stream(seed, 3)
     b = np.array(ds.prior_b)
     if mode == "shuffle":
         b = b[rng.permutation(b.size)]
     elif mode == "invert":
         b = 1.0 - b
-    elif mode == "noise":
+    else:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         b = np.clip(b + sigma * rng.standard_normal(b.size), 0.0, 1.0)
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
     return _sharing_graph(ds, replace(ds, prior_b=b))
 
 

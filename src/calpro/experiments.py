@@ -50,7 +50,7 @@ class ExperimentSpec:
     shift_perturbation: dict | None = None      # {"kind", "magnitude"}
     train: trainer_mod.TrainConfig = field(default_factory=desk_train_config)
     ablations: tuple | None = None      # None: the recipe's default configurations
-    corruption_modes: tuple = ("shuffle", "invert", "noise")
+    corruption_modes: tuple = datagen.CORRUPTION_MODES
     corruption_sigma: float = 0.2
     seeds: tuple = (0,)
     levels: tuple = conf_mod.DEFAULT_LEVELS
@@ -62,6 +62,8 @@ class ExperimentSpec:
         for a in self.ablations or ():
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation toggle {a!r}")
+        for mode in self.corruption_modes:
+            datagen.check_corruption_mode(mode)
         shift = self.shift_perturbation
         if shift is not None:
             if not isinstance(shift, dict) or set(shift) != {"kind", "magnitude"}:

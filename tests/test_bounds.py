@@ -179,6 +179,15 @@ def _lipschitz_loop(scores, cal_ds, k_neighbors=5, standardize=True):
     return float(best)
 
 
+def _point_ds(feats, y):
+    """A graphless calibration set of the given feature rows and targets."""
+    n = feats.shape[0]
+    return datagen.Dataset(features=feats, prior_b=np.zeros(n), target_y=y,
+                           group_tags=("core",) * n, disorder_flags=np.zeros(n, dtype=bool),
+                           edges=np.zeros((0, 2), dtype=int), splits=("calibration",) * n,
+                           chain_coords=None, chain_ids=np.zeros(n, dtype=int))
+
+
 @st.composite
 def _lipschitz_case(draw, min_n=1, max_n=40):
     n = draw(st.integers(min_n, max_n))
@@ -187,11 +196,24 @@ def _lipschitz_case(draw, min_n=1, max_n=40):
     feats = draw(hnp.arrays(float, (n, draw(st.integers(1, 3))), elements=grid))
     y = draw(hnp.arrays(float, n, elements=grid))
     scores = draw(hnp.arrays(float, n, elements=st.floats(-5, 5)))
-    ds = datagen.Dataset(features=feats, prior_b=np.zeros(n), target_y=y,
-                         group_tags=("core",) * n, disorder_flags=np.zeros(n, dtype=bool),
-                         edges=np.zeros((0, 2), dtype=int), splits=("calibration",) * n,
-                         chain_coords=None, chain_ids=np.zeros(n, dtype=int))
-    return scores, ds, draw(st.integers(1, 6)), draw(st.booleans())
+    return scores, _point_ds(feats, y), draw(st.integers(1, 6)), draw(st.booleans())
+
+
+@st.composite
+def _one_hot_case(draw):
+    """A drawn category per row, expanded to indicator columns, beside grid
+    columns fine enough that many k-NN balls stay inside one category.  The
+    scores step by 10 between categories, so a ball that wrongly stays in
+    its category misses the steepest slopes."""
+    n = draw(st.integers(20, 150))
+    n_cat = draw(st.integers(2, 4))
+    cat = draw(hnp.arrays(int, n, elements=st.integers(0, n_cat - 1)))
+    grid = st.integers(-3, 3).map(lambda v: v / 4)
+    cont = draw(hnp.arrays(float, (n, draw(st.integers(1, 3))), elements=grid))
+    y = draw(hnp.arrays(float, n, elements=grid))
+    scores = draw(hnp.arrays(float, n, elements=st.floats(-5, 5))) + 10.0 * cat
+    return (scores, _point_ds(np.column_stack([np.eye(n_cat)[cat], cont]), y),
+            draw(st.integers(1, 6)), draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,6 +249,104 @@ def test_estimate_lipschitz_independent_of_tree(case):
                 assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(_one_hot_case())
+def test_estimate_lipschitz_one_hot_blocks_match_pair_loop(case):
+    """Rows of one category form a block, queried against a tree of its own
+    rows, and the rows whose k-NN ball may leave it against all points: the
+    estimate is the pair loop's for every leaf size and thread count."""
+    scores, ds, k, standardize = case
+    try:
+        expected = _lipschitz_loop(scores, ds, k, standardize)
+    except ValueError:
+        return
+    for leafsize in (1, 16, 128):
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
+                mp.setattr(bounds, "KNN_WORKERS", workers)
+                assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
+
+
+def _counting_kdtree(monkeypatch):
+    """Patch bounds.cKDTree, as benchmarks/tracer.py does, with a subclass
+    that logs the size of each tree built and (tree size, rows) per query."""
+    log = {"trees": [], "queries": []}
+
+    class CountingKDTree(bounds.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            log["trees"].append(self.n)
+
+        def query(self, x, *args, **kwargs):
+            log["queries"].append((self.n, len(x)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "cKDTree", CountingKDTree)
+    return log
+
+
+def _blocks_case(sizes, indicator_scale, seed=0):
+    """One block of rows per entry of sizes: a scaled one-hot column per
+    block beside two uniform columns in [0, 1), with uniform scores."""
+    rng = np.random.default_rng(seed)
+    cat = np.repeat(np.arange(len(sizes)), sizes)
+    n = cat.size
+    feats = np.column_stack([indicator_scale * np.eye(len(sizes))[cat], rng.random((n, 2))])
+    return rng.random(n), _point_ds(feats, np.zeros(n))
+
+
+def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
+    log = _counting_kdtree(monkeypatch)
+    scores, ds = _blocks_case([60], 1.0)
+    assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
+        _lipschitz_loop(scores, ds, 3, standardize=False)
+    assert log == {"trees": [60], "queries": [(60, 60)]}
+
+
+def test_estimate_lipschitz_wide_gap_queries_each_row_once(monkeypatch):
+    """Blocks 10 apart: every k-NN ball stays in its block, so each block's
+    own tree answers all its rows, and no tree of all points is built."""
+    log = _counting_kdtree(monkeypatch)
+    scores, ds = _blocks_case([40, 25, 35], 10.0)
+    assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
+        _lipschitz_loop(scores, ds, 3, standardize=False)
+    assert sorted(log["trees"]) == [25, 35, 40]
+    assert sum(rows for _, rows in log["queries"]) == ds.n_nodes
+
+
+def test_estimate_lipschitz_gap_below_every_kth_distance(monkeypatch):
+    """Blocks 0.01 apart: no k-NN ball fits in its block, so every row is
+    queried again against all points."""
+    log = _counting_kdtree(monkeypatch)
+    scores, ds = _blocks_case([40, 25, 35], 0.01)
+    assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
+        _lipschitz_loop(scores, ds, 3, standardize=False)
+    assert log["queries"][-1] == (100, 100)
+
+
+def test_estimate_lipschitz_ball_reaching_the_gap_leaves_its_block():
+    """Two blocks 10 apart, each a row of points 10 apart: each end point's
+    nearest neighbours (k = 1) are its block neighbour and, tied at the gap,
+    the other block's end point, whose score is 5 higher.  Only the tie
+    across the gap gives a nonzero slope."""
+    feats = np.array([[0.0, 0.0], [0.0, 10.0], [0.0, 20.0],
+                      [10.0, 0.0], [10.0, 10.0], [10.0, 20.0]])
+    scores = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
+    ds = _point_ds(feats[:, :1], feats[:, 1])
+    assert bounds.estimate_lipschitz(scores, ds, 1, standardize=False) == 0.5
+
+
+def test_estimate_lipschitz_block_of_at_most_k_rows(monkeypatch):
+    """A block of k rows has no k-th neighbour of its own: its rows go to
+    the tree of all points, and the large block answers its own rows."""
+    log = _counting_kdtree(monkeypatch)
+    scores, ds = _blocks_case([30, 3], 10.0)
+    assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
+        _lipschitz_loop(scores, ds, 3, standardize=False)
+    assert log["queries"] == [(30, 30), (33, 3)]
+
+
 def test_knn_workers_follows_cpu_affinity():
     assert bounds.KNN_WORKERS >= 1
     if hasattr(os, "sched_getaffinity"):
@@ -239,11 +359,7 @@ def test_estimate_lipschitz_counts_every_tie():
     nearest pair has equal scores, so a tie-break that drops either one
     reads 0 for one of the two score vectors."""
     feats = np.array([[0.0], [1.0], [-1.0], [1.5], [-1.5]])
-    n = feats.shape[0]
-    ds = datagen.Dataset(features=feats, prior_b=np.zeros(n), target_y=np.zeros(n),
-                         group_tags=("core",) * n, disorder_flags=np.zeros(n, dtype=bool),
-                         edges=np.zeros((0, 2), dtype=int), splits=("calibration",) * n,
-                         chain_coords=None, chain_ids=np.zeros(n, dtype=int))
+    ds = _point_ds(feats, np.zeros(feats.shape[0]))
     for scores in ([0.0, 3.0, 0.0, 3.0, 0.0], [0.0, 0.0, 3.0, 0.0, 3.0]):
         assert bounds.estimate_lipschitz(np.array(scores), ds, 1, standardize=False) == 3.0
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from calpro import active, cli, datagen, trainer
+from calpro import active, cli, datagen, experiments, trainer
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -329,6 +329,14 @@ class TestExperimentCommand:
         ("efficiency", "ablations", ["no_priors"]),
         ("efficiency", "magnitudes", [0.5]),
         ("bound_sweep", "ablations", ["no_priors"]),
+        ("calibration", "corruption_modes", ["shuffle"]),
+        ("calibration", "shifted_generator", {"n_chains": 5}),
+        ("shift", "levels", [0.8]),
+        ("perturbation", "score_mode", "absolute"),
+        ("prior_corruption", "shift_perturbation", {"kind": "gaussian", "magnitude": 0.5}),
+        ("efficiency", "score_mode", "absolute"),
+        ("efficiency", "corruption_sigma", 0.3),
+        ("bound_sweep", "levels", [0.8]),
     ])
     def test_key_the_recipe_does_not_read_rejected(self, tmp_path, name, key, value):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, seeds=[0], **{key: value})
@@ -345,6 +353,34 @@ class TestExperimentCommand:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: unknown calibration experiment keys: tau"]
+
+    def test_unread_spec_keys_rejected_before_training(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a head was trained")
+
+        monkeypatch.setattr(trainer, "train", refuse)
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN,
+                       shift_perturbation={"kind": "gaussian", "magnitude": 0.5},
+                       corruption_modes=["nonsense"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["experiment", "calibration", "--config", cfg,
+                      "--out", str(tmp_path / "run")])
+        assert exc.value.code == ("error: unknown calibration experiment keys: "
+                                  "corruption_modes, shift_perturbation")
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_corruption_mode_exits_1_before_training(self, tmp_path, monkeypatch,
+                                                              capsys):
+        runs = []
+        monkeypatch.setattr(experiments, "train_config_run",
+                            lambda *args, **kwargs: runs.append(args))
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, corruption_modes=["shuffle", "nonsense"])
+        assert cli.main(["experiment", "prior_corruption", "--config", cfg,
+                         "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown corruption mode 'nonsense'"]
+        assert runs == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("shift, message", [
         ({"kind": "gaussian"},

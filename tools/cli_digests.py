@@ -45,7 +45,8 @@ MATRIX = (
     ("bound", ["bound"], PIPED),
     ("ncal_sweep", ["ncal-sweep"], dict(PIPED, sizes=[50, 100, 150])),
     # 40x40 = 1600 nodes: calibration sets of several hundred, so the k-NN
-    # trees of estimate_lipschitz hold several 128-point leaves
+    # trees of estimate_lipschitz, per block and of all points, hold several
+    # 128-point leaves, and some rows of each block leave it
     ("ncal_sweep_multileaf", ["ncal-sweep"],
      {"generator": {"n_chains": 40, "chain_length": 40},
       "train": dict(TRAIN, max_epochs=2, warmup_epochs=1), "sizes": [300, 600, 900]}),
