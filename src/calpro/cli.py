@@ -1,10 +1,11 @@
 """Command-line entry points.
 
-Every subcommand reads an optional strict JSON config (a key the command
-does not read is rejected), takes --seed / --out overrides, and writes its
-artifacts under the output directory.  Reports embed the artifact version, a
-hash of the effective config, and the seed; no wall-clock timestamps, so
-reruns are byte-identical.
+Every subcommand reads an optional strict JSON config, takes --seed / --out
+overrides, and writes its artifacts under the output directory.  A config
+key the command does not read, or one the run sets itself, is rejected, and
+each value is read as its dataclass field's annotation (_read).  Reports
+embed the artifact version, a hash of the effective config, and the seed; no
+wall-clock timestamps, so reruns are byte-identical.
 """
 
 import argparse
@@ -12,7 +13,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -24,9 +26,17 @@ from . import experiments as exp_mod
 from . import head as head_mod
 from . import metrics as metrics_mod
 from . import trainer as trainer_mod
-from .objective import ObjectiveConfig
 
 REPORT_VERSION = "calpro-report/1"
+
+# scalar annotation -> its JSON kind's name and the types json.load gives it
+_KINDS = {int: ("integer", int), float: ("number", (int, float)),
+          bool: ("boolean", bool), str: ("string", str)}
+
+# fields a run sets itself: each run trains with its own seed, which also draws
+# the head's init, and `active` runs active.strategies with the train section
+SET_BY_RUN = {trainer_mod.TrainConfig: {"seed"}, head_mod.HeadConfig: {"init_seed"},
+              active_mod.ActiveConfig: {"strategy", "seed", "retrain"}}
 
 
 def _load_config(path):
@@ -50,60 +60,54 @@ def _check_keys(cfg, allowed, where="config"):
         raise SystemExit(f"error: unknown {where} keys: {', '.join(unknown)}")
 
 
-def _json_kind(value):
-    """"boolean", "number", "string" or "array" for a config value, else None."""
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return "array" if isinstance(value, (list, tuple)) else None
+def _read(tp, value, key, where="config"):
+    """Config key `key` of `where`, read as its annotation tp: int takes a JSON
+    integer, float any number (stored as a float), bool and str their own
+    kinds, tuple[T, ...] an array of T, T | None also null, and a dataclass an
+    object of its fields less SET_BY_RUN's, each read the same way.  dict is
+    left to its owner's validate.  Any other value is one error line that
+    names the key."""
+    if type(None) in get_args(tp):
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        _check_keys(value, {f.name for f in fields(tp)} - SET_BY_RUN.get(tp, set()), key)
+        return tp(**{f.name: _read(f.type, value[f.name], f.name, key)
+                     for f in fields(tp) if f.name in value})
+    if tp is dict:
+        return value
+    item = get_args(tp)[0] if get_origin(tp) is tuple else None
+    kind, types = _KINDS[item or tp]
+    items = value if item else [value]
+    # bool is a subclass of int, but a JSON boolean is no number
+    if isinstance(items, list) and all(
+            isinstance(v, types) and isinstance(v, bool) == (types is bool) for v in items):
+        return tuple(map(item, value)) if item else tp(value)
+    raise SystemExit(f"error: {where} key {key} must be a JSON "
+                     + (f"array of {kind}s" if item else kind))
 
 
-def _value(cfg, key, default, where="config"):
-    """cfg[key], or default if absent.  A value whose JSON kind differs from
-    default's, or an array with items of another kind than default's first
-    item, is an error; a default of no JSON kind (None) checks nothing."""
-    value = cfg.get(key, default)
-    kind = _json_kind(default)
-    item = _json_kind(default[0]) if kind == "array" and default else None
-    if kind and (_json_kind(value) != kind
-                 or item and any(_json_kind(v) != item for v in value)):
-        raise SystemExit(f"error: {where} key {key} must be a JSON {kind}"
-                         + (f" of {item}s" if item else ""))
+def _value(cfg, key, tp, default, where="config"):
+    """cfg[key] read as tp, or default if cfg has no such key."""
+    return _read(tp, cfg[key], key, where) if key in cfg else default
+
+
+def _in_unit(value, key, where="config"):
+    if not 0.0 < value < 1.0:
+        raise SystemExit(f"error: {where} key {key} must be in (0, 1), got {value!r}")
     return value
 
 
-def _dataclass_from(cls, cfg, where):
-    _check_keys(cfg, {f.name for f in fields(cls)}, where)
-    kwargs = {f.name: _value(cfg, f.name, f.default, where) for f in fields(cls) if f.name in cfg}
-    for key in ("widths", "seeds", "ablations", "corruption_modes", "levels"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
-    return cls(**kwargs)
-
-
 def _generator_config(cfg, seed):
-    gen = _dataclass_from(datagen.GeneratorConfig, cfg.get("generator", {}), "generator")
-    if seed is not None:
-        gen = replace(gen, seed=seed)
-    return gen
+    gen = _read(datagen.GeneratorConfig, cfg.get("generator", {}), "generator")
+    return gen if seed is None else replace(gen, seed=seed)
 
 
 def _train_config(cfg, seed):
-    sub = cfg.get("train", {})
-    _check_keys(sub, {f.name for f in fields(trainer_mod.TrainConfig)}, "train")
-    obj = _dataclass_from(ObjectiveConfig, sub.get("objective", {}), "objective")
-    head_cfg = sub.get("head", {})
-    # the trainer seeds the head's init with the training seed
-    _check_keys(head_cfg, {f.name for f in fields(head_mod.HeadConfig)} - {"init_seed"}, "head")
-    head = _dataclass_from(head_mod.HeadConfig, head_cfg, "head")
-    tcfg = _dataclass_from(trainer_mod.TrainConfig,
-                           dict(sub, objective=obj, head=head), "train")
-    if seed is not None:
-        tcfg = replace(tcfg, seed=seed)
-    return tcfg
+    # the --seed override reaches the echoed train config too
+    tcfg = _read(trainer_mod.TrainConfig, cfg.get("train", {}), "train")
+    return tcfg if seed is None else replace(tcfg, seed=seed)
 
 
 def _config_hash(cfg):
@@ -144,7 +148,7 @@ def _out_dir(args):
 def cmd_gen_data(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "kind"})
-    kind = cfg.get("kind", "chain")
+    kind = _value(cfg, "kind", str, "chain")
     if kind not in ("chain", "tabular"):
         raise SystemExit(f"error: kind must be chain or tabular, got {kind!r}")
     gen = _generator_config(cfg, args.seed)
@@ -161,30 +165,28 @@ def cmd_gen_data(args):
 
 
 def _tau(cfg):
-    return float(_value(cfg, "tau", conf_mod.DEFAULT_TAU))
+    return _in_unit(_value(cfg, "tau", float, conf_mod.DEFAULT_TAU), "tau")
 
 
 def _delta(cfg):
-    return float(_value(cfg, "delta", bounds_mod.DEFAULT_DELTA))
+    return _in_unit(_value(cfg, "delta", float, bounds_mod.DEFAULT_DELTA), "delta")
 
 
 def _magnitudes(cfg):
-    return tuple(float(m) for m in _value(cfg, "magnitudes", exp_mod.DEFAULT_MAGNITUDES))
+    return _value(cfg, "magnitudes", tuple[float, ...], exp_mod.DEFAULT_MAGNITUDES)
 
 
-def _pipeline_pieces(cfg, seed, score_mode):
+def _pipeline_pieces(cfg, seed):
     """Shared generate/train path for pipeline, bound and ncal-sweep."""
     gen = _generator_config(cfg, seed)
-    tcfg = _train_config(cfg, seed)
-    spec = exp_mod.ExperimentSpec(generator=gen, train=tcfg, score_mode=score_mode,
-                                  seeds=(gen.seed,))
+    spec = exp_mod.ExperimentSpec(generator=gen, train=_train_config(cfg, seed))
     return gen, exp_mod.train_config_run(spec, "full", gen.seed)
 
 
 def cmd_pipeline(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train"})
-    gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    gen, run = _pipeline_pieces(cfg, args.seed)
     calib = conf_mod.calibrate(run["params"], run["cal_ds"],
                                levels=conf_mod.DEFAULT_LEVELS, mode=args.score_mode)
     out = _out_dir(args)
@@ -210,7 +212,7 @@ def cmd_bound(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "magnitudes", "tau", "delta"})
     magnitudes, tau, delta = _magnitudes(cfg), _tau(cfg), _delta(cfg)
-    gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    gen, run = _pipeline_pieces(cfg, args.seed)
     report = exp_mod.bound_report(run, magnitudes, tau, args.score_mode, delta=delta)
     out = _out_dir(args)
     bounds_mod.export_bound_curve(os.path.join(out, "bound_curve.csv"), report)
@@ -222,15 +224,16 @@ def cmd_bound(args):
 def cmd_ncal_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "sizes", "tau", "delta", "magnitude"})
-    sizes = tuple(int(s) for s in _value(cfg, "sizes", bounds_mod.DEFAULT_NCAL_SIZES))
-    magnitude = _value(cfg, "magnitude", exp_mod.DEFAULT_PERTURBATION_MAGNITUDE["gaussian"])
+    sizes = _value(cfg, "sizes", tuple[int, ...], bounds_mod.DEFAULT_NCAL_SIZES)
+    magnitude = _value(cfg, "magnitude", float,
+                       exp_mod.DEFAULT_PERTURBATION_MAGNITUDE["gaussian"])
     tau, delta = _tau(cfg), _delta(cfg)
-    gen, run = _pipeline_pieces(cfg, args.seed, args.score_mode)
+    gen, run = _pipeline_pieces(cfg, args.seed)
     ds = run["ds"]
     pool_idx = np.concatenate([ds.split_indices("calibration"), ds.split_indices("train")])
     pool = ds.subset(pool_idx)
     pool = datagen.replace(pool, splits=np.full(pool.n_nodes, "calibration"))
-    pert = datagen.perturb(ds, "gaussian", float(magnitude), seed=gen.seed)
+    pert = datagen.perturb(ds, "gaussian", magnitude, seed=gen.seed)
     rows = bounds_mod.ncal_sweep(run["params"], pool, run["test_ds"],
                                  pert.subset(pert.split_indices("test")),
                                  sizes=sizes, tau=tau, delta=delta, score_mode=args.score_mode)
@@ -247,13 +250,12 @@ def cmd_active(args):
     tcfg = _train_config(cfg, args.seed)
     sub = cfg.get("active", {})
     _check_keys(sub, {f.name for f in fields(active_mod.ActiveConfig)} | {"strategies"}, "active")
-    strategies = tuple(_value(sub, "strategies", active_mod.STRATEGIES, "active"))
-    sub = {k: v for k, v in sub.items() if k != "strategies"}
-    acfg = _dataclass_from(active_mod.ActiveConfig, dict(sub, retrain=tcfg), "active")
+    strategies = _value(sub, "strategies", tuple[str, ...], active_mod.STRATEGIES, "active")
+    acfg = _read(active_mod.ActiveConfig, {k: sub[k] for k in set(sub) - {"strategies"}}, "active")
+    seeds = _value(cfg, "seeds", tuple[int, ...], (gen.seed,))
     pool = datagen.gen_chain_dataset(gen)
-    seeds = tuple(_value(cfg, "seeds", (gen.seed,)))
     table = active_mod.compare_strategies(
-        pool, [replace(acfg, strategy=s) for s in strategies], seeds)
+        pool, [replace(acfg, strategy=s, retrain=tcfg) for s in strategies], seeds)
     out = _out_dir(args)
     for s, curves in table.pop("curves").items():
         active_mod.export_curve_csv(os.path.join(out, f"active_{s}.csv"), curves[0])
@@ -291,24 +293,20 @@ EXPERIMENTS = {
 
 def cmd_experiment(args):
     cfg = _load_config(args.config)
-    spec_keys = {f.name for f in fields(exp_mod.ExperimentSpec)} - {"name"}
     reads, recipe = EXPERIMENTS[args.name]
     _check_keys(cfg, {"generator", "train", "seeds"} | reads, f"{args.name} experiment")
+    if args.score_mode is not None and "score_mode" not in reads:
+        raise SystemExit(f"error: the {args.name} experiment takes no --score-mode")
     gen = _generator_config(cfg, args.seed)
-    sub = {k: cfg[k] for k in spec_keys & set(cfg)}
-    if "shifted_generator" in cfg:
-        sub["shifted_generator"] = _dataclass_from(
-            datagen.GeneratorConfig, cfg["shifted_generator"], "shifted_generator")
-    if "corruption_sigma" in cfg:
-        sigma = _value(cfg, "corruption_sigma", exp_mod.ExperimentSpec.corruption_sigma,
-                       "experiment")
-        sub["corruption_sigma"] = float(sigma)
-    if "ablations" in cfg:
-        _value(cfg, "ablations", exp_mod.ABLATIONS, "experiment")
-    spec = _dataclass_from(exp_mod.ExperimentSpec, dict(
-        sub, name=args.name, generator=gen, train=_train_config(cfg, args.seed),
-        seeds=cfg.get("seeds", [gen.seed]), score_mode=cfg.get("score_mode", args.score_mode)),
-        "experiment")
+    doc = {"name": args.name, "seeds": [gen.seed],
+           "score_mode": args.score_mode or exp_mod.ExperimentSpec.score_mode}
+    # the spec's own keys; generator and train are read as their sections
+    doc.update((f.name, cfg[f.name]) for f in fields(exp_mod.ExperimentSpec)
+               if f.name in cfg and f.name not in ("generator", "train"))
+    spec = replace(_read(exp_mod.ExperimentSpec, doc, "experiment"),
+                   generator=gen, train=_train_config(cfg, args.seed))
+    for level in spec.levels:
+        _in_unit(level, "levels", "experiment")
     result = recipe(spec, cfg)
     out = _out_dir(args)
     _write_json(os.path.join(out, f"experiment_{args.name}.json"),
@@ -319,15 +317,14 @@ def cmd_experiment(args):
 def cmd_corrupt_priors(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "dataset", "mode", "sigma"})
-    mode = cfg.get("mode", "shuffle")
+    mode, sigma = _value(cfg, "mode", str, "shuffle"), _value(cfg, "sigma", float, 0.2)
     seed = args.seed if args.seed is not None else 0
     if "dataset" in cfg:
-        ds = datagen.load_dataset(cfg["dataset"])
+        ds = datagen.load_dataset(_read(str, cfg["dataset"], "dataset"))
     else:
         ds = datagen.gen_chain_dataset(_generator_config(cfg, args.seed))
         seed = ds.metadata["config"]["seed"]
-    corrupted = datagen.corrupt_priors(ds, mode, seed=seed,
-                                       sigma=float(_value(cfg, "sigma", 0.2)))
+    corrupted = datagen.corrupt_priors(ds, mode, seed=seed, sigma=sigma)
     out = _out_dir(args)
     datagen.save_dataset(corrupted, os.path.join(out, "dataset_corrupted.json"))
     _write_json(os.path.join(out, "corrupt_report.json"),
@@ -341,32 +338,34 @@ def build_parser():
                                 description="prior-aware evidential-conformal toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # --score-mode default per command that reads one; None: the recipe's own
+    score_modes = {cmd_pipeline: "normalized", cmd_bound: "normalized",
+                   cmd_ncal_sweep: "normalized", cmd_experiment: None}
+    for name, fn in [("gen-data", cmd_gen_data), ("pipeline", cmd_pipeline),
+                     ("bound", cmd_bound), ("ncal-sweep", cmd_ncal_sweep),
+                     ("active", cmd_active), ("corrupt-priors", cmd_corrupt_priors),
+                     ("experiment", cmd_experiment)]:
+        sp = sub.add_parser(name)
+        if fn is cmd_experiment:
+            sp.add_argument("name", choices=EXPERIMENTS)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--score-mode", choices=("absolute", "normalized"),
-                        default="normalized", help="nonconformity score mode")
-
-    for name, fn in [("gen-data", cmd_gen_data), ("pipeline", cmd_pipeline),
-                     ("bound", cmd_bound), ("ncal-sweep", cmd_ncal_sweep),
-                     ("active", cmd_active), ("corrupt-priors", cmd_corrupt_priors)]:
-        sp = sub.add_parser(name)
-        common(sp)
+        if fn in score_modes:
+            sp.add_argument("--score-mode", choices=("absolute", "normalized"),
+                            default=score_modes[fn], help="nonconformity score mode")
         sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("experiment")
-    sp.add_argument("name", choices=EXPERIMENTS)
-    common(sp)
-    sp.set_defaults(fn=cmd_experiment)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # a file in the output directory's place would fail only after the run
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise SystemExit(f"error: --out {args.out} is not a directory")
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

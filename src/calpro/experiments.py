@@ -49,11 +49,11 @@ class ExperimentSpec:
     shifted_generator: datagen.GeneratorConfig | None = None
     shift_perturbation: dict | None = None      # {"kind", "magnitude"}
     train: trainer_mod.TrainConfig = field(default_factory=desk_train_config)
-    ablations: tuple | None = None      # None: the recipe's default configurations
-    corruption_modes: tuple = datagen.CORRUPTION_MODES
+    ablations: tuple[str, ...] | None = None  # None: the recipe's default configurations
+    corruption_modes: tuple[str, ...] = datagen.CORRUPTION_MODES
     corruption_sigma: float = 0.2
-    seeds: tuple = (0,)
-    levels: tuple = conf_mod.DEFAULT_LEVELS
+    seeds: tuple[int, ...] = (0,)
+    levels: tuple[float, ...] = conf_mod.DEFAULT_LEVELS
     score_mode: str = "normalized"
 
     def validate(self):

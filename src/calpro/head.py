@@ -34,7 +34,7 @@ class NIGParams:
 
 @dataclass(frozen=True)
 class HeadConfig:
-    widths: tuple = (16, 32, 16)
+    widths: tuple[int, ...] = (16, 32, 16)
     layer_norm: bool = False
     init_seed: int = 0
 

@@ -195,10 +195,10 @@ class TestBoundCommands:
     (["bound"], {"magnitudes": 5}, "config key magnitudes must be a JSON array of numbers"),
     (["bound"], {"tau": [1]}, "config key tau must be a JSON number"),
     (["bound"], {"delta": [1]}, "config key delta must be a JSON number"),
-    (["ncal-sweep"], {"sizes": 5}, "config key sizes must be a JSON array of numbers"),
+    (["ncal-sweep"], {"sizes": 5}, "config key sizes must be a JSON array of integers"),
     (["ncal-sweep"], {"magnitude": [1]}, "config key magnitude must be a JSON number"),
     (["experiment", "calibration"], {"seeds": 5},
-     "experiment key seeds must be a JSON array of numbers"),
+     "experiment key seeds must be a JSON array of integers"),
     (["experiment", "calibration"], {"levels": 0.9},
      "experiment key levels must be a JSON array of numbers"),
     (["experiment", "bound_sweep"], {"magnitudes": 5},
@@ -207,17 +207,79 @@ class TestBoundCommands:
      "active key strategies must be a JSON array of strings"),
     (["corrupt-priors"], {"sigma": [1]}, "config key sigma must be a JSON number"),
     (["pipeline"], {"generator": {"n_chains": "4"}},
-     "generator key n_chains must be a JSON number"),
+     "generator key n_chains must be a JSON integer"),
+    # integer keys given a fraction
+    (["pipeline"], {"generator": {"n_chains": 4.5}},
+     "generator key n_chains must be a JSON integer"),
+    (["pipeline"], {"generator": {"feature_dim": 4.5}},
+     "generator key feature_dim must be a JSON integer"),
+    (["pipeline"], {"train": {"max_epochs": 4.5}}, "train key max_epochs must be a JSON integer"),
+    (["pipeline"], {"train": {"head": {"widths": [4.5]}}},
+     "head key widths must be a JSON array of integers"),
+    (["pipeline"], {"train": {"objective": {"monotone_hidden": 2.5}}},
+     "objective key monotone_hidden must be a JSON integer"),
+    (["experiment", "calibration"], {"seeds": [0.5]},
+     "experiment key seeds must be a JSON array of integers"),
+    (["active"], {"seeds": [0.5]}, "config key seeds must be a JSON array of integers"),
+    (["ncal-sweep"], {"sizes": [10.5]}, "config key sizes must be a JSON array of integers"),
+    # keys the run sets itself
+    (["pipeline"], {"train": {"seed": 99}}, "unknown train keys: seed"),
+    (["pipeline"], {"train": {"head": {"init_seed": 7}}}, "unknown head keys: init_seed"),
+    (["active"], {"active": {"strategy": "bogus"}}, "unknown active keys: strategy"),
+    (["active"], {"active": {"seed": 1}}, "unknown active keys: seed"),
+    (["active"], {"active": {"retrain": {}}}, "unknown active keys: retrain"),
+    # keys that must lie in (0, 1)
+    (["bound"], {"tau": 1.5}, "config key tau must be in (0, 1), got 1.5"),
+    (["bound"], {"delta": 0}, "config key delta must be in (0, 1), got 0.0"),
+    (["experiment", "shift"], {"tau": 1}, "config key tau must be in (0, 1), got 1.0"),
+    (["experiment", "calibration"], {"levels": [0.9, 1.0]},
+     "experiment key levels must be in (0, 1), got 1.0"),
+    # --score-mode on a recipe that reads none
+    (["experiment", "perturbation", "--score-mode", "absolute"], {},
+     "the perturbation experiment takes no --score-mode"),
+    (["experiment", "efficiency", "--score-mode", "normalized"], {},
+     "the efficiency experiment takes no --score-mode"),
+    # paths: "." is the test's working directory, cfg.json its config file
+    (["pipeline", "--config", "."], {}, "[Errno 21] Is a directory: '.'"),
+    (["corrupt-priors"], {"dataset": "."}, "[Errno 21] Is a directory: '.'"),
+    (["pipeline", "--out", "cfg.json"], {}, "--out cfg.json is not a directory"),
+    (["corrupt-priors"], {"dataset": 0}, "config key dataset must be a JSON string"),
+    (["corrupt-priors"], {"dataset": 7}, "config key dataset must be a JSON string"),
 ], ids=["bound_magnitudes", "bound_tau", "bound_delta", "ncal_sweep_sizes",
         "ncal_sweep_magnitude", "calibration_seeds", "calibration_levels",
         "bound_sweep_magnitudes", "active_strategies", "corrupt_priors_sigma",
-        "pipeline_n_chains"])
-def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, argv, extra, message):
-    """Each value is read before any training."""
+        "pipeline_n_chains", "fractional_n_chains", "fractional_feature_dim",
+        "fractional_max_epochs", "fractional_head_widths", "fractional_monotone_hidden",
+        "fractional_calibration_seeds", "fractional_active_seeds", "fractional_sizes",
+        "train_seed", "head_init_seed", "active_strategy", "active_seed", "active_retrain",
+        "tau_above_1", "delta_0", "shift_tau_1", "level_1", "perturbation_score_mode",
+        "efficiency_score_mode", "config_directory", "dataset_directory", "out_file",
+        "dataset_0", "dataset_7"])
+def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsys, argv, extra,
+                                                     message):
+    """Each bad value or path is one error line and exit code 1, before any
+    training.  argv's options follow --config and --out, so they override
+    them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a head was trained")
+
+    monkeypatch.setattr(trainer, "train", refuse)
+    monkeypatch.chdir(tmp_path)
     cfg = _gen_cfg(tmp_path, **extra)
+    try:
+        code = cli.main([argv[0], "--config", cfg, "--out", str(tmp_path / "run"), *argv[1:]])
+        err = capsys.readouterr().err
+    except SystemExit as exc:   # a process exits 1 and prints the message
+        code, err = 1, f"{exc.code}\n"
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "active", "corrupt-priors"])
+def test_command_that_reads_no_score_mode_has_no_flag(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "run")])
-    assert exc.value.code == f"error: {message}"
+        cli.main([command, "--score-mode", "absolute", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
 
 

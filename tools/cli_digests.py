@@ -31,6 +31,8 @@ GENERATOR = {"n_chains": 12, "chain_length": 40}
 TRAIN = {"learning_rate": 1e-3, "batch_size": 16, "max_epochs": 40,
          "patience": 0, "warmup_epochs": 39}
 PIPED = {"generator": GENERATOR, "train": TRAIN}
+SMALL = {"n_chains": 6, "chain_length": 20}
+SHORT = dict(TRAIN, max_epochs=4, warmup_epochs=3)
 
 RECIPES = ("calibration", "shift", "perturbation", "prior_corruption",
            "efficiency", "bound_sweep")
@@ -58,6 +60,31 @@ MATRIX = (
     ("gen_data_chain", ["gen-data"], {"generator": GENERATOR}),
     ("gen_data_tabular", ["gen-data"], {"generator": GENERATOR, "kind": "tabular"}),
     ("corrupt_priors", ["corrupt-priors"], {"generator": GENERATOR}),
+    # config shapes no entry above sets, each on a 6x20 graph with 4 epochs:
+    # nested head and objective keys, two seeds, levels, ablations, a shifted
+    # generator, corruption modes and sigma, a strategy subset, and the score
+    # mode flag of a recipe that reads it
+    ("pipeline_nested", ["pipeline"],
+     {"generator": SMALL, "train": dict(SHORT, head={"widths": [8, 8], "layer_norm": True},
+                                        objective={"gamma": 5.0, "kappa": 0.2,
+                                                   "lambda_evid": 0.02, "lambda_prior": 0.2,
+                                                   "lambda_conf": 0.1, "stopgrad_epochs": 1,
+                                                   "prior_penalty_reduction": "sum",
+                                                   "monotone_hidden": 4, "mu_only": False})}),
+    ("experiment_calibration_levels", ["experiment", "calibration", "--score-mode", "absolute"],
+     {"generator": SMALL, "train": SHORT, "seeds": [0, 1], "levels": [0.8, 0.95],
+      "ablations": ["full", "no_priors"]}),
+    ("experiment_shift_generator", ["experiment", "shift"],
+     {"generator": SMALL, "train": SHORT, "ablations": ["full"],
+      "shifted_generator": {"n_chains": 6, "chain_length": 20, "ordered_noise_scale": 0.6,
+                            "disordered_noise_scale": 2.0}}),
+    ("experiment_prior_corruption_modes", ["experiment", "prior_corruption"],
+     {"generator": SMALL, "train": SHORT, "corruption_modes": ["shuffle", "invert"],
+      "corruption_sigma": 0.4}),
+    ("active_strategies", ["active"],
+     {"generator": SMALL, "train": SHORT,
+      "active": {"seed_set_size": 20, "batch_size": 5, "rounds": 1,
+                 "strategies": ["random", "calpro_width"]}}),
 )
 
 
