@@ -28,11 +28,19 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # threads, 2-core x86-64): no size beats 128 beyond the noise.
 KNN_LEAFSIZE = 128
 
-# threads for the k-NN query: every CPU the process may run on.  scipy answers
-# each query row on its own, with the same distance code in every thread, so
-# the estimate does not depend on the count.
-KNN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+# every CPU the process may run on: the threads of a k-NN query, and the
+# training workers of the experiment recipes (experiments._train_runs).
+# scipy answers each query row on its own, with the same distance code in
+# every thread, so the estimate does not depend on the count.
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
+
+# a k-NN query of fewer (query row, tree point) pairs than this runs on one
+# thread: there, starting the threads costs more than they save.  On the
+# calibration sets of a 100x100 graph (2-core x86-64), the largest query of
+# the 1000-point call (252,000 pairs) runs as fast on one thread as on two,
+# and that of the 2000-point call (632,000) about a tenth faster on two.
+KNN_THREAD_PAIRS = 300_000
 
 # confidence parameter of the PAC-Bayes term, and the calibration-set sizes
 # ncal_sweep walks through
@@ -84,6 +92,12 @@ def _embed(ds, mean=None, std=None):
     return (x - mean) / std
 
 
+def _query(tree, x, k):
+    """tree.query(x, k), on CPUS threads unless the query is small."""
+    workers = CPUS if x.shape[0] * tree.n >= KNN_THREAD_PAIRS else 1
+    return tree.query(x, k=k, workers=workers)
+
+
 def _ball_slopes(x, s, rows, k, limit=math.inf):
     """Query rows of the distinct points x against a tree of x: the max slope
     |s_i - s_j| / d_ij over the inclusive k-NN ball of each row whose k-th
@@ -91,7 +105,7 @@ def _ball_slopes(x, s, rows, k, limit=math.inf):
     n = x.shape[0]
     tree = cKDTree(x, leafsize=KNN_LEAFSIZE)
     best, m = 0.0, k + 2
-    dist, nn = tree.query(x[rows], k=min(m, n), workers=KNN_WORKERS)
+    dist, nn = _query(tree, x[rows], min(m, n))
     near = dist[:, k] < limit
     far, rows, dist, nn = rows[~near], rows[near], dist[near], nn[near]
     while True:
@@ -105,7 +119,7 @@ def _ball_slopes(x, s, rows, k, limit=math.inf):
         if not rows.size:
             return best, far
         m *= 2
-        dist, nn = tree.query(x[rows], k=min(m, n), workers=KNN_WORKERS)
+        dist, nn = _query(tree, x[rows], min(m, n))
 
 
 def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):

@@ -29,9 +29,12 @@ from . import trainer as trainer_mod
 
 REPORT_VERSION = "calpro-report/1"
 
-# scalar annotation -> its JSON kind's name and the types json.load gives it
-_KINDS = {int: ("integer", int), float: ("number", (int, float)),
-          bool: ("boolean", bool), str: ("string", str)}
+# scalar annotation -> its JSON kind's name, the types json.load gives it, and
+# the range a JSON integer given for it must lie in, if any: beyond int64 no
+# numpy array holds it, and beyond the float range float() raises
+_KINDS = {int: ("integer", int, ("int64", 2**63 - 1)),
+          float: ("number", (int, float), ("float", sys.float_info.max)),
+          bool: ("boolean", bool, None), str: ("string", str, None)}
 
 # fields a run sets itself: each run trains with its own seed, which also draws
 # the head's init, and `active` runs active.strategies with the train section
@@ -62,8 +65,9 @@ def _check_keys(cfg, allowed, where="config"):
 
 def _read(tp, value, key, where="config"):
     """Config key `key` of `where`, read as its annotation tp: int takes a JSON
-    integer, float any number (stored as a float), bool and str their own
-    kinds, tuple[T, ...] an array of T, T | None also null, and a dataclass an
+    integer in the int64 range, float any number (stored as a float; an
+    integer must lie in the float range), bool and str their own kinds,
+    tuple[T, ...] an array of T, T | None also null, and a dataclass an
     object of its fields less SET_BY_RUN's, each read the same way.  dict is
     left to its owner's validate.  Any other value is one error line that
     names the key."""
@@ -78,14 +82,17 @@ def _read(tp, value, key, where="config"):
     if tp is dict:
         return value
     item = get_args(tp)[0] if get_origin(tp) is tuple else None
-    kind, types = _KINDS[item or tp]
+    kind, types, bound = _KINDS[item or tp]
     items = value if item else [value]
+    what = f"array of {kind}s" if item else kind
     # bool is a subclass of int, but a JSON boolean is no number
-    if isinstance(items, list) and all(
-            isinstance(v, types) and isinstance(v, bool) == (types is bool) for v in items):
-        return tuple(map(item, value)) if item else tp(value)
-    raise SystemExit(f"error: {where} key {key} must be a JSON "
-                     + (f"array of {kind}s" if item else kind))
+    if not (isinstance(items, list) and all(
+            isinstance(v, types) and isinstance(v, bool) == (types is bool) for v in items)):
+        raise SystemExit(f"error: {where} key {key} must be a JSON {what}")
+    if bound and any(type(v) is int and abs(v) > bound[1] for v in items):
+        raise SystemExit(f"error: {where} key {key} must be a JSON {what} within the "
+                         f"{bound[0]} range")
+    return tuple(map(item, value)) if item else tp(value)
 
 
 def _value(cfg, key, tp, default, where="config"):
@@ -319,6 +326,8 @@ def cmd_corrupt_priors(args):
     _check_keys(cfg, {"generator", "dataset", "mode", "sigma"})
     mode, sigma = _value(cfg, "mode", str, "shuffle"), _value(cfg, "sigma", float, 0.2)
     seed = args.seed if args.seed is not None else 0
+    if "dataset" in cfg and "generator" in cfg:
+        raise SystemExit("error: config keys dataset and generator exclude each other")
     if "dataset" in cfg:
         ds = datagen.load_dataset(_read(str, cfg["dataset"], "dataset"))
     else:
@@ -352,7 +361,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.add_argument("--out", default=".", help="output directory")
         if fn in score_modes:
-            sp.add_argument("--score-mode", choices=("absolute", "normalized"),
+            sp.add_argument("--score-mode", choices=conf_mod.SCORE_MODES,
                             default=score_modes[fn], help="nonconformity score mode")
         sp.set_defaults(fn=fn)
     return p

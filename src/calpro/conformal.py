@@ -15,6 +15,8 @@ from .numerics import conformal_quantiles
 
 VAR_FLOOR = 1e-8
 
+SCORE_MODES = ("absolute", "normalized")
+
 DEFAULT_LEVELS = (0.8, 0.9, 0.95)
 
 # the level of every single-level interval: reports' group tables, ACE,

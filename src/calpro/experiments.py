@@ -2,7 +2,11 @@
 perturbation correlation, ablations, prior corruption, and the prior-aware
 efficiency comparison.  Everything is deterministic in (spec, seeds)."""
 
+import collections
+import contextlib
+import itertools
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -62,6 +66,8 @@ class ExperimentSpec:
         for a in self.ablations or ():
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation toggle {a!r}")
+        if self.score_mode not in conf_mod.SCORE_MODES:
+            raise ValueError(f"unknown score mode {self.score_mode!r}")
         for mode in self.corruption_modes:
             datagen.check_corruption_mode(mode)
         shift = self.shift_perturbation
@@ -114,18 +120,73 @@ def _objective_for(config_name, base: ObjectiveConfig) -> ObjectiveConfig:
     raise ValueError(f"unknown configuration {config_name!r}")
 
 
+def _training(spec: ExperimentSpec, config_name, seed, ds):
+    """trainer.train's arguments for one configuration on one seed's dataset."""
+    fit_ds, val_ds = _train_val(ds)
+    tcfg = replace(spec.train, seed=seed,
+                   objective=_objective_for(config_name, spec.train.objective))
+    return tcfg, fit_ds, val_ds
+
+
+def _run(trained, config_name, seed, ds):
+    """trainer.train's result as a run: the trained pieces plus the standard
+    dataset slices."""
+    params, mono, record = trained
+    return {"ds": ds, "params": params, "mono": mono, "record": record,
+            "cal_ds": ds.subset(ds.split_indices("calibration")), "test_ds": _test_split(ds),
+            "config": config_name, "seed": seed}
+
+
 def train_config_run(spec: ExperimentSpec, config_name, seed, ds=None):
     """Train one configuration on one seed; returns the trained pieces plus
     the standard dataset slices."""
     if ds is None:
         ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
-    fit_ds, val_ds = _train_val(ds)
-    tcfg = replace(spec.train, seed=seed,
-                   objective=_objective_for(config_name, spec.train.objective))
-    params, mono, record = trainer_mod.train(tcfg, fit_ds, val_ds)
-    return {"ds": ds, "params": params, "mono": mono, "record": record,
-            "cal_ds": ds.subset(ds.split_indices("calibration")), "test_ds": _test_split(ds),
-            "config": config_name, "seed": seed}
+    return _run(trainer_mod.train(*_training(spec, config_name, seed, ds)),
+                config_name, seed, ds)
+
+
+def _train(args):
+    """A worker's task: trainer.train(*args)."""
+    return trainer_mod.train(*args)
+
+
+def _train_runs(jobs):
+    """Yield train_config_run(*job) for each job (spec, configuration, seed,
+    ds) of jobs, in job order.
+
+    On more than one CPU (bounds.CPUS, which also sets the k-NN threads)
+    only trainer.train runs elsewhere, on a pool of forked workers, one per
+    CPU.  Jobs are drawn (and their datasets made) here, at most one beyond
+    those the workers hold, so few datasets are alive at once; the caller
+    evaluates each run here as it arrives.  A training that raises re-raises
+    here, at its job's place.  On one CPU, or without fork, this is the
+    serial loop."""
+    workers = bounds_mod.CPUS
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from itertools.starmap(train_config_run, jobs)
+        return
+    # imported here, so that importing calpro does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: two spawned workers first import numpy, scipy and
+    # calpro, 0.76-0.83 s against 0.01-0.02 s forked (2-core x86-64), about a
+    # whole desk recipe.  A fork executor forks every worker before it starts
+    # a thread of its own.
+    jobs = iter(jobs)
+    pending = collections.deque()       # (job, future) in job order
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        while True:
+            for job in itertools.islice(jobs, workers + 1 - len(pending)):
+                pending.append((job, pool.submit(_train, _training(*job))))
+            if not pending:
+                return
+            job, future = pending.popleft()
+            yield _run(future.result(), *job[1:])
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _evaluate(run, spec: ExperimentSpec):
@@ -165,11 +226,23 @@ def _configured(spec: ExperimentSpec, default):
     return spec if spec.ablations is not None else replace(spec, ablations=default)
 
 
-def _per_seed(spec: ExperimentSpec, one_seed):
-    """Validate spec, then one_seed(ds, seed) on each seed's generated dataset."""
+def _per_seed(spec: ExperimentSpec, arms, one_seed):
+    """Validate spec, then one_seed(runs) for each seed, where runs yields,
+    in order, the run (see train_config_run) of each arm (configuration,
+    corruption mode or None) of arms: the configuration trained on the
+    seed's generated dataset, its priors corrupted by the mode, if any.  The
+    trainings run ahead of one_seed, across seeds (_train_runs)."""
     spec.validate()
-    return [one_seed(datagen.gen_chain_dataset(replace(spec.generator, seed=seed)), seed)
-            for seed in spec.seeds]
+
+    def jobs():
+        for seed in spec.seeds:
+            ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+            for config, mode in arms:
+                yield spec, config, seed, ds if mode is None else datagen.corrupt_priors(
+                    ds, mode, seed=seed, sigma=spec.corruption_sigma)
+
+    with contextlib.closing(_train_runs(jobs())) as runs:
+        return [one_seed(itertools.islice(runs, len(arms))) for _ in spec.seeds]
 
 
 def _seed_median(per_seed):
@@ -184,9 +257,8 @@ def run_calibration_experiment(spec: ExperimentSpec):
     """Table-1-shaped rows: per configuration (default: every ablation),
     median coverage/ECE/sharpness across seeds at the requested levels."""
     spec = _configured(spec, ABLATIONS)
-    per_seed = _per_seed(spec, lambda ds, seed: {
-        name: _evaluate(train_config_run(spec, name, seed, ds=ds), spec)
-        for name in spec.ablations})
+    per_seed = _per_seed(spec, [(name, None) for name in spec.ablations],
+                         lambda runs: {run["config"]: _evaluate(run, spec) for run in runs})
     rows = _seed_median(per_seed)
     for row in rows.values():
         del row["spearman"]     # reported per seed only
@@ -200,24 +272,26 @@ def _shifted_test(spec: ExperimentSpec, ds, seed):
     if spec.shifted_generator is not None:
         return _test_split(datagen.gen_chain_dataset(
             replace(spec.shifted_generator, seed=seed + 10000)))
-    if spec.shift_perturbation is not None:
-        return _test_split(datagen.perturb(ds, spec.shift_perturbation["kind"],
-                                           spec.shift_perturbation["magnitude"], seed=seed))
-    raise ValueError("shift experiment needs a shifted generator or a perturbation")
+    return _test_split(datagen.perturb(ds, spec.shift_perturbation["kind"],
+                                       spec.shift_perturbation["magnitude"], seed=seed))
 
 
 def run_shift_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Coverage and degradation on a shifted test condition for each
     configuration (default: full and no_priors)."""
     spec = _configured(spec, ("full", "no_priors"))
+    if spec.shifted_generator is None and spec.shift_perturbation is None:
+        raise ValueError("shift experiment needs a shifted generator or a perturbation")
 
-    def one_seed(ds, seed):
-        shifted = _shifted_test(spec, ds, seed)
-        return {name: _scored(train_config_run(spec, name, seed, ds=ds), shifted, tau,
-                              spec.score_mode)[0]
-                for name in spec.ablations}
+    def one_seed(runs):
+        out = {}
+        for run in runs:
+            if not out:     # the seed's shifted test set, from its first run's dataset
+                shifted = _shifted_test(spec, run["ds"], run["seed"])
+            out[run["config"]] = _scored(run, shifted, tau, spec.score_mode)[0]
+        return out
 
-    per_seed = _per_seed(spec, one_seed)
+    per_seed = _per_seed(spec, [(name, None) for name in spec.ablations], one_seed)
     return {"experiment": "shift", "spec": spec.echo(), "tau": tau,
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
@@ -229,21 +303,22 @@ def run_perturbation_correlation(spec: ExperimentSpec,
     for full and no_priors configurations."""
     magnitudes = dict(DEFAULT_PERTURBATION_MAGNITUDE, **(magnitudes or {}))
 
-    def one_seed(ds, seed):
-        tests = {kind: _test_split(datagen.perturb(ds, kind, magnitudes[kind], seed=seed))
-                 for kind in kinds}
+    def one_seed(runs):
         out = {}
-        for name in ("full", "no_priors"):
-            params = train_config_run(spec, name, seed, ds=ds)["params"]
+        for run in runs:
+            if not out:     # the seed's perturbed test sets, from its first run's dataset
+                tests = {kind: _test_split(datagen.perturb(run["ds"], kind, magnitudes[kind],
+                                                           seed=run["seed"]))
+                         for kind in kinds}
             row = {}
             for kind, test_ds in tests.items():
                 row[kind] = metrics_mod.uncertainty_error_spearman(
-                    head_mod.forward(params, test_ds), test_ds.target_y)
+                    head_mod.forward(run["params"], test_ds), test_ds.target_y)
             row["overall"] = float(np.mean([row[k] for k in kinds]))
-            out[name] = row
+            out[run["config"]] = row
         return out
 
-    per_seed = _per_seed(spec, one_seed)
+    per_seed = _per_seed(spec, [("full", None), ("no_priors", None)], one_seed)
     return {"experiment": "perturbation_correlation", "spec": spec.echo(),
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
@@ -251,16 +326,13 @@ def run_perturbation_correlation(spec: ExperimentSpec,
 def run_prior_corruption(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Retrain under corrupted priors with identical settings; report
     coverage, degradation and sharpness per corruption mode."""
-    def one_seed(ds, seed):
-        out = {}
-        for label, mode in [("full", None)] + [(m, m) for m in spec.corruption_modes]:
-            d = ds if mode is None else datagen.corrupt_priors(
-                ds, mode, seed=seed, sigma=spec.corruption_sigma)
-            run = train_config_run(spec, "full", seed, ds=d)
-            out[label] = _scored(run, run["test_ds"], tau, spec.score_mode)[0]
-        return out
+    modes = (None, *spec.corruption_modes)
 
-    per_seed = _per_seed(spec, one_seed)
+    def one_seed(runs):
+        return {mode or "full": _scored(run, run["test_ds"], tau, spec.score_mode)[0]
+                for mode, run in zip(modes, runs)}
+
+    per_seed = _per_seed(spec, [("full", mode) for mode in modes], one_seed)
     return {"experiment": "prior_corruption", "spec": spec.echo(), "tau": tau,
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
@@ -268,11 +340,13 @@ def run_prior_corruption(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
 def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Stable-region width of prior-aware normalized conformal vs vanilla
     absolute conformal on an unregularized head, at matched coverage."""
-    def one_seed(ds, seed):
+    score_modes = {"full": "normalized", "vanilla": "absolute"}
+
+    def one_seed(runs):
         cov, width = {}, {}
-        for name, mode in (("full", "normalized"), ("vanilla", "absolute")):
-            run = train_config_run(spec, name, seed, ds=ds)
-            row, iv = _scored(run, run["test_ds"], tau, mode)
+        for run in runs:
+            name = run["config"]
+            row, iv = _scored(run, run["test_ds"], tau, score_modes[name])
             stable = ~run["test_ds"].disorder_flags
             cov[name] = row["coverage"]
             width[name] = float(np.mean(iv[stable, 1] - iv[stable, 0]))
@@ -283,7 +357,7 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
                 "coverage_slack": slack,
                 "inconclusive": abs(cov["full"] - cov["vanilla"]) > 2 * slack}
 
-    per_seed = _per_seed(spec, one_seed)
+    per_seed = _per_seed(spec, [(name, None) for name in score_modes], one_seed)
     medians = _seed_median(per_seed)
     return {
         "experiment": "efficiency", "spec": spec.echo(), "tau": tau,
@@ -308,9 +382,9 @@ def run_bound_sweep(spec: ExperimentSpec, magnitudes=DEFAULT_MAGNITUDES,
                     tau=conf_mod.DEFAULT_TAU):
     """Fig.-1-style bound-vs-empirical series over gaussian perturbations of
     increasing magnitude, one report per seed."""
-    def one_seed(ds, seed):
-        run = train_config_run(spec, "full", seed, ds=ds)
+    def one_seed(runs):
+        (run,) = runs
         return bound_report(run, magnitudes, tau, spec.score_mode).to_dict()
 
     return {"experiment": "bound_sweep", "spec": spec.echo(), "tau": tau,
-            "per_seed": _per_seed(spec, one_seed)}
+            "per_seed": _per_seed(spec, [("full", None)], one_seed)}

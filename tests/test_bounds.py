@@ -245,7 +245,8 @@ def test_estimate_lipschitz_independent_of_tree(case):
         for workers in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
-                mp.setattr(bounds, "KNN_WORKERS", workers)
+                mp.setattr(bounds, "CPUS", workers)
+                mp.setattr(bounds, "KNN_THREAD_PAIRS", 0)     # threads for every query
                 assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
 
 
@@ -264,7 +265,8 @@ def test_estimate_lipschitz_one_hot_blocks_match_pair_loop(case):
         for workers in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
-                mp.setattr(bounds, "KNN_WORKERS", workers)
+                mp.setattr(bounds, "CPUS", workers)
+                mp.setattr(bounds, "KNN_THREAD_PAIRS", 0)     # threads for every query
                 assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
 
 
@@ -302,6 +304,27 @@ def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
         _lipschitz_loop(scores, ds, 3, standardize=False)
     assert log == {"trees": [60], "queries": [(60, 60)]}
+
+
+def test_knn_query_threads_follow_its_size(monkeypatch):
+    """A query of fewer (row, tree point) pairs than KNN_THREAD_PAIRS runs on
+    one thread, any other on CPUS threads, with the same estimate."""
+    queries = []
+
+    class LoggingKDTree(bounds.cKDTree):
+        def query(self, x, *args, **kwargs):
+            queries.append((len(x) * self.n, kwargs["workers"]))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "cKDTree", LoggingKDTree)
+    monkeypatch.setattr(bounds, "CPUS", 2)
+    scores, ds = _blocks_case([60], 1.0)
+    expected = _lipschitz_loop(scores, ds, 3, standardize=False)
+    for limit, threads in ((60 * 60 + 1, 1), (60 * 60, 2)):
+        monkeypatch.setattr(bounds, "KNN_THREAD_PAIRS", limit)
+        queries.clear()
+        assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == expected
+        assert queries == [(60 * 60, threads)]
 
 
 def test_estimate_lipschitz_wide_gap_queries_each_row_once(monkeypatch):
@@ -347,10 +370,10 @@ def test_estimate_lipschitz_block_of_at_most_k_rows(monkeypatch):
     assert log["queries"] == [(30, 30), (33, 3)]
 
 
-def test_knn_workers_follows_cpu_affinity():
-    assert bounds.KNN_WORKERS >= 1
+def test_cpus_follows_cpu_affinity():
+    assert bounds.CPUS >= 1
     if hasattr(os, "sched_getaffinity"):
-        assert bounds.KNN_WORKERS == len(os.sched_getaffinity(0))
+        assert bounds.CPUS == len(os.sched_getaffinity(0))
 
 
 def test_estimate_lipschitz_counts_every_tie():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from calpro import active, cli, datagen, experiments, trainer
+from calpro import active, cli, datagen, trainer
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -21,9 +21,11 @@ def _write(tmp_path, name, doc):
 
 
 def _gen_cfg(tmp_path, **extra):
+    """The config file of a 5x20 generator and extra; an extra key set to
+    None is left out."""
     doc = {"generator": {"n_chains": 5, "chain_length": 20, "seed": 1}}
     doc.update(extra)
-    return _write(tmp_path, "cfg.json", doc)
+    return _write(tmp_path, "cfg.json", {k: v for k, v in doc.items() if v is not None})
 
 
 class TestGenData:
@@ -241,10 +243,28 @@ class TestBoundCommands:
      "the efficiency experiment takes no --score-mode"),
     # paths: "." is the test's working directory, cfg.json its config file
     (["pipeline", "--config", "."], {}, "[Errno 21] Is a directory: '.'"),
-    (["corrupt-priors"], {"dataset": "."}, "[Errno 21] Is a directory: '.'"),
+    (["corrupt-priors"], {"dataset": ".", "generator": None},
+     "[Errno 21] Is a directory: '.'"),
     (["pipeline", "--out", "cfg.json"], {}, "--out cfg.json is not a directory"),
-    (["corrupt-priors"], {"dataset": 0}, "config key dataset must be a JSON string"),
-    (["corrupt-priors"], {"dataset": 7}, "config key dataset must be a JSON string"),
+    (["corrupt-priors"], {"dataset": 0, "generator": None},
+     "config key dataset must be a JSON string"),
+    (["corrupt-priors"], {"dataset": 7, "generator": None},
+     "config key dataset must be a JSON string"),
+    # a dataset to corrupt comes from a file or a generator, not both
+    (["corrupt-priors"], {"dataset": "dataset.json"},
+     "config keys dataset and generator exclude each other"),
+    # integers beyond what the key's type holds
+    (["pipeline"], {"train": {"learning_rate": 10**400}},
+     "train key learning_rate must be a JSON number within the float range"),
+    (["experiment", "calibration"], {"levels": [0.9, -10**309]},
+     "experiment key levels must be a JSON array of numbers within the float range"),
+    (["pipeline"], {"generator": {"n_chains": 10**400}},
+     "generator key n_chains must be a JSON integer within the int64 range"),
+    (["experiment", "calibration"], {"seeds": [0, 2**63]},
+     "experiment key seeds must be a JSON array of integers within the int64 range"),
+    # a score mode no calibration knows, before any training
+    (["experiment", "calibration"], {"score_mode": "bogus"}, "unknown score mode 'bogus'"),
+    (["experiment", "bound_sweep"], {"score_mode": "bogus"}, "unknown score mode 'bogus'"),
 ], ids=["bound_magnitudes", "bound_tau", "bound_delta", "ncal_sweep_sizes",
         "ncal_sweep_magnitude", "calibration_seeds", "calibration_levels",
         "bound_sweep_magnitudes", "active_strategies", "corrupt_priors_sigma",
@@ -254,7 +274,9 @@ class TestBoundCommands:
         "train_seed", "head_init_seed", "active_strategy", "active_seed", "active_retrain",
         "tau_above_1", "delta_0", "shift_tau_1", "level_1", "perturbation_score_mode",
         "efficiency_score_mode", "config_directory", "dataset_directory", "out_file",
-        "dataset_0", "dataset_7"])
+        "dataset_0", "dataset_7", "dataset_and_generator", "float_overflow",
+        "float_array_overflow", "int64_overflow", "int64_array_overflow",
+        "calibration_score_mode", "bound_sweep_score_mode"])
 def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsys, argv, extra,
                                                      message):
     """Each bad value or path is one error line and exit code 1, before any
@@ -433,15 +455,16 @@ class TestExperimentCommand:
 
     def test_unknown_corruption_mode_exits_1_before_training(self, tmp_path, monkeypatch,
                                                               capsys):
-        runs = []
-        monkeypatch.setattr(experiments, "train_config_run",
-                            lambda *args, **kwargs: runs.append(args))
+        # trainer.train, which every recipe calls on one CPU or several
+        def refuse(*args, **kwargs):
+            raise AssertionError("a head was trained")
+
+        monkeypatch.setattr(trainer, "train", refuse)
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, corruption_modes=["shuffle", "nonsense"])
         assert cli.main(["experiment", "prior_corruption", "--config", cfg,
                          "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: unknown corruption mode 'nonsense'"]
-        assert runs == []
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("shift, message", [

@@ -1,7 +1,9 @@
-import numpy as np
+import json
+import multiprocessing
+
 import pytest
 
-from calpro import datagen, experiments, trainer
+from calpro import bounds, cli, conformal, datagen, experiments, trainer
 from calpro.experiments import ExperimentSpec
 
 
@@ -88,3 +90,68 @@ class TestBoundSweepExperiment:
         rep = out["per_seed"][0]
         assert len(rep["epsilons"]) == 3
         assert rep["epsilons"] == sorted(rep["epsilons"])
+
+
+def _fan_out_config(tmp_path, **extra):
+    """A 4-seed experiment config on a 6x24 graph, 3 epochs per head."""
+    doc = {"generator": {"n_chains": 6, "chain_length": 24},
+           "train": {"learning_rate": 3e-3, "batch_size": 4, "max_epochs": 3,
+                     "patience": 0, "warmup_epochs": 2},
+           "seeds": [0, 1, 2, 3], **extra}
+    path = tmp_path / "fan_out.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestTrainingFanOut:
+    """Each recipe trains its heads on one forked worker per CPU
+    (bounds.CPUS) and evaluates them in this process."""
+
+    @pytest.mark.parametrize("name", ["calibration", "prior_corruption"])
+    def test_artifact_independent_of_cpu_count(self, tmp_path, monkeypatch, name):
+        cfg = _fan_out_config(tmp_path)
+        artifacts, here = [], []
+        train = trainer.train
+        monkeypatch.setattr(trainer, "train", lambda *args: here.append(1) or train(*args))
+        for cpus in (1, 2):
+            monkeypatch.setattr(bounds, "CPUS", cpus)
+            here.clear()
+            out = tmp_path / f"cpus{cpus}"
+            assert cli.main(["experiment", name, "--config", cfg, "--out", str(out)]) == 0
+            artifacts.append((out / f"experiment_{name}.json").read_bytes())
+            # on two CPUs no head trains in this process
+            assert len(here) == (16 if cpus == 1 else 0)
+        assert artifacts[0] == artifacts[1]
+        assert multiprocessing.active_children() == []
+
+    def test_every_calibration_runs_in_this_process(self, tmp_path, monkeypatch):
+        calls = []
+        calibrate = conformal.calibrate
+        monkeypatch.setattr(conformal, "calibrate",
+                            lambda *args, **kwargs: calls.append(1) or calibrate(*args, **kwargs))
+        monkeypatch.setattr(bounds, "CPUS", 2)
+        cfg = _fan_out_config(tmp_path, ablations=list(experiments.ABLATIONS))
+        assert cli.main(["experiment", "shift", "--config", cfg,
+                         "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 4 * 4
+        assert multiprocessing.active_children() == []
+
+    def test_training_error_is_the_serial_loops(self, tmp_path, monkeypatch, capsys):
+        train = trainer.train
+
+        def fail_on_seed_2(cfg, *args):
+            if cfg.seed == 2:
+                raise ValueError(f"no head for seed {cfg.seed}")
+            return train(cfg, *args)
+
+        monkeypatch.setattr(trainer, "train", fail_on_seed_2)
+        cfg = _fan_out_config(tmp_path)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(bounds, "CPUS", cpus)
+            assert cli.main(["experiment", "calibration", "--config", cfg,
+                             "--out", str(tmp_path / f"cpus{cpus}")]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / f"cpus{cpus}").exists()
+        assert errors == ["error: no head for seed 2\n"] * 2
+        assert multiprocessing.active_children() == []
