@@ -1,6 +1,6 @@
 """Shift-robustness bounds: local Lipschitz estimation of the nonconformity
-score, the Gaussian PAC-Bayes complexity surrogate, the worst-case coverage
-lower bound, calibration-set sizing, and bound-vs-empirical sweeps."""
+score, the Gaussian PAC-Bayes complexity term, the worst-case coverage
+lower bound, and the calibration-size and bound-vs-empirical sweeps."""
 
 import csv
 import math
@@ -46,21 +46,6 @@ KNN_THREAD_PAIRS = 300_000
 # ncal_sweep walks through
 DEFAULT_DELTA = 0.05
 DEFAULT_NCAL_SIZES = (250, 500, 1000, 2000, 4000)
-
-
-@dataclass(frozen=True)
-class PosteriorSurrogate:
-    """Isotropic Gaussian posterior around the trained weights, isotropic
-    zero-mean Gaussian prior.  The sweeps use sigma = sigma_p = 1: the KL is
-    smallest at sigma = sigma_p whatever the weights."""
-    center: np.ndarray
-    sigma: float
-    sigma_p: float = 1.0
-
-    def validate(self):
-        if self.sigma <= 0 or self.sigma_p <= 0:
-            raise ValueError("posterior/prior scales must be positive")
-        return self
 
 
 @dataclass(frozen=True)
@@ -182,19 +167,13 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
     return best
 
 
-def kl_gaussian(surrogate: PosteriorSurrogate):
-    """KL between N(w_hat, sigma^2 I) and N(0, sigma_p^2 I), closed form."""
-    surrogate.validate()
-    w = np.asarray(surrogate.center, dtype=float)
-    s, sp = surrogate.sigma, surrogate.sigma_p
-    d = w.size
-    return float(d * (math.log(sp / s) + s * s / (2 * sp * sp) - 0.5)
-                 + np.sum(w * w) / (2 * sp * sp))
-
-
 def _kl(head_params):
-    """The KL term of the sweeps: N(w_hat, I) against the zero-mean N(0, I)."""
-    return kl_gaussian(PosteriorSurrogate(head_params.to_vector(), sigma=1.0))
+    """The KL term of the sweeps: the isotropic Gaussian posterior N(w_hat, I)
+    around the trained weights against the prior N(0, I), |w_hat|^2 / 2.  The
+    posterior scale equals the prior's, where the KL is smallest whatever the
+    weights."""
+    w = head_params.to_vector()
+    return float(np.sum(w * w) / 2.0)
 
 
 def coverage_lower_bound(alpha, kl, delta, n_cal, lipschitz, epsilon):
@@ -210,14 +189,6 @@ def coverage_lower_bound(alpha, kl, delta, n_cal, lipschitz, epsilon):
     raw = 1.0 - alpha - math.sqrt((kl + math.log(1.0 / delta)) / (2.0 * n_cal)) - lipschitz * epsilon
     clamped = min(max(raw, 0.0), 1.0 - alpha)
     return clamped, raw, raw <= 0.0
-
-
-def required_ncal(target_delta, epsilon, lipschitz, kl, delta):
-    """Smallest calibration size meeting a target worst-case degradation."""
-    slack = target_delta - lipschitz * epsilon
-    if slack <= 0:
-        raise ValueError("infeasible: target degradation does not exceed the shift term")
-    return int(math.ceil((kl + math.log(1.0 / delta)) / (2.0 * slack * slack)))
 
 
 def epsilon_proxy(ref_ds, shifted_ds, mean, std):

@@ -25,6 +25,7 @@ from . import datagen
 from . import experiments as exp_mod
 from . import head as head_mod
 from . import metrics as metrics_mod
+from . import objective as obj_mod
 from . import trainer as trainer_mod
 
 REPORT_VERSION = "calpro-report/1"
@@ -34,11 +35,12 @@ REPORT_VERSION = "calpro-report/1"
 # numpy array holds it, and beyond the float range float() raises
 _KINDS = {int: ("integer", int, ("int64", 2**63 - 1)),
           float: ("number", (int, float), ("float", sys.float_info.max)),
-          bool: ("boolean", bool, None), str: ("string", str, None)}
+          str: ("string", str, None)}
 
 # fields a run sets itself: each run trains with its own seed, which also draws
-# the head's init, and `active` runs active.strategies with the train section
-SET_BY_RUN = {trainer_mod.TrainConfig: {"seed"}, head_mod.HeadConfig: {"init_seed"},
+# the head's init, the no_evidential ablation trains the mu_only point head,
+# and `active` runs active.strategies with the train section
+SET_BY_RUN = {trainer_mod.TrainConfig: {"seed"}, obj_mod.ObjectiveConfig: {"mu_only"},
               active_mod.ActiveConfig: {"strategy", "seed", "retrain"}}
 
 
@@ -66,11 +68,10 @@ def _check_keys(cfg, allowed, where="config"):
 def _read(tp, value, key, where="config"):
     """Config key `key` of `where`, read as its annotation tp: int takes a JSON
     integer in the int64 range, float any number (stored as a float; an
-    integer must lie in the float range), bool and str their own kinds,
-    tuple[T, ...] an array of T, T | None also null, and a dataclass an
-    object of its fields less SET_BY_RUN's, each read the same way.  dict is
-    left to its owner's validate.  Any other value is one error line that
-    names the key."""
+    integer must lie in the float range), str a string, tuple[T, ...] an
+    array of T, T | None also null, and a dataclass an object of its fields
+    less SET_BY_RUN's, each read the same way.  dict is left to its owner's
+    validate.  Any other value is one error line that names the key."""
     if type(None) in get_args(tp):
         if value is None:
             return None
@@ -87,7 +88,7 @@ def _read(tp, value, key, where="config"):
     what = f"array of {kind}s" if item else kind
     # bool is a subclass of int, but a JSON boolean is no number
     if not (isinstance(items, list) and all(
-            isinstance(v, types) and isinstance(v, bool) == (types is bool) for v in items)):
+            isinstance(v, types) and not isinstance(v, bool) for v in items)):
         raise SystemExit(f"error: {where} key {key} must be a JSON {what}")
     if bound and any(type(v) is int and abs(v) > bound[1] for v in items):
         raise SystemExit(f"error: {where} key {key} must be a JSON {what} within the "

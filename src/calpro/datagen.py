@@ -32,6 +32,13 @@ CORRUPTION_MODES = ("shuffle", "invert", "noise")
 # the same runs, so a swap count above this is rejected (about 0.3 s).
 MAX_SEGMENT_SWAPS = 10_000
 
+# a generator's feature matrix holds n_chains * chain_length * feature_dim
+# float64 entries, and the other columns and the edges grow with the node
+# count.  Past this many (800 MB of features alone) a run exhausts a desk
+# machine's memory or does not finish (n_chains 10^12 ran until stopped), so
+# validate rejects the config before anything is drawn.
+MAX_FEATURE_ENTRIES = 10**8
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -49,6 +56,10 @@ class GeneratorConfig:
             raise ValueError("need at least one chain of length >= 4")
         if self.feature_dim < 8:
             raise ValueError("feature_dim must be >= 8")
+        entries = self.n_chains * self.chain_length * self.feature_dim
+        if entries > MAX_FEATURE_ENTRIES:
+            raise ValueError(f"n_chains * chain_length * feature_dim is {entries}, above the "
+                             f"limit of {MAX_FEATURE_ENTRIES} feature entries (MAX_FEATURE_ENTRIES)")
         if self.ordered_noise_scale <= 0 or self.disordered_noise_scale <= 0:
             raise ValueError("noise scales must be positive")
         if not 0.0 <= self.informativeness_eta <= 1.0:

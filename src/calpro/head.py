@@ -15,7 +15,7 @@ from scipy import sparse
 
 from .numerics import rng_stream, sigmoid, softplus
 
-HEAD_VERSION = "calpro-head/1"
+HEAD_VERSION = "calpro-head/2"
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ class NIGParams:
 @dataclass(frozen=True)
 class HeadConfig:
     widths: tuple[int, ...] = (16, 32, 16)
-    layer_norm: bool = False
-    init_seed: int = 0
 
     def validate(self):
         if not self.widths or any(w < 1 for w in self.widths):
@@ -93,10 +91,10 @@ class HeadParams:
         return self.view(np.array(vec, dtype=float))
 
 
-def init_head(config: HeadConfig, feature_dim) -> HeadParams:
-    """Symmetric uniform init scaled by fan-in."""
+def init_head(config: HeadConfig, feature_dim, seed) -> HeadParams:
+    """Symmetric uniform init scaled by fan-in, drawn from seed's stream 10."""
     config.validate()
-    rng = rng_stream(config.init_seed, 10)
+    rng = rng_stream(seed, 10)
     dims = [feature_dim] + list(config.widths)
     layers = []
     for din, dout in zip(dims[:-1], dims[1:]):
@@ -159,24 +157,13 @@ def forward(params: HeadParams, ds, with_cache=False):
     # layer 0's message sees no weights: kept per instance, as it reads the features
     message0 = _memo(ds, "_message0", lambda d: adj @ d.features)
     h = ds.features
-    cache = {"adj": adj, "adj_t": adj_t, "hs": [h], "ms": [], "zs": [], "ln": []}
+    cache = {"adj": adj, "adj_t": adj_t, "hs": [h], "ms": [], "zs": []}
     for li, lay in enumerate(params.layers):
         m = message0 if li == 0 else adj @ h
         cache["ms"].append(m)
         z = h @ lay["w_self"] + m @ lay["w_msg"] + lay["b"]
-        if params.config.layer_norm:
-            mean = z.mean(axis=1, keepdims=True)
-            cen = z - mean
-            var = (cen ** 2).mean(axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + 1e-6)
-            zn = cen * inv
-            cache["ln"].append((cen, inv))
-            z_post = zn
-        else:
-            cache["ln"].append(None)
-            z_post = z
-        cache["zs"].append(z_post)
-        h = np.maximum(z_post, 0.0)
+        cache["zs"].append(z)
+        h = np.maximum(z, 0.0)
         cache["hs"].append(h)
     raw = h @ params.w_out + params.b_out
     cache["raw"] = raw
@@ -221,15 +208,7 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, out=None):
     adj_t = cache["adj_t"]     # CSC view; the same products as its CSR copy
     for li in reversed(range(len(params.layers))):
         lay = params.layers[li]
-        z_post = cache["zs"][li]
-        d_z = d_h * (z_post > 0)
-        if params.config.layer_norm:
-            cen, inv = cache["ln"][li]
-            d = z_post.shape[1]
-            zn = cen * inv
-            # d/dz of parameter-free layer norm
-            d_z = inv * (d_z - d_z.mean(axis=1, keepdims=True)
-                         - zn * (d_z * zn).mean(axis=1, keepdims=True))
+        d_z = d_h * (cache["zs"][li] > 0)
         g = grads.layers[li]
         g["w_self"] += cache["hs"][li].T @ d_z
         g["w_msg"] += cache["ms"][li].T @ d_z
@@ -253,9 +232,7 @@ def aleatoric_variance(p: NIGParams):
 def save_head(params: HeadParams, path):
     doc = {
         "version": HEAD_VERSION,
-        "config": {"widths": list(params.config.widths),
-                   "layer_norm": params.config.layer_norm,
-                   "init_seed": params.config.init_seed},
+        "config": {"widths": list(params.config.widths)},
         "feature_dim": params.feature_dim,
         "shapes": [[list(lay["w_self"].shape), list(lay["w_msg"].shape), len(lay["b"])]
                    for lay in params.layers],
@@ -273,10 +250,8 @@ def load_head(path) -> HeadParams:
             raise ValueError(f"malformed head file at byte offset {exc.pos}: {exc.msg}") from exc
     if doc.get("version") != HEAD_VERSION:
         raise ValueError(f"unsupported head version {doc.get('version')!r}, expected {HEAD_VERSION!r}")
-    cfg = HeadConfig(widths=tuple(doc["config"]["widths"]),
-                     layer_norm=doc["config"]["layer_norm"],
-                     init_seed=doc["config"]["init_seed"])
-    template = init_head(cfg, doc["feature_dim"])
+    cfg = HeadConfig(widths=tuple(doc["config"]["widths"]))
+    template = init_head(cfg, doc["feature_dim"], 0)    # weights replaced below
     expected = [[list(lay["w_self"].shape), list(lay["w_msg"].shape), len(lay["b"])]
                 for lay in template.layers]
     if doc["shapes"] != expected:

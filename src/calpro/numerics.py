@@ -14,12 +14,10 @@ def rng_stream(seed, stream=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),)))
 
 
-def softplus(z, scale=1.0):
-    """Numerically stable (1/scale) * log(1 + exp(scale * z))."""
-    if scale <= 0:
-        raise ValueError("softplus scale must be positive")
-    t = np.asarray(z, dtype=float) * scale
-    out = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / scale
+def softplus(z):
+    """Numerically stable log(1 + exp(z))."""
+    t = np.asarray(z, dtype=float)
+    out = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     if np.ndim(z) == 0:
         return float(out)
     return out

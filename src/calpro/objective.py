@@ -20,7 +20,6 @@ class ObjectiveConfig:
     lambda_prior: float = 0.1
     lambda_conf: float = 0.05
     stopgrad_epochs: int = 10
-    prior_penalty_reduction: str = "mean"
     monotone_hidden: int = 8
     mu_only: bool = False     # ablation: plain squared-error point head
 
@@ -32,8 +31,6 @@ class ObjectiveConfig:
             raise ValueError("objective weights must be nonnegative")
         if self.stopgrad_epochs < 0:
             raise ValueError("stopgrad_epochs must be >= 0")
-        if self.prior_penalty_reduction not in ("sum", "mean"):
-            raise ValueError("prior_penalty_reduction must be 'sum' or 'mean'")
         return self
 
 
@@ -136,8 +133,8 @@ def evidence_reg(alphas):
     return val, -np.exp(-alphas)
 
 
-def prior_penalty(b, u, m: MonotoneMap, cfg: ObjectiveConfig):
-    """Hinge sum/mean of max(0, m(b) - u): prior volatility must be matched
+def prior_penalty(b, u, m: MonotoneMap):
+    """Mean hinge max(0, m(b) - u): prior volatility must be matched
     by at least that much epistemic variance.  Returns (value, d_u, d_m),
     d_m MonotoneMap shaped."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -147,7 +144,7 @@ def prior_penalty(b, u, m: MonotoneMap, cfg: ObjectiveConfig):
     mb, vjp = m.value_and_grads(b)
     gap = mb - u
     active = gap > 0
-    red = 1.0 / b.size if cfg.prior_penalty_reduction == "mean" else 1.0
+    red = 1.0 / b.size
     val = float(np.sum(np.maximum(gap, 0.0)) * red)
     d_u = -active.astype(float) * red
     d_m = vjp(active.astype(float) * red)
@@ -200,7 +197,7 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=Non
 
     l_nig, (d_mu, d_nu, d_alpha, d_beta) = nig_nll(nig, y)
     l_evid, d_alpha_evid = evidence_reg(nig.alpha)
-    l_prior, d_u, mono_grads = prior_penalty(ds.prior_b, u, monotone, cfg)
+    l_prior, d_u, mono_grads = prior_penalty(ds.prior_b, u, monotone)
     l_conf, d_s = soft_conf_loss(scores, cfg, stopgrad=stopgrad)
     total = (l_nig + cfg.lambda_evid * l_evid + cfg.lambda_prior * l_prior
              + cfg.lambda_conf * l_conf)

@@ -101,9 +101,7 @@ def train(cfg: TrainConfig, train_ds, val_ds):
     if train_ds.n_nodes == 0 or val_ds.n_nodes == 0:
         raise ValueError("train and validation datasets must be non-empty")
     t0 = time.perf_counter()
-    head_cfg = head_mod.HeadConfig(widths=cfg.head.widths, layer_norm=cfg.head.layer_norm,
-                                   init_seed=cfg.seed)
-    params = head_mod.init_head(head_cfg, train_ds.features.shape[1])
+    params = head_mod.init_head(cfg.head, train_ds.features.shape[1], cfg.seed)
     mono = MonotoneMap.init(hidden=cfg.objective.monotone_hidden, seed=cfg.seed)
     rng = rng_stream(cfg.seed, 20)
 
@@ -206,7 +204,6 @@ def train(cfg: TrainConfig, train_ds, val_ds):
 def _config_echo(cfg: TrainConfig):
     doc = asdict(cfg)
     # never echoed: mu_only is set only by the no_evidential ablation, which a
-    # report names, and the trainer seeds the head's init with cfg.seed.
-    # Echoing them would change the bytes of every report.
-    del doc["objective"]["mu_only"], doc["head"]["init_seed"]
+    # report names.  Echoing it would change the bytes of every report.
+    del doc["objective"]["mu_only"]
     return doc

@@ -17,7 +17,7 @@ def default_chain_ds():
 
 @pytest.fixture(scope="session")
 def random_head(small_chain_ds):
-    return head.init_head(head.HeadConfig(init_seed=7), small_chain_ds.features.shape[1])
+    return head.init_head(head.HeadConfig(), small_chain_ds.features.shape[1], 7)
 
 
 @pytest.fixture(scope="session")

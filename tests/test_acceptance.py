@@ -106,13 +106,12 @@ class TestGradientCorrectness:
 
     def test_prior_penalty(self):
         rng = rng_stream(302, 0)
-        cfg = ObjectiveConfig()
         for _ in range(100):
             b = rng.uniform(0.0, 1.0, 6)
             m = MonotoneMap.init(hidden=4, seed=int(rng.integers(10000)))
 
             def f(u):
-                val, d_u, _ = prior_penalty(b, u, m, cfg)
+                val, d_u, _ = prior_penalty(b, u, m)
                 return val, d_u
 
             # keep u away from the hinge kink so the derivative exists
@@ -136,7 +135,7 @@ class TestGradientCorrectness:
             datagen.GeneratorConfig(n_chains=2, chain_length=12, seed=4))
         cfg = ObjectiveConfig()
         rng = rng_stream(304, 0)
-        params = head.init_head(head.HeadConfig(init_seed=9), ds.features.shape[1])
+        params = head.init_head(head.HeadConfig(), ds.features.shape[1], 9)
         mono = MonotoneMap.init(hidden=cfg.monotone_hidden, seed=9)
         n_head = params.to_vector().size
         theta0 = np.concatenate([params.to_vector(), mono.to_vector()])
@@ -202,8 +201,15 @@ class TestBoundArithmetic:
         assert not vacuous
 
     def test_required_calibration_size(self):
+        """With KL + log(1/delta) = 4 and no shift, 800 calibration points are
+        the fewest that keep the bound within 0.05 of 1 - alpha."""
         kl = 4.0 - math.log(1.0 / 0.05)
-        assert bounds.required_ncal(0.05, 0.0, 1.0, kl, 0.05) == 800
+
+        def degradation(n_cal):
+            return 0.9 - bounds.coverage_lower_bound(0.1, kl, 0.05, n_cal, 1.0, 0.0)[1]
+
+        assert degradation(800) == pytest.approx(0.05, abs=1e-12)
+        assert degradation(799) > 0.05 + 1e-6
 
 
 class TestBoundConservativeness:

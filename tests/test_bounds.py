@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 from calpro import bounds, conformal, datagen, head
-from calpro.bounds import PosteriorSurrogate
 
 
 def _abs_scores(params, ds):
@@ -17,45 +16,30 @@ def _abs_scores(params, ds):
     return conformal.scores_from_nig(head.forward(params, ds), ds.target_y, "absolute")
 
 
+def _head_with(weights):
+    """A 27-weight head (8 features, one hidden unit) holding weights."""
+    template = head.init_head(head.HeadConfig(widths=(1,)), 8, 0)
+    return template.from_vector(np.asarray(weights, dtype=float))
+
+
 class TestKlGaussian:
+    """The sweeps' KL: N(w_hat, I) against N(0, I)."""
+
     def test_identical_distributions(self):
-        s = PosteriorSurrogate(np.zeros(10), 1.0, 1.0)
-        assert bounds.kl_gaussian(s) == 0.0
+        assert bounds._kl(_head_with(np.zeros(27))) == 0.0
 
     def test_single_weight(self):
-        s = PosteriorSurrogate(np.array([1.0]), 1.0, 1.0)
-        assert bounds.kl_gaussian(s) == pytest.approx(0.5)
-
-    def test_half_scale_closed_form(self):
-        d = 7
-        s = PosteriorSurrogate(np.zeros(d), 0.5, 1.0)
-        expected = d * (math.log(2.0) + 0.125 - 0.5)
-        assert bounds.kl_gaussian(s) == pytest.approx(expected, abs=1e-12)
+        w = np.zeros(27)
+        w[5] = 1.0
+        assert bounds._kl(_head_with(w)) == 0.5
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            s = PosteriorSurrogate(rng.normal(size=5),
-                                   float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3)))
-            assert bounds.kl_gaussian(s) >= 0.0
-
-    def test_invalid_scales(self):
-        with pytest.raises(ValueError):
-            bounds.kl_gaussian(PosteriorSurrogate(np.zeros(2), 0.0, 1.0))
-
-    def test_prior_scale_minimizes(self):
-        """The sweeps fix sigma = sigma_p: no scale gives a smaller KL."""
-        rng = np.random.default_rng(1)
-        for sigma_p in (0.3, 1.0, 2.5):
-            w = rng.normal(size=6)
-            best = bounds.kl_gaussian(PosteriorSurrogate(w, sigma_p, sigma_p))
-            for s in sigma_p * np.logspace(-2, 1, 31):
-                assert best <= bounds.kl_gaussian(PosteriorSurrogate(w, float(s), sigma_p))
+            assert bounds._kl(_head_with(rng.normal(size=27))) >= 0.0
 
     def test_larger_center_larger_kl(self):
-        kl1 = bounds.kl_gaussian(PosteriorSurrogate(np.full(10, 0.5), 1.0, 1.0))
-        kl2 = bounds.kl_gaussian(PosteriorSurrogate(np.full(10, 2.0), 1.0, 1.0))
-        assert kl2 > kl1
+        assert bounds._kl(_head_with(np.full(27, 2.0))) > bounds._kl(_head_with(np.full(27, 0.5)))
 
 
 class TestCoverageLowerBound:
@@ -81,22 +65,6 @@ class TestCoverageLowerBound:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             bounds.coverage_lower_bound(0.1, 0.0, 1.5, 100, 0.0, 0.0)
-
-
-class TestRequiredNcal:
-    def test_appendix_arithmetic(self):
-        # kl + log(1/delta) = 4 with slack 0.05 -> 4 / (2 * 0.0025) = 800
-        assert bounds.required_ncal(0.05, 0.0, 1.0, 4.0 - math.log(1 / 0.05),
-                                    0.05) == 800
-
-    def test_infeasible(self):
-        with pytest.raises(ValueError):
-            bounds.required_ncal(0.1, 0.1, 1.0, 1.0, 0.05)
-
-    def test_quadratic_scaling(self):
-        kl = 4.0 - math.log(1 / 0.05)
-        assert bounds.required_ncal(0.1, 0.0, 1.0, kl, 0.05) == \
-            math.ceil(bounds.required_ncal(0.05, 0.0, 1.0, kl, 0.05) / 4)
 
 
 class TestEstimateLipschitz:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,12 @@ class TestBoundCommands:
     # keys the run sets itself
     (["pipeline"], {"train": {"seed": 99}}, "unknown train keys: seed"),
     (["pipeline"], {"train": {"head": {"init_seed": 7}}}, "unknown head keys: init_seed"),
+    (["pipeline"], {"train": {"objective": {"mu_only": True}}},
+     "unknown objective keys: mu_only"),
+    # keys of variants no recipe trains
+    (["pipeline"], {"train": {"head": {"layer_norm": True}}}, "unknown head keys: layer_norm"),
+    (["pipeline"], {"train": {"objective": {"prior_penalty_reduction": "sum"}}},
+     "unknown objective keys: prior_penalty_reduction"),
     (["active"], {"active": {"strategy": "bogus"}}, "unknown active keys: strategy"),
     (["active"], {"active": {"seed": 1}}, "unknown active keys: seed"),
     (["active"], {"active": {"retrain": {}}}, "unknown active keys: retrain"),
@@ -262,6 +269,10 @@ class TestBoundCommands:
      "generator key n_chains must be a JSON integer within the int64 range"),
     (["experiment", "calibration"], {"seeds": [0, 2**63]},
      "experiment key seeds must be a JSON array of integers within the int64 range"),
+    # a generator too large to hold: 12 x 40 nodes of 10^15 features
+    (["gen-data"], {"generator": {"feature_dim": 10**15}},
+     "n_chains * chain_length * feature_dim is 480000000000000000, above the limit of "
+     "100000000 feature entries (MAX_FEATURE_ENTRIES)"),
     # a score mode no calibration knows, before any training
     (["experiment", "calibration"], {"score_mode": "bogus"}, "unknown score mode 'bogus'"),
     (["experiment", "bound_sweep"], {"score_mode": "bogus"}, "unknown score mode 'bogus'"),
@@ -271,11 +282,12 @@ class TestBoundCommands:
         "pipeline_n_chains", "fractional_n_chains", "fractional_feature_dim",
         "fractional_max_epochs", "fractional_head_widths", "fractional_monotone_hidden",
         "fractional_calibration_seeds", "fractional_active_seeds", "fractional_sizes",
-        "train_seed", "head_init_seed", "active_strategy", "active_seed", "active_retrain",
+        "train_seed", "head_init_seed", "objective_mu_only", "head_layer_norm",
+        "objective_prior_penalty_reduction", "active_strategy", "active_seed", "active_retrain",
         "tau_above_1", "delta_0", "shift_tau_1", "level_1", "perturbation_score_mode",
         "efficiency_score_mode", "config_directory", "dataset_directory", "out_file",
         "dataset_0", "dataset_7", "dataset_and_generator", "float_overflow",
-        "float_array_overflow", "int64_overflow", "int64_array_overflow",
+        "float_array_overflow", "int64_overflow", "int64_array_overflow", "gen_data_size",
         "calibration_score_mode", "bound_sweep_score_mode"])
 def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsys, argv, extra,
                                                      message):
@@ -295,6 +307,36 @@ def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsy
         code, err = 1, f"{exc.code}\n"
     assert (code, err) == (1, f"error: {message}\n")
     assert not (tmp_path / "run").exists()
+
+
+def _settable(tp):
+    """Dotted keys cli._read accepts in a tp object: tp's fields less
+    cli.SET_BY_RUN's, a nested dataclass's keys under its field's name."""
+    keys = set()
+    for f in fields(tp):
+        if f.name in cli.SET_BY_RUN.get(tp, set()):
+            continue
+        keys |= {f"{f.name}.{k}" for k in _settable(f.type)} if is_dataclass(f.type) else {f.name}
+    return keys
+
+
+def _dotted(doc):
+    """Dotted leaf keys of a nested dict."""
+    keys = set()
+    for k, v in doc.items():
+        keys |= {f"{k}.{sub}" for sub in _dotted(v)} if isinstance(v, dict) else {k}
+    return keys
+
+
+def test_echo_names_every_settable_train_key():
+    """Every key a config may set under train shows in a report's config
+    echo, so no setting changes a run unseen.  The echo also names the seed,
+    which the run sets (--seed)."""
+    echo = trainer._config_echo(trainer.TrainConfig())
+    assert _dotted(echo) == _settable(trainer.TrainConfig) | {"seed"}
+    # and reading the echo back as a config gives the same run
+    doc = json.loads(json.dumps({k: v for k, v in echo.items() if k != "seed"}))
+    assert cli._read(trainer.TrainConfig, doc, "train") == trainer.TrainConfig()
 
 
 @pytest.mark.parametrize("command", ["gen-data", "active", "corrupt-priors"])

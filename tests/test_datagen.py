@@ -74,6 +74,14 @@ class TestChainGenerator:
             GeneratorConfig(n_chains=0).validate()
         with pytest.raises(ValueError):
             GeneratorConfig(ordered_noise_scale=2.0, disordered_noise_scale=1.0).validate()
+        # more feature entries than MAX_FEATURE_ENTRIES: refused before drawing
+        with pytest.raises(ValueError, match="MAX_FEATURE_ENTRIES"):
+            GeneratorConfig(n_chains=10**12).validate()
+        at_bound = datagen.MAX_FEATURE_ENTRIES // (40 * 16)
+        assert at_bound * 40 * 16 == datagen.MAX_FEATURE_ENTRIES
+        GeneratorConfig(n_chains=at_bound).validate()
+        with pytest.raises(ValueError, match="MAX_FEATURE_ENTRIES"):
+            GeneratorConfig(n_chains=at_bound + 1).validate()
 
 
 class TestTabularGenerator:

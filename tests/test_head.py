@@ -22,7 +22,7 @@ def _tiny_ds(seed=0, n_chains=2, chain_length=10):
 
 class TestForward:
     def test_zero_weights_forced_outputs(self, small_chain_ds):
-        params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1])
+        params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1], 0)
         params = params.from_vector(np.zeros(params.size))
         nig = head.forward(params, small_chain_ds)
         log2 = math.log(2.0)
@@ -34,7 +34,7 @@ class TestForward:
     def test_isolated_node_uses_own_features_only(self):
         ds = _tiny_ds()
         isolated = datagen.replace(ds, edges=np.zeros((0, 2), dtype=int))
-        params = head.init_head(HeadConfig(init_seed=3), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 3)
         nig_a = head.forward(params, isolated)
         # changing another node's features must not affect node 0
         feats = np.array(isolated.features)
@@ -45,20 +45,20 @@ class TestForward:
 
     def test_constraints_hold_for_random_params(self, small_chain_ds):
         for seed in range(10):
-            params = head.init_head(HeadConfig(init_seed=seed), small_chain_ds.features.shape[1])
+            params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1], seed)
             scale = 10.0 ** rng_stream(seed, 0).uniform(-1, 1)
             params = params.from_vector(scale * params.to_vector())
             nig = head.forward(params, small_chain_ds)
             nig.validate()
 
     def test_feature_dim_mismatch(self, small_chain_ds):
-        params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1] + 1)
+        params = head.init_head(HeadConfig(), small_chain_ds.features.shape[1] + 1, 0)
         with pytest.raises(ValueError, match="feature dim"):
             head.forward(params, small_chain_ds)
 
     def test_permutation_equivariance(self):
         ds = _tiny_ds(seed=4)
-        params = head.init_head(HeadConfig(init_seed=1), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 1)
         nig = head.forward(params, ds)
         perm = rng_stream(5, 0).permutation(ds.n_nodes)
         pos = np.argsort(perm)
@@ -79,20 +79,12 @@ class TestForward:
         assert np.allclose(nig_p.mu, nig.mu[perm])
         assert np.allclose(nig_p.beta, nig.beta[perm])
 
-    def test_layer_norm_variant_runs(self, small_chain_ds):
-        params = head.init_head(HeadConfig(layer_norm=True, init_seed=2),
-                                small_chain_ds.features.shape[1])
-        nig = head.forward(params, small_chain_ds)
-        nig.validate()
-
 
 class TestBackward:
-    @pytest.mark.parametrize("layer_norm", [False, True])
-    def test_matches_finite_differences(self, layer_norm):
+    def test_matches_finite_differences(self):
         """Gradient of a composite scalar of all four outputs."""
         ds = _tiny_ds(seed=8, n_chains=2, chain_length=8)
-        params = head.init_head(HeadConfig(widths=(6, 6), layer_norm=layer_norm,
-                                           init_seed=9), ds.features.shape[1])
+        params = head.init_head(HeadConfig(widths=(6, 6)), ds.features.shape[1], 9)
         w = rng_stream(10, 0).normal(size=(4, ds.n_nodes))
 
         def scalar(vec):
@@ -134,11 +126,9 @@ class TestFlatParameters:
         with pytest.raises(ValueError):
             random_head.from_vector(np.zeros(random_head.size + size_delta))
 
-    @pytest.mark.parametrize("layer_norm", [False, True])
-    def test_backward_into_buffer_bitwise(self, layer_norm):
+    def test_backward_into_buffer_bitwise(self):
         ds = _tiny_ds(seed=12, n_chains=3, chain_length=12)
-        params = head.init_head(HeadConfig(layer_norm=layer_norm, init_seed=13),
-                                ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 13)
         w = rng_stream(14, 0).normal(size=(4, ds.n_nodes))
         _, cache = head.forward(params, ds, with_cache=True)
         fresh = head.backward(params, cache, *w).to_vector()
@@ -151,7 +141,7 @@ class TestFlatParameters:
 class TestAdjacencyPerDataset:
     def test_two_forwards_build_once(self, small_chain_ds, adjacency_builds):
         ds = datagen.replace(small_chain_ds)    # a new instance, nothing built yet
-        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 2)
         first = head.forward(params, ds)
         second = head.forward(params.from_vector(2 * params.to_vector()), ds)
         assert len(adjacency_builds) == 1
@@ -162,7 +152,7 @@ class TestAdjacencyPerDataset:
         """A subset and a replace build their own adjacency; perturb and
         corrupt_priors change node values only and reuse their source's."""
         ds = datagen.replace(small_chain_ds)
-        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 2)
         source = head.forward(params, ds, with_cache=True)[1]
         derived = [ds.subset(np.arange(ds.n_nodes)),
                    datagen.replace(ds, edges=ds.edges[::2]),
@@ -189,7 +179,7 @@ class TestAdjacencyPerDataset:
         """perturb(ds).subset(test) of a ds whose test subset is held: the
         shifted test set of every shift evaluation."""
         ds = datagen.replace(small_chain_ds)
-        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 2)
         test = ds.subset(ds.split_indices("test"))
         first = head.forward(params, test, with_cache=True)[1]
         for mag in (0.1, 0.5):
@@ -203,7 +193,7 @@ class TestAdjacencyPerDataset:
 
     def test_transpose_view_kept_beside_adjacency(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
-        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 2)
         first = head.forward(params, ds, with_cache=True)[1]
         second = head.forward(params, ds, with_cache=True)[1]
         assert second["adj_t"] is first["adj_t"]
@@ -211,7 +201,7 @@ class TestAdjacencyPerDataset:
 
     def test_layer0_message_kept_per_dataset(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
-        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 2)
         first = head.forward(params, ds, with_cache=True)[1]
         second = head.forward(params.from_vector(2 * params.to_vector()), ds,
                               with_cache=True)[1]
@@ -224,7 +214,7 @@ class TestAdjacencyPerDataset:
 
     def test_replaced_edges_not_stale(self, small_chain_ds):
         ds = datagen.replace(small_chain_ds)
-        params = head.init_head(HeadConfig(init_seed=2), ds.features.shape[1])
+        params = head.init_head(HeadConfig(), ds.features.shape[1], 2)
         full = head.forward(params, ds, with_cache=True)[1]["adj"]
         thinned = datagen.replace(ds, edges=ds.edges[::2])
         adj = head.forward(params, thinned, with_cache=True)[1]["adj"]
@@ -290,9 +280,8 @@ class TestVariances:
 def _head_case(draw):
     """A head of drawn shape and config whose weights are any non-NaN
     floats: ±0.0, subnormals, huge values and ±inf included."""
-    cfg = HeadConfig(widths=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))),
-                     layer_norm=draw(st.booleans()), init_seed=draw(st.integers(0, 2**31 - 1)))
-    template = head.init_head(cfg, draw(st.integers(1, 6)))
+    cfg = HeadConfig(widths=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))))
+    template = head.init_head(cfg, draw(st.integers(1, 6)), 0)
     weights = draw(hnp.arrays(float, template.size,
                               elements=st.floats(allow_nan=False, allow_subnormal=True)))
     return template.from_vector(weights)
@@ -336,11 +325,14 @@ class TestCheckpoint:
             head.load_head(p)
 
     def test_version_mismatch(self, random_head, tmp_path):
+        """Any other version is refused; a calpro-head/1 file may hold a
+        layer-norm head, which this head would evaluate differently."""
         import json
         p = tmp_path / "head.json"
         head.save_head(random_head, p)
         doc = json.loads(p.read_text())
-        doc["version"] = "calpro-head/9"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="version"):
-            head.load_head(p)
+        for version in ("calpro-head/9", "calpro-head/1"):
+            doc["version"] = version
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"unsupported head version '{version}'"):
+                head.load_head(p)

@@ -124,7 +124,7 @@ class TestMonotoneMap:
     def test_domain_check(self):
         m = MonotoneMap.init(hidden=4, seed=1)
         with pytest.raises(ValueError):
-            prior_penalty(np.array([1.5]), np.array([0.0]), m, ObjectiveConfig())
+            prior_penalty(np.array([1.5]), np.array([0.0]), m)
 
 
 def _monotone_outer(m, b, d_out):
@@ -183,44 +183,40 @@ class TestPriorPenalty:
         return m
 
     def test_satisfied_hinge_zero(self):
-        cfg = ObjectiveConfig()
         m = self._flat_map(0.0)
-        val = prior_penalty(np.array([0.5]), np.array([2.0]), m, cfg)[0]
+        val = prior_penalty(np.array([0.5]), np.array([2.0]), m)[0]
         assert val == 0.0
 
     def test_single_node_sum(self):
-        cfg = ObjectiveConfig(prior_penalty_reduction="sum")
+        """One node: the mean hinge is the node's own 1.0 - 0.4."""
         m = self._flat_map(1.0)
-        val = prior_penalty(np.array([0.5]), np.array([0.4]), m, cfg)[0]
+        val = prior_penalty(np.array([0.5]), np.array([0.4]), m)[0]
         assert val == pytest.approx(0.6, abs=1e-10)
 
     def test_increasing_u_never_increases(self):
-        cfg = ObjectiveConfig()
         m = MonotoneMap.init(hidden=4, seed=2)
         b = rng_stream(3, 0).uniform(0, 1, 20)
         u = rng_stream(3, 1).uniform(0, 1, 20)
-        v0 = prior_penalty(b, u, m, cfg)[0]
-        v1 = prior_penalty(b, u + 0.3, m, cfg)[0]
+        v0 = prior_penalty(b, u, m)[0]
+        v1 = prior_penalty(b, u + 0.3, m)[0]
         assert v1 <= v0 + 1e-12
 
     def test_gradients(self):
-        cfg = ObjectiveConfig()
         m = MonotoneMap.init(hidden=4, seed=5)
         rng = rng_stream(6, 0)
         b = rng.uniform(0, 1, 15)
         u = rng.uniform(0, 0.5, 15)
-        _, d_u, d_m = prior_penalty(b, u, m, cfg)
-        fd_u = finite_difference_gradient(lambda v: prior_penalty(b, v, m, cfg)[0], u, 1e-6)
+        _, d_u, d_m = prior_penalty(b, u, m)
+        fd_u = finite_difference_gradient(lambda v: prior_penalty(b, v, m)[0], u, 1e-6)
         assert np.allclose(d_u, fd_u, atol=1e-6)
         x0 = m.to_vector()
         fd_m = finite_difference_gradient(
-            lambda v: prior_penalty(b, u, m.from_vector(v), cfg)[0], x0, 1e-6)
+            lambda v: prior_penalty(b, u, m.from_vector(v))[0], x0, 1e-6)
         assert np.allclose(d_m.to_vector(), fd_m, atol=1e-6)
 
     def test_domain_check(self):
-        cfg = ObjectiveConfig()
         with pytest.raises(ValueError):
-            prior_penalty(np.array([-0.1]), np.array([1.0]), MonotoneMap.init(), cfg)
+            prior_penalty(np.array([-0.1]), np.array([1.0]), MonotoneMap.init())
 
 
 class TestSoftConfLoss:
@@ -271,7 +267,7 @@ class TestTotalLoss:
     def _setup(self, seed=0):
         ds = datagen.gen_chain_dataset(
             datagen.GeneratorConfig(n_chains=2, chain_length=10, seed=seed))
-        params = head.init_head(HeadConfig(widths=(6, 6), init_seed=seed), ds.features.shape[1])
+        params = head.init_head(HeadConfig(widths=(6, 6)), ds.features.shape[1], seed)
         mono = MonotoneMap.init(hidden=4, seed=seed)
         return ds, params, mono
 
@@ -364,7 +360,7 @@ def test_total_loss_into_buffer_bitwise(mu_only):
     """with out=, the gradients land in out with the bits of a fresh call,
     and the returned gradients are views of it."""
     ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(n_chains=3, chain_length=12, seed=7))
-    params = head.init_head(HeadConfig(init_seed=7), ds.features.shape[1])
+    params = head.init_head(HeadConfig(), ds.features.shape[1], 7)
     mono = MonotoneMap.init(hidden=4, seed=7)
     cfg = ObjectiveConfig(mu_only=mu_only)
     val, parts, hg, mg = total_loss(params, mono, ds, cfg, epoch=20)

@@ -65,12 +65,11 @@ MATRIX = (
     # generator, corruption modes and sigma, a strategy subset, and the score
     # mode flag of a recipe that reads it
     ("pipeline_nested", ["pipeline"],
-     {"generator": SMALL, "train": dict(SHORT, head={"widths": [8, 8], "layer_norm": True},
+     {"generator": SMALL, "train": dict(SHORT, head={"widths": [8, 8]},
                                         objective={"gamma": 5.0, "kappa": 0.2,
                                                    "lambda_evid": 0.02, "lambda_prior": 0.2,
                                                    "lambda_conf": 0.1, "stopgrad_epochs": 1,
-                                                   "prior_penalty_reduction": "sum",
-                                                   "monotone_hidden": 4, "mu_only": False})}),
+                                                   "monotone_hidden": 4})}),
     ("experiment_calibration_levels", ["experiment", "calibration", "--score-mode", "absolute"],
      {"generator": SMALL, "train": SHORT, "seeds": [0, 1], "levels": [0.8, 0.95],
       "ablations": ["full", "no_priors"]}),
