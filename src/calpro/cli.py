@@ -375,7 +375,7 @@ def main(argv=None):
         raise SystemExit(f"error: --out {args.out} is not a directory")
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

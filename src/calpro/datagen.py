@@ -60,8 +60,9 @@ class GeneratorConfig:
         if entries > MAX_FEATURE_ENTRIES:
             raise ValueError(f"n_chains * chain_length * feature_dim is {entries}, above the "
                              f"limit of {MAX_FEATURE_ENTRIES} feature entries (MAX_FEATURE_ENTRIES)")
-        if self.ordered_noise_scale <= 0 or self.disordered_noise_scale <= 0:
-            raise ValueError("noise scales must be positive")
+        if not (0.0 < self.ordered_noise_scale < math.inf
+                and 0.0 < self.disordered_noise_scale < math.inf):
+            raise ValueError("noise scales must be positive finite numbers")
         if not 0.0 <= self.informativeness_eta <= 1.0:
             raise ValueError("informativeness_eta must be in [0, 1]")
         if self.informativeness_eta > 0 and self.disordered_noise_scale < self.ordered_noise_scale:
@@ -163,8 +164,9 @@ class Dataset:
 
     def validate(self):
         n = self.n_nodes
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("non-finite features")
+        for name in ("features", "prior_b", "target_y"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite {name}")
         if np.any(self.prior_b < 0) or np.any(self.prior_b > 1):
             raise ValueError("prior_b out of [0, 1]")
         if np.any(self.target_y < 0):
@@ -532,8 +534,8 @@ def corrupt_priors(ds: Dataset, mode, seed=0, sigma=0.2) -> Dataset:
     elif mode == "invert":
         b = 1.0 - b
     else:
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be a nonnegative finite number, got {sigma!r}")
         b = np.clip(b + sigma * rng.standard_normal(b.size), 0.0, 1.0)
     return _sharing_graph(ds, replace(ds, prior_b=b))
 

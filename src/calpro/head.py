@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .numerics import rng_stream, sigmoid, softplus
+from .numerics import rng_stream, softplus, softplus_sigmoid
 
 HEAD_VERSION = "calpro-head/2"
 
@@ -135,6 +135,15 @@ def _memo(ds, key, build):
     return value
 
 
+def _kept(owner, key, source, build):
+    """build(source), kept on owner under key until a call passes another
+    source object: a training hands the same gradient buffer to every step."""
+    kept = owner.__dict__.get(key)
+    if kept is None or kept[0] is not source:
+        kept = owner.__dict__[key] = (source, build(source))
+    return kept[1]
+
+
 def _adjacency(ds):
     """(ds's mean_adjacency, its transpose as a CSC view), built once per
     graph and kept in ds's graph memo (see datagen.Dataset)."""
@@ -171,7 +180,10 @@ def forward(params: HeadParams, ds, with_cache=False):
     # above zero that the strict constraints hold and downstream terms like
     # beta / (nu^2 (alpha - 1)) stay finite
     floor = 1e-10
-    sp = softplus(raw[:, 1:4])
+    if with_cache:      # backward's derivatives of the three softplus
+        sp, cache["sig"] = softplus_sigmoid(raw[:, 1:4])
+    else:
+        sp = softplus(raw[:, 1:4])
     nig = NIGParams(
         mu=raw[:, 0],
         nu=np.maximum(sp[:, 0], floor),
@@ -188,19 +200,20 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, out=None):
     given its gradients w.r.t. the constrained outputs.
 
     The gradients are written into the flat array out (to_vector() order;
-    a new one when None) and returned as a HeadParams view of it.
+    a new one when None) and returned as a HeadParams view of it, the same
+    view while params and out are the same objects.
     """
     raw = cache["raw"]
     d_raw = np.zeros_like(raw)
     d_raw[:, 0] = d_mu
-    sig = sigmoid(raw[:, 1:4])
+    sig = cache["sig"]
     d_raw[:, 1] = d_nu * sig[:, 0]
     d_raw[:, 2] = d_alpha * sig[:, 1]
     d_raw[:, 3] = d_beta * sig[:, 2]
     if out is None:
         out = np.empty(params.size)
     out.fill(0.0)
-    grads = params.view(out)
+    grads = _kept(params, "_grad_view", out, params.view)
     h_last = cache["hs"][-1]
     grads.w_out += h_last.T @ d_raw
     grads.b_out += d_raw.sum(axis=0)

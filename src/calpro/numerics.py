@@ -33,6 +33,14 @@ def sigmoid(z):
     return out
 
 
+def softplus_sigmoid(z):
+    """(softplus(z), sigmoid(z)) of an array from one exp(-|z|): the same
+    bits as the two functions, for a function and its derivative."""
+    t = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(t))
+    return np.maximum(t, 0.0) + np.log1p(e), np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
 def soft_quantile(scores, gamma):
     """Temperature-controlled log-sum-exp upper quantile surrogate.
 
@@ -40,21 +48,21 @@ def soft_quantile(scores, gamma):
     max-subtraction.  Monotone in gamma and satisfies
     max(s) - Q <= log(n)/gamma.
     """
+    return soft_quantile_and_grad(scores, gamma)[0]
+
+
+def soft_quantile_and_grad(scores, gamma):
+    """soft_quantile of the scores and its gradient w.r.t. them (a softmax),
+    from one exp."""
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("soft_quantile of empty scores")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    m = float(np.max(s))
-    return m + math.log(float(np.mean(np.exp(gamma * (s - m))))) / gamma
-
-
-def soft_quantile_grad(scores, gamma):
-    """Gradient of soft_quantile w.r.t. the scores (a softmax)."""
-    s = np.asarray(scores, dtype=float)
-    m = np.max(s)
+    m = float(s.max())
     w = np.exp(gamma * (s - m))
-    return w / np.sum(w)
+    total = w.sum()
+    return m + math.log(float(total / w.size)) / gamma, w / total
 
 
 def conformal_quantiles(scores, alphas):

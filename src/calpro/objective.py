@@ -3,13 +3,14 @@ monotone prior hinge, and the soft-conformal surrogate, each with analytic
 gradients.  total_loss chains everything through the head's backward pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, psi
 
 from . import head as head_mod
-from .numerics import rng_stream, sigmoid, soft_quantile, soft_quantile_grad, softplus
+from .numerics import rng_stream, soft_quantile_and_grad, softplus_sigmoid
 
 
 @dataclass(frozen=True)
@@ -24,13 +25,17 @@ class ObjectiveConfig:
     mu_only: bool = False     # ablation: plain squared-error point head
 
     def validate(self):
-        if self.gamma <= 0 or self.kappa <= 0:
-            raise ValueError("gamma and kappa must be positive")
+        # comparisons that NaN fails, as a JSON config may hold NaN or Infinity
+        if not (0.0 < self.gamma < math.inf and 0.0 < self.kappa < math.inf):
+            raise ValueError("gamma and kappa must be positive finite numbers")
         # zero weights are allowed so ablations can switch terms off
-        if min(self.lambda_evid, self.lambda_prior, self.lambda_conf) < 0:
-            raise ValueError("objective weights must be nonnegative")
+        if not (0.0 <= self.lambda_evid < math.inf and 0.0 <= self.lambda_prior < math.inf
+                and 0.0 <= self.lambda_conf < math.inf):
+            raise ValueError("objective weights must be nonnegative finite numbers")
         if self.stopgrad_epochs < 0:
             raise ValueError("stopgrad_epochs must be >= 0")
+        if self.monotone_hidden < 1:
+            raise ValueError("monotone_hidden must be >= 1")
         return self
 
 
@@ -86,7 +91,7 @@ class MonotoneMap:
         gradient for a downstream gradient d_out per input.
         """
         b = np.asarray(b, dtype=float)
-        w1, w2 = softplus(self._raw)
+        (w1, w2), (sig1, sig2) = softplus_sigmoid(self._raw)
         pre = b[:, None] * w1 + self.b1
         hidden = np.maximum(pre, 0.0)
         out = hidden @ w2 + self.b2
@@ -94,11 +99,9 @@ class MonotoneMap:
         def vjp(d_out):
             d_out = np.asarray(d_out, dtype=float)
             d_pre = d_out[:, None] * w2 * (pre > 0)
-            sig1, sig2 = sigmoid(self._raw)
-            g_w1 = (d_pre * b[:, None]).sum(axis=0) * sig1
-            g_b1 = d_pre.sum(axis=0)
-            g_w2 = (hidden * d_out[:, None]).sum(axis=0) * sig2
-            return MonotoneMap(g_w1, g_b1, g_w2, d_out.sum())
+            return self.view(np.concatenate([
+                (d_pre * b[:, None]).sum(axis=0) * sig1, d_pre.sum(axis=0),
+                (hidden * d_out[:, None]).sum(axis=0) * sig2, [d_out.sum()]]))
 
         return out, vjp
 
@@ -110,62 +113,56 @@ def nig_nll(p: head_mod.NIGParams, y):
     L_i = 0.5 log(nu/pi) - alpha log(2 beta) + log Gamma(alpha)
           + (alpha + 0.5) log(nu (y - mu)^2 + 2 beta) - log Gamma(alpha + 0.5)
     """
-    mu, nu, alpha, beta = (np.atleast_1d(np.asarray(v, dtype=float))
-                           for v in (p.mu, p.nu, p.alpha, p.beta))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    mu, nu, alpha, beta, y = (np.asarray(v, dtype=float)
+                              for v in (p.mu, p.nu, p.alpha, p.beta, y))
     e = y - mu
-    a_term = nu * e ** 2 + 2.0 * beta
-    vals = (0.5 * np.log(nu / np.pi) - alpha * np.log(2.0 * beta)
-            + gammaln(alpha) + (alpha + 0.5) * np.log(a_term) - gammaln(alpha + 0.5))
-    loss = float(np.mean(vals))
+    e2 = e ** 2
+    a_term = nu * e2 + 2.0 * beta
+    log_2b, log_a, ap = np.log(2.0 * beta), np.log(a_term), alpha + 0.5
+    vals = (0.5 * np.log(nu / np.pi) - alpha * log_2b
+            + gammaln(alpha) + ap * log_a - gammaln(ap))
     n = mu.size
-    d_mu = -(alpha + 0.5) * 2.0 * nu * e / a_term / n
-    d_nu = (0.5 / nu + (alpha + 0.5) * e ** 2 / a_term) / n
-    d_alpha = (-np.log(2.0 * beta) + psi(alpha) + np.log(a_term) - psi(alpha + 0.5)) / n
-    d_beta = (-alpha / beta + (alpha + 0.5) * 2.0 / a_term) / n
-    return loss, (d_mu, d_nu, d_alpha, d_beta)
+    d_mu = -ap * 2.0 * nu * e / a_term / n
+    d_nu = (0.5 / nu + ap * e2 / a_term) / n
+    d_alpha = (-log_2b + psi(alpha) + log_a - psi(ap)) / n
+    d_beta = (-alpha / beta + ap * 2.0 / a_term) / n
+    return float(vals.sum() / vals.size), (d_mu, d_nu, d_alpha, d_beta)
 
 
 def evidence_reg(alphas):
     """Sum of exp(-alpha), which penalizes low evidence, and its gradient."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    val = float(np.sum(np.exp(-alphas)))
-    return val, -np.exp(-alphas)
+    e = np.exp(-np.asarray(alphas, dtype=float))
+    return float(e.sum()), -e
 
 
 def prior_penalty(b, u, m: MonotoneMap):
     """Mean hinge max(0, m(b) - u): prior volatility must be matched
     by at least that much epistemic variance.  Returns (value, d_u, d_m),
     d_m MonotoneMap shaped."""
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(b < 0) or np.any(b > 1):
+    b = np.asarray(b, dtype=float)
+    if not (b.min() >= 0.0 and b.max() <= 1.0):
         raise ValueError("prior inputs must lie in [0, 1]")
     mb, vjp = m.value_and_grads(b)
-    gap = mb - u
-    active = gap > 0
+    gap = mb - np.asarray(u, dtype=float)
     red = 1.0 / b.size
-    val = float(np.sum(np.maximum(gap, 0.0)) * red)
-    d_u = -active.astype(float) * red
-    d_m = vjp(active.astype(float) * red)
-    return val, d_u, d_m
+    weight = (gap > 0) * red
+    return float(np.maximum(gap, 0.0).sum() * red), -weight, vjp(weight)
 
 
 def soft_conf_loss(scores, cfg: ObjectiveConfig, stopgrad=False):
     """Mean softplus((s_i - Q_gamma(s)) / kappa) with the log-sum-exp soft
     quantile, and its gradient w.r.t. the scores; with stopgrad the quantile
     is treated as a constant."""
-    s = np.atleast_1d(np.asarray(scores, dtype=float))
+    s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("soft_conf_loss of empty scores")
-    q = soft_quantile(s, cfg.gamma)
-    arg = (s - q) / cfg.kappa
-    val = float(np.mean(softplus(arg)))
-    sig = sigmoid(arg) / cfg.kappa
+    q, q_grad = soft_quantile_and_grad(s, cfg.gamma)
+    sp, sig = softplus_sigmoid((s - q) / cfg.kappa)
+    sig /= cfg.kappa
     d_s = sig / s.size
     if not stopgrad:
-        d_s = d_s - np.sum(sig) / s.size * soft_quantile_grad(s, cfg.gamma)
-    return val, d_s
+        d_s = d_s - sig.sum() / s.size * q_grad
+    return float(sp.sum() / s.size), d_s
 
 
 def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=None):
@@ -173,32 +170,34 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=Non
 
     Returns (value, parts, head_grads, monotone_grads) where the gradients
     are HeadParams / MonotoneMap shaped views into the flat array out: the
-    head's to_vector() followed by the map's (a new array when None).
+    head's to_vector() followed by the map's (a new array when None).  The
+    views are made once per out and head_params, which a training keeps.
     """
     cfg.validate()
-    n_head = head_params.size
     if out is None:
-        out = np.empty(n_head + monotone.size)
+        out = np.empty(head_params.size + monotone.size)
+    out_head, mono_out = head_mod._kept(head_params, "_grad_split", out, lambda o: (
+        o[:-monotone.size], monotone.view(o[-monotone.size:])))
     nig, cache = head_mod.forward(head_params, ds, with_cache=True)
     y = ds.target_y
-    stopgrad = epoch < cfg.stopgrad_epochs
-    u = head_mod.epistemic_variance(nig)
-    scores = np.abs(y - nig.mu)
+    resid = y - nig.mu
 
     if cfg.mu_only:
-        mse = float(np.mean((y - nig.mu) ** 2))
+        sq = resid ** 2
+        mse = float(sq.sum() / sq.size)
         parts = {"nig": mse, "evidence": 0.0, "prior": 0.0, "soft_conf": 0.0}
         d_mu = 2.0 * (nig.mu - y) / y.size
         zeros = np.zeros_like(d_mu)
         head_grads = head_mod.backward(head_params, cache, d_mu, zeros, zeros, zeros,
-                                       out=out[:n_head])
-        out[n_head:] = 0.0
-        return mse, parts, head_grads, monotone.view(out[n_head:])
+                                       out=out_head)
+        mono_out._vec.fill(0.0)
+        return mse, parts, head_grads, mono_out
 
     l_nig, (d_mu, d_nu, d_alpha, d_beta) = nig_nll(nig, y)
     l_evid, d_alpha_evid = evidence_reg(nig.alpha)
-    l_prior, d_u, mono_grads = prior_penalty(ds.prior_b, u, monotone)
-    l_conf, d_s = soft_conf_loss(scores, cfg, stopgrad=stopgrad)
+    l_prior, d_u, mono_grads = prior_penalty(ds.prior_b, head_mod.epistemic_variance(nig),
+                                             monotone)
+    l_conf, d_s = soft_conf_loss(np.abs(resid), cfg, stopgrad=epoch < cfg.stopgrad_epochs)
     total = (l_nig + cfg.lambda_evid * l_evid + cfg.lambda_prior * l_prior
              + cfg.lambda_conf * l_conf)
     parts = {"nig": l_nig, "evidence": l_evid, "prior": l_prior, "soft_conf": l_conf}
@@ -211,9 +210,9 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=Non
     d_alpha = d_alpha + d_u * (-nig.beta / (nig.nu * am1 ** 2))
     d_beta = d_beta + d_u * (1.0 / (nig.nu * am1))
     # scores s = |y - mu|
-    d_mu = d_mu + cfg.lambda_conf * d_s * (-np.sign(y - nig.mu))
+    d_mu = d_mu + cfg.lambda_conf * d_s * (-np.sign(resid))
 
     head_grads = head_mod.backward(head_params, cache, d_mu, d_nu, d_alpha, d_beta,
-                                   out=out[:n_head])
-    np.multiply(cfg.lambda_prior, mono_grads._vec, out=out[n_head:])
-    return total, parts, head_grads, monotone.view(out[n_head:])
+                                   out=out_head)
+    np.multiply(cfg.lambda_prior, mono_grads._vec, out=mono_out._vec)
+    return total, parts, head_grads, mono_out

@@ -1,6 +1,7 @@
 """Minibatch training of the evidential head with adaptive-moment updates
 and validation-ECE early stopping."""
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -26,7 +27,9 @@ class TrainConfig:
     head: head_mod.HeadConfig = field(default_factory=head_mod.HeadConfig)
 
     def validate(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0:
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a positive finite number")
+        if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("invalid training config")
         if self.patience < 0 or self.patience > self.max_epochs and self.max_epochs > 0:
             raise ValueError("patience must be in [0, max_epochs]")
@@ -75,20 +78,24 @@ def validation_ece(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
     if half_a.size == 0 or half_b.size == 0:
         half_a = half_b = s
     qs = conformal_quantiles(half_a, [1.0 - tau for tau in level_grid])
-    covered = (half_b <= np.array(qs)[:, None]).mean(axis=1)
-    return float(np.mean([abs(float(c) - tau) for c, tau in zip(covered, level_grid)]))
+    devs = np.abs((half_b <= np.array(qs)[:, None]).mean(axis=1) - level_grid)
+    return float(devs.sum() / devs.size)
 
 
-def _batches(chain_ids, train_idx, batch_size, rng):
-    """Minibatches of whole chains restricted to the given node indices."""
+def _batches(chain_ids, train_idx, batch_size):
+    """Minibatches of whole chains restricted to the given node indices, as
+    a function of an epoch's rng that lists them."""
     train_chains = chain_ids[train_idx]
     chains = np.unique(train_chains)
-    order = rng.permutation(chains.size)
-    if 0 < chains.size <= batch_size:
-        yield train_idx     # one batch of every chain, in train_idx order
-        return
-    for start in range(0, chains.size, batch_size):
-        yield train_idx[np.isin(train_chains, chains[order[start:start + batch_size]])]
+    if chains.size <= batch_size:
+        # one batch of every chain (if any), in train_idx order: no rng draw
+        return lambda rng: [train_idx][:chains.size]
+
+    def epoch(rng):
+        order = rng.permutation(chains.size)
+        return [train_idx[np.isin(train_chains, chains[order[start:start + batch_size]])]
+                for start in range(0, chains.size, batch_size)]
+    return epoch
 
 
 def train(cfg: TrainConfig, train_ds, val_ds):
@@ -117,7 +124,7 @@ def train(cfg: TrainConfig, train_ds, val_ds):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    train_idx = np.arange(train_ds.n_nodes)
+    batches = _batches(train_ds.chain_ids, np.arange(train_ds.n_nodes), cfg.batch_size)
     best_ece = np.inf
     best_theta = theta.copy()
     best_epoch = -1
@@ -130,19 +137,16 @@ def train(cfg: TrainConfig, train_ds, val_ds):
         losses = []
         norms = []
         parts_acc = {"nig": 0.0, "evidence": 0.0, "prior": 0.0, "soft_conf": 0.0}
-        n_batches = 0
-        for batch_idx in _batches(train_ds.chain_ids, train_idx, cfg.batch_size, rng):
-            if batch_idx.size == 0:
-                continue
+        for batch_idx in batches(rng):
             # a batch of every node is train_ds itself, in order, with its adjacency
             batch = (train_ds if batch_idx.size == train_ds.n_nodes
                      else train_ds.subset(batch_idx))
             val, parts, _, _ = total_loss(params, mono, batch, cfg.objective,
                                           epoch=epoch, out=g)
-            if not np.isfinite(val):
-                bad = [k for k, v in parts.items() if not np.isfinite(v)]
+            if not math.isfinite(val):
+                bad = [k for k, v in parts.items() if not math.isfinite(v)]
                 raise FloatingPointError(f"non-finite training loss; offending terms: {bad}")
-            norm = float(np.linalg.norm(g))
+            norm = math.sqrt(g.dot(g))      # np.linalg.norm(g), bit for bit
             norms.append(norm)
             if norm > GRAD_CLIP_NORM:
                 g *= GRAD_CLIP_NORM / norm
@@ -165,15 +169,14 @@ def train(cfg: TrainConfig, train_ds, val_ds):
             losses.append(val)
             for k in parts_acc:
                 parts_acc[k] += parts[k]
-            n_batches += 1
         ece_val = validation_ece(params, val_ds)
         records.append({
             "epoch": epoch,
-            "loss": float(np.mean(losses)) if losses else None,
-            "parts": {k: v / max(n_batches, 1) for k, v in parts_acc.items()},
+            "loss": float(np.mean(losses)),     # every epoch has a batch
+            "parts": {k: v / len(losses) for k, v in parts_acc.items()},
             "val_ece": ece_val,
         })
-        grad_norms.append(float(np.max(norms)))
+        grad_norms.append(max(norms))
         if epoch < cfg.warmup_epochs:
             continue
         if ece_val < best_ece - 1e-12:

@@ -309,6 +309,43 @@ def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, extra, message", [
+    (["pipeline"], {"train": {"learning_rate": float("nan")}},
+     "learning_rate must be a positive finite number"),
+    (["pipeline"], {"train": {"learning_rate": float("inf")}},
+     "learning_rate must be a positive finite number"),
+    (["pipeline"], {"train": {"objective": {"gamma": float("nan")}}},
+     "gamma and kappa must be positive finite numbers"),
+    (["pipeline"], {"train": {"objective": {"lambda_prior": float("nan")}}},
+     "objective weights must be nonnegative finite numbers"),
+    (["experiment", "calibration"], {"train": {"objective": {"lambda_evid": float("-inf")}}},
+     "objective weights must be nonnegative finite numbers"),
+    (["gen-data"], {"generator": {"n_chains": 5, "ordered_noise_scale": float("nan")}},
+     "noise scales must be positive finite numbers"),
+    (["corrupt-priors"], {"mode": "noise", "sigma": float("nan")},
+     "sigma must be a nonnegative finite number, got nan"),
+    (["pipeline"], {"train": {"objective": {"monotone_hidden": 0}}},
+     "monotone_hidden must be >= 1"),
+    (["pipeline"], {"train": {"objective": {"monotone_hidden": -1}}},
+     "monotone_hidden must be >= 1"),
+], ids=["learning_rate_nan", "learning_rate_infinity", "gamma_nan", "lambda_prior_nan",
+        "experiment_lambda_evid_minus_infinity", "ordered_noise_scale_nan", "sigma_nan",
+        "monotone_hidden_0", "monotone_hidden_minus_1"])
+def test_config_value_out_of_range_is_one_error_line(tmp_path, monkeypatch, capsys, argv, extra,
+                                                     message):
+    """json.load reads the literals NaN, Infinity and -Infinity, which pass a
+    plain `x <= 0` check; each config's validate refuses them, and a prior map
+    without a hidden unit, before any training step."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "total_loss", refuse)
+    cfg = _gen_cfg(tmp_path, **extra)     # json.dumps writes NaN and Infinity
+    code = cli.main([*argv, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def _settable(tp):
     """Dotted keys cli._read accepts in a tp object: tp's fields less
     cli.SET_BY_RUN's, a nested dataclass's keys under its field's name."""

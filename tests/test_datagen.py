@@ -74,6 +74,9 @@ class TestChainGenerator:
             GeneratorConfig(n_chains=0).validate()
         with pytest.raises(ValueError):
             GeneratorConfig(ordered_noise_scale=2.0, disordered_noise_scale=1.0).validate()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise scales must be positive finite"):
+                GeneratorConfig(ordered_noise_scale=bad).validate()
         # more feature entries than MAX_FEATURE_ENTRIES: refused before drawing
         with pytest.raises(ValueError, match="MAX_FEATURE_ENTRIES"):
             GeneratorConfig(n_chains=10**12).validate()
@@ -234,6 +237,11 @@ class TestCorruptPriors:
         with pytest.raises(ValueError):
             datagen.corrupt_priors(small_chain_ds, "scramble")
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_bad_sigma(self, small_chain_ds, sigma):
+        with pytest.raises(ValueError, match="sigma must be a nonnegative finite number"):
+            datagen.corrupt_priors(small_chain_ds, "noise", sigma=sigma)
+
 
 class TestSplit:
     def test_family_aware_chain_counts(self):
@@ -337,6 +345,21 @@ class TestRoundTrip:
         datagen.save_dataset(ds, tmp_path / "ds.json")
         _reference_save_dataset(ds, tmp_path / "ref.json")
         assert (tmp_path / "ds.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("column, value", [(-4, float("nan")), (-3, float("nan")),
+                                               (-4, float("inf")), (-3, float("-inf"))],
+                             ids=["prior_b_nan", "target_y_nan", "prior_b_inf", "target_y_inf"])
+    def test_non_finite_value_rejected(self, small_chain_ds, tmp_path, column, value):
+        """json.load reads NaN and Infinity, and NaN passes every range
+        check; a loaded file with one in prior_b or target_y is refused."""
+        p = tmp_path / "ds.json"
+        datagen.save_dataset(small_chain_ds, p)
+        doc = json.loads(p.read_text())
+        doc["nodes"][3][column] = value     # a row ends prior_b, target_y, tag, flag
+        p.write_text(json.dumps(doc))
+        name = "prior_b" if column == -4 else "target_y"
+        with pytest.raises(ValueError, match=f"^non-finite {name}$"):
+            datagen.load_dataset(p)
 
     def test_version_mismatch(self, small_chain_ds, tmp_path):
         p = tmp_path / "ds.json"

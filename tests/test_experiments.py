@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import warnings
 
 import pytest
 
@@ -154,4 +155,23 @@ class TestTrainingFanOut:
             errors.append(capsys.readouterr().err)
             assert not (tmp_path / f"cpus{cpus}").exists()
         assert errors == ["error: no head for seed 2\n"] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_diverging_training_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        """A finite learning rate that overflows the weights ends in the
+        trainer's own message, whether the head trains here or on a worker."""
+        cfg = _fan_out_config(tmp_path, train={"learning_rate": 1e308, "max_epochs": 3,
+                                               "patience": 0})
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(bounds, "CPUS", cpus)
+            with warnings.catch_warnings():     # numpy's overflow warnings
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert cli.main(["experiment", "calibration", "--config", cfg,
+                                 "--out", str(tmp_path / f"cpus{cpus}")]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / f"cpus{cpus}").exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: non-finite training loss; offending terms: [")
+        assert errors[0].count("\n") == 1
         assert multiprocessing.active_children() == []

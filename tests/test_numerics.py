@@ -12,8 +12,9 @@ from calpro.numerics import (
     rng_stream,
     sigmoid,
     soft_quantile,
-    soft_quantile_grad,
+    soft_quantile_and_grad,
     softplus,
+    softplus_sigmoid,
     spearman,
 )
 
@@ -94,7 +95,8 @@ class TestSoftQuantile:
     def test_gradient_is_softmax(self):
         rng = rng_stream(1, 0)
         s = rng.normal(size=12)
-        g = soft_quantile_grad(s, 10.0)
+        q, g = soft_quantile_and_grad(s, 10.0)
+        assert q == soft_quantile(s, 10.0)
         assert g.min() >= 0 and abs(g.sum() - 1.0) < 1e-12
         fd = finite_difference_gradient(lambda v: soft_quantile(v, 10.0), s, 1e-6)
         assert np.allclose(g, fd, atol=1e-6)
@@ -182,16 +184,18 @@ def _sigmoid_three_expressions(z):
                     np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
 
 
-_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12,
-                         1.0, -1.0, 36.7, -36.7, 709.0, -709.0, 745.2, -745.2,
-                         1e3, -1e3, 1e300, -1e300, np.inf, -np.inf])
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         -2.2250738585072014e-308, 1e-300, -1e-300, 1e-12, -1e-12,
+                         1.0, -1.0, 36.7, -36.7, 700.0, -700.0, 709.0, -709.0, 745.2, -745.2,
+                         1e3, -1e3, 1e300, -1e300, 1e308, -1e308, np.inf, -np.inf])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 2**31 - 1))
 def test_softplus_sigmoid_block_bitwise(n, seed):
     """On a strided (n, 3) block, as forward and backward pass raw[:, 1:4],
-    each column gets the very bits of the three-expression formulas."""
+    each column gets the very bits of the three-expression formulas, and
+    softplus_sigmoid the very bits of softplus and sigmoid."""
     rng = rng_stream(seed, 0)
     raw = rng.standard_normal((n, 5)) * 10.0 ** rng.uniform(-8, 3, size=(n, 5))
     edges = rng.random((n, 5)) < 0.3
@@ -199,6 +203,8 @@ def test_softplus_sigmoid_block_bitwise(n, seed):
     block = raw[:, 1:4]
     sp = softplus(block)
     sg = sigmoid(block)
+    both = softplus_sigmoid(block)
+    assert both[0].tobytes() == sp.tobytes() and both[1].tobytes() == sg.tobytes()
     for j in range(3):
         col = np.ascontiguousarray(block[:, j])
         assert sp[:, j].tobytes() == _softplus_three_expressions(col).tobytes()

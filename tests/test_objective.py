@@ -378,3 +378,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ObjectiveConfig(lambda_prior=-0.1).validate()
     ObjectiveConfig(lambda_prior=0.0).validate()   # ablations allowed
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma and kappa"):
+            ObjectiveConfig(kappa=bad).validate()
+        with pytest.raises(ValueError, match="objective weights"):
+            ObjectiveConfig(lambda_conf=bad).validate()
+    # no hidden unit: m(b) would be the constant b2, reading no prior
+    for hidden in (0, -1):
+        with pytest.raises(ValueError, match="monotone_hidden must be >= 1"):
+            ObjectiveConfig(monotone_hidden=hidden).validate()

@@ -89,8 +89,10 @@ class TestTrain:
 # 12x40 generator) at seed 0.  The weight digests were computed before the
 # trainer updated one flat weight vector in place; the record digests after
 # the config echo lost head.layer_norm and objective.prior_penalty_reduction
-# (the record otherwise unchanged).  Pinned with numpy 2.4 on x86-64; another
-# BLAS or CPU may round differently.
+# (the record otherwise unchanged).  The no_conformal and no_priors pins,
+# whose zero lambda_conf and lambda_prior leave a loss term out of the
+# gradient, were computed before the training step's per-call work was cut.
+# Pinned with numpy 2.4 on x86-64; another BLAS or CPU may round differently.
 TRAIN_PINS = {
     ("full", 16): ("fc19a7c0c1ee732d1e65c19dd2fec8d5be54270bb702830516ff572e1960a126",
                    "f9c96a0e09f517cc005cfafb048937b0cb0b3d77f7e1c07660e4ab751d9f98b7",
@@ -101,13 +103,20 @@ TRAIN_PINS = {
     ("no_evidential", 16): ("1e19f0b3010d15c2a4e91a979f5e7cab4344962393998c70aac7ddb86fe54f31",
                             "3046351b8ee59cefb0a1722c52ff325681d51fc09cd7c41c401e4b689bc9c664",
                             "7306ac94a762c54e9f1c3c3054de045daa04048b7f404a2ce25533499719085b"),
+    ("no_conformal", 16): ("9ed89fd3d227a4765e403a3e54a33be6de5e384ed6c8e42953efb74d07bfa3f4",
+                           "f9c96a0e09f517cc005cfafb048937b0cb0b3d77f7e1c07660e4ab751d9f98b7",
+                           "49b31ee4f5c2577ab9ac3017f4991cba92bc903a8a1358cae743868662812229"),
+    ("no_priors", 16): ("1f13935855393bc245de79e47b543256dcf735e47c9f21abd56180fac65bc34e",
+                        "3046351b8ee59cefb0a1722c52ff325681d51fc09cd7c41c401e4b689bc9c664",
+                        "d741322fad0f56b00e0fe34faad11a789762b0e2c95d33dea78ed49c64487689"),
 }
 
 
 @pytest.mark.parametrize("config,batch_size", sorted(TRAIN_PINS))
 def test_train_pinned(config, batch_size):
     """One batch per epoch (16), several (6 fitting chains in batches of 2),
-    and the mu-only objective."""
+    the mu-only objective, and the objectives without the soft-conformal
+    term and without the prior hinge."""
     spec = experiments.ExperimentSpec(
         train=replace(experiments.desk_train_config(), batch_size=batch_size))
     run = experiments.train_config_run(spec, config, seed=0)
@@ -259,7 +268,7 @@ def test_batches_partition_whole_chains_in_order(chain_ids, data, batch_size, se
     # any subset of the nodes, in any order
     train_idx = np.array(data.draw(st.permutations(range(chain_ids.size)))[
         :data.draw(st.integers(0, chain_ids.size))], dtype=int)
-    got = list(trainer._batches(chain_ids, train_idx, batch_size, rng_stream(seed, 20)))
+    got = list(trainer._batches(chain_ids, train_idx, batch_size)(rng_stream(seed, 20)))
     expected = list(_batches_loop(chain_ids, train_idx, batch_size, rng_stream(seed, 20)))
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
@@ -327,8 +336,9 @@ class TestValidationEce:
 
 class TestConfigValidation:
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0).validate()
+        for lr in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be a positive finite"):
+                TrainConfig(learning_rate=lr).validate()
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ValueError):
