@@ -527,6 +527,9 @@ def corrupt_priors(ds: Dataset, mode, seed=0, sigma=0.2) -> Dataset:
     """Replace prior_b per the corruption mode; all other fields untouched,
     and the result shares ds's graph memo."""
     check_corruption_mode(mode)
+    # checked in every mode, though only noise reads it: a bad value is an error
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a nonnegative finite number, got {sigma!r}")
     rng = rng_stream(seed, 3)
     b = np.array(ds.prior_b)
     if mode == "shuffle":
@@ -534,10 +537,13 @@ def corrupt_priors(ds: Dataset, mode, seed=0, sigma=0.2) -> Dataset:
     elif mode == "invert":
         b = 1.0 - b
     else:
-        if not 0.0 <= sigma < math.inf:
-            raise ValueError(f"sigma must be a nonnegative finite number, got {sigma!r}")
         b = np.clip(b + sigma * rng.standard_normal(b.size), 0.0, 1.0)
-    return _sharing_graph(ds, replace(ds, prior_b=b))
+    return with_priors(ds, b)
+
+
+def with_priors(ds: Dataset, prior_b) -> Dataset:
+    """ds with its prior_b replaced; the result shares ds's graph memo."""
+    return _sharing_graph(ds, replace(ds, prior_b=prior_b))
 
 
 def split(ds: Dataset, fractions, mode="family_aware", seed=0) -> Dataset:

@@ -120,12 +120,15 @@ def _objective_for(config_name, base: ObjectiveConfig) -> ObjectiveConfig:
     raise ValueError(f"unknown configuration {config_name!r}")
 
 
+def _train_config(spec: ExperimentSpec, config_name, seed):
+    """The TrainConfig of one configuration on one seed."""
+    return replace(spec.train, seed=seed,
+                   objective=_objective_for(config_name, spec.train.objective))
+
+
 def _training(spec: ExperimentSpec, config_name, seed, ds):
     """trainer.train's arguments for one configuration on one seed's dataset."""
-    fit_ds, val_ds = _train_val(ds)
-    tcfg = replace(spec.train, seed=seed,
-                   objective=_objective_for(config_name, spec.train.objective))
-    return tcfg, fit_ds, val_ds
+    return (_train_config(spec, config_name, seed),) + _train_val(ds)
 
 
 def _run(trained, config_name, seed, ds):
@@ -146,25 +149,58 @@ def train_config_run(spec: ExperimentSpec, config_name, seed, ds=None):
                 config_name, seed, ds)
 
 
+def _stacked(stack):
+    """trainer.train's arguments for the stacked training of the jobs
+    (spec, configuration, seed, ds) of stack: one list per argument.  Jobs
+    on one dataset share its fitting and validation sets, so that each is
+    made, held and sent to a worker once."""
+    sets = {}
+    for *_, ds in stack:
+        if id(ds) not in sets:
+            sets[id(ds)] = _train_val(ds)
+    fits, vals = zip(*(sets[id(ds)] for *_, ds in stack))
+    return [_train_config(*job[:3]) for job in stack], list(fits), list(vals)
+
+
 def _train(args):
     """A worker's task: trainer.train(*args)."""
     return trainer_mod.train(*args)
 
 
-def _train_runs(jobs):
+def _train_runs(seed_jobs, n_seeds):
     """Yield train_config_run(*job) for each job (spec, configuration, seed,
-    ds) of jobs, in job order.
+    ds) of each of the n_seeds lists of one seed's jobs in seed_jobs, in job
+    order.
 
-    On more than one CPU (bounds.CPUS, which also sets the k-NN threads)
-    only trainer.train runs elsewhere, on a pool of forked workers, one per
-    CPU.  Jobs are drawn (and their datasets made) here, at most one beyond
-    those the workers hold, so few datasets are alive at once; the caller
-    evaluates each run here as it arrives.  A training that raises re-raises
-    here, at its job's place.  On one CPU, or without fork, this is the
-    serial loop."""
+    A seed's jobs train as one stacked training (trainer.train on
+    sequences).  On more than one CPU (bounds.CPUS, which also sets the
+    k-NN threads) only trainer.train runs elsewhere, on a pool of forked
+    workers, one per CPU, and each stack is one task; when there are fewer
+    seeds than CPUs, a seed's jobs are split into ceil(CPUS / n_seeds)
+    stacks of consecutive jobs, so that no worker sits idle.  Stacks are
+    drawn (and their datasets made) here, at most one beyond those the
+    workers hold, so few datasets are alive at once; the caller evaluates
+    each run here as it arrives.  A training that raises re-raises here, at
+    its job's place.  On one CPU, or without fork, the stacks train here,
+    one after another."""
     workers = bounds_mod.CPUS
-    if workers < 2 or not hasattr(os, "fork"):
-        yield from itertools.starmap(train_config_run, jobs)
+    parallel = workers > 1 and hasattr(os, "fork")
+    n_stacks = -(-workers // n_seeds) if parallel else 1
+
+    def stacks():
+        for jobs in seed_jobs:
+            cuts = [len(jobs) * k // n_stacks for k in range(n_stacks + 1)]
+            yield from (jobs[a:b] for a, b in zip(cuts, cuts[1:]) if a < b)
+
+    def runs(stack, trained):
+        for job, result in zip(stack, trained):
+            if isinstance(result, Exception):
+                raise result
+            yield _run(result, *job[1:])
+
+    if not parallel:
+        for stack in stacks():
+            yield from runs(stack, _train(_stacked(stack)))
         return
     # imported here, so that importing calpro does not pay for them
     import multiprocessing
@@ -174,17 +210,17 @@ def _train_runs(jobs):
     # calpro, 0.76-0.83 s against 0.01-0.02 s forked (2-core x86-64), about a
     # whole desk recipe.  A fork executor forks every worker before it starts
     # a thread of its own.
-    jobs = iter(jobs)
-    pending = collections.deque()       # (job, future) in job order
+    stacks = stacks()
+    pending = collections.deque()       # (stack, future) in job order
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         while True:
-            for job in itertools.islice(jobs, workers + 1 - len(pending)):
-                pending.append((job, pool.submit(_train, _training(*job))))
+            for stack in itertools.islice(stacks, workers + 1 - len(pending)):
+                pending.append((stack, pool.submit(_train, _stacked(stack))))
             if not pending:
                 return
-            job, future = pending.popleft()
-            yield _run(future.result(), *job[1:])
+            stack, future = pending.popleft()
+            yield from runs(stack, future.result())
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -231,17 +267,17 @@ def _per_seed(spec: ExperimentSpec, arms, one_seed):
     in order, the run (see train_config_run) of each arm (configuration,
     corruption mode or None) of arms: the configuration trained on the
     seed's generated dataset, its priors corrupted by the mode, if any.  The
-    trainings run ahead of one_seed, across seeds (_train_runs)."""
+    trainings run ahead of one_seed, across seeds, and a seed's arms train
+    as one stack (_train_runs)."""
     spec.validate()
 
-    def jobs():
+    def seed_jobs():
         for seed in spec.seeds:
             ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
-            for config, mode in arms:
-                yield spec, config, seed, ds if mode is None else datagen.corrupt_priors(
-                    ds, mode, seed=seed, sigma=spec.corruption_sigma)
+            yield [(spec, config, seed, ds if mode is None else datagen.corrupt_priors(
+                ds, mode, seed=seed, sigma=spec.corruption_sigma)) for config, mode in arms]
 
-    with contextlib.closing(_train_runs(jobs())) as runs:
+    with contextlib.closing(_train_runs(seed_jobs(), len(spec.seeds))) as runs:
         return [one_seed(itertools.islice(runs, len(arms))) for _ in spec.seeds]
 
 

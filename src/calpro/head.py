@@ -45,36 +45,48 @@ class HeadConfig:
 @dataclass
 class HeadParams:
     """Per-layer self/message/bias weights plus a 5-column readout, of which
-    forward reads the first four (see init_head)."""
+    forward reads the first four (see init_head).
+
+    Every weight array may carry a leading arm axis: a stack of heads of one
+    shape (see view), which forward and backward evaluate arm by arm in one
+    pass.  One head is a HeadParams without it."""
     layers: list                 # dicts with w_self, w_msg, b
     w_out: np.ndarray
     b_out: np.ndarray
     config: HeadConfig = field(default_factory=HeadConfig)
     feature_dim: int = 16
 
+    @property
+    def arms(self):
+        """The leading arm shape: () for one head, (arms,) for a stack."""
+        return self.b_out.shape[:-1]
+
     def to_vector(self):
-        parts = []
-        for lay in self.layers:
-            parts.extend([lay["w_self"].ravel(), lay["w_msg"].ravel(), lay["b"].ravel()])
-        parts.extend([self.w_out.ravel(), self.b_out.ravel()])
-        return np.concatenate(parts)
+        """The weights as one flat array, or one row per arm for a stack."""
+        parts = [lay[key] for lay in self.layers for key in ("w_self", "w_msg", "b")]
+        parts += [self.w_out, self.b_out]
+        return np.concatenate([a.reshape(self.arms + (-1,)) for a in parts], axis=-1)
 
     @property
     def size(self):
-        """Number of weights, the length of to_vector()."""
+        """Number of weights of one arm, the length of to_vector()'s rows."""
         return (sum(a.size for lay in self.layers for a in lay.values())
-                + self.w_out.size + self.b_out.size)
+                + self.w_out.size + self.b_out.size) // math.prod(self.arms)
 
     def view(self, vec):
-        """HeadParams with the same shapes whose weights are views into the
-        flat float array vec, in to_vector() order: writing into vec moves
-        the weights."""
+        """HeadParams of the same layer shapes whose weights are views into
+        the float array vec, in to_vector() order: writing into vec moves
+        the weights.  A vec of shape (arms, size) gives a stack of heads,
+        one per row."""
         pos = 0
+        arms = vec.shape[:-1]
+        skip = len(self.arms)
 
         def take(shape):
             nonlocal pos
+            shape = shape[skip:]
             n = math.prod(shape)
-            part = vec[pos:pos + n].reshape(shape)
+            part = vec[..., pos:pos + n].reshape(arms + shape)
             pos += n
             return part
 
@@ -82,7 +94,7 @@ class HeadParams:
                   for lay in self.layers]
         w_out = take(self.w_out.shape)
         b_out = take(self.b_out.shape)
-        if pos != vec.size:
+        if pos != vec.shape[-1]:
             raise ValueError("vector length mismatch")
         return HeadParams(layers, w_out, b_out, self.config, self.feature_dim)
 
@@ -153,11 +165,23 @@ def _adjacency(ds):
     return ds.structural("adjacency", build)
 
 
+def _spmm(adj, x):
+    """adj @ x for x of shape (n, d), or for each arm of x (arms, n, d): the
+    arms are taken as extra columns of one sparse product, which computes
+    every column as it would alone."""
+    if x.ndim == 2:
+        return adj @ x
+    arms, n, d = x.shape
+    cols = x.transpose(1, 0, 2).reshape(n, arms * d)
+    return (adj @ cols).reshape(n, arms, d).transpose(1, 0, 2)
+
+
 def forward(params: HeadParams, ds, with_cache=False):
     """Evaluate the head on a dataset.
 
     Returns NIGParams or, with_cache, (NIGParams, cache) where the cache
-    dict feeds the backward pass.
+    dict feeds the backward pass.  A stack of heads gives NIGParams whose
+    arrays have a leading arm axis.
     """
     if ds.features.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
@@ -168,27 +192,31 @@ def forward(params: HeadParams, ds, with_cache=False):
     h = ds.features
     cache = {"adj": adj, "adj_t": adj_t, "hs": [h], "ms": [], "zs": []}
     for li, lay in enumerate(params.layers):
-        m = message0 if li == 0 else adj @ h
+        m = message0 if li == 0 else _spmm(adj, h)
         cache["ms"].append(m)
-        z = h @ lay["w_self"] + m @ lay["w_msg"] + lay["b"]
+        # summed in place, in the order of h @ w_self + m @ w_msg + b
+        z = h @ lay["w_self"]
+        z += m @ lay["w_msg"]
+        z += lay["b"][..., None, :]
         cache["zs"].append(z)
         h = np.maximum(z, 0.0)
         cache["hs"].append(h)
-    raw = h @ params.w_out + params.b_out
+    raw = h @ params.w_out
+    raw += params.b_out[..., None, :]
     cache["raw"] = raw
     # softplus underflows to 0 for very negative inputs; floor far enough
     # above zero that the strict constraints hold and downstream terms like
     # beta / (nu^2 (alpha - 1)) stay finite
     floor = 1e-10
     if with_cache:      # backward's derivatives of the three softplus
-        sp, cache["sig"] = softplus_sigmoid(raw[:, 1:4])
+        sp, cache["sig"] = softplus_sigmoid(raw[..., 1:4])
     else:
-        sp = softplus(raw[:, 1:4])
+        sp = softplus(raw[..., 1:4])
     nig = NIGParams(
-        mu=raw[:, 0],
-        nu=np.maximum(sp[:, 0], floor),
-        alpha=np.maximum(1.0 + sp[:, 1], 1.0 + floor),
-        beta=np.maximum(sp[:, 2], floor),
+        mu=raw[..., 0],
+        nu=np.maximum(sp[..., 0], floor),
+        alpha=np.maximum(1.0 + sp[..., 1], 1.0 + floor),
+        beta=np.maximum(sp[..., 2], floor),
     )
     if with_cache:
         return nig, cache
@@ -199,35 +227,37 @@ def backward(params: HeadParams, cache, d_mu, d_nu, d_alpha, d_beta, out=None):
     """Vector-Jacobian product: gradients of a scalar loss w.r.t. HeadParams
     given its gradients w.r.t. the constrained outputs.
 
-    The gradients are written into the flat array out (to_vector() order;
-    a new one when None) and returned as a HeadParams view of it, the same
-    view while params and out are the same objects.
+    The gradients are written into the array out (to_vector() order, one
+    row per arm for a stack; a new one when None) and returned as a
+    HeadParams view of it, the same view while params and out are the same
+    objects.
     """
     raw = cache["raw"]
     d_raw = np.zeros_like(raw)
-    d_raw[:, 0] = d_mu
+    d_raw[..., 0] = d_mu
     sig = cache["sig"]
-    d_raw[:, 1] = d_nu * sig[:, 0]
-    d_raw[:, 2] = d_alpha * sig[:, 1]
-    d_raw[:, 3] = d_beta * sig[:, 2]
+    d_raw[..., 1] = d_nu * sig[..., 0]
+    d_raw[..., 2] = d_alpha * sig[..., 1]
+    d_raw[..., 3] = d_beta * sig[..., 2]
     if out is None:
-        out = np.empty(params.size)
+        out = np.empty(params.arms + (params.size,))
     out.fill(0.0)
     grads = _kept(params, "_grad_view", out, params.view)
     h_last = cache["hs"][-1]
-    grads.w_out += h_last.T @ d_raw
-    grads.b_out += d_raw.sum(axis=0)
-    d_h = d_raw @ params.w_out.T
+    grads.w_out += h_last.swapaxes(-1, -2) @ d_raw
+    grads.b_out += d_raw.sum(axis=-2)
+    d_h = d_raw @ params.w_out.swapaxes(-1, -2)
     adj_t = cache["adj_t"]     # CSC view; the same products as its CSR copy
     for li in reversed(range(len(params.layers))):
         lay = params.layers[li]
         d_z = d_h * (cache["zs"][li] > 0)
         g = grads.layers[li]
-        g["w_self"] += cache["hs"][li].T @ d_z
-        g["w_msg"] += cache["ms"][li].T @ d_z
-        g["b"] += d_z.sum(axis=0)
+        g["w_self"] += cache["hs"][li].swapaxes(-1, -2) @ d_z
+        g["w_msg"] += cache["ms"][li].swapaxes(-1, -2) @ d_z
+        g["b"] += d_z.sum(axis=-2)
         if li > 0:      # no gradient w.r.t. the input features
-            d_h = d_z @ lay["w_self"].T + adj_t @ (d_z @ lay["w_msg"].T)
+            d_h = d_z @ lay["w_self"].swapaxes(-1, -2)
+            d_h += _spmm(adj_t, d_z @ lay["w_msg"].swapaxes(-1, -2))
     return grads
 
 

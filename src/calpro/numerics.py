@@ -9,6 +9,26 @@ import math
 import numpy as np
 
 
+def per_arm(values):
+    """Per-arm values as the caller of one arm expects them: a 0-d array or
+    numpy scalar (one arm) as a Python float, an array over arms as is."""
+    return values if values.ndim else float(values)
+
+
+def arm_column(values):
+    """Per-arm values against per-node arrays: an array over arms as a
+    column, one arm's value as a Python float (numpy's scalars are the
+    slower operand)."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return values[..., None]
+    return float(values)
+
+
+def arm_list(values):
+    """Per-arm values as a list of Python floats, one arm's in a list."""
+    return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
+
+
 def rng_stream(seed, stream=0):
     """Deterministic generator for a (seed, stream) pair."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),)))
@@ -53,16 +73,19 @@ def soft_quantile(scores, gamma):
 
 def soft_quantile_and_grad(scores, gamma):
     """soft_quantile of the scores and its gradient w.r.t. them (a softmax),
-    from one exp."""
+    from one exp.  Scores with a leading arm axis give one quantile per arm;
+    each arm's log is math.log's, as for a single one."""
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("soft_quantile of empty scores")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    m = float(s.max())
-    w = np.exp(gamma * (s - m))
-    total = w.sum()
-    return m + math.log(float(total / w.size)) / gamma, w / total
+    m = s.max(axis=-1)
+    w = np.exp(gamma * (s - arm_column(m)))
+    total = w.sum(axis=-1)
+    n = s.shape[-1]
+    q = [mi + math.log(ti / n) / gamma for mi, ti in zip(arm_list(m), arm_list(total))]
+    return (q[0] if s.ndim == 1 else np.array(q)), w / arm_column(total)
 
 
 def conformal_quantiles(scores, alphas):

@@ -3,16 +3,21 @@ and validation-ECE early stopping."""
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import conformal as conf_mod
+from . import datagen
 from . import head as head_mod
 from .metrics import DEFAULT_LEVEL_GRID
-from .numerics import conformal_quantiles, rng_stream
+from .numerics import arm_list, conformal_quantiles, rng_stream
 from .objective import MonotoneMap, ObjectiveConfig, total_loss
 
 GRAD_CLIP_NORM = 10.0
+
+# see _keep_freed_heap; below glibc's cap of 32 MiB for its dynamic threshold
+HEAP_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -66,13 +71,20 @@ def validation_ece(head_params, val_ds, level_grid=DEFAULT_LEVEL_GRID):
     The validation nodes are split deterministically in half (even/odd
     order); normalized-mode quantiles fitted on one half are evaluated on the
     other, so the score reflects how well the predicted variance ranks the
-    residuals without touching the held-out conformal set.
+    residuals without touching the held-out conformal set.  A stack of heads
+    gives one value per arm.
     """
     if val_ds.n_nodes == 0:
         raise ValueError("empty validation set")
-    from . import conformal as conf_mod
     nig = head_mod.forward(head_params, val_ds)
     s = conf_mod.scores_from_nig(nig, val_ds.target_y, "normalized")
+    if s.ndim > 1:
+        return np.array([_split_half_ece(arm, level_grid) for arm in s])
+    return _split_half_ece(s, level_grid)
+
+
+def _split_half_ece(s, level_grid):
+    """validation_ece of the scores s of one head."""
     half_a = s[0::2]
     half_b = s[1::2]
     if half_a.size == 0 or half_b.size == 0:
@@ -103,105 +115,220 @@ def train(cfg: TrainConfig, train_ds, val_ds):
 
     Returns (HeadParams, MonotoneMap, TrainRecord) with the parameters from
     the best-ECE epoch.
+
+    cfg, train_ds and val_ds may instead be equal-length sequences, the arms
+    of one stacked training: configs that differ only in the objective's
+    lambda_* weights and mu_only, on datasets that differ only in prior_b.
+    They train as one stack of heads, and train returns a list holding, per
+    arm, what train on that arm alone gives: its (params, mono, record), or
+    the exception it raises.  An arm that stops early or whose loss turns
+    non-finite leaves the stack, and the others go on.
     """
-    cfg.validate()
-    if train_ds.n_nodes == 0 or val_ds.n_nodes == 0:
-        raise ValueError("train and validation datasets must be non-empty")
+    if isinstance(cfg, TrainConfig):
+        (result,) = _train_stack([cfg], [train_ds], [val_ds])
+        if isinstance(result, Exception):
+            raise result
+        return result
+    return _train_stack(list(cfg), list(train_ds), list(val_ds))
+
+
+class _Arm:
+    """One arm of a stacked training: its place in the caller's lists, its
+    config and fitting set, and its own record so far."""
+
+    def __init__(self, index, cfg, fit_ds):
+        self.index, self.cfg, self.fit_ds = index, cfg, fit_ds
+        self.records, self.grad_norms, self.clip_events = [], [], 0
+        self.best_ece, self.best_epoch, self.bad_epochs = np.inf, -1, 0
+
+
+def _shared(cfg: TrainConfig):
+    """cfg less what the arms of one stack may set apart."""
+    return replace(cfg, objective=replace(cfg.objective, lambda_evid=0.0, lambda_prior=0.0,
+                                          lambda_conf=0.0, mu_only=False))
+
+
+def _same(sets, columns):
+    """Whether the datasets sets hold equal columns, of equal node counts."""
+    first = sets[0]
+    return all(d.n_nodes == first.n_nodes and all(
+        np.array_equal(getattr(d, c), getattr(first, c)) for c in columns) for d in sets[1:])
+
+
+def _keep_freed_heap():
+    """Allocate and free one HEAP_BLOCK_BYTES block, so that glibc keeps up
+    to twice that much freed heap memory instead of handing it back.
+
+    A stacked step allocates a few MB of arrays (2.7 MB for the four arms of
+    the desk recipe) and frees them all at its end.  Freed memory at the top
+    of the heap beyond glibc's trim threshold (at first 128 kB) goes back to
+    the system, and the next step faults it in again: about 760 page faults
+    a step, a third of that training's time on 2-core x86-64.  Freeing a
+    large block raises the threshold to twice its size (glibc's dynamic mmap
+    threshold), and it stays raised for the rest of the process; under
+    another allocator this only allocates and frees an untouched block."""
+    np.empty(HEAP_BLOCK_BYTES // 8)
+
+
+def _train_stack(cfgs, train_sets, val_sets):
+    """train on the arms (cfgs[i], train_sets[i], val_sets[i]) as one stack;
+    the per-arm results (see train)."""
+    results = [None] * len(cfgs)
+    arms = []
+    for index, (cfg, fit_ds, val_ds) in enumerate(zip(cfgs, train_sets, val_sets, strict=True)):
+        try:
+            cfg.validate()
+            if fit_ds.n_nodes == 0 or val_ds.n_nodes == 0:
+                raise ValueError("train and validation datasets must be non-empty")
+        except ValueError as exc:
+            results[index] = exc
+        else:
+            arms.append(_Arm(index, cfg, fit_ds))
+    if not arms:
+        return results
+    if any(_shared(a.cfg) != _shared(arms[0].cfg) for a in arms[1:]):
+        raise ValueError("the arms of a stacked training may differ only in the objective's "
+                         "lambda_* weights and mu_only")
+    if not (_same([a.fit_ds for a in arms], ("features", "target_y", "chain_ids", "edges"))
+            and _same([val_sets[a.index] for a in arms], ("features", "target_y", "edges"))):
+        raise ValueError("the arms of a stacked training may differ only in prior_b")
+
+    if len(arms) > 1:
+        _keep_freed_heap()
     t0 = time.perf_counter()
-    params = head_mod.init_head(cfg.head, train_ds.features.shape[1], cfg.seed)
+    cfg, fit_ds, val_ds = arms[0].cfg, arms[0].fit_ds, val_sets[arms[0].index]
+    params = head_mod.init_head(cfg.head, fit_ds.features.shape[1], cfg.seed)
     mono = MonotoneMap.init(hidden=cfg.objective.monotone_hidden, seed=cfg.seed)
     rng = rng_stream(cfg.seed, 20)
-
-    theta = np.concatenate([params.to_vector(), mono.to_vector()])
     n_head = params.size
-    # the weights are views into theta, which each step updates in place
-    params, mono = params.view(theta[:n_head]), mono.view(theta[n_head:])
-    g = np.empty_like(theta)        # total_loss writes the gradient here
+    # one row of weights per arm, which each step updates in place
+    theta = np.tile(np.concatenate([params.to_vector(), mono.to_vector()]), (len(arms), 1))
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
-    mhat = np.empty_like(theta)
-    vhat = np.empty_like(theta)
+    best_theta = theta.copy()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    batches = _batches(train_ds.chain_ids, np.arange(train_ds.n_nodes), cfg.batch_size)
-    best_ece = np.inf
-    best_theta = theta.copy()
-    best_epoch = -1
-    bad_epochs = 0
-    records = []
-    grad_norms = []
-    clip_events = 0
+    def finish(row):
+        """The result of the arm at row: copies, so that the returned
+        weights share no memory with theta."""
+        arm = arms[row]
+        final = best_theta[row] if arm.best_epoch >= 0 else theta[row]
+        results[arm.index] = (params.from_vector(final[:n_head]),
+                              mono.from_vector(final[n_head:]),
+                              TrainRecord(epochs=arm.records, selected_epoch=arm.best_epoch,
+                                          seed=arm.cfg.seed, config_echo=_config_echo(arm.cfg),
+                                          wall_clock=time.perf_counter() - t0,
+                                          grad_norms=arm.grad_norms,
+                                          clip_events=arm.clip_events))
 
-    for epoch in range(cfg.max_epochs):
-        losses = []
-        norms = []
-        parts_acc = {"nig": 0.0, "evidence": 0.0, "prior": 0.0, "soft_conf": 0.0}
-        for batch_idx in batches(rng):
-            # a batch of every node is train_ds itself, in order, with its adjacency
-            batch = (train_ds if batch_idx.size == train_ds.n_nodes
-                     else train_ds.subset(batch_idx))
-            val, parts, _, _ = total_loss(params, mono, batch, cfg.objective,
-                                          epoch=epoch, out=g)
-            if not math.isfinite(val):
-                bad = [k for k, v in parts.items() if not math.isfinite(v)]
-                raise FloatingPointError(f"non-finite training loss; offending terms: {bad}")
-            norm = math.sqrt(g.dot(g))      # np.linalg.norm(g), bit for bit
-            norms.append(norm)
-            if norm > GRAD_CLIP_NORM:
-                g *= GRAD_CLIP_NORM / norm
-                clip_events += 1
-            step += 1
-            # Adam in place, in the operation order of
-            # m1 = beta1 * m1 + (1 - beta1) * g, m2 = beta2 * m2 + (1 - beta2) * g * g,
-            # theta = theta - lr * mhat / (sqrt(vhat) + eps), so every bit is kept
-            m1 *= beta1
-            m1 += (1 - beta1) * g
-            m2 *= beta2
-            m2 += (1 - beta2) * g * g
-            np.divide(m1, 1 - beta1 ** step, out=mhat)
-            np.divide(m2, 1 - beta2 ** step, out=vhat)
-            mhat *= cfg.learning_rate
-            np.sqrt(vhat, out=vhat)
-            vhat += eps
-            mhat /= vhat
-            theta -= mhat
-            losses.append(val)
-            for k in parts_acc:
-                parts_acc[k] += parts[k]
-        ece_val = validation_ece(params, val_ds)
-        records.append({
-            "epoch": epoch,
-            "loss": float(np.mean(losses)),     # every epoch has a batch
-            "parts": {k: v / len(losses) for k, v in parts_acc.items()},
-            "val_ece": ece_val,
-        })
-        grad_norms.append(max(norms))
-        if epoch < cfg.warmup_epochs:
-            continue
-        if ece_val < best_ece - 1e-12:
-            best_ece = ece_val
-            best_theta[:] = theta
-            best_epoch = epoch
-            bad_epochs = 0
+    def restack(keep):
+        """Keep the arms at rows keep, and rebuild what a step reads: the
+        weights' views, the buffers, and the fitting set: the first arm's,
+        with one prior_b column per arm where the arms' priors differ."""
+        nonlocal theta, m1, m2, best_theta, arms, g, mhat, vhat, stack, out, objectives, data
+        theta, m1, m2, best_theta = (a[keep] for a in (theta, m1, m2, best_theta))
+        arms = [arms[row] for row in keep]
+        g, mhat, vhat = (np.empty_like(theta) for _ in range(3))
+        if len(arms) == 1:      # one head, without the arm axis: the same bits, sooner
+            rows, out, objectives = theta[0], g[0], arms[0].cfg.objective
         else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience > 0:
-                break
+            rows, out, objectives = theta, g, [a.cfg.objective for a in arms]
+        stack = params.view(rows[..., :n_head]), mono.view(rows[..., n_head:])
+        first = arms[0].fit_ds
+        priors = [a.fit_ds.prior_b for a in arms]
+        data = (first if all(np.array_equal(p, first.prior_b) for p in priors)
+                else datagen.with_priors(first, np.stack(priors, axis=-1)))
 
-    # copies: the returned weights share no memory with theta
-    final = best_theta if best_epoch >= 0 else theta
-    params, mono = params.from_vector(final[:n_head]), mono.from_vector(final[n_head:])
-    record = TrainRecord(
-        epochs=records,
-        selected_epoch=best_epoch,
-        seed=cfg.seed,
-        config_echo=_config_echo(cfg),
-        wall_clock=time.perf_counter() - t0,
-        grad_norms=grad_norms,
-        clip_events=clip_events,
-    )
-    return params, mono, record
+    g = mhat = vhat = stack = out = objectives = data = None
+    restack(list(range(len(arms))))
+    batches = _batches(fit_ds.chain_ids, np.arange(fit_ds.n_nodes), cfg.batch_size)
+    # a diverging training ends in its own error below, not in numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.max_epochs):
+            for arm in arms:
+                arm.losses, arm.norms = [], []
+                arm.parts = dict.fromkeys(("nig", "evidence", "prior", "soft_conf"), 0.0)
+            for batch_idx in batches(rng):
+                # a batch of every node is the fitting set itself, in order, with its adjacency
+                batch = data if batch_idx.size == data.n_nodes else data.subset(batch_idx)
+                val, parts, _, _ = total_loss(*stack, batch, objectives, epoch=epoch, out=out)
+                val, parts = arm_list(val), {k: arm_list(v) for k, v in parts.items()}
+                if not all(map(math.isfinite, val)):
+                    keep = []
+                    for row, arm in enumerate(arms):
+                        if math.isfinite(val[row]):
+                            keep.append(row)
+                            continue
+                        bad = [k for k, v in parts.items() if not math.isfinite(v[row])]
+                        results[arm.index] = FloatingPointError(
+                            f"non-finite training loss; offending terms: {bad}")
+                    if not keep:
+                        return results
+                    grads = g[keep]
+                    val, parts = [val[r] for r in keep], {k: [v[r] for r in keep]
+                                                           for k, v in parts.items()}
+                    restack(keep)
+                    g[:] = grads
+                step += 1
+                for row, arm in enumerate(arms):
+                    grad = g[row]
+                    norm = math.sqrt(grad.dot(grad))      # np.linalg.norm(grad), bit for bit
+                    arm.norms.append(norm)
+                    if norm > GRAD_CLIP_NORM:
+                        grad *= GRAD_CLIP_NORM / norm
+                        arm.clip_events += 1
+                    arm.losses.append(val[row])
+                    for k in arm.parts:
+                        arm.parts[k] += parts[k][row]
+                # Adam in place, in the operation order of
+                # m1 = beta1 * m1 + (1 - beta1) * g, m2 = beta2 * m2 + (1 - beta2) * g * g,
+                # theta = theta - lr * mhat / (sqrt(vhat) + eps), so every bit is kept
+                m1 *= beta1
+                np.multiply(g, 1 - beta1, out=mhat)     # mhat as scratch
+                m1 += mhat
+                m2 *= beta2
+                np.multiply(g, 1 - beta2, out=mhat)
+                mhat *= g
+                m2 += mhat
+                np.divide(m1, 1 - beta1 ** step, out=mhat)
+                np.divide(m2, 1 - beta2 ** step, out=vhat)
+                mhat *= cfg.learning_rate
+                np.sqrt(vhat, out=vhat)
+                vhat += eps
+                mhat /= vhat
+                theta -= mhat
+            eces = arm_list(validation_ece(stack[0], val_ds))
+            for arm, ece_val in zip(arms, eces):
+                arm.records.append({
+                    "epoch": epoch,
+                    "loss": float(np.mean(arm.losses)),     # every epoch has a batch
+                    "parts": {k: v / len(arm.losses) for k, v in arm.parts.items()},
+                    "val_ece": ece_val,
+                })
+                arm.grad_norms.append(max(arm.norms))
+            if epoch < cfg.warmup_epochs:
+                continue
+            keep = []
+            for row, (arm, ece_val) in enumerate(zip(arms, eces)):
+                if ece_val < arm.best_ece - 1e-12:
+                    arm.best_ece = ece_val
+                    best_theta[row] = theta[row]
+                    arm.best_epoch = epoch
+                    arm.bad_epochs = 0
+                else:
+                    arm.bad_epochs += 1
+                    if arm.bad_epochs >= cfg.patience > 0:
+                        finish(row)
+                        continue
+                keep.append(row)
+            if not keep:
+                return results
+            if len(keep) < len(arms):
+                restack(keep)
+    for row in range(len(arms)):
+        finish(row)
+    return results
 
 
 def _config_echo(cfg: TrainConfig):

@@ -324,12 +324,17 @@ def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsy
      "noise scales must be positive finite numbers"),
     (["corrupt-priors"], {"mode": "noise", "sigma": float("nan")},
      "sigma must be a nonnegative finite number, got nan"),
+    (["corrupt-priors"], {"mode": "shuffle", "sigma": float("nan")},
+     "sigma must be a nonnegative finite number, got nan"),
+    (["corrupt-priors"], {"mode": "invert", "sigma": -0.5},
+     "sigma must be a nonnegative finite number, got -0.5"),
     (["pipeline"], {"train": {"objective": {"monotone_hidden": 0}}},
      "monotone_hidden must be >= 1"),
     (["pipeline"], {"train": {"objective": {"monotone_hidden": -1}}},
      "monotone_hidden must be >= 1"),
 ], ids=["learning_rate_nan", "learning_rate_infinity", "gamma_nan", "lambda_prior_nan",
         "experiment_lambda_evid_minus_infinity", "ordered_noise_scale_nan", "sigma_nan",
+        "sigma_nan_shuffle", "sigma_negative_invert",
         "monotone_hidden_0", "monotone_hidden_minus_1"])
 def test_config_value_out_of_range_is_one_error_line(tmp_path, monkeypatch, capsys, argv, extra,
                                                      message):

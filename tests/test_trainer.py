@@ -127,6 +127,95 @@ def test_train_pinned(config, batch_size):
     assert got == TRAIN_PINS[(config, batch_size)]
 
 
+def _outcome(result):
+    """A training's result as bytes, or its exception's type and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    params, mono, record = result
+    return (params.to_vector().tobytes(), mono.to_vector().tobytes(),
+            json.dumps(record.to_dict(), sort_keys=True), record.grad_norms,
+            record.clip_events)
+
+
+def _arms(train_cfg, arms, seed=0):
+    """trainer.train's arguments of each (configuration, corruption mode or
+    None) arm on the default desk dataset, as a recipe builds them."""
+    spec = experiments.ExperimentSpec(train=train_cfg)
+    ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(seed=seed))
+    return [experiments._training(spec, config, seed, ds if mode is None else
+                                  datagen.corrupt_priors(ds, mode, seed=seed))
+            for config, mode in arms]
+
+
+_DESK = experiments.desk_train_config()
+_ABLATIONS = [(name, None) for name in experiments.ABLATIONS]
+
+
+class TestStackedTraining:
+    """A stack of arms trains each arm exactly as its own training does."""
+
+    @staticmethod
+    def _check(jobs):
+        stacked = trainer.train(*zip(*jobs))
+        alone = []
+        for job in jobs:
+            try:
+                alone.append(trainer.train(*job))
+            except FloatingPointError as exc:
+                alone.append(exc)
+        assert [_outcome(r) for r in stacked] == [_outcome(r) for r in alone]
+        return stacked
+
+    @pytest.mark.parametrize("batch_size", [16, 2])
+    def test_ablation_arms(self, batch_size):
+        """One batch per epoch, and 3 batches of 2 of the 6 fitting chains."""
+        self._check(_arms(replace(_DESK, batch_size=batch_size), _ABLATIONS))
+
+    def test_prior_corruption_arms(self):
+        """Arms with different priors, one of them the mu-only objective."""
+        jobs = _arms(_DESK, [("full", None), ("full", "shuffle"), ("no_evidential", "invert"),
+                             ("full", "noise")])
+        assert len({job[1].prior_b.tobytes() for job in jobs}) == 4
+        self._check(jobs)
+
+    @pytest.mark.parametrize("batch_size, patience, arms", [
+        (4, 3, _ABLATIONS + [("vanilla", None)]),
+        # the last arm left has a prior of its own
+        (2, 2, [("full", None), ("no_priors", None), ("full", "shuffle"),
+                ("no_conformal", "invert"), ("full", "noise")]),
+    ])
+    def test_arms_stopping_at_different_epochs(self, batch_size, patience, arms):
+        cfg = replace(_DESK, batch_size=batch_size, max_epochs=30, patience=patience,
+                      warmup_epochs=0)
+        stacked = self._check(_arms(cfg, arms))
+        assert len({len(record.epochs) for _, _, record in stacked}) > 1
+
+    def test_diverging_arm_leaves_the_others(self):
+        jobs = _arms(replace(_DESK, max_epochs=10), _ABLATIONS)
+        cfg, fit_ds, val_ds = jobs[1]
+        jobs[1] = (replace(cfg, objective=replace(cfg.objective, lambda_evid=1e308)),
+                   fit_ds, val_ds)
+        stacked = self._check(jobs)
+        assert [isinstance(r, FloatingPointError) for r in stacked] == [False, True, False, False]
+
+    def test_invalid_arm_is_its_own_error(self):
+        jobs = _arms(replace(_DESK, max_epochs=2), _ABLATIONS[:2])
+        cfg, fit_ds, val_ds = jobs[0]
+        jobs[0] = (replace(cfg, learning_rate=float("nan")), fit_ds, val_ds)
+        stacked = trainer.train(*zip(*jobs))
+        assert str(stacked[0]) == "learning_rate must be a positive finite number"
+        assert _outcome(stacked[1]) == _outcome(trainer.train(*jobs[1]))
+
+    def test_arms_must_differ_only_in_weights_and_priors(self):
+        jobs = _arms(replace(_DESK, max_epochs=1), _ABLATIONS[:2])
+        cfg, fit_ds, val_ds = jobs[1]
+        with pytest.raises(ValueError, match="differ only in the objective"):
+            trainer.train(*zip(jobs[0], (replace(cfg, seed=1), fit_ds, val_ds)))
+        other = _arms(replace(_DESK, max_epochs=1), _ABLATIONS[:1], seed=1)[0]
+        with pytest.raises(ValueError, match="differ only in prior_b"):
+            trainer.train(*zip(jobs[0], (cfg, other[1], val_ds)))
+
+
 @pytest.fixture
 def loss_calls(monkeypatch):
     """(head params, monotone map, gradient buffer, pre-clip gradient norm)
