@@ -180,15 +180,32 @@ def _delta(cfg):
     return _in_unit(_value(cfg, "delta", float, bounds_mod.DEFAULT_DELTA), "delta")
 
 
+def _checked_magnitudes(values, key):
+    """values, the gaussian perturbation magnitudes of config key `key`,
+    unless it holds none or one that is not a positive finite number."""
+    if not values:
+        raise SystemExit(f"error: config key {key} must be non-empty")
+    for value in values:
+        if value <= 0:
+            raise SystemExit(f"error: config key {key} must be positive, got {value!r}")
+        datagen.check_magnitude(value)      # NaN and infinity
+    return values
+
+
 def _magnitudes(cfg):
-    return _value(cfg, "magnitudes", tuple[float, ...], exp_mod.DEFAULT_MAGNITUDES)
+    return _checked_magnitudes(
+        _value(cfg, "magnitudes", tuple[float, ...], exp_mod.DEFAULT_MAGNITUDES), "magnitudes")
 
 
-def _pipeline_pieces(cfg, seed):
-    """Shared generate/train path for pipeline, bound and ncal-sweep."""
+def _pipeline_pieces(cfg, seed, check=None):
+    """Shared generate/train path for pipeline, bound and ncal-sweep; check,
+    if given, sees the generated dataset before the head trains."""
     gen = _generator_config(cfg, seed)
     spec = exp_mod.ExperimentSpec(generator=gen, train=_train_config(cfg, seed))
-    return gen, exp_mod.train_config_run(spec, "full", gen.seed)
+    ds = datagen.gen_chain_dataset(gen)
+    if check is not None:
+        check(ds)
+    return gen, exp_mod.train_config_run(spec, "full", gen.seed, ds=ds)
 
 
 def cmd_pipeline(args):
@@ -233,14 +250,27 @@ def cmd_ncal_sweep(args):
     cfg = _load_config(args.config)
     _check_keys(cfg, {"generator", "train", "sizes", "tau", "delta", "magnitude"})
     sizes = _value(cfg, "sizes", tuple[int, ...], bounds_mod.DEFAULT_NCAL_SIZES)
-    magnitude = _value(cfg, "magnitude", float,
-                       exp_mod.DEFAULT_PERTURBATION_MAGNITUDE["gaussian"])
+    if not sizes or min(sizes) < 1:
+        raise SystemExit("error: config key sizes must be a non-empty array of positive "
+                         "integers")
+    (magnitude,) = _checked_magnitudes(
+        (_value(cfg, "magnitude", float, exp_mod.DEFAULT_PERTURBATION_MAGNITUDE["gaussian"]),),
+        "magnitude")
     tau, delta = _tau(cfg), _delta(cfg)
-    gen, run = _pipeline_pieces(cfg, args.seed)
+
+    def pool_indices(ds):
+        return np.concatenate([ds.split_indices("calibration"), ds.split_indices("train")])
+
+    def check_pool(ds):
+        n_pool = pool_indices(ds).size
+        if n_pool < max(sizes):
+            raise SystemExit(f"error: config key sizes asks for {max(sizes)} calibration "
+                             f"nodes, but the pool holds {n_pool}")
+
+    gen, run = _pipeline_pieces(cfg, args.seed, check_pool)
     ds = run["ds"]
-    pool_idx = np.concatenate([ds.split_indices("calibration"), ds.split_indices("train")])
-    pool = ds.subset(pool_idx)
-    pool = datagen.replace(pool, splits=np.full(pool.n_nodes, "calibration"))
+    pool = ds.subset(pool_indices(ds))
+    pool = replace(pool, splits=np.full(pool.n_nodes, "calibration"))
     pert = datagen.perturb(ds, "gaussian", magnitude, seed=gen.seed)
     rows = bounds_mod.ncal_sweep(run["params"], pool, run["test_ds"],
                                  pert.subset(pert.split_indices("test")),

@@ -63,6 +63,10 @@ class ExperimentSpec:
     def validate(self):
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be non-empty and strictly increasing")
+        if self.ablations is not None and not self.ablations:
+            raise ValueError("ablations must be non-empty")
         for a in self.ablations or ():
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation toggle {a!r}")
@@ -90,7 +94,7 @@ class ExperimentSpec:
 
 
 def _train_val(ds):
-    """75/25 chain split of the train tag into fitting and validation sets."""
+    """75/25 chain split of the train tag: fitting and validation node indices."""
     train_idx = ds.split_indices("train")
     chains = np.unique(ds.chain_ids[train_idx])
     n_fit = max(1, int(math.ceil(0.75 * chains.size)))
@@ -99,7 +103,7 @@ def _train_val(ds):
     val = train_idx[~in_fit]
     if val.size == 0:
         val = fit
-    return ds.subset(fit), ds.subset(val)
+    return fit, val
 
 
 def _test_split(ds):
@@ -120,17 +124,6 @@ def _objective_for(config_name, base: ObjectiveConfig) -> ObjectiveConfig:
     raise ValueError(f"unknown configuration {config_name!r}")
 
 
-def _train_config(spec: ExperimentSpec, config_name, seed):
-    """The TrainConfig of one configuration on one seed."""
-    return replace(spec.train, seed=seed,
-                   objective=_objective_for(config_name, spec.train.objective))
-
-
-def _training(spec: ExperimentSpec, config_name, seed, ds):
-    """trainer.train's arguments for one configuration on one seed's dataset."""
-    return (_train_config(spec, config_name, seed),) + _train_val(ds)
-
-
 def _run(trained, config_name, seed, ds):
     """trainer.train's result as a run: the trained pieces plus the standard
     dataset slices."""
@@ -145,21 +138,25 @@ def train_config_run(spec: ExperimentSpec, config_name, seed, ds=None):
     the standard dataset slices."""
     if ds is None:
         ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
-    return _run(trainer_mod.train(*_training(spec, config_name, seed, ds)),
-                config_name, seed, ds)
+    cfg = replace(spec.train, seed=seed,
+                  objective=_objective_for(config_name, spec.train.objective))
+    fit, val = _train_val(ds)
+    return _run(trainer_mod.train(cfg, ds.subset(fit), ds.subset(val)), config_name, seed, ds)
 
 
 def _stacked(stack):
-    """trainer.train's arguments for the stacked training of the jobs
-    (spec, configuration, seed, ds) of stack: one list per argument.  Jobs
-    on one dataset share its fitting and validation sets, so that each is
-    made, held and sent to a worker once."""
-    sets = {}
-    for *_, ds in stack:
-        if id(ds) not in sets:
-            sets[id(ds)] = _train_val(ds)
-    fits, vals = zip(*(sets[id(ds)] for *_, ds in stack))
-    return [_train_config(*job[:3]) for job in stack], list(fits), list(vals)
+    """trainer.train's arguments for the jobs (spec, configuration, seed,
+    ds) of stack, all on one seed's dataset or its prior corruptions: the
+    seed's config, its fitting set (one prior_b column per job where a job's
+    dataset differs) and validation set, and each job's objective."""
+    spec, _, seed, ds = stack[0]
+    fit, val = _train_val(ds)
+    fit_ds = ds.subset(fit)
+    if any(job[3] is not ds for job in stack):
+        fit_ds = datagen.with_priors(fit_ds, np.stack([job[3].prior_b[fit] for job in stack],
+                                                      axis=-1))
+    return (replace(spec.train, seed=seed), fit_ds, ds.subset(val),
+            [_objective_for(config, spec.train.objective) for _, config, _, _ in stack])
 
 
 def _train(args):
@@ -172,17 +169,18 @@ def _train_runs(seed_jobs, n_seeds):
     ds) of each of the n_seeds lists of one seed's jobs in seed_jobs, in job
     order.
 
-    A seed's jobs train as one stacked training (trainer.train on
-    sequences).  On more than one CPU (bounds.CPUS, which also sets the
-    k-NN threads) only trainer.train runs elsewhere, on a pool of forked
-    workers, one per CPU, and each stack is one task; when there are fewer
-    seeds than CPUs, a seed's jobs are split into ceil(CPUS / n_seeds)
-    stacks of consecutive jobs, so that no worker sits idle.  Stacks are
-    drawn (and their datasets made) here, at most one beyond those the
-    workers hold, so few datasets are alive at once; the caller evaluates
-    each run here as it arrives.  A training that raises re-raises here, at
-    its job's place.  On one CPU, or without fork, the stacks train here,
-    one after another."""
+    A seed's jobs train as one stacked training (_stacked).  On more than
+    one CPU (bounds.CPUS, which also sets the k-NN threads) only
+    trainer.train runs elsewhere, on a pool of forked workers, one per CPU,
+    and each stack is one task; when there are fewer seeds than CPUs, a
+    seed's jobs are split into ceil(CPUS / n_seeds) stacks of consecutive
+    jobs, so that no worker sits idle.  Stacks are drawn (and their datasets
+    made) here, at most one beyond those the workers hold; each keeps its
+    seed's dataset alive until its runs are evaluated, so up to CPUS + 2
+    seeds' datasets are (318 MB in this process at 200x100, 4 seeds, 2
+    CPUs).  The caller evaluates each run here as it arrives.  A training
+    that raises re-raises here, at its job's place.  On one CPU, or without
+    fork, the stacks train here, one after another."""
     workers = bounds_mod.CPUS
     parallel = workers > 1 and hasattr(os, "fork")
     n_stacks = -(-workers // n_seeds) if parallel else 1

@@ -110,49 +110,54 @@ def _batches(chain_ids, train_idx, batch_size):
     return epoch
 
 
-def train(cfg: TrainConfig, train_ds, val_ds):
+def train(cfg: TrainConfig, train_ds, val_ds, objectives=None):
     """Adam training on total_loss with early stopping on validation ECE.
 
     Returns (HeadParams, MonotoneMap, TrainRecord) with the parameters from
     the best-ECE epoch.
 
-    cfg, train_ds and val_ds may instead be equal-length sequences, the arms
-    of one stacked training: configs that differ only in the objective's
-    lambda_* weights and mu_only, on datasets that differ only in prior_b.
-    They train as one stack of heads, and train returns a list holding, per
-    arm, what train on that arm alone gives: its (params, mono, record), or
-    the exception it raises.  An arm that stops early or whose loss turns
-    non-finite leaves the stack, and the others go on.
+    Given objectives, one ObjectiveConfig per arm that may differ from
+    cfg.objective only in its lambda_* weights and mu_only, the arms train
+    as one stack of heads on train_ds, whose prior_b is either the arms' one
+    prior or holds one column per arm, and train returns a list holding, per
+    arm, what train on cfg with that objective (and prior) alone gives: its
+    (params, mono, record), or the exception it raises.  An arm that stops
+    early or whose loss turns non-finite leaves the stack, and the others go
+    on.  An invalid cfg or dataset raises for the whole call.
     """
-    if isinstance(cfg, TrainConfig):
-        (result,) = _train_stack([cfg], [train_ds], [val_ds])
-        if isinstance(result, Exception):
-            raise result
-        return result
-    return _train_stack(list(cfg), list(train_ds), list(val_ds))
+    shared = _shared(cfg.objective)
+    replace(cfg, objective=shared).validate()
+    if train_ds.n_nodes == 0 or val_ds.n_nodes == 0:
+        raise ValueError("train and validation datasets must be non-empty")
+    arms = [cfg.objective] if objectives is None else list(objectives)
+    if any(_shared(objective) != shared for objective in arms):
+        raise ValueError("the arms of a stacked training may differ only in the objective's "
+                         "lambda_* weights and mu_only")
+    if train_ds.prior_b.ndim > 1 and train_ds.prior_b.shape[1] != len(arms):
+        raise ValueError("prior_b must hold one column per arm")
+    results = _train_stack(cfg, train_ds, val_ds, arms)
+    if objectives is not None:
+        return results
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class _Arm:
-    """One arm of a stacked training: its place in the caller's lists, its
-    config and fitting set, and its own record so far."""
+    """One arm of a stacked training: its place in the caller's list, its
+    objective, and its record, filled in as it trains."""
 
-    def __init__(self, index, cfg, fit_ds):
-        self.index, self.cfg, self.fit_ds = index, cfg, fit_ds
-        self.records, self.grad_norms, self.clip_events = [], [], 0
-        self.best_ece, self.best_epoch, self.bad_epochs = np.inf, -1, 0
-
-
-def _shared(cfg: TrainConfig):
-    """cfg less what the arms of one stack may set apart."""
-    return replace(cfg, objective=replace(cfg.objective, lambda_evid=0.0, lambda_prior=0.0,
-                                          lambda_conf=0.0, mu_only=False))
+    def __init__(self, index, cfg):
+        self.index, self.objective = index, cfg.objective
+        self.record = TrainRecord(epochs=[], selected_epoch=-1, seed=cfg.seed,
+                                  config_echo=_config_echo(cfg))
+        self.best_ece, self.bad_epochs = np.inf, 0
 
 
-def _same(sets, columns):
-    """Whether the datasets sets hold equal columns, of equal node counts."""
-    first = sets[0]
-    return all(d.n_nodes == first.n_nodes and all(
-        np.array_equal(getattr(d, c), getattr(first, c)) for c in columns) for d in sets[1:])
+def _shared(objective: ObjectiveConfig):
+    """objective less what the arms of one stack may set apart."""
+    return replace(objective, lambda_evid=0.0, lambda_prior=0.0, lambda_conf=0.0, mu_only=False)
 
 
 def _keep_freed_heap():
@@ -170,33 +175,24 @@ def _keep_freed_heap():
     np.empty(HEAP_BLOCK_BYTES // 8)
 
 
-def _train_stack(cfgs, train_sets, val_sets):
-    """train on the arms (cfgs[i], train_sets[i], val_sets[i]) as one stack;
-    the per-arm results (see train)."""
-    results = [None] * len(cfgs)
+def _train_stack(cfg, fit_ds, val_ds, objectives):
+    """train on cfg with each of objectives as one stack, after the checks
+    of the whole call; the per-arm results (see train)."""
+    results = [None] * len(objectives)
     arms = []
-    for index, (cfg, fit_ds, val_ds) in enumerate(zip(cfgs, train_sets, val_sets, strict=True)):
+    for index, objective in enumerate(objectives):
         try:
-            cfg.validate()
-            if fit_ds.n_nodes == 0 or val_ds.n_nodes == 0:
-                raise ValueError("train and validation datasets must be non-empty")
+            objective.validate()
         except ValueError as exc:
             results[index] = exc
         else:
-            arms.append(_Arm(index, cfg, fit_ds))
+            arms.append(_Arm(index, replace(cfg, objective=objective)))
     if not arms:
         return results
-    if any(_shared(a.cfg) != _shared(arms[0].cfg) for a in arms[1:]):
-        raise ValueError("the arms of a stacked training may differ only in the objective's "
-                         "lambda_* weights and mu_only")
-    if not (_same([a.fit_ds for a in arms], ("features", "target_y", "chain_ids", "edges"))
-            and _same([val_sets[a.index] for a in arms], ("features", "target_y", "edges"))):
-        raise ValueError("the arms of a stacked training may differ only in prior_b")
 
     if len(arms) > 1:
         _keep_freed_heap()
     t0 = time.perf_counter()
-    cfg, fit_ds, val_ds = arms[0].cfg, arms[0].fit_ds, val_sets[arms[0].index]
     params = head_mod.init_head(cfg.head, fit_ds.features.shape[1], cfg.seed)
     mono = MonotoneMap.init(hidden=cfg.objective.monotone_hidden, seed=cfg.seed)
     rng = rng_stream(cfg.seed, 20)
@@ -213,32 +209,27 @@ def _train_stack(cfgs, train_sets, val_sets):
         """The result of the arm at row: copies, so that the returned
         weights share no memory with theta."""
         arm = arms[row]
-        final = best_theta[row] if arm.best_epoch >= 0 else theta[row]
+        final = best_theta[row] if arm.record.selected_epoch >= 0 else theta[row]
+        arm.record.wall_clock = time.perf_counter() - t0
         results[arm.index] = (params.from_vector(final[:n_head]),
-                              mono.from_vector(final[n_head:]),
-                              TrainRecord(epochs=arm.records, selected_epoch=arm.best_epoch,
-                                          seed=arm.cfg.seed, config_echo=_config_echo(arm.cfg),
-                                          wall_clock=time.perf_counter() - t0,
-                                          grad_norms=arm.grad_norms,
-                                          clip_events=arm.clip_events))
+                              mono.from_vector(final[n_head:]), arm.record)
 
     def restack(keep):
         """Keep the arms at rows keep, and rebuild what a step reads: the
-        weights' views, the buffers, and the fitting set: the first arm's,
-        with one prior_b column per arm where the arms' priors differ."""
+        weights' views, the buffers, and the fitting set, with the prior_b
+        columns of the arms left if it holds one per arm."""
         nonlocal theta, m1, m2, best_theta, arms, g, mhat, vhat, stack, out, objectives, data
         theta, m1, m2, best_theta = (a[keep] for a in (theta, m1, m2, best_theta))
         arms = [arms[row] for row in keep]
         g, mhat, vhat = (np.empty_like(theta) for _ in range(3))
+        columns = [arm.index for arm in arms]
         if len(arms) == 1:      # one head, without the arm axis: the same bits, sooner
-            rows, out, objectives = theta[0], g[0], arms[0].cfg.objective
+            rows, out, objectives, columns = theta[0], g[0], arms[0].objective, columns[0]
         else:
-            rows, out, objectives = theta, g, [a.cfg.objective for a in arms]
+            rows, out, objectives = theta, g, [arm.objective for arm in arms]
         stack = params.view(rows[..., :n_head]), mono.view(rows[..., n_head:])
-        first = arms[0].fit_ds
-        priors = [a.fit_ds.prior_b for a in arms]
-        data = (first if all(np.array_equal(p, first.prior_b) for p in priors)
-                else datagen.with_priors(first, np.stack(priors, axis=-1)))
+        data = fit_ds if fit_ds.prior_b.ndim == 1 else datagen.with_priors(
+            fit_ds, np.ascontiguousarray(fit_ds.prior_b[:, columns]))
 
     g = mhat = vhat = stack = out = objectives = data = None
     restack(list(range(len(arms))))
@@ -277,7 +268,7 @@ def _train_stack(cfgs, train_sets, val_sets):
                     arm.norms.append(norm)
                     if norm > GRAD_CLIP_NORM:
                         grad *= GRAD_CLIP_NORM / norm
-                        arm.clip_events += 1
+                        arm.record.clip_events += 1
                     arm.losses.append(val[row])
                     for k in arm.parts:
                         arm.parts[k] += parts[k][row]
@@ -300,13 +291,13 @@ def _train_stack(cfgs, train_sets, val_sets):
                 theta -= mhat
             eces = arm_list(validation_ece(stack[0], val_ds))
             for arm, ece_val in zip(arms, eces):
-                arm.records.append({
+                arm.record.epochs.append({
                     "epoch": epoch,
                     "loss": float(np.mean(arm.losses)),     # every epoch has a batch
                     "parts": {k: v / len(arm.losses) for k, v in arm.parts.items()},
                     "val_ece": ece_val,
                 })
-                arm.grad_norms.append(max(arm.norms))
+                arm.record.grad_norms.append(max(arm.norms))
             if epoch < cfg.warmup_epochs:
                 continue
             keep = []
@@ -314,7 +305,7 @@ def _train_stack(cfgs, train_sets, val_sets):
                 if ece_val < arm.best_ece - 1e-12:
                     arm.best_ece = ece_val
                     best_theta[row] = theta[row]
-                    arm.best_epoch = epoch
+                    arm.record.selected_epoch = epoch
                     arm.bad_epochs = 0
                 else:
                     arm.bad_epochs += 1

@@ -276,6 +276,28 @@ class TestBoundCommands:
     # a score mode no calibration knows, before any training
     (["experiment", "calibration"], {"score_mode": "bogus"}, "unknown score mode 'bogus'"),
     (["experiment", "bound_sweep"], {"score_mode": "bogus"}, "unknown score mode 'bogus'"),
+    # levels and ablations a recipe cannot report on
+    (["experiment", "calibration"], {"levels": []},
+     "levels must be non-empty and strictly increasing"),
+    (["experiment", "calibration"], {"levels": [0.9, 0.8]},
+     "levels must be non-empty and strictly increasing"),
+    (["experiment", "calibration"], {"levels": [0.9, 0.9]},
+     "levels must be non-empty and strictly increasing"),
+    (["experiment", "calibration"], {"ablations": []}, "ablations must be non-empty"),
+    # sweeps with no point, or a point no run can make
+    (["ncal-sweep"], {"sizes": []},
+     "config key sizes must be a non-empty array of positive integers"),
+    (["ncal-sweep"], {"sizes": [0, 10]},
+     "config key sizes must be a non-empty array of positive integers"),
+    (["ncal-sweep"], {"sizes": [10, 1000]},
+     "config key sizes asks for 1000 calibration nodes, but the pool holds 80"),
+    (["ncal-sweep"], {"magnitude": 0}, "config key magnitude must be positive, got 0.0"),
+    (["bound"], {"magnitudes": []}, "config key magnitudes must be non-empty"),
+    (["bound"], {"magnitudes": [0.5, -1]}, "config key magnitudes must be positive, got -1.0"),
+    (["experiment", "bound_sweep"], {"magnitudes": []},
+     "config key magnitudes must be non-empty"),
+    (["experiment", "bound_sweep"], {"magnitudes": [0]},
+     "config key magnitudes must be positive, got 0.0"),
 ], ids=["bound_magnitudes", "bound_tau", "bound_delta", "ncal_sweep_sizes",
         "ncal_sweep_magnitude", "calibration_seeds", "calibration_levels",
         "bound_sweep_magnitudes", "active_strategies", "corrupt_priors_sigma",
@@ -288,7 +310,11 @@ class TestBoundCommands:
         "efficiency_score_mode", "config_directory", "dataset_directory", "out_file",
         "dataset_0", "dataset_7", "dataset_and_generator", "float_overflow",
         "float_array_overflow", "int64_overflow", "int64_array_overflow", "gen_data_size",
-        "calibration_score_mode", "bound_sweep_score_mode"])
+        "calibration_score_mode", "bound_sweep_score_mode", "levels_empty",
+        "levels_decreasing", "levels_repeated", "ablations_empty", "ncal_sweep_sizes_empty",
+        "ncal_sweep_size_0", "ncal_sweep_size_above_pool", "ncal_sweep_magnitude_0",
+        "bound_magnitudes_empty", "bound_magnitude_negative", "bound_sweep_magnitudes_empty",
+        "bound_sweep_magnitude_0"])
 def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsys, argv, extra,
                                                      message):
     """Each bad value or path is one error line and exit code 1, before any

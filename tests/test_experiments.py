@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calpro import bounds, cli, conformal, datagen, experiments, trainer
@@ -28,6 +29,11 @@ class TestSpec:
             _spec(seeds=()).validate()
         with pytest.raises(ValueError):
             _spec(ablations=("no_dropout",)).validate()
+        with pytest.raises(ValueError, match="ablations must be non-empty"):
+            _spec(ablations=()).validate()
+        for levels in [(), (0.9, 0.8), (0.8, 0.9, 0.9)]:
+            with pytest.raises(ValueError, match="levels must be non-empty and strictly"):
+                _spec(levels=levels).validate()
 
     def test_echo_is_serializable(self):
         import json
@@ -116,8 +122,8 @@ class TestTrainingFanOut:
         cfg = _fan_out_config(tmp_path)
         artifacts, here = [], []
         train = trainer.train
-        monkeypatch.setattr(trainer, "train",
-                            lambda cfgs, *args: here.append(len(cfgs)) or train(cfgs, *args))
+        monkeypatch.setattr(trainer, "train", lambda cfg, fit_ds, val_ds, objectives: (
+            here.append(len(objectives)) or train(cfg, fit_ds, val_ds, objectives)))
         for cpus in (1, 2):
             monkeypatch.setattr(bounds, "CPUS", cpus)
             here.clear()
@@ -142,11 +148,11 @@ class TestTrainingFanOut:
         barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
         train = trainer.train
 
-        def meet(cfgs, *args):
+        def meet(cfg, fit_ds, val_ds, objectives):
             with open(stacks, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {len(cfgs)}\n")
+                fh.write(f"{os.getpid()} {len(objectives)}\n")
             barrier.wait()
-            return train(cfgs, *args)
+            return train(cfg, fit_ds, val_ds, objectives)
 
         monkeypatch.setattr(trainer, "train", meet)
         monkeypatch.setattr(bounds, "CPUS", 2)
@@ -160,20 +166,40 @@ class TestTrainingFanOut:
                 == (tmp_path / "cpus2" / "experiment_calibration.json").read_bytes())
         assert multiprocessing.active_children() == []
 
-    def test_arms_on_one_dataset_share_their_training_sets(self):
-        """A stack's jobs on one dataset get one fitting and one validation
-        set, made and sent to the worker once; a dataset with corrupted
-        priors gets its own."""
-        spec = _spec()
-        ds = datagen.gen_chain_dataset(spec.generator)
-        noisy = datagen.corrupt_priors(ds, "noise", seed=0)
-        jobs = [(spec, name, 0, ds) for name in experiments.ABLATIONS] + [(spec, "full", 0, noisy)]
-        cfgs, fits, vals = experiments._stacked(jobs)
-        assert [c.objective for c in cfgs] == [
-            experiments._training(*job)[0].objective for job in jobs]
-        assert len({id(f) for f in fits[:4]}) == 1 and len({id(v) for v in vals[:4]}) == 1
-        assert fits[4] is not fits[0] and vals[4] is not vals[0]
-        assert fits[4].features.tobytes() == fits[0].features.tobytes()
+    @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+    def test_one_fit_and_val_set_per_stack(self, tmp_path, monkeypatch, name):
+        """Each stack is one call with one fitting and one validation set of
+        the seed's dataset and one objective per arm; the fitting set's
+        prior_b holds one column per arm only where the arms' priors differ,
+        which only prior_corruption's do."""
+        calls = []
+        train = trainer.train
+
+        def spy(cfg, fit_ds, val_ds, objectives):
+            calls.append((cfg, fit_ds, val_ds, objectives))
+            return train(cfg, fit_ds, val_ds, objectives)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        monkeypatch.setattr(bounds, "CPUS", 1)
+        assert cli.main(["experiment", name, "--config", _fan_out_config(tmp_path),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert [cfg.seed for cfg, *_ in calls] == [0, 1, 2, 3]
+        spec = ExperimentSpec(train=calls[0][0])
+        for cfg, fit_ds, val_ds, objectives in calls:
+            ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(
+                n_chains=6, chain_length=24, seed=cfg.seed))
+            fit, val = experiments._train_val(ds)
+            assert fit_ds.features.tobytes() == ds.features[fit].tobytes()
+            assert val_ds.features.tobytes() == ds.features[val].tobytes()
+            if name != "prior_corruption":
+                assert fit_ds.prior_b.tobytes() == ds.prior_b[fit].tobytes()
+                continue
+            assert objectives == [spec.train.objective] * 4
+            priors = [ds.prior_b] + [datagen.corrupt_priors(ds, mode, seed=cfg.seed).prior_b
+                                     for mode in datagen.CORRUPTION_MODES]
+            assert fit_ds.prior_b.tobytes() == np.stack([p[fit] for p in priors],
+                                                        axis=-1).tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_every_calibration_runs_in_this_process(self, tmp_path, monkeypatch):
         calls = []
@@ -190,10 +216,10 @@ class TestTrainingFanOut:
     def test_training_error_is_the_serial_loops(self, tmp_path, monkeypatch, capsys):
         train = trainer.train
 
-        def fail_on_seed_2(cfgs, *args):     # a stack: one seed's arms
-            if cfgs[0].seed == 2:
-                raise ValueError(f"no head for seed {cfgs[0].seed}")
-            return train(cfgs, *args)
+        def fail_on_seed_2(cfg, fit_ds, val_ds, objectives):     # a stack: one seed's arms
+            if cfg.seed == 2:
+                raise ValueError(f"no head for seed {cfg.seed}")
+            return train(cfg, fit_ds, val_ds, objectives)
 
         monkeypatch.setattr(trainer, "train", fail_on_seed_2)
         cfg = _fan_out_config(tmp_path)

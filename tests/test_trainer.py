@@ -137,14 +137,24 @@ def _outcome(result):
             record.clip_events)
 
 
-def _arms(train_cfg, arms, seed=0):
-    """trainer.train's arguments of each (configuration, corruption mode or
-    None) arm on the default desk dataset, as a recipe builds them."""
+def _jobs(train_cfg, arms, seed=0):
+    """The recipe jobs (spec, configuration, seed, dataset) of the
+    (configuration, corruption mode or None) arms on the default desk
+    dataset."""
     spec = experiments.ExperimentSpec(train=train_cfg)
     ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(seed=seed))
-    return [experiments._training(spec, config, seed, ds if mode is None else
-                                  datagen.corrupt_priors(ds, mode, seed=seed))
-            for config, mode in arms]
+    return [(spec, config, seed, ds if mode is None else
+             datagen.corrupt_priors(ds, mode, seed=seed)) for config, mode in arms]
+
+
+def _alone(job):
+    """trainer.train's arguments for the job trained on its own, as
+    experiments.train_config_run builds them."""
+    spec, config, seed, ds = job
+    fit, val = experiments._train_val(ds)
+    cfg = replace(spec.train, seed=seed,
+                  objective=experiments._objective_for(config, spec.train.objective))
+    return cfg, ds.subset(fit), ds.subset(val)
 
 
 _DESK = experiments.desk_train_config()
@@ -155,28 +165,34 @@ class TestStackedTraining:
     """A stack of arms trains each arm exactly as its own training does."""
 
     @staticmethod
-    def _check(jobs):
-        stacked = trainer.train(*zip(*jobs))
-        alone = []
-        for job in jobs:
+    def _check(stack, alone):
+        """trainer.train's results of the stacked arguments stack, checked
+        against those of each arm's arguments in alone."""
+        stacked = trainer.train(*stack)
+        own = []
+        for args in alone:
             try:
-                alone.append(trainer.train(*job))
+                own.append(trainer.train(*args))
             except FloatingPointError as exc:
-                alone.append(exc)
-        assert [_outcome(r) for r in stacked] == [_outcome(r) for r in alone]
+                own.append(exc)
+        assert [_outcome(r) for r in stacked] == [_outcome(r) for r in own]
         return stacked
+
+    def _check_jobs(self, jobs):
+        return self._check(experiments._stacked(jobs), [_alone(job) for job in jobs])
 
     @pytest.mark.parametrize("batch_size", [16, 2])
     def test_ablation_arms(self, batch_size):
         """One batch per epoch, and 3 batches of 2 of the 6 fitting chains."""
-        self._check(_arms(replace(_DESK, batch_size=batch_size), _ABLATIONS))
+        self._check_jobs(_jobs(replace(_DESK, batch_size=batch_size), _ABLATIONS))
 
     def test_prior_corruption_arms(self):
         """Arms with different priors, one of them the mu-only objective."""
-        jobs = _arms(_DESK, [("full", None), ("full", "shuffle"), ("no_evidential", "invert"),
+        jobs = _jobs(_DESK, [("full", None), ("full", "shuffle"), ("no_evidential", "invert"),
                              ("full", "noise")])
-        assert len({job[1].prior_b.tobytes() for job in jobs}) == 4
-        self._check(jobs)
+        prior_b = experiments._stacked(jobs)[1].prior_b
+        assert prior_b.shape[1] == 4 and len({column.tobytes() for column in prior_b.T}) == 4
+        self._check_jobs(jobs)
 
     @pytest.mark.parametrize("batch_size, patience, arms", [
         (4, 3, _ABLATIONS + [("vanilla", None)]),
@@ -187,33 +203,43 @@ class TestStackedTraining:
     def test_arms_stopping_at_different_epochs(self, batch_size, patience, arms):
         cfg = replace(_DESK, batch_size=batch_size, max_epochs=30, patience=patience,
                       warmup_epochs=0)
-        stacked = self._check(_arms(cfg, arms))
+        stacked = self._check_jobs(_jobs(cfg, arms))
         assert len({len(record.epochs) for _, _, record in stacked}) > 1
 
     def test_diverging_arm_leaves_the_others(self):
-        jobs = _arms(replace(_DESK, max_epochs=10), _ABLATIONS)
-        cfg, fit_ds, val_ds = jobs[1]
-        jobs[1] = (replace(cfg, objective=replace(cfg.objective, lambda_evid=1e308)),
-                   fit_ds, val_ds)
-        stacked = self._check(jobs)
+        jobs = _jobs(replace(_DESK, max_epochs=10), _ABLATIONS)
+        cfg, fit_ds, val_ds, objectives = experiments._stacked(jobs)
+        objectives[1] = replace(objectives[1], lambda_evid=1e308)
+        alone = [_alone(job) for job in jobs]
+        alone[1] = (replace(alone[1][0], objective=objectives[1]),) + alone[1][1:]
+        stacked = self._check((cfg, fit_ds, val_ds, objectives), alone)
         assert [isinstance(r, FloatingPointError) for r in stacked] == [False, True, False, False]
 
     def test_invalid_arm_is_its_own_error(self):
-        jobs = _arms(replace(_DESK, max_epochs=2), _ABLATIONS[:2])
-        cfg, fit_ds, val_ds = jobs[0]
-        jobs[0] = (replace(cfg, learning_rate=float("nan")), fit_ds, val_ds)
-        stacked = trainer.train(*zip(*jobs))
-        assert str(stacked[0]) == "learning_rate must be a positive finite number"
-        assert _outcome(stacked[1]) == _outcome(trainer.train(*jobs[1]))
+        jobs = _jobs(replace(_DESK, max_epochs=2), _ABLATIONS[:2])
+        cfg, fit_ds, val_ds, objectives = experiments._stacked(jobs)
+        objectives[0] = replace(objectives[0], lambda_conf=float("nan"))
+        stacked = trainer.train(cfg, fit_ds, val_ds, objectives)
+        assert str(stacked[0]) == "objective weights must be nonnegative finite numbers"
+        assert _outcome(stacked[1]) == _outcome(trainer.train(*_alone(jobs[1])))
+
+    def test_invalid_shared_config_or_set_is_the_calls_error(self):
+        jobs = _jobs(replace(_DESK, max_epochs=2), _ABLATIONS[:2])
+        cfg, fit_ds, val_ds, objectives = experiments._stacked(jobs)
+        with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+            trainer.train(replace(cfg, learning_rate=float("nan")), fit_ds, val_ds, objectives)
+        with pytest.raises(ValueError, match="must be non-empty"):
+            trainer.train(cfg, fit_ds, fit_ds.subset([]), objectives)
+        with pytest.raises(ValueError, match="one column per arm"):
+            trainer.train(cfg, datagen.with_priors(
+                fit_ds, np.stack([fit_ds.prior_b] * 3, axis=-1)), val_ds, objectives)
 
     def test_arms_must_differ_only_in_weights_and_priors(self):
-        jobs = _arms(replace(_DESK, max_epochs=1), _ABLATIONS[:2])
-        cfg, fit_ds, val_ds = jobs[1]
+        jobs = _jobs(replace(_DESK, max_epochs=1), _ABLATIONS[:2])
+        cfg, fit_ds, val_ds, objectives = experiments._stacked(jobs)
+        objectives[1] = replace(objectives[1], gamma=5.0)
         with pytest.raises(ValueError, match="differ only in the objective"):
-            trainer.train(*zip(jobs[0], (replace(cfg, seed=1), fit_ds, val_ds)))
-        other = _arms(replace(_DESK, max_epochs=1), _ABLATIONS[:1], seed=1)[0]
-        with pytest.raises(ValueError, match="differ only in prior_b"):
-            trainer.train(*zip(jobs[0], (cfg, other[1], val_ds)))
+            trainer.train(cfg, fit_ds, val_ds, objectives)
 
 
 @pytest.fixture

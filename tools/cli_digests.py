@@ -80,6 +80,19 @@ MATRIX = (
     ("experiment_prior_corruption_modes", ["experiment", "prior_corruption"],
      {"generator": SMALL, "train": SHORT, "corruption_modes": ["shuffle", "invert"],
       "corruption_sigma": 0.4}),
+    # early stopping in a stack: at seed 0 the four arms stop after 6, 6, 11
+    # and 6 epochs, so the stack drops arms, and the last arm left (invert)
+    # trains on a prior of its own; it selects epoch 5, so the artifact does
+    # not show the epochs it trained alone
+    ("experiment_prior_corruption_early_stop", ["experiment", "prior_corruption"],
+     {"generator": SMALL, "train": {"batch_size": 2, "max_epochs": 30, "patience": 5,
+                                    "warmup_epochs": 0}}),
+    # the same with a larger step: the arms stop after 8, 12, 11 and 8 epochs
+    # and select epochs 4, 8, 7 and 4, so two arms select weights trained
+    # after a stack-mate left, on the prior columns the stack kept for them
+    ("experiment_prior_corruption_late_best", ["experiment", "prior_corruption"],
+     {"generator": SMALL, "train": {"learning_rate": 1e-2, "batch_size": 2, "max_epochs": 30,
+                                    "patience": 3, "warmup_epochs": 4}}),
     ("active_strategies", ["active"],
      {"generator": SMALL, "train": SHORT,
       "active": {"seed_set_size": 20, "batch_size": 5, "rounds": 1,
