@@ -5,6 +5,7 @@ lower bound, and the calibration-size and bound-vs-empirical sweeps."""
 import csv
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,30 +22,37 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # whatever the tree, and larger leaves than scipy's default 16 cut the
 # traversal overhead.  estimate_lipschitz queries each block of rows with
 # equal one-hot columns against a tree of its own, and the rows whose k-NN
-# ball may leave their block against a tree of all points.  The six calls of
-# a bound sweep plus an n_cal sweep on a 100x100 graph (250 to 4000 points,
-# blocks of about a third of them) take 134-144 ms with 64-point leaves,
-# 130-139 ms with 128, 125-137 ms with 256 and 131-132 ms with 512 (two
-# threads, 2-core x86-64): no size beats 128 beyond the noise.
+# ball may leave their block against a tree of all points.  The six searches
+# of a bound sweep plus an n_cal sweep on a 100x100 graph (250 to 4000
+# points, blocks of about a third of them), run on the sweeps' helper thread
+# beside their calibration, take 100-106 ms with 64-point leaves, 94-99 ms
+# with 128, 94-99 ms with 256 and 94-102 ms with 512 (medians of 20 runs at
+# seeds 0 and 3, 2-core x86-64): no size beats 128 beyond the noise.
 KNN_LEAFSIZE = 128
 
 # every CPU the process may run on: the threads of a k-NN query, and the
 # training workers of the experiment recipes (experiments._train_runs).
 # scipy answers each query row on its own, with the same distance code in
-# every thread, so the estimate does not depend on the count.
+# every thread, so the estimate does not depend on the count.  The sweeps'
+# helper thread, which runs their k-NN searches, is one thread whatever the
+# count.
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
 
 # a k-NN query of fewer (query row, tree point) pairs than this runs on one
 # thread: there, starting the threads costs more than they save.  On the
-# calibration sets of a 100x100 graph (2-core x86-64), the largest query of
-# the 1000-point call (252,000 pairs) runs as fast on one thread as on two,
-# and that of the 2000-point call (632,000) about a tenth faster on two.
+# calibration sets of a 100x100 graph (2-core x86-64), with the searches on
+# the sweeps' helper thread beside their calibration, the 4000-point search
+# takes 52-57 ms with its queries on two threads against 58-62 ms on one, the
+# 2000-point one 19-21 ms on either, and the 1000-point one, whose largest
+# query holds 252,000 pairs, 6-7 ms on either (medians of 40 runs at seeds 0
+# and 3).
 KNN_THREAD_PAIRS = 300_000
 
-# confidence parameter of the PAC-Bayes term, and the calibration-set sizes
-# ncal_sweep walks through
+# confidence parameter of the PAC-Bayes term, the k of the Lipschitz
+# estimate's k-NN balls, and the calibration-set sizes ncal_sweep walks through
 DEFAULT_DELTA = 0.05
+DEFAULT_K_NEIGHBORS = 5
 DEFAULT_NCAL_SIZES = (250, 500, 1000, 2000, 4000)
 
 
@@ -107,7 +115,7 @@ def _ball_slopes(x, s, rows, k, limit=math.inf):
         dist, nn = _query(tree, x[rows], min(m, n))
 
 
-def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
+def estimate_lipschitz(scores, cal_ds, k_neighbors=DEFAULT_K_NEIGHBORS, standardize=True):
     """Max local slope of the per-node nonconformity scores over k-NN pairs
     on the calibration set.  Exact duplicate points are collapsed first,
     which realizes the zero-distance skip.
@@ -131,9 +139,20 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=5, standardize=True):
         x, _, _ = _embed(cal_ds)
     else:
         x = np.column_stack([cal_ds.features, cal_ds.target_y])
-    # the first occurrence of each distinct row, in their original order
+    return _max_ball_slope(*_distinct(x, scores), k_neighbors)
+
+
+def _distinct(x, scores):
+    """The first occurrence of each distinct row of x, in their original
+    order, and its score."""
     first = np.sort(np.unique(x, axis=0, return_index=True)[1])
-    x, s = x[first], scores[first]
+    return x[first], scores[first]
+
+
+def _max_ball_slope(x, s, k_neighbors=DEFAULT_K_NEIGHBORS):
+    """estimate_lipschitz's k-NN search over the distinct points x with
+    scores s: a function of numpy arrays alone, so the sweeps can run it on
+    their helper thread."""
     n = x.shape[0]
     if n < 2:
         raise ValueError("all calibration pairs are zero-distance")
@@ -176,16 +195,20 @@ def _kl(head_params):
     return float(np.sum(w * w) / 2.0)
 
 
+def _check_confidence(delta, n_cal):
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if n_cal < 1:
+        raise ValueError("n_cal must be >= 1")
+
+
 def coverage_lower_bound(alpha, kl, delta, n_cal, lipschitz, epsilon):
     """Worst-case coverage 1 - alpha - sqrt((KL + log(1/delta)) / (2 n_cal))
     - L_s * epsilon, clamped to [0, 1 - alpha].
 
     Returns (clamped value, raw value, vacuous flag).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    if n_cal < 1:
-        raise ValueError("n_cal must be >= 1")
+    _check_confidence(delta, n_cal)
     raw = 1.0 - alpha - math.sqrt((kl + math.log(1.0 / delta)) / (2.0 * n_cal)) - lipschitz * epsilon
     clamped = min(max(raw, 0.0), 1.0 - alpha)
     return clamped, raw, raw <= 0.0
@@ -205,24 +228,35 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     shifted_series is a list of shifted test datasets aligned with
     ref_test_ds; the reference itself is included as the epsilon = 0
     condition.  Conditions are reported in increasing epsilon order.
+
+    The Lipschitz estimate's k-NN search runs on a helper thread while this
+    thread predicts each condition.  The error raised, if any, is that of a
+    sweep that estimates first: the estimate's comes before any other.
     """
     if len(shifted_series) == 0:
         raise ValueError("empty shift series")
     if calib.n_cal != cal_ds.n_nodes:
         raise ValueError(f"calibration holds {calib.n_cal} scores but cal_ds has "
                          f"{cal_ds.n_nodes} nodes")
-    _, mean, std = _embed(cal_ds)
-    lip = estimate_lipschitz(calib.scores, cal_ds)
-    kl = _kl(head_params)
-    conditions = [(0.0, ref_test_ds)]
-    for ds in shifted_series:
-        conditions.append((epsilon_proxy(ref_test_ds, ds, mean, std), ds))
-    conditions.sort(key=lambda t: t[0])
+    x, mean, std = _embed(cal_ds)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        search = helper.submit(_max_ball_slope, *_distinct(x, calib.scores))
+        try:
+            kl = _kl(head_params)
+            conditions = [(0.0, ref_test_ds)]
+            for ds in shifted_series:
+                conditions.append((epsilon_proxy(ref_test_ds, ds, mean, std), ds))
+            conditions.sort(key=lambda t: t[0])
+            # the first condition's bound checks these before its forward
+            _check_confidence(delta, calib.n_cal)
+            coverages = [metrics_mod.coverage(
+                conf_mod.intervals(head_mod.forward(head_params, ds), calib, tau), ds.target_y)
+                for _, ds in conditions]
+        finally:
+            lip = search.result()
     rows = []       # (epsilon, bound, raw bound, vacuous, empirical, conservative)
-    for eps, ds in conditions:
+    for (eps, _), cov in zip(conditions, coverages):
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
-        nig = head_mod.forward(head_params, ds)
-        cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau), ds.target_y)
         rows.append((eps, b, raw, v, cov, b <= cov))
     epsilons, bnds, raws, vac, emp, cons = zip(*rows)
     return BoundReport(kl=kl, lipschitz=lip, delta=delta, n_cal=calib.n_cal,
@@ -235,8 +269,15 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
                score_mode="absolute"):
     """Bound vs empirical shifted coverage for nested calibration subsets.
 
-    Returns rows of {n_cal, bound, empirical, gap}.  Subsets are nested
-    prefixes of the pool so empirical coverage varies smoothly with size.
+    Returns rows of {n_cal, bound, empirical, gap}, one per entry of sizes,
+    in their order.  Subsets are nested prefixes of the pool so empirical
+    coverage varies smoothly with size.
+
+    This thread calibrates each distinct size, largest first, and hands its
+    Lipschitz estimate's k-NN search to a helper thread, so the longest
+    search starts first and runs while the smaller sizes are calibrated.
+    The rows, and the error raised if any, are those of a walk in the order
+    of sizes: an error is raised at the first size that meets one.
     """
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
@@ -244,16 +285,27 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     kl = _kl(head_params)
     eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
     nig = head_mod.forward(head_params, shifted_test_ds)
-    out = []
-    for size in sizes:
-        sub = cal_pool_ds.subset(np.arange(size))
-        calib = conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
-        lip = estimate_lipschitz(calib.scores, sub)
-        b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, lip, eps)
-        cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau),
-                                   shifted_test_ds.target_y)
-        out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
-                    "empirical": cov, "gap": abs(cov - b)})
+    staged = {}
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for size in sorted(set(sizes), reverse=True):
+            try:
+                sub = cal_pool_ds.subset(np.arange(size))
+                calib = conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
+                x, _, _ = _embed(sub)
+                staged[size] = calib, helper.submit(_max_ball_slope,
+                                                    *_distinct(x, calib.scores))
+            except Exception as exc:      # raised below, at its size's place in sizes
+                staged[size] = exc
+        out = []
+        for size in sizes:
+            if isinstance(staged[size], Exception):
+                raise staged[size]
+            calib, search = staged[size]
+            b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, search.result(), eps)
+            cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau),
+                                       shifted_test_ds.target_y)
+            out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
+                        "empirical": cov, "gap": abs(cov - b)})
     return out
 
 

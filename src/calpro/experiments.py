@@ -74,6 +74,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown score mode {self.score_mode!r}")
         for mode in self.corruption_modes:
             datagen.check_corruption_mode(mode)
+        # a repeated arm would train twice and report once
+        for key in ("ablations", "corruption_modes"):
+            arms = getattr(self, key) or ()
+            if len(set(arms)) < len(arms):
+                raise ValueError(f"{key} must not repeat an entry, got {list(arms)}")
         shift = self.shift_perturbation
         if shift is not None:
             if not isinstance(shift, dict) or set(shift) != {"kind", "magnitude"}:

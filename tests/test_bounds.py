@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from calpro import bounds, conformal, datagen, head
+from calpro import bounds, conformal, datagen, head, metrics
 
 
 def _abs_scores(params, ds):
@@ -460,3 +461,172 @@ def test_epsilon_proxy_grows_with_magnitude(trained):
         eps.append(bounds.epsilon_proxy(trained["test_ds"],
                                         pert.subset(pert.split_indices("test")), mean, std))
     assert eps[0] < eps[1] < eps[2]
+
+
+def _ncal_sweep_serial(params, pool, ref_test_ds, shifted, sizes, tau=conformal.DEFAULT_TAU,
+                       delta=bounds.DEFAULT_DELTA, score_mode="absolute"):
+    """Reference: ncal_sweep as one walk over sizes in their order, each
+    size calibrated and its Lipschitz constant estimated in turn."""
+    _, mean, std = bounds._embed(pool)
+    kl = bounds._kl(params)
+    eps = bounds.epsilon_proxy(ref_test_ds, shifted, mean, std)
+    nig = head.forward(params, shifted)
+    out = []
+    for size in sizes:
+        sub = pool.subset(np.arange(size))
+        calib = conformal.calibrate(params, sub, levels=(tau,), mode=score_mode)
+        lip = bounds.estimate_lipschitz(calib.scores, sub)
+        b, raw, v = bounds.coverage_lower_bound(1.0 - tau, kl, delta, size, lip, eps)
+        cov = metrics.coverage(conformal.intervals(nig, calib, tau), shifted.target_y)
+        out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
+                    "empirical": cov, "gap": abs(cov - b)})
+    return out
+
+
+def _bound_sweep_serial(params, cal_ds, calib, ref_test_ds, series, tau=conformal.DEFAULT_TAU,
+                        delta=bounds.DEFAULT_DELTA):
+    """Reference: bound_vs_empirical_sweep with the estimate first, then
+    each condition's bound, forward and coverage in turn."""
+    _, mean, std = bounds._embed(cal_ds)
+    lip = bounds.estimate_lipschitz(calib.scores, cal_ds)
+    kl = bounds._kl(params)
+    conditions = sorted([(0.0, ref_test_ds)] + [
+        (bounds.epsilon_proxy(ref_test_ds, ds, mean, std), ds) for ds in series],
+        key=lambda t: t[0])
+    rows = []
+    for eps, ds in conditions:
+        b, raw, v = bounds.coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
+        cov = metrics.coverage(conformal.intervals(head.forward(params, ds), calib, tau),
+                               ds.target_y)
+        rows.append((eps, b, raw, v, cov, b <= cov))
+    epsilons, bnds, raws, vac, emp, cons = zip(*rows)
+    return bounds.BoundReport(kl=kl, lipschitz=lip, delta=delta, n_cal=calib.n_cal,
+                              epsilons=epsilons, bounds=bnds, raw_bounds=raws, vacuous=vac,
+                              empirical_coverage=emp, conservative=cons)
+
+
+def _whole_pool(ds):
+    """Every node of ds tagged calibration: a 180-node calibration pool."""
+    return datagen.replace(ds, splits=("calibration",) * ds.n_nodes)
+
+
+def _shifted_test(ds, magnitude, seed):
+    pert = datagen.perturb(ds, "gaussian", magnitude, seed=seed)
+    return pert.subset(pert.split_indices("test"))
+
+
+class TestSweepContract:
+    """The sweeps search on a helper thread; their results and errors are
+    those of the serial walk, and no thread outlives a call."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ncal_sweep_rows_follow_sizes(self, trained, monkeypatch, cpus):
+        monkeypatch.setattr(bounds, "CPUS", cpus)
+        monkeypatch.setattr(bounds, "KNN_THREAD_PAIRS", 0)     # threads for every query
+        pool = _whole_pool(trained["ds"])
+        shifted = _shifted_test(trained["ds"], 0.3, 2)
+        sizes = (150, 50, 100, 50)
+        threads = threading.active_count()
+        rows = bounds.ncal_sweep(trained["params"], pool, trained["test_ds"], shifted,
+                                 sizes=sizes, score_mode="normalized")
+        assert threading.active_count() == threads
+        assert [row["n_cal"] for row in rows] == list(sizes)
+        assert rows == _ncal_sweep_serial(trained["params"], pool, trained["test_ds"], shifted,
+                                          sizes, score_mode="normalized")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bound_sweep_report_is_the_serial_one(self, trained, monkeypatch, cpus):
+        monkeypatch.setattr(bounds, "CPUS", cpus)
+        monkeypatch.setattr(bounds, "KNN_THREAD_PAIRS", 0)
+        calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=(0.9,),
+                                    mode="absolute")
+        series = [_shifted_test(trained["ds"], mag, 1) for mag in (0.6, 0.2)]
+        threads = threading.active_count()
+        rep = bounds.bound_vs_empirical_sweep(trained["params"], trained["cal_ds"], calib,
+                                              trained["test_ds"], series)
+        assert threading.active_count() == threads
+        assert rep == _bound_sweep_serial(trained["params"], trained["cal_ds"], calib,
+                                          trained["test_ds"], series)
+
+    def test_ncal_sweep_zero_distance_size_raises(self, trained):
+        """The pool's first 60 rows are one point: sizes 20 and 50 hold no
+        pair at a positive distance, and the sweep raises as the serial walk."""
+        ds = trained["ds"]
+        feats, y = ds.features.copy(), ds.target_y.copy()
+        feats[:60], y[:60] = feats[0], y[0]
+        pool = _whole_pool(datagen.replace(ds, features=feats, target_y=y))
+        args = (trained["params"], pool, trained["test_ds"], trained["test_ds"], (100, 20, 50))
+        with pytest.raises(ValueError, match="all calibration pairs are zero-distance"):
+            _ncal_sweep_serial(*args)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="all calibration pairs are zero-distance"):
+            bounds.ncal_sweep(*args)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("search_fails, calibrate_fails, message", [
+        ({50, 20}, set(), "search at 50"),
+        ({50}, {100}, "search at 50"),
+        ({20}, {100}, "calibrate at 100"),
+        ({100, 20}, {150}, "calibrate at 150"),
+        ({150, 50}, {20}, "search at 150"),
+    ])
+    def test_ncal_sweep_raises_at_the_first_failing_size(self, trained, monkeypatch,
+                                                         search_fails, calibrate_fails,
+                                                         message):
+        """Sizes are calibrated largest first and searched on the helper,
+        yet the error raised is that of the first size, in the order of
+        sizes, whose calibration or search raises."""
+        search, calibrate = bounds._max_ball_slope, conformal.calibrate
+
+        def failing_search(x, s, *args):
+            if x.shape[0] in search_fails:
+                raise ValueError(f"search at {x.shape[0]}")
+            return search(x, s, *args)
+
+        def failing_calibrate(params, ds, *args, **kwargs):
+            if ds.n_nodes in calibrate_fails:
+                raise ValueError(f"calibrate at {ds.n_nodes}")
+            return calibrate(params, ds, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_max_ball_slope", failing_search)
+        monkeypatch.setattr(conformal, "calibrate", failing_calibrate)
+        # the pool's rows are distinct, so a size's search sees size points
+        pool = _whole_pool(trained["ds"])
+        args = (trained["params"], pool, trained["test_ds"], trained["test_ds"],
+                (150, 50, 100, 20))
+        assert np.unique(bounds._embed(pool)[0], axis=0).shape[0] == pool.n_nodes
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _ncal_sweep_serial(*args)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bounds.ncal_sweep(*args)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("one_point, delta, message", [
+        (True, 1.5, "all calibration pairs are zero-distance"),
+        (False, 1.5, r"delta must be in \(0, 1\)"),
+        (False, 0.05, "forward"),
+    ], ids=["estimate", "delta", "forward"])
+    def test_bound_sweep_raises_as_the_serial_sweep(self, trained, monkeypatch, one_point,
+                                                    delta, message):
+        """Every forward raising, with an invalid delta, and with every
+        calibration row one point: the error raised is the serial sweep's,
+        which estimates first, then checks delta at the first condition's
+        bound, before its forward."""
+        cal = trained["cal_ds"]
+        if one_point:
+            cal = datagen.replace(cal, features=np.tile(cal.features[0], (cal.n_nodes, 1)),
+                                  target_y=np.full(cal.n_nodes, cal.target_y[0]))
+        calib = conformal.calibrate(trained["params"], cal, levels=(0.9,))
+
+        def failing_forward(*args, **kwargs):
+            raise ValueError("forward")
+
+        monkeypatch.setattr(head, "forward", failing_forward)
+        args = (trained["params"], cal, calib, trained["test_ds"], [trained["test_ds"]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _bound_sweep_serial(*args, delta=delta)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bounds.bound_vs_empirical_sweep(*args, delta=delta)
+        assert threading.active_count() == threads

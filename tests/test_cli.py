@@ -284,6 +284,11 @@ class TestBoundCommands:
     (["experiment", "calibration"], {"levels": [0.9, 0.9]},
      "levels must be non-empty and strictly increasing"),
     (["experiment", "calibration"], {"ablations": []}, "ablations must be non-empty"),
+    # an arm named twice would train twice and report once
+    (["experiment", "calibration"], {"ablations": ["full", "no_priors", "full"]},
+     "ablations must not repeat an entry, got ['full', 'no_priors', 'full']"),
+    (["experiment", "prior_corruption"], {"corruption_modes": ["shuffle", "shuffle"]},
+     "corruption_modes must not repeat an entry, got ['shuffle', 'shuffle']"),
     # sweeps with no point, or a point no run can make
     (["ncal-sweep"], {"sizes": []},
      "config key sizes must be a non-empty array of positive integers"),
@@ -311,7 +316,8 @@ class TestBoundCommands:
         "dataset_0", "dataset_7", "dataset_and_generator", "float_overflow",
         "float_array_overflow", "int64_overflow", "int64_array_overflow", "gen_data_size",
         "calibration_score_mode", "bound_sweep_score_mode", "levels_empty",
-        "levels_decreasing", "levels_repeated", "ablations_empty", "ncal_sweep_sizes_empty",
+        "levels_decreasing", "levels_repeated", "ablations_empty", "ablations_repeated",
+        "corruption_modes_repeated", "ncal_sweep_sizes_empty",
         "ncal_sweep_size_0", "ncal_sweep_size_above_pool", "ncal_sweep_magnitude_0",
         "bound_magnitudes_empty", "bound_magnitude_negative", "bound_sweep_magnitudes_empty",
         "bound_sweep_magnitude_0"])

@@ -46,6 +46,8 @@ MATRIX = (
      {"generator": GENERATOR, "train": dict(TRAIN, batch_size=2)}),
     ("bound", ["bound"], PIPED),
     ("ncal_sweep", ["ncal-sweep"], dict(PIPED, sizes=[50, 100, 150])),
+    # sizes out of order and repeated: the rows follow sizes, one per entry
+    ("ncal_sweep_unsorted", ["ncal-sweep"], dict(PIPED, sizes=[150, 50, 100, 50])),
     # 40x40 = 1600 nodes: calibration sets of several hundred, so the k-NN
     # trees of estimate_lipschitz, per block and of all points, hold several
     # 128-point leaves, and some rows of each block leave it
