@@ -70,6 +70,9 @@ class ExperimentSpec:
         for a in self.ablations or ():
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation toggle {a!r}")
+        for gen in (self.generator, self.shifted_generator):
+            if gen is not None:
+                gen.validate()
         if self.score_mode not in conf_mod.SCORE_MODES:
             raise ValueError(f"unknown score mode {self.score_mode!r}")
         for mode in self.corruption_modes:
@@ -129,26 +132,6 @@ def _objective_for(config_name, base: ObjectiveConfig) -> ObjectiveConfig:
     raise ValueError(f"unknown configuration {config_name!r}")
 
 
-def _run(trained, config_name, seed, ds):
-    """trainer.train's result as a run: the trained pieces plus the standard
-    dataset slices."""
-    params, mono, record = trained
-    return {"ds": ds, "params": params, "mono": mono, "record": record,
-            "cal_ds": ds.subset(ds.split_indices("calibration")), "test_ds": _test_split(ds),
-            "config": config_name, "seed": seed}
-
-
-def train_config_run(spec: ExperimentSpec, config_name, seed, ds=None):
-    """Train one configuration on one seed; returns the trained pieces plus
-    the standard dataset slices."""
-    if ds is None:
-        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
-    cfg = replace(spec.train, seed=seed,
-                  objective=_objective_for(config_name, spec.train.objective))
-    fit, val = _train_val(ds)
-    return _run(trainer_mod.train(cfg, ds.subset(fit), ds.subset(val)), config_name, seed, ds)
-
-
 def _stacked(stack):
     """trainer.train's arguments for the jobs (spec, configuration, seed,
     ds) of stack, all on one seed's dataset or its prior corruptions: the
@@ -167,6 +150,29 @@ def _stacked(stack):
 def _train(args):
     """A worker's task: trainer.train(*args)."""
     return trainer_mod.train(*args)
+
+
+def _runs(stack, trained):
+    """Yield the run of each job of stack from trained, its stacked
+    training's per-job results: the trained pieces plus the standard dataset
+    slices.  A training that raised re-raises here, at its job's place."""
+    for (_, config_name, seed, ds), result in zip(stack, trained):
+        if isinstance(result, Exception):
+            raise result
+        params, mono, record = result
+        yield {"ds": ds, "params": params, "mono": mono, "record": record,
+               "cal_ds": ds.subset(ds.split_indices("calibration")),
+               "test_ds": _test_split(ds), "config": config_name, "seed": seed}
+
+
+def train_config_run(spec: ExperimentSpec, config_name, seed, ds=None):
+    """Train one configuration on one seed, as a stack of one job; returns
+    its run (see _runs)."""
+    if ds is None:
+        ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+    stack = [(spec, config_name, seed, ds)]
+    (run,) = _runs(stack, _train(_stacked(stack)))
+    return run
 
 
 def _train_runs(seed_jobs, n_seeds):
@@ -195,15 +201,9 @@ def _train_runs(seed_jobs, n_seeds):
             cuts = [len(jobs) * k // n_stacks for k in range(n_stacks + 1)]
             yield from (jobs[a:b] for a, b in zip(cuts, cuts[1:]) if a < b)
 
-    def runs(stack, trained):
-        for job, result in zip(stack, trained):
-            if isinstance(result, Exception):
-                raise result
-            yield _run(result, *job[1:])
-
     if not parallel:
         for stack in stacks():
-            yield from runs(stack, _train(_stacked(stack)))
+            yield from _runs(stack, _train(_stacked(stack)))
         return
     # imported here, so that importing calpro does not pay for them
     import multiprocessing
@@ -223,38 +223,44 @@ def _train_runs(seed_jobs, n_seeds):
             if not pending:
                 return
             stack, future = pending.popleft()
-            yield from runs(stack, future.result())
+            yield from _runs(stack, future.result())
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _evaluate(run, spec: ExperimentSpec):
-    """Coverage/ECE/sharpness and the uncertainty-error Spearman for one
-    trained configuration."""
-    params, test_ds = run["params"], run["test_ds"]
+def _arm_rule(run, levels, score_mode):
+    """The interval rule of the run's arm, which every recipe follows, at
+    each level: (score mode, {level: score quantile}, calibration or None).
+    no_conformal: the uncalibrated Gaussian band ndtri((1 + tau) / 2) on the
+    normalized scale; no_evidential (a point head) and vanilla: split
+    conformal on the absolute score; any other arm: in score_mode."""
     if run["config"] == "no_conformal":
-        nig = head_mod.forward(params, test_ds)
-        cov, shp = {}, {}
-        for tau in spec.levels:
-            iv = conf_mod.band(nig, ndtri(0.5 * (1.0 + tau)), "normalized")
-            cov[float(tau)] = metrics_mod.coverage(iv, test_ds.target_y)
-            shp[float(tau)] = metrics_mod.sharpness(iv)
-        devs = [abs(cov[float(t)] - t) for t in spec.levels]
-        return {"coverage": cov, "sharpness": shp, "ece": float(np.mean(devs)),
-                "spearman": metrics_mod.uncertainty_error_spearman(nig, test_ds.target_y)}
-    mode = "absolute" if run["config"] == "no_evidential" else spec.score_mode
-    calib = conf_mod.calibrate(params, run["cal_ds"], levels=spec.levels, mode=mode)
-    rep = metrics_mod.full_report(params, calib, test_ds, levels=spec.levels)
-    return {"coverage": rep.coverage, "sharpness": rep.sharpness, "ece": rep.ece,
-            "spearman": rep.spearman_uncertainty_error}
+        return "normalized", {float(tau): ndtri(0.5 * (1.0 + tau)) for tau in levels}, None
+    mode = "absolute" if run["config"] in ("no_evidential", "vanilla") else score_mode
+    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=levels, mode=mode)
+    return mode, calib.quantiles, calib
 
 
-def _scored(run, test_ds, tau, mode):
-    """Calibrate the run's head at tau, predict test_ds once and score the
-    tau-intervals: ({coverage, degradation, sharpness}, intervals)."""
-    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,), mode=mode)
-    nig = head_mod.forward(run["params"], test_ds)
-    iv = conf_mod.intervals(nig, calib, tau)
+def _evaluate(run, spec: ExperimentSpec):
+    """Coverage/sharpness per level, ECE and the uncertainty-error Spearman
+    of one trained configuration; no_conformal's ECE is over spec.levels."""
+    mode, quantiles, calib = _arm_rule(run, spec.levels, spec.score_mode)
+    nig = head_mod.forward(run["params"], run["test_ds"])
+    ivals = {tau: conf_mod.band(nig, q, mode) for tau, q in quantiles.items()}
+    y = run["test_ds"].target_y
+    cov = {tau: metrics_mod.coverage(iv, y) for tau, iv in ivals.items()}
+    return {"coverage": cov,
+            "sharpness": {tau: metrics_mod.sharpness(iv) for tau, iv in ivals.items()},
+            "ece": (metrics_mod.ece(nig, y, calib) if calib is not None
+                    else float(np.mean([abs(c - tau) for tau, c in cov.items()]))),
+            "spearman": metrics_mod.uncertainty_error_spearman(nig, y)}
+
+
+def _scored(run, test_ds, tau, score_mode):
+    """The tau-intervals of the run's arm (_arm_rule) for test_ds, predicted
+    once, scored: ({coverage, degradation, sharpness}, intervals)."""
+    mode, quantiles, _ = _arm_rule(run, (tau,), score_mode)
+    iv = conf_mod.band(head_mod.forward(run["params"], test_ds), quantiles[float(tau)], mode)
     cov = metrics_mod.coverage(iv, test_ds.target_y)
     return {"coverage": cov, "degradation": tau - cov,
             "sharpness": metrics_mod.sharpness(iv)}, iv
@@ -267,7 +273,7 @@ def _configured(spec: ExperimentSpec, default):
 
 def _per_seed(spec: ExperimentSpec, arms, one_seed):
     """Validate spec, then one_seed(runs) for each seed, where runs yields,
-    in order, the run (see train_config_run) of each arm (configuration,
+    in order, the run (see _runs) of each arm (configuration,
     corruption mode or None) of arms: the configuration trained on the
     seed's generated dataset, its priors corrupted by the mode, if any.  The
     trainings run ahead of one_seed, across seeds, and a seed's arms train
@@ -379,16 +385,13 @@ def run_prior_corruption(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
 def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Stable-region width of prior-aware normalized conformal vs vanilla
     absolute conformal on an unregularized head, at matched coverage."""
-    score_modes = {"full": "normalized", "vanilla": "absolute"}
-
     def one_seed(runs):
         cov, width = {}, {}
         for run in runs:
-            name = run["config"]
-            row, iv = _scored(run, run["test_ds"], tau, score_modes[name])
+            row, iv = _scored(run, run["test_ds"], tau, "normalized")
             stable = ~run["test_ds"].disorder_flags
-            cov[name] = row["coverage"]
-            width[name] = float(np.mean(iv[stable, 1] - iv[stable, 0]))
+            cov[run["config"]] = row["coverage"]
+            width[run["config"]] = float(np.mean(iv[stable, 1] - iv[stable, 0]))
         slack = 1.96 * math.sqrt(tau * (1 - tau) / run["test_ds"].n_nodes)
         return {"width_ratio": width["full"] / width["vanilla"],
                 "stable_width_full": width["full"], "stable_width_vanilla": width["vanilla"],
@@ -396,7 +399,7 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
                 "coverage_slack": slack,
                 "inconclusive": abs(cov["full"] - cov["vanilla"]) > 2 * slack}
 
-    per_seed = _per_seed(spec, [(name, None) for name in score_modes], one_seed)
+    per_seed = _per_seed(spec, [("full", None), ("vanilla", None)], one_seed)
     medians = _seed_median(per_seed)
     return {
         "experiment": "efficiency", "spec": spec.echo(), "tau": tau,
@@ -408,9 +411,9 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
 
 def bound_report(run, magnitudes, tau, score_mode, delta=bounds_mod.DEFAULT_DELTA):
     """Bound vs empirical coverage of a trained run (as train_config_run
-    returns it): calibrate at tau, then shift its test split by a gaussian
-    perturbation at the run's seed for each magnitude."""
-    calib = conf_mod.calibrate(run["params"], run["cal_ds"], levels=(tau,), mode=score_mode)
+    returns it): calibrate at tau by its arm's rule (_arm_rule), then shift
+    its test split by a gaussian perturbation at the run's seed per magnitude."""
+    calib = _arm_rule(run, (tau,), score_mode)[2]
     shifted = [_test_split(datagen.perturb(run["ds"], "gaussian", mag, seed=run["seed"]))
                for mag in magnitudes]
     return bounds_mod.bound_vs_empirical_sweep(run["params"], run["cal_ds"], calib,

@@ -303,6 +303,8 @@ class TestBoundCommands:
      "config key magnitudes must be non-empty"),
     (["experiment", "bound_sweep"], {"magnitudes": [0]},
      "config key magnitudes must be positive, got 0.0"),
+    (["experiment", "shift"], {"shifted_generator": {"n_chains": 0, "chain_length": 20}},
+     "need at least one chain of length >= 4"),
 ], ids=["bound_magnitudes", "bound_tau", "bound_delta", "ncal_sweep_sizes",
         "ncal_sweep_magnitude", "calibration_seeds", "calibration_levels",
         "bound_sweep_magnitudes", "active_strategies", "corrupt_priors_sigma",
@@ -320,7 +322,7 @@ class TestBoundCommands:
         "corruption_modes_repeated", "ncal_sweep_sizes_empty",
         "ncal_sweep_size_0", "ncal_sweep_size_above_pool", "ncal_sweep_magnitude_0",
         "bound_magnitudes_empty", "bound_magnitude_negative", "bound_sweep_magnitudes_empty",
-        "bound_sweep_magnitude_0"])
+        "bound_sweep_magnitude_0", "shifted_generator_n_chains"])
 def test_value_of_the_wrong_json_kind_names_the_key(tmp_path, monkeypatch, capsys, argv, extra,
                                                      message):
     """Each bad value or path is one error line and exit code 1, before any

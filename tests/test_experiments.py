@@ -3,12 +3,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from calpro import bounds, cli, conformal, datagen, experiments, trainer
+from calpro import bounds, cli, conformal, datagen, experiments, head, metrics, trainer
 from calpro.experiments import ExperimentSpec
 
 
@@ -62,6 +64,30 @@ class TestShiftExperiment:
         assert set(out["rows"]) == {"full", "no_priors"}
         for row in out["rows"].values():
             assert row["degradation"] == pytest.approx(0.9 - row["coverage"])
+
+    def test_every_arm_follows_its_interval_rule(self):
+        """Each arm's shifted coverage and sharpness are those of the
+        intervals built by hand: no_conformal's uncalibrated Gaussian band,
+        no_evidential's split conformal on the absolute score and the other
+        arms' split conformal in the spec's score mode."""
+        tau, shift = 0.9, {"kind": "gaussian", "magnitude": 0.5}
+        spec = _spec(ablations=experiments.ABLATIONS, seeds=(0, 1), shift_perturbation=shift)
+        out = experiments.run_shift_experiment(spec, tau=tau)
+        for seed, rows in zip(spec.seeds, out["per_seed"]):
+            ds = datagen.gen_chain_dataset(replace(spec.generator, seed=seed))
+            shifted = experiments._test_split(datagen.perturb(ds, "gaussian", 0.5, seed=seed))
+            for name in experiments.ABLATIONS:
+                run = experiments.train_config_run(spec, name, seed, ds=ds)
+                nig = head.forward(run["params"], shifted)
+                if name == "no_conformal":
+                    iv = conformal.band(nig, ndtri(0.5 * (1.0 + tau)), "normalized")
+                else:
+                    mode = "absolute" if name == "no_evidential" else spec.score_mode
+                    calib = conformal.calibrate(run["params"], run["cal_ds"], levels=(tau,),
+                                                mode=mode)
+                    iv = conformal.band(nig, calib.quantiles[tau], mode)
+                assert rows[name]["coverage"] == metrics.coverage(iv, shifted.target_y)
+                assert rows[name]["sharpness"] == metrics.sharpness(iv)
 
     def test_requires_shift_definition(self):
         with pytest.raises(ValueError):
@@ -210,7 +236,8 @@ class TestTrainingFanOut:
         cfg = _fan_out_config(tmp_path, ablations=list(experiments.ABLATIONS))
         assert cli.main(["experiment", "shift", "--config", cfg,
                          "--out", str(tmp_path / "run")]) == 0
-        assert len(calls) == 4 * 4
+        # one per seed and calibrated arm: no_conformal's Gaussian band calibrates nothing
+        assert len(calls) == 4 * 3
         assert multiprocessing.active_children() == []
 
     def test_training_error_is_the_serial_loops(self, tmp_path, monkeypatch, capsys):

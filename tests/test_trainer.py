@@ -148,8 +148,8 @@ def _jobs(train_cfg, arms, seed=0):
 
 
 def _alone(job):
-    """trainer.train's arguments for the job trained on its own, as
-    experiments.train_config_run builds them."""
+    """trainer.train's arguments for the job trained on its own as one
+    head: cfg carries the job's objective, and no list of objectives."""
     spec, config, seed, ds = job
     fit, val = experiments._train_val(ds)
     cfg = replace(spec.train, seed=seed,

@@ -79,6 +79,10 @@ MATRIX = (
      {"generator": SMALL, "train": SHORT, "ablations": ["full"],
       "shifted_generator": {"n_chains": 6, "chain_length": 20, "ordered_noise_scale": 0.6,
                             "disordered_noise_scale": 2.0}}),
+    # every arm of the shift recipe, each by its own interval rule
+    ("experiment_shift_arms", ["experiment", "shift"],
+     {"generator": SMALL, "train": SHORT,
+      "ablations": ["full", "no_conformal", "no_evidential", "no_priors"]}),
     ("experiment_prior_corruption_modes", ["experiment", "prior_corruption"],
      {"generator": SMALL, "train": SHORT, "corruption_modes": ["shuffle", "invert"],
       "corruption_sigma": 0.4}),
