@@ -1,7 +1,6 @@
 """Budgeted active-selection simulation: acquisition by calibrated interval
 width or epistemic variance against a random baseline."""
 
-import csv
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -165,12 +164,3 @@ def compare_strategies(pool, configs, seeds):
         }
     order = sorted(table, key=lambda s: -table[s]["median_attainment_auc"])
     return {"strategies": table, "ordering": order, "curves": all_curves}
-
-
-def export_curve_csv(path, curve: ActiveCurve):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "queries", "best_found", "coverage", "ece"])
-        for e in curve.rounds:
-            w.writerow([e["round"], len(e["queried"]), e["best_found"],
-                        e.get("coverage", ""), e.get("ece", "")])

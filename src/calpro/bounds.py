@@ -2,7 +2,6 @@
 score, the Gaussian PAC-Bayes complexity term, the worst-case coverage
 lower bound, and the calibration-size and bound-vs-empirical sweeps."""
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -307,12 +306,3 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
             out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
                         "empirical": cov, "gap": abs(cov - b)})
     return out
-
-
-def export_bound_curve(path, report: BoundReport):
-    """CSV of (epsilon, bound, empirical)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "bound", "empirical_coverage"])
-        for e, b, c in zip(report.epsilons, report.bounds, report.empirical_coverage):
-            w.writerow([e, b, c])

@@ -9,6 +9,7 @@ wall-clock timestamps, so reruns are byte-identical.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -148,6 +149,14 @@ def _write_json(path, doc):
     return path
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def _out_dir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -164,7 +173,12 @@ def cmd_gen_data(args):
     ds = maker(gen)
     out = _out_dir(args)
     datagen.save_dataset(ds, os.path.join(out, "dataset.json"))
-    datagen.export_csv(ds, os.path.join(out, "dataset.csv"))
+    _write_csv(os.path.join(out, "dataset.csv"),
+               ["node_id", "chain_id", "prior_b", "target_y", "group_tag", "disorder_flag",
+                "split"],
+               ([i, int(ds.chain_ids[i]), float(ds.prior_b[i]), float(ds.target_y[i]),
+                 ds.group_tags[i], int(ds.disorder_flags[i]), ds.splits[i]]
+                for i in range(ds.n_nodes)))
     _write_json(os.path.join(out, "gen_report.json"),
                 _stamp({"n_nodes": ds.n_nodes, "n_edges": int(ds.edges.shape[0]),
                         "generator": asdict(gen)},
@@ -221,10 +235,14 @@ def cmd_pipeline(args):
     nig = head_mod.forward(run["params"], run["test_ds"])
     report = metrics_mod.report_from_nig(nig, calib, run["test_ds"], conf_mod.DEFAULT_LEVELS)
     y = run["test_ds"].target_y
-    metrics_mod.export_calibration_curve(os.path.join(out, "calibration_curve.csv"),
-                                         nig, y, calib)
-    conf_mod.export_intervals_csv(os.path.join(out, "intervals.csv"),
-                                  conf_mod.intervals(nig, calib, conf_mod.DEFAULT_TAU), y)
+    grid = metrics_mod.DEFAULT_LEVEL_GRID
+    _write_csv(os.path.join(out, "calibration_curve.csv"),
+               ["nominal_level", "empirical_coverage"],
+               zip(grid, metrics_mod.calibration_curve(nig, y, calib, grid)))
+    ivals = conf_mod.intervals(nig, calib, conf_mod.DEFAULT_TAU)
+    _write_csv(os.path.join(out, "intervals.csv"), ["node_id", "lo", "hi", "covered"],
+               ([i, float(lo), float(hi), int(lo <= yi <= hi)]
+                for i, ((lo, hi), yi) in enumerate(zip(ivals, y))))
     _write_json(os.path.join(out, "report.json"),
                 _stamp({"metrics": report.to_dict(),
                         "train_record": run["record"].to_dict(),
@@ -240,7 +258,8 @@ def cmd_bound(args):
     gen, run = _pipeline_pieces(cfg, args.seed)
     report = exp_mod.bound_report(run, magnitudes, tau, args.score_mode, delta=delta)
     out = _out_dir(args)
-    bounds_mod.export_bound_curve(os.path.join(out, "bound_curve.csv"), report)
+    _write_csv(os.path.join(out, "bound_curve.csv"), ["epsilon", "bound", "empirical_coverage"],
+               zip(report.epsilons, report.bounds, report.empirical_coverage))
     _write_json(os.path.join(out, "bound_report.json"),
                 _stamp(report.to_dict(), cfg, gen.seed, "bound"))
     return 0
@@ -296,7 +315,11 @@ def cmd_active(args):
         pool, [replace(acfg, strategy=s, retrain=tcfg) for s in strategies], seeds)
     out = _out_dir(args)
     for s, curves in table.pop("curves").items():
-        active_mod.export_curve_csv(os.path.join(out, f"active_{s}.csv"), curves[0])
+        # a pool without test nodes grades no round: coverage and ece are empty
+        _write_csv(os.path.join(out, f"active_{s}.csv"),
+                   ["round", "queries", "best_found", "coverage", "ece"],
+                   ([e["round"], len(e["queried"]), e["best_found"], e.get("coverage", ""),
+                     e.get("ece", "")] for e in curves[0].rounds))
     _write_json(os.path.join(out, "active_report.json"),
                 _stamp(table, cfg, gen.seed, "active"))
     return 0

@@ -108,13 +108,3 @@ def save_calibration(calib: ConformalCalibration, path):
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
-
-
-def export_intervals_csv(path, ivals, y):
-    """CSV of (node_id, lo, hi, covered)."""
-    import csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "lo", "hi", "covered"])
-        for i, ((lo, hi), yi) in enumerate(zip(ivals, y)):
-            w.writerow([i, float(lo), float(hi), int(lo <= yi <= hi)])

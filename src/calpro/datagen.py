@@ -6,7 +6,6 @@ regression target.  A tabular generator with covariate-dependent noise covers
 the non-geometric case.  All generators are deterministic in (config, seed).
 """
 
-import csv
 import json
 import math
 import numbers
@@ -395,13 +394,14 @@ def _chain_window_pairs(chain_ids, window):
     return np.concatenate(pairs)
 
 
-def check_magnitude(magnitude):
-    """Raise ValueError unless magnitude is a finite, positive number."""
+def check_magnitude(magnitude, name="magnitude"):
+    """Raise ValueError, naming the value `name`, unless magnitude is a
+    finite, positive number."""
     if (isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real)
             or not math.isfinite(magnitude)):
-        raise ValueError(f"magnitude must be a finite number, got {magnitude!r}")
+        raise ValueError(f"{name} must be a finite number, got {magnitude!r}")
     if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
+        raise ValueError(f"{name} must be positive")
 
 
 def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
@@ -656,14 +656,3 @@ def _check_schema(doc):
     for key, seq in (("splits", doc["splits"]), ("chain_ids", doc["metadata"]["chain_ids"])):
         if not isinstance(seq, list) or len(seq) != len(rows):
             raise ValueError(f"{key} must list one entry per node ({len(rows)})")
-
-
-def export_csv(ds: Dataset, path):
-    """Flat per-node CSV for external metrics tooling."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "chain_id", "prior_b", "target_y", "group_tag",
-                    "disorder_flag", "split"])
-        for i in range(ds.n_nodes):
-            w.writerow([i, int(ds.chain_ids[i]), float(ds.prior_b[i]), float(ds.target_y[i]),
-                        ds.group_tags[i], int(ds.disorder_flags[i]), ds.splits[i]])

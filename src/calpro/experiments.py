@@ -32,6 +32,11 @@ DEFAULT_PERTURBATION_MAGNITUDE = {
 DEFAULT_MAGNITUDES = (0.1, 0.25, 0.5, 1.0)
 
 
+def _check_unit(name, value):
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+
+
 def desk_train_config(seed=0):
     """Fast desk-scale training defaults used by the experiment recipes.
 
@@ -65,6 +70,8 @@ class ExperimentSpec:
             raise ValueError("seeds must be non-empty")
         if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be non-empty and strictly increasing")
+        for level in self.levels:
+            _check_unit("levels", level)
         if self.ablations is not None and not self.ablations:
             raise ValueError("ablations must be non-empty")
         for a in self.ablations or ():
@@ -95,9 +102,6 @@ class ExperimentSpec:
     def echo(self):
         doc = asdict(self)
         doc["train"] = trainer_mod._config_echo(self.train)
-        if self.ablations is None:
-            # a recipe that fixes its own configurations trains "full"
-            doc["ablations"] = ["full"]
         return doc
 
 
@@ -277,7 +281,8 @@ def _per_seed(spec: ExperimentSpec, arms, one_seed):
     corruption mode or None) of arms: the configuration trained on the
     seed's generated dataset, its priors corrupted by the mode, if any.  The
     trainings run ahead of one_seed, across seeds, and a seed's arms train
-    as one stack (_train_runs)."""
+    as one stack (_train_runs).  Returns spec's echo, which names the
+    configurations the arms train as its ablations, and the per-seed list."""
     spec.validate()
 
     def seed_jobs():
@@ -286,8 +291,10 @@ def _per_seed(spec: ExperimentSpec, arms, one_seed):
             yield [(spec, config, seed, ds if mode is None else datagen.corrupt_priors(
                 ds, mode, seed=seed, sigma=spec.corruption_sigma)) for config, mode in arms]
 
+    # not validated: efficiency's vanilla arm is no ablation toggle
+    echo = replace(spec, ablations=tuple(dict.fromkeys(config for config, _ in arms))).echo()
     with contextlib.closing(_train_runs(seed_jobs(), len(spec.seeds))) as runs:
-        return [one_seed(itertools.islice(runs, len(arms))) for _ in spec.seeds]
+        return echo, [one_seed(itertools.islice(runs, len(arms))) for _ in spec.seeds]
 
 
 def _seed_median(per_seed):
@@ -302,13 +309,13 @@ def run_calibration_experiment(spec: ExperimentSpec):
     """Table-1-shaped rows: per configuration (default: every ablation),
     median coverage/ECE/sharpness across seeds at the requested levels."""
     spec = _configured(spec, ABLATIONS)
-    per_seed = _per_seed(spec, [(name, None) for name in spec.ablations],
-                         lambda runs: {run["config"]: _evaluate(run, spec) for run in runs})
+    echo, per_seed = _per_seed(
+        spec, [(name, None) for name in spec.ablations],
+        lambda runs: {run["config"]: _evaluate(run, spec) for run in runs})
     rows = _seed_median(per_seed)
     for row in rows.values():
         del row["spearman"]     # reported per seed only
-    return {"experiment": "calibration", "spec": spec.echo(), "rows": rows,
-            "per_seed": per_seed}
+    return {"experiment": "calibration", "spec": echo, "rows": rows, "per_seed": per_seed}
 
 
 def _shifted_test(spec: ExperimentSpec, ds, seed):
@@ -327,6 +334,7 @@ def run_shift_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     spec = _configured(spec, ("full", "no_priors"))
     if spec.shifted_generator is None and spec.shift_perturbation is None:
         raise ValueError("shift experiment needs a shifted generator or a perturbation")
+    _check_unit("tau", tau)
 
     def one_seed(runs):
         out = {}
@@ -336,8 +344,8 @@ def run_shift_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
             out[run["config"]] = _scored(run, shifted, tau, spec.score_mode)[0]
         return out
 
-    per_seed = _per_seed(spec, [(name, None) for name in spec.ablations], one_seed)
-    return {"experiment": "shift", "spec": spec.echo(), "tau": tau,
+    echo, per_seed = _per_seed(spec, [(name, None) for name in spec.ablations], one_seed)
+    return {"experiment": "shift", "spec": echo, "tau": tau,
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
@@ -347,6 +355,10 @@ def run_perturbation_correlation(spec: ExperimentSpec,
     """Spearman(predicted sqrt(Var), realized error) per perturbation kind
     for full and no_priors configurations."""
     magnitudes = dict(DEFAULT_PERTURBATION_MAGNITUDE, **(magnitudes or {}))
+    for kind in kinds:
+        if kind not in PERTURBATION_KINDS:
+            raise ValueError(f"unknown perturbation kind {kind!r}")
+        datagen.check_magnitude(magnitudes[kind], "magnitudes")
 
     def one_seed(runs):
         out = {}
@@ -363,28 +375,31 @@ def run_perturbation_correlation(spec: ExperimentSpec,
             out[run["config"]] = row
         return out
 
-    per_seed = _per_seed(spec, [("full", None), ("no_priors", None)], one_seed)
-    return {"experiment": "perturbation_correlation", "spec": spec.echo(),
+    echo, per_seed = _per_seed(spec, [("full", None), ("no_priors", None)], one_seed)
+    return {"experiment": "perturbation_correlation", "spec": echo,
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
 def run_prior_corruption(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Retrain under corrupted priors with identical settings; report
     coverage, degradation and sharpness per corruption mode."""
+    _check_unit("tau", tau)
     modes = (None, *spec.corruption_modes)
 
     def one_seed(runs):
         return {mode or "full": _scored(run, run["test_ds"], tau, spec.score_mode)[0]
                 for mode, run in zip(modes, runs)}
 
-    per_seed = _per_seed(spec, [("full", mode) for mode in modes], one_seed)
-    return {"experiment": "prior_corruption", "spec": spec.echo(), "tau": tau,
+    echo, per_seed = _per_seed(spec, [("full", mode) for mode in modes], one_seed)
+    return {"experiment": "prior_corruption", "spec": echo, "tau": tau,
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
 def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
     """Stable-region width of prior-aware normalized conformal vs vanilla
     absolute conformal on an unregularized head, at matched coverage."""
+    _check_unit("tau", tau)
+
     def one_seed(runs):
         cov, width = {}, {}
         for run in runs:
@@ -399,10 +414,10 @@ def run_efficiency_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
                 "coverage_slack": slack,
                 "inconclusive": abs(cov["full"] - cov["vanilla"]) > 2 * slack}
 
-    per_seed = _per_seed(spec, [("full", None), ("vanilla", None)], one_seed)
+    echo, per_seed = _per_seed(spec, [("full", None), ("vanilla", None)], one_seed)
     medians = _seed_median(per_seed)
     return {
-        "experiment": "efficiency", "spec": spec.echo(), "tau": tau,
+        "experiment": "efficiency", "spec": echo, "tau": tau,
         **{f"median_{k}": medians[k] for k in ("width_ratio", "coverage_full",
                                                "coverage_vanilla")},
         "per_seed": per_seed,
@@ -424,9 +439,15 @@ def run_bound_sweep(spec: ExperimentSpec, magnitudes=DEFAULT_MAGNITUDES,
                     tau=conf_mod.DEFAULT_TAU):
     """Fig.-1-style bound-vs-empirical series over gaussian perturbations of
     increasing magnitude, one report per seed."""
+    _check_unit("tau", tau)
+    if not magnitudes:
+        raise ValueError("magnitudes must be non-empty")
+    for magnitude in magnitudes:
+        datagen.check_magnitude(magnitude, "magnitudes")
+
     def one_seed(runs):
         (run,) = runs
         return bound_report(run, magnitudes, tau, spec.score_mode).to_dict()
 
-    return {"experiment": "bound_sweep", "spec": spec.echo(), "tau": tau,
-            "per_seed": _per_seed(spec, [("full", None)], one_seed)}
+    echo, per_seed = _per_seed(spec, [("full", None)], one_seed)
+    return {"experiment": "bound_sweep", "spec": echo, "tau": tau, "per_seed": per_seed}

@@ -1,6 +1,5 @@
 """Calibration, sharpness, correlation and group-conditional reporting."""
 
-import csv
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -123,12 +122,3 @@ def report_from_nig(nig, calib, test_ds, levels) -> MetricsReport:
         group_table=group_report(ivals[group_tau], y, test_ds.group_tags, group_tau),
         counts={"test": int(test_ds.n_nodes), "cal": int(calib.n_cal)},
     )
-
-
-def export_calibration_curve(path, nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
-    """CSV of (nominal level, empirical coverage)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["nominal_level", "empirical_coverage"])
-        for tau, cov in zip(level_grid, calibration_curve(nig, y, calib, level_grid)):
-            w.writerow([tau, cov])

@@ -93,11 +93,3 @@ class TestCompareStrategies:
         out = active.compare_strategies(
             pool, [_cfg(strategy="calpro_width"), _cfg(strategy="random")], seeds=[0])
         assert set(out["ordering"]) == {"calpro_width", "random"}
-
-
-def test_curve_csv_export(tmp_path):
-    pool = _pool(seed=10)
-    curve = active.run_active(pool, _cfg(rounds=1))
-    p = tmp_path / "curve.csv"
-    active.export_curve_csv(p, curve)
-    assert len(p.read_text().strip().splitlines()) == 3

@@ -435,17 +435,6 @@ class TestSweeps:
                 for n in (250, 500, 1000, 2000, 4000)]
         assert all(b < c for b, c in zip(vals, vals[1:]))
 
-    def test_export_curve(self, trained, tmp_path):
-        calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=(0.9,))
-        ds = trained["ds"]
-        pert = datagen.perturb(ds, "gaussian", 0.4, seed=3)
-        rep = bounds.bound_vs_empirical_sweep(
-            trained["params"], trained["cal_ds"], calib, trained["test_ds"],
-            [pert.subset(pert.split_indices("test"))])
-        p = tmp_path / "curve.csv"
-        bounds.export_bound_curve(p, rep)
-        assert len(p.read_text().strip().splitlines()) == 3
-
 
 def test_epsilon_proxy_zero_for_identical(trained):
     _, mean, std = bounds._embed(trained["cal_ds"])

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import os
@@ -6,9 +7,10 @@ import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from calpro import active, cli, datagen, trainer
+from calpro import active, cli, datagen, experiments, metrics, trainer
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -469,6 +471,69 @@ class TestActiveCommand:
         assert not (tmp_path / "run").exists()
 
 
+def _csv_rows(path):
+    """The rows of a CSV artifact as dicts of its header's columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestCsvArtifacts:
+    """Each CSV artifact agrees with the JSON artifact written beside it."""
+
+    @pytest.fixture(scope="class")
+    def pipeline_out(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("pipeline")
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", _gen_cfg(tmp_path, train=FAST_TRAIN),
+                         "--out", str(out)]) == 0
+        return out, json.loads((out / "report.json").read_text())["metrics"]
+
+    def test_dataset_csv_lists_the_dataset_json_nodes(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["gen-data", "--config", _gen_cfg(tmp_path), "--out", str(out)]) == 0
+        rows = _csv_rows(out / "dataset.csv")
+        assert len(rows) == json.loads((out / "gen_report.json").read_text())["n_nodes"]
+        # a node row of dataset.json ends in prior_b, target_y, group_tag, disorder_flag
+        nodes = json.loads((out / "dataset.json").read_text())["nodes"]
+        assert [[float(r["prior_b"]), float(r["target_y"])] for r in rows] == [
+            node[-4:-2] for node in nodes]
+
+    def test_intervals_csv_covered_mean_is_the_report_coverage(self, pipeline_out):
+        out, report = pipeline_out
+        covered = [int(r["covered"]) for r in _csv_rows(out / "intervals.csv")]
+        assert covered and set(covered) <= {0, 1}
+        assert sum(covered) / len(covered) == report["coverage"]["0.9"]
+
+    def test_calibration_curve_csv_mean_gap_is_the_report_ece(self, pipeline_out):
+        out, report = pipeline_out
+        rows = _csv_rows(out / "calibration_curve.csv")
+        assert [float(r["nominal_level"]) for r in rows] == list(metrics.DEFAULT_LEVEL_GRID)
+        gaps = [abs(float(r["empirical_coverage"]) - float(r["nominal_level"])) for r in rows]
+        assert float(np.mean(gaps)) == report["ece"]
+
+    def test_bound_curve_csv_is_the_bound_report_curve(self, tmp_path):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, magnitudes=[0.3, 0.6])
+        out = tmp_path / "run"
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "bound_report.json").read_text())
+        rows = _csv_rows(out / "bound_curve.csv")
+        assert [[float(v) for v in r.values()] for r in rows] == [
+            list(t) for t in zip(rep["epsilons"], rep["bounds"], rep["empirical_coverage"])]
+
+    def test_active_csv_best_found_is_the_one_seed_median(self, tmp_path):
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, seeds=[0],
+                       active={"seed_set_size": 20, "batch_size": 5, "rounds": 2})
+        out = tmp_path / "run"
+        assert cli.main(["active", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "active_report.json").read_text())
+        for s, table in rep["strategies"].items():
+            rows = _csv_rows(out / f"active_{s}.csv")
+            assert [int(r["round"]) for r in rows] == [0, 1, 2]
+            assert [int(r["queries"]) for r in rows] == [20, 25, 30]
+            assert [float(r["best_found"]) for r in rows] == [
+                table["rounds"][r["round"]]["best_found_median"] for r in rows]
+
+
 class TestExperimentCommand:
     def test_efficiency_dispatch(self, tmp_path):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, seeds=[0])
@@ -504,6 +569,25 @@ class TestExperimentCommand:
         assert rep["spec"]["ablations"] == ["full"]
         assert set(rep["rows"]) == {"full"}
 
+    @pytest.mark.parametrize("name, configurations", [
+        ("perturbation", ["full", "no_priors"]),
+        ("efficiency", ["full", "vanilla"]),
+        ("prior_corruption", ["full"]),
+        ("bound_sweep", ["full"]),
+    ], ids=["perturbation", "efficiency", "prior_corruption", "bound_sweep"])
+    def test_fixed_arm_recipe_echoes_the_configurations_it_ran(self, tmp_path, monkeypatch,
+                                                               name, configurations):
+        trained = []
+        objective = experiments._objective_for
+
+        def spy(config_name, base):
+            trained.append(config_name)
+            return objective(config_name, base)
+
+        monkeypatch.setattr(experiments, "_objective_for", spy)
+        rep = self._experiment(tmp_path, name)
+        assert rep["spec"]["ablations"] == configurations
+        assert list(dict.fromkeys(trained)) == configurations
 
     @pytest.mark.parametrize("name", ["shift", "prior_corruption", "efficiency"])
     def test_tau_is_the_level_run(self, tmp_path, name):

@@ -143,11 +143,3 @@ class TestSerialization:
         doc = json.loads(p.read_text())
         assert doc["n_cal"] == calib.n_cal
         assert doc["score_mode"] == "absolute"
-
-    def test_intervals_csv(self, tmp_path):
-        iv = np.array([[0.0, 2.0], [1.0, 1.5]])
-        y = np.array([1.0, 3.0])
-        p = tmp_path / "iv.csv"
-        conformal.export_intervals_csv(p, iv, y)
-        lines = p.read_text().strip().splitlines()
-        assert lines[1].endswith(",1") and lines[2].endswith(",0")

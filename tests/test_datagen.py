@@ -740,10 +740,3 @@ def test_subset_of_every_node_generated(small_chain_ds):
     _assert_same_fields(tr.subset(np.arange(tr.n_nodes)), tr)
     _assert_same_fields(small_chain_ds.subset(np.arange(small_chain_ds.n_nodes)),
                         small_chain_ds)
-
-
-def test_csv_export(small_chain_ds, tmp_path):
-    p = tmp_path / "ds.csv"
-    datagen.export_csv(small_chain_ds, p)
-    lines = p.read_text().strip().splitlines()
-    assert len(lines) == small_chain_ds.n_nodes + 1

@@ -37,6 +37,11 @@ class TestSpec:
             with pytest.raises(ValueError, match="levels must be non-empty and strictly"):
                 _spec(levels=levels).validate()
 
+    def test_level_outside_the_unit_interval_rejected(self):
+        for levels in [(0.5, 1.0), (0.0, 0.9)]:
+            with pytest.raises(ValueError, match="levels must be in"):
+                _spec(levels=levels).validate()
+
     def test_echo_is_serializable(self):
         import json
         json.dumps(_spec().echo())
@@ -126,6 +131,37 @@ class TestBoundSweepExperiment:
         rep = out["per_seed"][0]
         assert len(rep["epsilons"]) == 3
         assert rep["epsilons"] == sorted(rep["epsilons"])
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda spec: experiments.run_calibration_experiment(replace(spec, levels=(0.5, 1.0))),
+     r"levels must be in \(0, 1\), got 1.0"),
+    (lambda spec: experiments.run_shift_experiment(
+        replace(spec, shift_perturbation={"kind": "gaussian", "magnitude": 0.5}), tau=1.5),
+     r"tau must be in \(0, 1\), got 1.5"),
+    (lambda spec: experiments.run_prior_corruption(spec, tau=0.0),
+     r"tau must be in \(0, 1\), got 0.0"),
+    (lambda spec: experiments.run_efficiency_experiment(spec, tau=1.0),
+     r"tau must be in \(0, 1\), got 1.0"),
+    (lambda spec: experiments.run_bound_sweep(spec, magnitudes=(-1.0,)),
+     "magnitudes must be positive"),
+    (lambda spec: experiments.run_bound_sweep(spec, magnitudes=()),
+     "magnitudes must be non-empty"),
+    (lambda spec: experiments.run_bound_sweep(spec, tau=float("nan")),
+     r"tau must be in \(0, 1\), got nan"),
+    (lambda spec: experiments.run_perturbation_correlation(spec, magnitudes={"blur": 0.0}),
+     "magnitudes must be positive"),
+], ids=["calibration_levels", "shift_tau", "prior_corruption_tau", "efficiency_tau",
+        "bound_sweep_magnitudes", "bound_sweep_no_magnitudes", "bound_sweep_tau",
+        "perturbation_magnitudes"])
+def test_recipe_refuses_an_out_of_range_argument_before_training(monkeypatch, run, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a head was trained")
+
+    monkeypatch.setattr(trainer, "train", refuse)
+    monkeypatch.setattr(bounds, "CPUS", 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(_spec())
 
 
 def _fan_out_config(tmp_path, **extra):

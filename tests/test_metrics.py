@@ -205,11 +205,3 @@ class TestFullReport:
         assert rep.group_table == metrics.group_report(iv, test.target_y, test.group_tags, 0.95)
         for row in rep.group_table.values():
             assert row["ece"] == abs(row["coverage"] - 0.95)
-
-    def test_calibration_curve_csv(self, trained, tmp_path):
-        calib = conformal.calibrate(trained["params"], trained["cal_ds"],
-                                    levels=(0.9,))
-        p = tmp_path / "curve.csv"
-        metrics.export_calibration_curve(p, *_predict(trained), calib)
-        lines = p.read_text().strip().splitlines()
-        assert len(lines) == len(DEFAULT_LEVEL_GRID) + 1

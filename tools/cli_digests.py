@@ -103,6 +103,11 @@ MATRIX = (
      {"generator": SMALL, "train": SHORT,
       "active": {"seed_set_size": 20, "batch_size": 5, "rounds": 1,
                  "strategies": ["random", "calpro_width"]}}),
+    # 2 chains hold no test chain, so no round has a coverage or ece: the
+    # curves' last two columns are empty
+    ("active_no_test", ["active"],
+     {"generator": {"n_chains": 2, "chain_length": 40}, "train": SHORT,
+      "active": {"rounds": 1}}),
 )
 
 
