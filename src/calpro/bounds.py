@@ -2,6 +2,7 @@
 score, the Gaussian PAC-Bayes complexity term, the worst-case coverage
 lower bound, and the calibration-size and bound-vs-empirical sweeps."""
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,30 +24,19 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # equal one-hot columns against a tree of its own, and the rows whose k-NN
 # ball may leave their block against a tree of all points.  The six searches
 # of a bound sweep plus an n_cal sweep on a 100x100 graph (250 to 4000
-# points, blocks of about a third of them), run on the sweeps' helper thread
-# beside their calibration, take 100-106 ms with 64-point leaves, 94-99 ms
-# with 128, 94-99 ms with 256 and 94-102 ms with 512 (medians of 20 runs at
-# seeds 0 and 3, 2-core x86-64): no size beats 128 beyond the noise.
+# points, blocks of about a third of them), then run one after another on
+# one thread beside their calibration, took 100-106 ms with 64-point leaves,
+# 94-99 ms with 128, 94-99 ms with 256 and 94-102 ms with 512 (medians of 20
+# runs at seeds 0 and 3, 2-core x86-64): no size beats 128 beyond the noise.
 KNN_LEAFSIZE = 128
 
-# every CPU the process may run on: the threads of a k-NN query, and the
-# training workers of the experiment recipes (experiments._train_runs).
-# scipy answers each query row on its own, with the same distance code in
-# every thread, so the estimate does not depend on the count.  The sweeps'
-# helper thread, which runs their k-NN searches, is one thread whatever the
-# count.
+# every CPU the process may run on: the threads of a call's k-NN pool
+# (_knn_pool), and the training workers of the experiment recipes
+# (experiments._train_runs).  scipy answers each query row on its own, with
+# the same distance code in every thread, so the estimate does not depend on
+# the count.
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
-
-# a k-NN query of fewer (query row, tree point) pairs than this runs on one
-# thread: there, starting the threads costs more than they save.  On the
-# calibration sets of a 100x100 graph (2-core x86-64), with the searches on
-# the sweeps' helper thread beside their calibration, the 4000-point search
-# takes 52-57 ms with its queries on two threads against 58-62 ms on one, the
-# 2000-point one 19-21 ms on either, and the 1000-point one, whose largest
-# query holds 252,000 pairs, 6-7 ms on either (medians of 40 runs at seeds 0
-# and 3).
-KNN_THREAD_PAIRS = 300_000
 
 # confidence parameter of the PAC-Bayes term, the k of the Lipschitz
 # estimate's k-NN balls, and the calibration-set sizes ncal_sweep walks through
@@ -75,7 +65,12 @@ class BoundReport:
 
 def _embed(ds, mean=None, std=None):
     """(features + target) rows, optionally standardized by given stats."""
-    x = np.column_stack([ds.features, ds.target_y])
+    return _standardize(np.column_stack([ds.features, ds.target_y]), mean, std)
+
+
+def _standardize(x, mean=None, std=None):
+    """The rows x standardized by their own stats, with the stats, or by the
+    given ones."""
     if mean is None:
         mean = x.mean(axis=0)
         std = x.std(axis=0)
@@ -84,34 +79,148 @@ def _embed(ds, mean=None, std=None):
     return (x - mean) / std
 
 
-def _query(tree, x, k):
-    """tree.query(x, k), on CPUS threads unless the query is small."""
-    workers = CPUS if x.shape[0] * tree.n >= KNN_THREAD_PAIRS else 1
-    return tree.query(x, k=k, workers=workers)
+@contextlib.contextmanager
+def _knn_pool():
+    """A pool of CPUS threads for one call's k-NN queries, each query a task
+    on one thread.  Closed, its queued tasks cancelled, before the call
+    returns or raises: the recipes fork training workers, and a thread alive
+    at a fork can leave the child a lock it never releases."""
+    pool = ThreadPoolExecutor(max_workers=CPUS)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _ball_slopes(x, s, rows, k, limit=math.inf):
-    """Query rows of the distinct points x against a tree of x: the max slope
-    |s_i - s_j| / d_ij over the inclusive k-NN ball of each row whose k-th
-    distance lies below limit, and the rows whose k-th distance does not."""
-    n = x.shape[0]
-    tree = cKDTree(x, leafsize=KNN_LEAFSIZE)
-    best, m = 0.0, k + 2
-    dist, nn = _query(tree, x[rows], min(m, n))
+def _balls(tree, q, k, limit=math.inf):
+    """Query the points q against tree for their inclusive k-NN balls:
+    (rows of q, dist, nn) per query, the first of every row (rows None),
+    each other of the rows whose last column still tied their k-th distance,
+    twice as deep; and the rows whose k-th distance does not lie below
+    limit, which take no ball here.
+
+    Few numpy calls, and the pair arithmetic is left to max_slope: a pool
+    thread takes the GIL back after each call that releases it, and waits
+    for it while the calling thread runs Python.  A 1400-row block query
+    that takes 15 ms alone took 130-160 ms beside a thread running Python
+    with the pair arithmetic here, 45-55 ms without (2-core x86-64)."""
+    n, m = tree.n, k + 2
+    dist, nn = tree.query(q, k=min(m, n))
     near = dist[:, k] < limit
-    far, rows, dist, nn = rows[~near], rows[near], dist[near], nn[near]
-    while True:
-        # column 0 is each point itself, column k its k-th neighbour
-        pair = (dist > 0) & (dist <= dist[:, k:k + 1])
-        slopes = np.abs(s[rows, None] - s[nn])[pair] / dist[pair]
-        best = max(best, float(slopes.max(initial=0.0)))
-        # a row whose last column still ties its k-th distance may have more
-        # ties beyond it: query those rows again, twice as deep
-        rows = rows[dist[:, -1] == dist[:, k]] if m < n else rows[:0]
-        if not rows.size:
-            return best, far
+    balls, far = [(None, dist, nn)], np.flatnonzero(~near)
+    rows = np.flatnonzero(near & (dist[:, -1] == dist[:, k])) if m < n else far[:0]
+    while rows.size:
         m *= 2
-        dist, nn = _query(tree, x[rows], min(m, n))
+        dist, nn = tree.query(q[rows], k=min(m, n))
+        balls.append((rows, dist, nn))
+        rows = rows[dist[:, -1] == dist[:, k]] if m < n else rows[:0]
+    return balls, far
+
+
+def _block_balls(own, members, k, limit):
+    """A block's task: its points own, rows members of the distinct points,
+    queried against a tree of their own.  Returns (the distinct points'
+    index of each query row, and of each tree point, balls, far rows)."""
+    return (members, members) + _balls(cKDTree(own, leafsize=KNN_LEAFSIZE), own, k, limit)
+
+
+def _fallback(x, blocks, rest):
+    """A task that waits for the block tasks: the rows that fall back, rest
+    and the far rows of each block, and a tree of all points x to query them
+    against (None when there are none)."""
+    far = [index[rows] for index, _, _, rows in (block.result() for block in blocks)]
+    rest = np.concatenate([rest] + far)
+    return rest, (cKDTree(x, leafsize=KNN_LEAFSIZE) if rest.size else None)
+
+
+def _fallback_balls(x, fallback, part, parts, k):
+    """A task of chunk part of parts of the rows that fall back, queried
+    against the tree of all points; returns as _block_balls does."""
+    rest, tree = fallback.result()
+    rows = np.array_split(rest, parts)[part]
+    if not rows.size:
+        return rows, None, [], rows
+    return (rows, None) + _balls(tree, x[rows], k)
+
+
+def _first_rows(x):
+    """The index of the first occurrence of each distinct row of x, in their
+    original order: np.unique(x, axis=0)'s, which compares values.  A row
+    whose first column's value no other row has is distinct, so only the
+    rest go through that sort of whole rows, a sixth of the time on 4000
+    embedded rows."""
+    _, inverse, counts = np.unique(x[:, 0], return_inverse=True, return_counts=True)
+    shared = counts[inverse] > 1
+    first, shared = np.flatnonzero(~shared), np.flatnonzero(shared)
+    if shared.size:
+        first = np.r_[first, shared[np.unique(x[shared], axis=0, return_index=True)[1]]]
+    return np.sort(first)
+
+
+class _Search:
+    """estimate_lipschitz's k-NN search over the distinct rows of the
+    embedding x, as tasks on pool: one per block of more than k rows,
+    submitted here, then (submit_fallback) one that waits for them and
+    builds a tree of all points for the rows that fall back, and CPUS that
+    query a chunk of those rows each.  A task waits only on tasks submitted
+    before it, so a pool of any size finishes them.  The search reads the
+    points alone; max_slope takes the scores, on the calling thread."""
+
+    def __init__(self, pool, x, k_neighbors=DEFAULT_K_NEIGHBORS):
+        self.first = _first_rows(x)
+        x = self.x = x[self.first]
+        n = x.shape[0]
+        if n < 2:
+            raise ValueError("all calibration pairs are zero-distance")
+        k = self.k = min(k_neighbors, n - 1)
+        self.pool, self.blocks, self.tasks = pool, [], None
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        two = np.flatnonzero((lo < hi) & ((x == lo) | (x == hi)).all(axis=0))
+        if not two.size:
+            self.rest = np.arange(n)
+            return
+        # rows sorted by their key (which columns sit at their max); a block
+        # starts wherever the key changes, and its points are a slice of xs
+        bits = x[:, two] == hi[two]
+        order = np.lexsort(bits.T)
+        bits, xs = bits[order], x[order]
+        starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+        keys = bits[starts]
+        span2 = (hi[two] - lo[two]) ** 2
+        rest = [order[:0]]
+        for b, (start, end) in enumerate(zip(starts, np.r_[starts[1:], n])):
+            if end - start <= k:
+                rest.append(order[start:end])
+                continue
+            gap2 = (keys != keys[b]) @ span2
+            gap2[b] = math.inf
+            self.blocks.append(pool.submit(_block_balls, xs[start:end], order[start:end], k,
+                                           math.sqrt(gap2.min()) * (1.0 - 1e-9)))
+        self.rest = np.concatenate(rest)
+
+    def submit_fallback(self):
+        fallback = self.pool.submit(_fallback, self.x, self.blocks, self.rest)
+        self.tasks = self.blocks + [
+            self.pool.submit(_fallback_balls, self.x, fallback, part, CPUS, self.k)
+            for part in range(CPUS)]
+        return self
+
+    def max_slope(self, scores):
+        """The max slope |s_i - s_j| / d_ij over the balls the tasks found,
+        s_i the score of distinct row i; scores has one per row of x."""
+        s, k, best = scores[self.first], self.k, 0.0
+        for task in self.tasks:
+            index, tree_index, balls, far = task.result()
+            for rows, dist, nn in balls:
+                # column 0 is each point itself, column k its k-th neighbour
+                pair = (dist > 0) & (dist <= dist[:, k:k + 1])
+                if rows is None:
+                    pair[far] = False
+                    rows = slice(None)
+                j = nn if tree_index is None else tree_index[nn]
+                slopes = np.abs(s[index[rows], None] - s[j])[pair] / dist[pair]
+                best = max(best, float(slopes.max(initial=0.0)))
+        return best
 
 
 def estimate_lipschitz(scores, cal_ds, k_neighbors=DEFAULT_K_NEIGHBORS, standardize=True):
@@ -133,56 +242,28 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=DEFAULT_K_NEIGHBORS, standard
     lies below gap_b (less a 1e-9 share for rounding) has the same inclusive
     ball, hence the same slopes, as in a tree of all points.  Every other
     row is queried against all points.  With no two-valued column that is
-    every row, in one query."""
+    every row."""
     if standardize:
         x, _, _ = _embed(cal_ds)
     else:
         x = np.column_stack([cal_ds.features, cal_ds.target_y])
-    return _max_ball_slope(*_distinct(x, scores), k_neighbors)
+    with _knn_pool() as pool:
+        return _Search(pool, x, k_neighbors).submit_fallback().max_slope(scores)
 
 
-def _distinct(x, scores):
-    """The first occurrence of each distinct row of x, in their original
-    order, and its score."""
-    first = np.sort(np.unique(x, axis=0, return_index=True)[1])
-    return x[first], scores[first]
+def _attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the exception it raises, to raise in turn."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
 
 
-def _max_ball_slope(x, s, k_neighbors=DEFAULT_K_NEIGHBORS):
-    """estimate_lipschitz's k-NN search over the distinct points x with
-    scores s: a function of numpy arrays alone, so the sweeps can run it on
-    their helper thread."""
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("all calibration pairs are zero-distance")
-    k = min(k_neighbors, n - 1)
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    two = np.flatnonzero((lo < hi) & ((x == lo) | (x == hi)).all(axis=0))
-    if not two.size:
-        return _ball_slopes(x, s, np.arange(n), k)[0]
-    # rows sorted by their key (which columns sit at their max); a block
-    # starts wherever the key changes
-    bits = x[:, two] == hi[two]
-    order = np.lexsort(bits.T)
-    bits = bits[order]
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    keys = bits[starts]
-    span2 = (hi[two] - lo[two]) ** 2
-    best, rest = 0.0, []
-    for b, members in enumerate(np.split(order, starts[1:])):
-        if members.size <= k:
-            rest.append(members)
-            continue
-        gap2 = (keys != keys[b]) @ span2
-        gap2[b] = math.inf
-        slope, far = _ball_slopes(x[members], s[members], np.arange(members.size), k,
-                                  math.sqrt(gap2.min()) * (1.0 - 1e-9))
-        best = max(best, slope)
-        rest.append(members[far])
-    rest = np.concatenate(rest)
-    if rest.size:
-        best = max(best, _ball_slopes(x, s, rest, k)[0])
-    return best
+def _done(outcome):
+    """outcome, an _attempt's result; raises it if it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _kl(head_params):
@@ -228,9 +309,10 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     ref_test_ds; the reference itself is included as the epsilon = 0
     condition.  Conditions are reported in increasing epsilon order.
 
-    The Lipschitz estimate's k-NN search runs on a helper thread while this
-    thread predicts each condition.  The error raised, if any, is that of a
-    sweep that estimates first: the estimate's comes before any other.
+    The Lipschitz estimate's k-NN search runs on a pool of CPUS threads
+    while this thread predicts each condition.  The error raised, if any,
+    is that of a sweep that estimates first: the estimate's comes before
+    any other.
     """
     if len(shifted_series) == 0:
         raise ValueError("empty shift series")
@@ -238,8 +320,8 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
         raise ValueError(f"calibration holds {calib.n_cal} scores but cal_ds has "
                          f"{cal_ds.n_nodes} nodes")
     x, mean, std = _embed(cal_ds)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        search = helper.submit(_max_ball_slope, *_distinct(x, calib.scores))
+    with _knn_pool() as pool:
+        search = _Search(pool, x).submit_fallback()
         try:
             kl = _kl(head_params)
             conditions = [(0.0, ref_test_ds)]
@@ -252,7 +334,7 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
                 conf_mod.intervals(head_mod.forward(head_params, ds), calib, tau), ds.target_y)
                 for _, ds in conditions]
         finally:
-            lip = search.result()
+            lip = search.max_slope(calib.scores)
     rows = []       # (epsilon, bound, raw bound, vacuous, empirical, conservative)
     for (eps, _), cov in zip(conditions, coverages):
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
@@ -272,35 +354,44 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     in their order.  Subsets are nested prefixes of the pool so empirical
     coverage varies smoothly with size.
 
-    This thread calibrates each distinct size, largest first, and hands its
-    Lipschitz estimate's k-NN search to a helper thread, so the longest
-    search starts first and runs while the smaller sizes are calibrated.
-    The rows, and the error raised if any, are those of a walk in the order
-    of sizes: an error is raised at the first size that meets one.
+    This thread first submits the Lipschitz estimate's k-NN search of each
+    distinct size, largest first, to a pool of CPUS threads, then
+    calibrates each size while the pool searches, then predicts the shifted
+    set.  The rows, and the error raised if any, are those of a walk that
+    predicts first and then takes the sizes in their order: an error is
+    raised at the first size that meets one.
     """
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
-    _, mean, std = _embed(cal_pool_ds)
     kl = _kl(head_params)
-    eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
-    nig = head_mod.forward(head_params, shifted_test_ds)
-    staged = {}
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for size in sorted(set(sizes), reverse=True):
-            try:
-                sub = cal_pool_ds.subset(np.arange(size))
-                calib = conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
-                x, _, _ = _embed(sub)
-                staged[size] = calib, helper.submit(_max_ball_slope,
-                                                    *_distinct(x, calib.scores))
-            except Exception as exc:      # raised below, at its size's place in sizes
-                staged[size] = exc
+    # a size's subset embeds as the pool's first rows, standardized by
+    # their own stats
+    x = np.column_stack([cal_pool_ds.features, cal_pool_ds.target_y])
+    distinct = sorted(set(sizes), reverse=True)
+    with _knn_pool() as pool:
+        # every size's blocks first, then every size's fallback: a task that
+        # waits for a size's blocks then rarely waits long.  A size below 1
+        # has an empty calibration set, which raises first.
+        searches = {size: _attempt(_Search, pool, _standardize(x[:size])[0])
+                    for size in distinct if size > 0}
+        for search in searches.values():
+            if not isinstance(search, Exception):
+                search.submit_fallback()
+        _, mean, std = _standardize(x)
+
+        def calibrated(size):
+            sub = cal_pool_ds.subset(np.arange(size))
+            return conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
+
+        # a size's subset or calibration error comes before its search's
+        calibs = {size: _attempt(calibrated, size) for size in distinct}
+        eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
+        nig = head_mod.forward(head_params, shifted_test_ds)
         out = []
         for size in sizes:
-            if isinstance(staged[size], Exception):
-                raise staged[size]
-            calib, search = staged[size]
-            b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, search.result(), eps)
+            calib = _done(calibs[size])
+            lip = _done(searches[size]).max_slope(calib.scores)
+            b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, lip, eps)
             cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau),
                                        shifted_test_ds.target_y)
             out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,

@@ -92,8 +92,9 @@ class Dataset:
     in a graph memo (the mean adjacency head.forward uses).  perturb and
     corrupt_priors change node values only, so their result shares its
     source's memo; dataclasses.replace gives a dataset of its own, as it may
-    change the structure.  A dataset's arrays are therefore never written in
-    place; derive a new dataset instead.
+    change the structure.  An inference head.forward keeps its latest
+    prediction on the instance.  A dataset's arrays are therefore never
+    written in place; derive a new dataset instead.
     """
     features: np.ndarray
     prior_b: np.ndarray
@@ -116,8 +117,9 @@ class Dataset:
         return self.features.shape[0]
 
     def __getstate__(self):
-        # the graph memo holds weak references, which do not pickle
-        return {k: v for k, v in self.__dict__.items() if k != "_graph"}
+        # the graph memo holds weak references, which do not pickle; the kept
+        # prediction (head.forward) is the sender's, not worth the bytes
+        return {k: v for k, v in self.__dict__.items() if k not in ("_graph", "_forward")}
 
     def structural(self, key, build):
         """build(self) for a value that depends only on the graph's

@@ -185,15 +185,16 @@ def _train_runs(seed_jobs, n_seeds):
     order.
 
     A seed's jobs train as one stacked training (_stacked).  On more than
-    one CPU (bounds.CPUS, which also sets the k-NN threads) only
+    one CPU (bounds.CPUS, which also sizes the k-NN pools) only
     trainer.train runs elsewhere, on a pool of forked workers, one per CPU,
     and each stack is one task; when there are fewer seeds than CPUs, a
     seed's jobs are split into ceil(CPUS / n_seeds) stacks of consecutive
     jobs, so that no worker sits idle.  Stacks are drawn (and their datasets
-    made) here, at most one beyond those the workers hold; each keeps its
-    seed's dataset alive until its runs are evaluated, so up to CPUS + 2
-    seeds' datasets are (318 MB in this process at 200x100, 4 seeds, 2
-    CPUs).  The caller evaluates each run here as it arrives.  A training
+    made) here, at most one beyond those the workers hold, as soon as a
+    stack's training comes back and before the caller evaluates it; each
+    keeps its seed's dataset alive until its runs are evaluated, so up to
+    CPUS + 2 seeds' datasets are (318 MB in this process at 200x100, 4
+    seeds, 2 CPUs).  The caller evaluates each run here as it arrives.  A training
     that raises re-raises here, at its job's place.  On one CPU, or without
     fork, the stacks train here, one after another."""
     workers = bounds_mod.CPUS
@@ -220,14 +221,18 @@ def _train_runs(seed_jobs, n_seeds):
     stacks = stacks()
     pending = collections.deque()       # (stack, future) in job order
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+    def refill():
+        for stack in itertools.islice(stacks, workers + 1 - len(pending)):
+            pending.append((stack, pool.submit(_train, _stacked(stack))))
+
     try:
-        while True:
-            for stack in itertools.islice(stacks, workers + 1 - len(pending)):
-                pending.append((stack, pool.submit(_train, _stacked(stack))))
-            if not pending:
-                return
+        refill()
+        while pending:
             stack, future = pending.popleft()
-            yield from _runs(stack, future.result())
+            trained = future.result()
+            refill()        # so that a worker that has finished waits for no evaluation
+            yield from _runs(stack, trained)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

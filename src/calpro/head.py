@@ -182,10 +182,23 @@ def forward(params: HeadParams, ds, with_cache=False):
     Returns NIGParams or, with_cache, (NIGParams, cache) where the cache
     dict feeds the backward pass.  A stack of heads gives NIGParams whose
     arrays have a leading arm axis.
+
+    Without the cache, the prediction is kept on ds (the dataset is
+    immutable) under the head's config, weight shape and weight bytes, and
+    a call with the same head returns it again: a report predicts each set
+    once, however many of its parts ask.  Its arrays are read-only.  With
+    the cache (training) nothing is kept or looked up.
     """
     if ds.features.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
                          f"({params.feature_dim})")
+    if not with_cache:
+        # bytes, not values: -0.0 and 0.0 are different weights here
+        w = params.to_vector()
+        key = (params.config, w.shape, w.tobytes())
+        kept = ds.__dict__.get("_forward")
+        if kept is not None and kept[0] == key:
+            return kept[1]
     adj, adj_t = _adjacency(ds)
     # layer 0's message sees no weights: kept per instance, as it reads the features
     message0 = _memo(ds, "_message0", lambda d: adj @ d.features)
@@ -220,6 +233,9 @@ def forward(params: HeadParams, ds, with_cache=False):
     )
     if with_cache:
         return nig, cache
+    for a in (nig.mu, nig.nu, nig.alpha, nig.beta):
+        a.flags.writeable = False
+    object.__setattr__(ds, "_forward", (key, nig))
     return nig
 
 

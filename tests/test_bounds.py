@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -203,19 +204,19 @@ def test_estimate_lipschitz_matches_pair_loop(case):
 def test_estimate_lipschitz_independent_of_tree(case):
     """Past one 64-point leaf, with ties at the k-th distance common: the
     estimate follows the inclusive rule and is the same for every leaf
-    size and query thread count, so which tied neighbour a tree meets
-    first, and which thread answers a row, does not matter."""
+    size and pool size (8 threads: more than the blocks), so which tied
+    neighbour a tree meets first, and which thread answers a row, does not
+    matter."""
     scores, ds, k, standardize = case
     try:
         expected = _lipschitz_loop(scores, ds, k, standardize)
     except ValueError:
         return
     for leafsize in (1, 16, 64, 128, ds.n_nodes):
-        for workers in (1, 2):
+        for workers in (1, 2, 8):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
                 mp.setattr(bounds, "CPUS", workers)
-                mp.setattr(bounds, "KNN_THREAD_PAIRS", 0)     # threads for every query
                 assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
 
 
@@ -224,18 +225,18 @@ def test_estimate_lipschitz_independent_of_tree(case):
 def test_estimate_lipschitz_one_hot_blocks_match_pair_loop(case):
     """Rows of one category form a block, queried against a tree of its own
     rows, and the rows whose k-NN ball may leave it against all points: the
-    estimate is the pair loop's for every leaf size and thread count."""
+    estimate is the pair loop's for every leaf size and pool size (8
+    threads: more than the blocks)."""
     scores, ds, k, standardize = case
     try:
         expected = _lipschitz_loop(scores, ds, k, standardize)
     except ValueError:
         return
     for leafsize in (1, 16, 128):
-        for workers in (1, 2):
+        for workers in (1, 2, 8):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(bounds, "KNN_LEAFSIZE", leafsize)
                 mp.setattr(bounds, "CPUS", workers)
-                mp.setattr(bounds, "KNN_THREAD_PAIRS", 0)     # threads for every query
                 assert bounds.estimate_lipschitz(scores, ds, k, standardize) == expected
 
 
@@ -268,6 +269,8 @@ def _blocks_case(sizes, indicator_scale, seed=0):
 
 
 def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
+    """Every row falls back: one tree of all points, queried in CPUS chunks."""
+    monkeypatch.setattr(bounds, "CPUS", 1)
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([60], 1.0)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
@@ -275,25 +278,68 @@ def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
     assert log == {"trees": [60], "queries": [(60, 60)]}
 
 
-def test_knn_query_threads_follow_its_size(monkeypatch):
-    """A query of fewer (row, tree point) pairs than KNN_THREAD_PAIRS runs on
-    one thread, any other on CPUS threads, with the same estimate."""
-    queries = []
+def test_knn_queries_run_one_thread_each_block_one_task(monkeypatch):
+    """Every query runs on one thread.  A block's queries, the deeper ones
+    for ties included, run in one task, against a tree it builds; the rows
+    that fall back are queried in CPUS chunks against one tree of all
+    points, each chunk in one task."""
+    queries, built = [], []
 
     class LoggingKDTree(bounds.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            built.append((self.n, threading.get_ident()))
+
         def query(self, x, *args, **kwargs):
-            queries.append((len(x) * self.n, kwargs["workers"]))
+            queries.append((id(self), self.n, len(x), kwargs.get("workers", 1),
+                            threading.get_ident()))
             return super().query(x, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "cKDTree", LoggingKDTree)
     monkeypatch.setattr(bounds, "CPUS", 2)
-    scores, ds = _blocks_case([60], 1.0)
-    expected = _lipschitz_loop(scores, ds, 3, standardize=False)
-    for limit, threads in ((60 * 60 + 1, 1), (60 * 60, 2)):
-        monkeypatch.setattr(bounds, "KNN_THREAD_PAIRS", limit)
-        queries.clear()
-        assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == expected
-        assert queries == [(60 * 60, threads)]
+    tasks = []
+    block_balls = bounds._block_balls
+
+    def logging_block_balls(own, members, *args):
+        tasks.append((members.size, threading.get_ident()))
+        return block_balls(own, members, *args)
+
+    monkeypatch.setattr(bounds, "_block_balls", logging_block_balls)
+    # blocks 0.01 apart: every row of the three blocks falls back
+    scores, ds = _blocks_case([40, 25, 35], 0.01)
+    threads = threading.active_count()
+    assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
+        _lipschitz_loop(scores, ds, 3, standardize=False)
+    assert threading.active_count() == threads
+    assert all(workers == 1 for *_, workers, _ in queries)
+    assert sorted(size for size, _ in tasks) == [25, 35, 40]
+    assert sorted(n for n, _ in built) == [25, 35, 40, 100]
+    for size, thread in tasks:
+        # the block's tree is built and queried on its task's thread only
+        assert (size, thread) in built
+        assert {t for _, n, _, _, t in queries if n == size} == {thread}
+    assert sorted(rows for _, n, rows, _, _ in queries if n == 100) == [50, 50]
+    assert len({tree for tree, n, *_ in queries if n == 100}) == 1
+
+
+def test_search_tasks_under_frequent_thread_switches(monkeypatch):
+    """More pool threads than CPUs, switching every few microseconds: the
+    tasks that wait for earlier ones still finish, the estimate is the pair
+    loop's, and no thread outlives a call."""
+    monkeypatch.setattr(bounds, "CPUS", 8)
+    cases = [_blocks_case([40, 25, 35], scale, seed) for scale, seed in
+             ((0.01, 0), (0.3, 1), (10.0, 2))]
+    expected = [_lipschitz_loop(scores, ds, 3, standardize=False) for scores, ds in cases]
+    interval = sys.getswitchinterval()
+    threads = threading.active_count()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            assert [bounds.estimate_lipschitz(scores, ds, 3, standardize=False)
+                    for scores, ds in cases] == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
 
 
 def test_estimate_lipschitz_wide_gap_queries_each_row_once(monkeypatch):
@@ -310,6 +356,7 @@ def test_estimate_lipschitz_wide_gap_queries_each_row_once(monkeypatch):
 def test_estimate_lipschitz_gap_below_every_kth_distance(monkeypatch):
     """Blocks 0.01 apart: no k-NN ball fits in its block, so every row is
     queried again against all points."""
+    monkeypatch.setattr(bounds, "CPUS", 1)
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([40, 25, 35], 0.01)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
@@ -329,14 +376,50 @@ def test_estimate_lipschitz_ball_reaching_the_gap_leaves_its_block():
     assert bounds.estimate_lipschitz(scores, ds, 1, standardize=False) == 0.5
 
 
+def test_estimate_lipschitz_far_row_takes_no_slope_from_its_block():
+    """Two blocks 1 apart, each two points 5 apart: a point's nearest
+    neighbour (k = 1) is its twin in the other block, of equal score, and
+    not its block partner, whose score is 100 higher.  A row whose k-th
+    distance in its block reaches the gap takes its ball from the tree of
+    all points alone, so the estimate is 0."""
+    feats = np.array([[0.0, 0.0], [0.0, 5.0], [1.0, 0.1], [1.0, 5.1]])
+    scores = np.array([0.0, 100.0, 0.0, 100.0])
+    ds = _point_ds(feats, np.zeros(4))
+    assert _lipschitz_loop(scores, ds, 1, standardize=False) == 0.0
+    assert bounds.estimate_lipschitz(scores, ds, 1, standardize=False) == 0.0
+
+
 def test_estimate_lipschitz_block_of_at_most_k_rows(monkeypatch):
     """A block of k rows has no k-th neighbour of its own: its rows go to
     the tree of all points, and the large block answers its own rows."""
+    monkeypatch.setattr(bounds, "CPUS", 1)      # the fall-back rows in one chunk
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([30, 3], 10.0)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
         _lipschitz_loop(scores, ds, 3, standardize=False)
     assert log["queries"] == [(30, 30), (33, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(0, 40), st.integers(1, 3)),
+                  elements=st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, math.nan])))
+def test_first_rows_are_numpy_unique_first_occurrences(x):
+    """Signed zeros count as one value, and rows with a NaN are all distinct,
+    as in np.unique(axis=0)."""
+    expected = np.sort(np.unique(x, axis=0, return_index=True)[1])
+    assert np.array_equal(bounds._first_rows(x), expected)
+
+
+def test_prefix_embedding_is_the_subset_embedding(trained):
+    """ncal_sweep embeds a size's subset as the first rows of the pool's
+    rows, standardized by their own stats: the bits of embedding the subset."""
+    pool = _whole_pool(trained["ds"])
+    rows = np.column_stack([pool.features, pool.target_y])
+    for size in (1, 2, 37, 100, pool.n_nodes):
+        whole = bounds._embed(pool.subset(np.arange(size)))
+        prefix = bounds._standardize(rows[:size])
+        for a, b in zip(whole, prefix):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_cpus_follows_cpu_affinity():
@@ -505,13 +588,13 @@ def _shifted_test(ds, magnitude, seed):
 
 
 class TestSweepContract:
-    """The sweeps search on a helper thread; their results and errors are
-    those of the serial walk, and no thread outlives a call."""
+    """The sweeps search on a pool of CPUS threads; their results and
+    errors are those of the serial walk, and no thread outlives a call.
+    8 threads are more than the blocks of a search."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_ncal_sweep_rows_follow_sizes(self, trained, monkeypatch, cpus):
         monkeypatch.setattr(bounds, "CPUS", cpus)
-        monkeypatch.setattr(bounds, "KNN_THREAD_PAIRS", 0)     # threads for every query
         pool = _whole_pool(trained["ds"])
         shifted = _shifted_test(trained["ds"], 0.3, 2)
         sizes = (150, 50, 100, 50)
@@ -523,10 +606,9 @@ class TestSweepContract:
         assert rows == _ncal_sweep_serial(trained["params"], pool, trained["test_ds"], shifted,
                                           sizes, score_mode="normalized")
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_bound_sweep_report_is_the_serial_one(self, trained, monkeypatch, cpus):
         monkeypatch.setattr(bounds, "CPUS", cpus)
-        monkeypatch.setattr(bounds, "KNN_THREAD_PAIRS", 0)
         calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=(0.9,),
                                     mode="absolute")
         series = [_shifted_test(trained["ds"], mag, 1) for mag in (0.6, 0.2)]
@@ -562,22 +644,22 @@ class TestSweepContract:
     def test_ncal_sweep_raises_at_the_first_failing_size(self, trained, monkeypatch,
                                                          search_fails, calibrate_fails,
                                                          message):
-        """Sizes are calibrated largest first and searched on the helper,
-        yet the error raised is that of the first size, in the order of
-        sizes, whose calibration or search raises."""
-        search, calibrate = bounds._max_ball_slope, conformal.calibrate
+        """Every size's search is submitted, largest first, before any
+        size is calibrated, yet the error raised is that of the first size,
+        in the order of sizes, whose calibration or search raises."""
+        search, calibrate = bounds._Search, conformal.calibrate
 
-        def failing_search(x, s, *args):
+        def failing_search(pool, x, *args):
             if x.shape[0] in search_fails:
                 raise ValueError(f"search at {x.shape[0]}")
-            return search(x, s, *args)
+            return search(pool, x, *args)
 
         def failing_calibrate(params, ds, *args, **kwargs):
             if ds.n_nodes in calibrate_fails:
                 raise ValueError(f"calibrate at {ds.n_nodes}")
             return calibrate(params, ds, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "_max_ball_slope", failing_search)
+        monkeypatch.setattr(bounds, "_Search", failing_search)
         monkeypatch.setattr(conformal, "calibrate", failing_calibrate)
         # the pool's rows are distinct, so a size's search sees size points
         pool = _whole_pool(trained["ds"])

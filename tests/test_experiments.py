@@ -263,6 +263,22 @@ class TestTrainingFanOut:
                                                         axis=-1).tobytes()
         assert multiprocessing.active_children() == []
 
+    def test_next_stack_is_drawn_before_the_evaluation(self, tmp_path, monkeypatch):
+        """On 2 CPUs seed 3's stack is drawn, its dataset made, as soon as
+        seed 0's heads come back and before they are evaluated, so the
+        worker that finishes next waits for no evaluation."""
+        events = []
+        generate, evaluate = datagen.gen_chain_dataset, experiments._evaluate
+        monkeypatch.setattr(datagen, "gen_chain_dataset", lambda cfg: (
+            events.append(("make", cfg.seed)) or generate(cfg)))
+        monkeypatch.setattr(experiments, "_evaluate", lambda run, spec: (
+            events.append(("evaluate", run["seed"])) or evaluate(run, spec)))
+        monkeypatch.setattr(bounds, "CPUS", 2)
+        assert cli.main(["experiment", "calibration", "--config", _fan_out_config(tmp_path),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert events.index(("make", 3)) < events.index(("evaluate", 0))
+        assert multiprocessing.active_children() == []
+
     def test_every_calibration_runs_in_this_process(self, tmp_path, monkeypatch):
         calls = []
         calibrate = conformal.calibrate

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -220,6 +221,86 @@ class TestAdjacencyPerDataset:
         adj = head.forward(params, thinned, with_cache=True)[1]["adj"]
         assert (adj != head.mean_adjacency(ds.n_nodes, thinned.edges)).nnz == 0
         assert (adj != full).nnz > 0
+
+
+def _fresh_forward(params, ds):
+    """The prediction on a copy of ds with no memo of its own."""
+    return head.forward(params, datagen.replace(ds))
+
+
+def _bits(nig):
+    return [a.tobytes() for a in (nig.mu, nig.nu, nig.alpha, nig.beta)]
+
+
+class TestKeptPrediction:
+    """An inference forward keeps its prediction on the dataset, keyed by
+    the head's config, weight shape and weight bytes."""
+
+    def test_same_weights_return_the_kept_prediction(self, small_chain_ds, random_head):
+        ds = datagen.replace(small_chain_ds)
+        nig = head.forward(random_head, ds)
+        assert head.forward(random_head, ds) is nig
+        # a copy of the weights has the same bytes
+        assert head.forward(random_head.from_vector(random_head.to_vector()), ds) is nig
+        assert _bits(nig) == _bits(_fresh_forward(random_head, ds))
+
+    def test_in_place_update_is_seen(self, small_chain_ds, random_head):
+        """Weights that are views of a vector written in place, as Adam
+        writes theta: the next forward predicts with the new weights."""
+        ds = datagen.replace(small_chain_ds)
+        theta = random_head.to_vector()
+        params = random_head.view(theta)
+        before = head.forward(params, ds)
+        theta -= 1e-2 * np.sign(theta)
+        after = head.forward(params, ds)
+        assert after is not before
+        assert _bits(after) == _bits(_fresh_forward(params, ds))
+        assert _bits(after) != _bits(before)
+
+    def test_signed_zero_weights_are_different_keys(self, small_chain_ds, random_head):
+        ds = datagen.replace(small_chain_ds)
+        zeros = np.zeros(random_head.size)
+        positive = head.forward(random_head.from_vector(zeros), ds)
+        zeros[0] = -0.0
+        negative = head.forward(random_head.from_vector(zeros), ds)
+        assert negative is not positive
+        assert _bits(negative) == _bits(positive)
+
+    def test_configs_with_equal_weight_bytes_do_not_collide(self, small_chain_ds):
+        ds = datagen.replace(small_chain_ds)
+        dim = ds.features.shape[1]
+        one = head.init_head(HeadConfig(widths=(2,)), dim, 0)
+        two = head.init_head(HeadConfig(widths=(2, 1)), dim, 0)
+        assert one.size == two.size
+        one, two = one.from_vector(np.ones(one.size)), two.from_vector(np.ones(two.size))
+        first = head.forward(one, ds)
+        second = head.forward(two, ds)
+        assert second is not first
+        assert _bits(second) == _bits(_fresh_forward(two, ds))
+        assert _bits(second) != _bits(first)
+
+    def test_training_forward_neither_reads_nor_writes(self, small_chain_ds, random_head):
+        ds = datagen.replace(small_chain_ds)
+        head.forward(random_head, ds, with_cache=True)
+        assert "_forward" not in ds.__dict__
+        kept = head.forward(random_head, ds)
+        trained, _ = head.forward(random_head, ds, with_cache=True)
+        assert trained is not kept
+        assert head.forward(random_head, ds) is kept
+
+    def test_kept_prediction_is_read_only(self, small_chain_ds, random_head):
+        nig = head.forward(random_head, datagen.replace(small_chain_ds))
+        for a in (nig.mu, nig.nu, nig.alpha, nig.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_pickled_dataset_carries_no_kept_prediction(self, small_chain_ds, random_head):
+        ds = datagen.replace(small_chain_ds)
+        head.forward(random_head, ds)
+        assert "_forward" in ds.__dict__
+        clone = pickle.loads(pickle.dumps(ds))
+        assert "_forward" not in clone.__dict__
+        assert _bits(head.forward(random_head, clone)) == _bits(head.forward(random_head, ds))
 
 
 @st.composite
