@@ -21,13 +21,16 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # columns and near-isotropic spread, so a query visits nearly every point
 # whatever the tree, and larger leaves than scipy's default 16 cut the
 # traversal overhead.  estimate_lipschitz queries each block of rows with
-# equal one-hot columns against a tree of its own, and the rows whose k-NN
-# ball may leave their block against a tree of all points.  The six searches
-# of a bound sweep plus an n_cal sweep on a 100x100 graph (250 to 4000
-# points, blocks of about a third of them), then run one after another on
-# one thread beside their calibration, took 100-106 ms with 64-point leaves,
-# 94-99 ms with 128, 94-99 ms with 256 and 94-102 ms with 512 (medians of 20
-# runs at seeds 0 and 3, 2-core x86-64): no size beats 128 beyond the noise.
+# equal one-hot columns against a tree of its own, in chunks of its rows on
+# the pool's threads, and the rows whose k-NN ball may leave their block
+# against a tree of all points.  Timed as the six searches of a bound sweep
+# plus an n_cal sweep on a 100x100 graph (250 to 4000 points, blocks of
+# about a third of them), each block one task, one after another on one
+# thread: 100-106 ms with 64-point leaves, 94-99 ms with 128, 94-99 ms with
+# 256 and 94-102 ms with 512 (medians of 20 runs at seeds 0 and 3, 2-core
+# x86-64): no size beats 128 beyond the noise.  A one-leaf tree (a brute-
+# force scan of each block) used 17% more CPU than 128-point leaves at
+# feature_dim 8 for 5% less at the default 16: not worth a second size.
 KNN_LEAFSIZE = 128
 
 # every CPU the process may run on: the threads of a call's k-NN pool
@@ -117,11 +120,12 @@ def _balls(tree, q, k, limit=math.inf):
     return balls, far
 
 
-def _block_balls(own, members, k, limit):
-    """A block's task: its points own, rows members of the distinct points,
-    queried against a tree of their own.  Returns (the distinct points'
-    index of each query row, and of each tree point, balls, far rows)."""
-    return (members, members) + _balls(cKDTree(own, leafsize=KNN_LEAFSIZE), own, k, limit)
+def _chunk_balls(tree, q, index, tree_index, k, limit=math.inf):
+    """A task: the chunk q of rows queried against the shared tree, as
+    _balls does.  Returns (the distinct points' index of each row of q, and
+    of each tree point (None when the tree holds all of them), balls, far
+    rows)."""
+    return (index, tree_index) + _balls(tree, q, k, limit)
 
 
 def _fallback(x, blocks, rest):
@@ -135,12 +139,12 @@ def _fallback(x, blocks, rest):
 
 def _fallback_balls(x, fallback, part, parts, k):
     """A task of chunk part of parts of the rows that fall back, queried
-    against the tree of all points; returns as _block_balls does."""
+    against the tree of all points; returns as _chunk_balls does."""
     rest, tree = fallback.result()
     rows = np.array_split(rest, parts)[part]
     if not rows.size:
         return rows, None, [], rows
-    return (rows, None) + _balls(tree, x[rows], k)
+    return _chunk_balls(tree, x[rows], rows, None, k)
 
 
 def _first_rows(x):
@@ -159,12 +163,14 @@ def _first_rows(x):
 
 class _Search:
     """estimate_lipschitz's k-NN search over the distinct rows of the
-    embedding x, as tasks on pool: one per block of more than k rows,
-    submitted here, then (submit_fallback) one that waits for them and
-    builds a tree of all points for the rows that fall back, and CPUS that
-    query a chunk of those rows each.  A task waits only on tasks submitted
-    before it, so a pool of any size finishes them.  The search reads the
-    points alone; max_slope takes the scores, on the calling thread."""
+    embedding x, as tasks on pool.  Here the calling thread builds a tree
+    of each block of more than k rows and submits min(CPUS, rows) tasks
+    that query a chunk of the block's rows each against it; then
+    (submit_fallback) one task waits for them and builds a tree of all
+    points for the rows that fall back, and CPUS query a chunk of those
+    rows each.  A task waits only on tasks submitted before it, so a pool
+    of any size finishes them.  The search reads the points alone;
+    max_slope takes the scores, on the calling thread."""
 
     def __init__(self, pool, x, k_neighbors=DEFAULT_K_NEIGHBORS):
         self.first = _first_rows(x)
@@ -194,8 +200,13 @@ class _Search:
                 continue
             gap2 = (keys != keys[b]) @ span2
             gap2[b] = math.inf
-            self.blocks.append(pool.submit(_block_balls, xs[start:end], order[start:end], k,
-                                           math.sqrt(gap2.min()) * (1.0 - 1e-9)))
+            limit = math.sqrt(gap2.min()) * (1.0 - 1e-9)
+            own, members = xs[start:end], order[start:end]
+            tree = cKDTree(own, leafsize=KNN_LEAFSIZE)
+            for chunk in np.array_split(np.arange(end - start), min(CPUS, end - start)):
+                rows = slice(chunk[0], chunk[-1] + 1)      # views, not copies
+                self.blocks.append(pool.submit(_chunk_balls, tree, own[rows], members[rows],
+                                               members, k, limit))
         self.rest = np.concatenate(rest)
 
     def submit_fallback(self):
@@ -379,12 +390,15 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
                 search.submit_fallback()
         _, mean, std = _standardize(x)
 
-        def calibrated(size):
-            sub = cal_pool_ds.subset(np.arange(size))
-            return conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
-
-        # a size's subset or calibration error comes before its search's
-        calibs = {size: _attempt(calibrated, size) for size in distinct}
+        # largest size first, each size's subset cut from the last one's:
+        # the same rows, edges and order as the pool's prefix, from fewer
+        # edges.  A size's subset or calibration error comes before its
+        # search's.
+        calibs, sub = {}, cal_pool_ds
+        for size in distinct:
+            sub = sub.subset(np.arange(size))
+            calibs[size] = _attempt(conf_mod.calibrate, head_params, sub, levels=(tau,),
+                                    mode=score_mode)
         eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
         nig = head_mod.forward(head_params, shifted_test_ds)
         out = []

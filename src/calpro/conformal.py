@@ -6,6 +6,7 @@ split-conformal construction) and variance-normalized |y - mu| / sqrt(Var)
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +99,22 @@ def intervals(nig, calib: ConformalCalibration, tau):
     return band(nig, calib.quantiles[float(tau)], calib.score_mode)
 
 
+def _json_float(v):
+    """v as a float, or, when it is not finite, as the string cli._sanitize
+    writes ("inf"), so the file stays strict JSON."""
+    v = float(v)
+    return v if math.isfinite(v) else repr(v)
+
+
 def save_calibration(calib: ConformalCalibration, path):
+    """UTF-8 strict JSON.  A quantile past the largest score (too few
+    calibration scores for its level) is infinite: the string "inf"."""
     doc = {
         "levels": list(calib.levels),
-        "quantiles": {str(k): float(v) for k, v in calib.quantiles.items()},
+        "quantiles": {str(k): _json_float(v) for k, v in calib.quantiles.items()},
         "score_mode": calib.score_mode,
         "n_cal": calib.n_cal,
         "scores": [float(v) for v in calib.scores],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, allow_nan=False)

@@ -89,12 +89,13 @@ class Dataset:
     construction turns them into arrays.
 
     Values that depend only on the graph's structure are built once and kept
-    in a graph memo (the mean adjacency head.forward uses).  perturb and
-    corrupt_priors change node values only, so their result shares its
-    source's memo; dataclasses.replace gives a dataset of its own, as it may
-    change the structure.  An inference head.forward keeps its latest
-    prediction on the instance.  A dataset's arrays are therefore never
-    written in place; derive a new dataset instead.
+    in a graph memo (the mean adjacency head.forward uses, and the
+    generator's feature noise for the graph's nodes, which perturb reuses).
+    perturb and corrupt_priors change node values only, so their result
+    shares its source's memo; dataclasses.replace gives a dataset of its
+    own, as it may change the structure.  An inference head.forward keeps
+    its latest prediction on the instance.  A dataset's arrays are
+    therefore never written in place; derive a new dataset instead.
     """
     features: np.ndarray
     prior_b: np.ndarray
@@ -239,17 +240,25 @@ def _segment_layout(length, rng):
     return tags, np.array(disorder, dtype=bool)
 
 
-def _chain_features(pred_coords, target_y, onehots, feature_dim, rng):
+def _feature_noise(rng, n, feature_dim):
+    """The generator's feature noise for n nodes, drawn from rng in this
+    order: column 6's normals (n,), then the padding columns' (n,
+    feature_dim - 8)."""
+    return rng.standard_normal(n), rng.standard_normal((n, feature_dim - 8))
+
+
+def _chain_features(pred_coords, target_y, onehots, noise):
     """Per-node features: local geometry from the predicted chain, segment
     one-hots (the masks of GROUP_TAGS, in order), a noisy copy of the target
     magnitude, and noise padding.
 
-    The rng governs only the feature noise; callers reuse the same stream
-    across perturbations so feature noise stays fixed and measured shifts
-    reflect geometry/target changes only.
+    noise is _feature_noise's pair of draws, the only random part; perturb
+    reuses the generator's draws so feature noise stays fixed and measured
+    shifts reflect geometry/target changes only.
     """
+    target_noise, padding = noise
     n = pred_coords.shape[0]
-    feats = np.zeros((n, feature_dim))
+    feats = np.zeros((n, 8 + padding.shape[1]))
     step_fwd = np.zeros(n)
     step_fwd[:-1] = np.linalg.norm(np.diff(pred_coords, axis=0), axis=1)
     step_bwd = np.roll(step_fwd, 1)
@@ -264,10 +273,9 @@ def _chain_features(pred_coords, target_y, onehots, feature_dim, rng):
     feats[:, 2] = curv
     for j, mask in enumerate(onehots):
         feats[:, 3 + j] = mask
-    feats[:, 6] = target_y + 0.5 * rng.standard_normal(n)
+    feats[:, 6] = target_y + 0.5 * target_noise
     feats[:, 7] = np.linalg.norm(pred_coords - pred_coords.mean(axis=0), axis=1)
-    if feature_dim > 8:
-        feats[:, 8:] = rng.standard_normal((n, feature_dim - 8))
+    feats[:, 8:] = padding
     return feats
 
 
@@ -306,7 +314,7 @@ def gen_chain_dataset(cfg: GeneratorConfig) -> Dataset:
     prior_b = (1.0 - cfg.prior_noise) * disorder + cfg.prior_noise * rng.random(disorder.size)
     prior_b = np.clip(prior_b, 0.0, 1.0)
     feats = _chain_features(pred_coords, target_y, [tags == t for t in GROUP_TAGS],
-                            cfg.feature_dim, rng_stream(cfg.seed, 5))
+                            _feature_noise(rng_stream(cfg.seed, 5), tags.size, cfg.feature_dim))
     ds = Dataset(
         features=feats,
         prior_b=prior_b,
@@ -412,18 +420,19 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     so downstream predictions see the perturbed geometry; the result shares
     ds's graph memo.
 
-    The feature noise is redrawn from the generator's stream, so a dataset
-    that carries its generator config must hold the generator's whole node
-    set in generator order: a node count other than n_chains * chain_length,
-    or a chain id below its predecessor's, raises ValueError.  Nodes
-    reordered within one chain go undetected."""
+    The feature noise is the generator's, drawn from its stream once per
+    graph memo (_generator_noise), so a dataset that carries its generator
+    config must hold the generator's whole node set in generator order: a
+    node count other than n_chains * chain_length, or a chain id below its
+    predecessor's, raises ValueError.  Nodes reordered within one chain go
+    undetected."""
     if ds.chain_coords is None or ds.reference_coords is None:
         raise ValueError("perturb requires chain_coords and reference coordinates")
     cfg = ds.metadata.get("config")
     if cfg is not None and (ds.n_nodes != cfg["n_chains"] * cfg["chain_length"]
                             or np.any(ds.chain_ids[1:] < ds.chain_ids[:-1])):
         raise ValueError("perturb requires the generator's whole node set in generator order "
-                         "(the feature noise is redrawn from the generator's stream)")
+                         "(the feature noise is the generator's stream)")
     check_magnitude(magnitude)
     rng = rng_stream(seed, 2)
     coords = np.array(ds.chain_coords)
@@ -460,14 +469,23 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     target_y = np.linalg.norm(coords - ds.reference_coords, axis=1)
-    fdim = ds.features.shape[1]
-    feat_seed = ds.metadata.get("config", {}).get("seed", 0)
-    feats = _chain_features(coords, target_y, [ds.group_tags == t for t in GROUP_TAGS], fdim,
-                            rng_stream(feat_seed, 5))
+    feats = _chain_features(coords, target_y, [ds.group_tags == t for t in GROUP_TAGS],
+                            _generator_noise(ds))
     meta = dict(ds.metadata)
     meta["perturbation"] = {"kind": kind, "magnitude": magnitude, "seed": seed}
     return _sharing_graph(ds, replace(ds, chain_coords=coords, target_y=target_y,
                                       features=feats, metadata=meta))
+
+
+def _generator_noise(ds):
+    """The feature noise the generator drew for ds's nodes, from the stream
+    of its config's seed (0 without a config), at ds's feature width.  Kept
+    in ds's graph memo under (seed, width), so the perturbations of one
+    dataset, and of the datasets sharing its memo, draw it once."""
+    seed = int(ds.metadata.get("config", {}).get("seed", 0))
+    fdim = ds.features.shape[1]
+    return ds.structural(("feature_noise", seed, fdim),
+                         lambda d: _feature_noise(rng_stream(seed, 5), d.n_nodes, fdim))
 
 
 def _blur(coords, ids, half):

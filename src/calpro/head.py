@@ -119,7 +119,7 @@ def init_head(config: HeadConfig, feature_dim, seed) -> HeadParams:
     s = 1.0 / np.sqrt(dims[-1])
     # column 4 feeds no output, but dropping it rounds the readout product
     # differently and changes the weights the bound's KL counts (ROADMAP
-    # item 3), so it stays until the KL changes anyway
+    # item 4), so it stays until the KL changes anyway
     w_out = rng.uniform(-s, s, size=(dims[-1], 5))
     return HeadParams(layers, w_out, np.zeros(5), config, feature_dim)
 

@@ -85,7 +85,9 @@ def group_report(ivals, y, group_tags, tau):
     y = np.asarray(y, dtype=float)
     tags = np.asarray(group_tags, dtype=str)
     table = {}
-    for tag in np.unique(tags).tolist():
+    # the tags present in code-point order, np.unique's, without its sort of
+    # every string
+    for tag in sorted(dict.fromkeys(tags.tolist())):
         mask = tags == tag
         cov = coverage(ivals[mask], y[mask])
         table[tag] = {"count": int(mask.sum()), "coverage": cov, "ece": abs(cov - tau)}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -278,48 +279,61 @@ def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
     assert log == {"trees": [60], "queries": [(60, 60)]}
 
 
-def test_knn_queries_run_one_thread_each_block_one_task(monkeypatch):
-    """Every query runs on one thread.  A block's queries, the deeper ones
-    for ties included, run in one task, against a tree it builds; the rows
-    that fall back are queried in CPUS chunks against one tree of all
-    points, each chunk in one task."""
-    queries, built = [], []
+@pytest.mark.parametrize("scale", [0.01, 10.0], ids=["all_fall_back", "none_fall_back"])
+def test_knn_queries_run_one_thread_each_block_tree_shared_by_chunk_tasks(monkeypatch, scale):
+    """Every query runs on one thread.  The calling thread builds each
+    block's tree once, and min(CPUS, rows) tasks query a chunk of the
+    block's rows each against it, the deeper queries for ties included; the
+    rows that fall back are queried in CPUS chunks against one tree of all
+    points, built by a task.  Blocks of 5 rows are smaller than 8 CPUS, and
+    a block of 2 rows (at most k) falls back whole."""
+    sizes = [40, 25, 5, 2]
+    scores, ds = _blocks_case(sizes, scale)
+    expected = _lipschitz_loop(scores, ds, 3, standardize=False)
+    caller = threading.get_ident()
 
     class LoggingKDTree(bounds.cKDTree):
         def __init__(self, data, *args, **kwargs):
             super().__init__(data, *args, **kwargs)
-            built.append((self.n, threading.get_ident()))
+            # the log holds the tree, so no later tree takes its id
+            built.append((id(self), self.n, threading.get_ident(), self))
 
         def query(self, x, *args, **kwargs):
-            queries.append((id(self), self.n, len(x), kwargs.get("workers", 1),
+            queries.append((id(self), len(x), kwargs.get("workers", 1),
                             threading.get_ident()))
             return super().query(x, *args, **kwargs)
 
+    chunk_balls = bounds._chunk_balls
+
+    def logging_chunk_balls(tree, q, *args, **kwargs):
+        tasks.append((id(tree), len(q), threading.get_ident()))
+        return chunk_balls(tree, q, *args, **kwargs)
+
     monkeypatch.setattr(bounds, "cKDTree", LoggingKDTree)
-    monkeypatch.setattr(bounds, "CPUS", 2)
-    tasks = []
-    block_balls = bounds._block_balls
-
-    def logging_block_balls(own, members, *args):
-        tasks.append((members.size, threading.get_ident()))
-        return block_balls(own, members, *args)
-
-    monkeypatch.setattr(bounds, "_block_balls", logging_block_balls)
-    # blocks 0.01 apart: every row of the three blocks falls back
-    scores, ds = _blocks_case([40, 25, 35], 0.01)
-    threads = threading.active_count()
-    assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
-        _lipschitz_loop(scores, ds, 3, standardize=False)
-    assert threading.active_count() == threads
-    assert all(workers == 1 for *_, workers, _ in queries)
-    assert sorted(size for size, _ in tasks) == [25, 35, 40]
-    assert sorted(n for n, _ in built) == [25, 35, 40, 100]
-    for size, thread in tasks:
-        # the block's tree is built and queried on its task's thread only
-        assert (size, thread) in built
-        assert {t for _, n, _, _, t in queries if n == size} == {thread}
-    assert sorted(rows for _, n, rows, _, _ in queries if n == 100) == [50, 50]
-    assert len({tree for tree, n, *_ in queries if n == 100}) == 1
+    monkeypatch.setattr(bounds, "_chunk_balls", logging_chunk_balls)
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(bounds, "CPUS", cpus)
+        queries, built, tasks = [], [], []
+        threads = threading.active_count()
+        assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == expected
+        assert threading.active_count() == threads
+        assert all(workers == 1 for _, _, workers, _ in queries)
+        assert all(thread != caller for *_, thread in queries + tasks)
+        blocks = [(tree, n) for tree, n, thread, _ in built if thread == caller]
+        assert sorted(n for _, n in blocks) == [5, 25, 40]
+        for tree, n in blocks:
+            # each task one chunk of the block's rows; the tree's queries,
+            # the deeper ones for ties included, run on its tasks' threads
+            chunks = [(rows, thread) for t, rows, thread in tasks if t == tree]
+            assert sorted(rows for rows, _ in chunks) == sorted(
+                len(c) for c in np.array_split(np.arange(n), min(cpus, n)))
+            assert {th for t, _, _, th in queries if t == tree} <= {th for _, th in chunks}
+        rest = [(tree, n, thread) for tree, n, thread, _ in built if thread != caller]
+        assert [n for _, n, _ in rest] == [ds.n_nodes]
+        fallback = [rows for t, rows, _ in tasks if t == rest[0][0]]
+        falls_back = ds.n_nodes if scale < 1 else 2
+        assert sorted(fallback) == sorted(
+            len(c) for c in np.array_split(np.arange(falls_back), cpus) if c.size)
 
 
 def test_search_tasks_under_frequent_thread_switches(monkeypatch):
@@ -618,6 +632,42 @@ class TestSweepContract:
         assert threading.active_count() == threads
         assert rep == _bound_sweep_serial(trained["params"], trained["cal_ds"], calib,
                                           trained["test_ds"], series)
+
+    def test_ncal_sweep_cuts_each_size_from_the_last(self, trained, monkeypatch):
+        """Largest size first, each size's subset is taken from the previous
+        size's subset, and it is the pool's prefix subset field by field, so
+        the rows are those of the walk over pool prefixes."""
+        pool = _whole_pool(trained["ds"])
+        shifted = _shifted_test(trained["ds"], 0.4, 3)
+        sizes = (100, 30, 150, 30, 60, 150)
+        expected = _ncal_sweep_serial(trained["params"], pool, trained["test_ds"], shifted,
+                                      sizes)
+        sources, calibrated = [], []
+        subset, calibrate = datagen.Dataset.subset, conformal.calibrate
+
+        def logging_subset(ds, idx):
+            sources.append(ds.n_nodes)
+            return subset(ds, idx)
+
+        def logging_calibrate(params, ds, *args, **kwargs):
+            calibrated.append(ds)
+            return calibrate(params, ds, *args, **kwargs)
+
+        monkeypatch.setattr(datagen.Dataset, "subset", logging_subset)
+        monkeypatch.setattr(conformal, "calibrate", logging_calibrate)
+        rows = bounds.ncal_sweep(trained["params"], pool, trained["test_ds"], shifted, sizes)
+        monkeypatch.undo()
+        assert rows == expected
+        assert sources == [pool.n_nodes, 150, 100, 60]
+        assert [ds.n_nodes for ds in calibrated] == [150, 100, 60, 30]
+        for ds in calibrated:
+            prefix = pool.subset(np.arange(ds.n_nodes))
+            for f in dataclasses.fields(datagen.Dataset):
+                a, b = getattr(ds, f.name), getattr(prefix, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+                else:
+                    assert a == b, f.name
 
     def test_ncal_sweep_zero_distance_size_raises(self, trained):
         """The pool's first 60 rows are one point: sizes 20 and 50 hold no

@@ -109,6 +109,24 @@ class TestPipeline:
         assert report["score_mode"] == "normalized"
         assert "metrics" in report and "train_record" in report
 
+    def test_calibration_with_an_infinite_quantile_is_strict_json(self, tmp_path):
+        """12 calibration scores are too few for the 0.95 level, whose
+        quantile is infinite: calibration.json writes it as the string
+        "inf", and a parser that rejects NaN and Infinity reads the file."""
+        cfg = _write(tmp_path, "cfg.json", {
+            "generator": {"n_chains": 5, "chain_length": 12},
+            "train": {"max_epochs": 2, "patience": 0, "warmup_epochs": 1}})
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(literal):
+            raise ValueError(f"non-strict JSON literal {literal}")
+
+        doc = json.loads((out / "calibration.json").read_text(), parse_constant=reject)
+        assert doc["n_cal"] == 12
+        assert doc["quantiles"]["0.95"] == "inf"
+        assert all(isinstance(doc["quantiles"][k], float) for k in ("0.8", "0.9"))
+
     def test_seed_override(self, tmp_path):
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN)
         out_a = tmp_path / "a"

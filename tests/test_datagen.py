@@ -213,6 +213,106 @@ def test_blur_bitwise_matches_window_loop(case):
     assert datagen._blur(coords, ids, half).tobytes() == _blur_loop(coords, ids, half).tobytes()
 
 
+def _rng_chain_features(pred_coords, target_y, onehots, feature_dim, rng):
+    """Reference: the features as the generator built them when every call
+    drew its own feature noise from rng."""
+    n = pred_coords.shape[0]
+    feats = np.zeros((n, feature_dim))
+    step_fwd = np.zeros(n)
+    step_fwd[:-1] = np.linalg.norm(np.diff(pred_coords, axis=0), axis=1)
+    step_bwd = np.roll(step_fwd, 1)
+    step_bwd[0] = 0.0
+    curv = np.zeros(n)
+    if n >= 3:
+        v1 = pred_coords[1:-1] - pred_coords[:-2]
+        v2 = pred_coords[2:] - pred_coords[1:-1]
+        curv[1:-1] = np.linalg.norm(v2 - v1, axis=1)
+    feats[:, 0] = step_fwd
+    feats[:, 1] = step_bwd
+    feats[:, 2] = curv
+    for j, mask in enumerate(onehots):
+        feats[:, 3 + j] = mask
+    feats[:, 6] = target_y + 0.5 * rng.standard_normal(n)
+    feats[:, 7] = np.linalg.norm(pred_coords - pred_coords.mean(axis=0), axis=1)
+    if feature_dim > 8:
+        feats[:, 8:] = rng.standard_normal((n, feature_dim - 8))
+    return feats
+
+
+def _fresh_features(ds):
+    """ds's features rebuilt from its chain with a fresh draw of the feature
+    noise from its config seed's stream (seed 0 without a config)."""
+    seed = ds.metadata.get("config", {}).get("seed", 0)
+    return _rng_chain_features(ds.chain_coords, ds.target_y,
+                               [ds.group_tags == t for t in datagen.GROUP_TAGS],
+                               ds.features.shape[1], rng_stream(seed, 5))
+
+
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """(n, feature_dim) of every draw of the generator's feature noise made
+    while the test runs."""
+    draws = []
+    draw = datagen._feature_noise
+
+    def counting(rng, n, feature_dim):
+        draws.append((n, feature_dim))
+        return draw(rng, n, feature_dim)
+
+    monkeypatch.setattr(datagen, "_feature_noise", counting)
+    return draws
+
+
+class TestGeneratorNoise:
+    """The generator draws its feature noise once per dataset's graph memo;
+    the features are bitwise those of a fresh draw on every call."""
+
+    @pytest.mark.parametrize("feature_dim", [8, 9, 10, 16])
+    def test_generated_features_are_a_fresh_draw(self, feature_dim):
+        ds = datagen.gen_chain_dataset(_cfg(n_chains=4, feature_dim=feature_dim, seed=5))
+        assert ds.features.tobytes() == _fresh_features(ds).tobytes()
+
+    @pytest.mark.parametrize("feature_dim", [8, 9, 10])
+    @pytest.mark.parametrize("gen_seed", [0, 3])
+    def test_perturb_features_are_a_fresh_draw(self, feature_dim, gen_seed):
+        ds = datagen.gen_chain_dataset(_cfg(n_chains=4, feature_dim=feature_dim, seed=gen_seed))
+        child = datagen.corrupt_priors(ds, "shuffle", seed=1)
+        for source in (ds, child, datagen.perturb(ds, "blur", 1.0, seed=4)):
+            for kind in PERTURB_KINDS:
+                for seed, magnitude in ((0, 0.3), (2, 1.0), (7, 2.5)):
+                    out = datagen.perturb(source, kind, magnitude, seed=seed)
+                    assert out.features.tobytes() == _fresh_features(out).tobytes()
+
+    def test_perturb_of_a_subset_without_config_is_a_fresh_draw(self, small_chain_ds):
+        meta = {k: v for k, v in small_chain_ds.metadata.items() if k != "config"}
+        ds = replace(small_chain_ds, metadata=meta)
+        sub = ds.subset(ds.split_indices("test"))
+        for kind in PERTURB_KINDS:
+            out = datagen.perturb(sub, kind, 1.0, seed=3)
+            assert out.features.tobytes() == _fresh_features(out).tobytes()
+
+    def test_seven_perturbations_of_one_source_draw_once(self, noise_draws):
+        ds = datagen.gen_chain_dataset(_cfg(n_chains=4, feature_dim=10))
+        assert noise_draws == [(120, 10)]
+        series = [datagen.perturb(ds, "gaussian", m, seed=1) for m in (0.1, 0.25, 0.5, 1.0)]
+        series += [datagen.perturb(ds, kind, 2.0, seed=1)
+                   for kind in ("segment_swap", "block_rotate", "blur")]
+        series.append(datagen.perturb(series[0], "blur", 1.0))
+        series.append(datagen.perturb(datagen.corrupt_priors(ds, "invert"), "gaussian", 0.5))
+        assert noise_draws == [(120, 10)] * 2
+        for out in series:
+            assert out.features.tobytes() == _fresh_features(out).tobytes()
+
+    def test_a_dataset_naming_another_seed_draws_again(self, noise_draws):
+        ds = datagen.gen_chain_dataset(_cfg(n_chains=4, feature_dim=9))
+        first = datagen.perturb(ds, "gaussian", 0.5, seed=1)
+        meta = dict(ds.metadata, config=dict(ds.metadata["config"], seed=8))
+        other = datagen.perturb(replace(ds, metadata=meta), "gaussian", 0.5, seed=1)
+        assert noise_draws == [(120, 9)] * 3
+        assert other.features.tobytes() == _fresh_features(other).tobytes()
+        assert not np.array_equal(other.features, first.features)
+
+
 class TestCorruptPriors:
     def test_invert_is_involution(self, small_chain_ds):
         twice = datagen.corrupt_priors(datagen.corrupt_priors(small_chain_ds, "invert"), "invert")
