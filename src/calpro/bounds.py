@@ -21,16 +21,18 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # columns and near-isotropic spread, so a query visits nearly every point
 # whatever the tree, and larger leaves than scipy's default 16 cut the
 # traversal overhead.  estimate_lipschitz queries each block of rows with
-# equal one-hot columns against a tree of its own, in chunks of its rows on
-# the pool's threads, and the rows whose k-NN ball may leave their block
-# against a tree of all points.  Timed as the six searches of a bound sweep
-# plus an n_cal sweep on a 100x100 graph (250 to 4000 points, blocks of
-# about a third of them), each block one task, one after another on one
-# thread: 100-106 ms with 64-point leaves, 94-99 ms with 128, 94-99 ms with
-# 256 and 94-102 ms with 512 (medians of 20 runs at seeds 0 and 3, 2-core
-# x86-64): no size beats 128 beyond the noise.  A one-leaf tree (a brute-
-# force scan of each block) used 17% more CPU than 128-point leaves at
-# feature_dim 8 for 5% less at the default 16: not worth a second size.
+# equal one-hot columns against a tree of its own, in chunk tasks on the
+# pool's threads, and each task queries the rows whose k-NN ball may leave
+# their block again against a tree of all points.  Timed as the six
+# searches of a bound sweep plus an n_cal sweep on a 100x100 graph (250 to
+# 4000 points, blocks of about a third of them), each block one task, one
+# after another on one thread: 100-106 ms with 64-point leaves, 94-99 ms
+# with 128, 94-99 ms with 256 and 94-102 ms with 512 (medians of 20 runs at
+# seeds 0 and 3, 2-core x86-64): no size beats 128 beyond the noise.  The
+# timed schedule predates the chunk tasks; every row still meets the same
+# trees.  A one-leaf tree (a brute-force scan of each block) used 17% more
+# CPU than 128-point leaves at feature_dim 8 for 5% less at the default 16:
+# not worth a second size.
 KNN_LEAFSIZE = 128
 
 # every CPU the process may run on: the threads of a call's k-NN pool
@@ -120,31 +122,17 @@ def _balls(tree, q, k, limit=math.inf):
     return balls, far
 
 
-def _chunk_balls(tree, q, index, tree_index, k, limit=math.inf):
-    """A task: the chunk q of rows queried against the shared tree, as
-    _balls does.  Returns (the distinct points' index of each row of q, and
-    of each tree point (None when the tree holds all of them), balls, far
-    rows)."""
-    return (index, tree_index) + _balls(tree, q, k, limit)
-
-
-def _fallback(x, blocks, rest):
-    """A task that waits for the block tasks: the rows that fall back, rest
-    and the far rows of each block, and a tree of all points x to query them
-    against (None when there are none)."""
-    far = [index[rows] for index, _, _, rows in (block.result() for block in blocks)]
-    rest = np.concatenate([rest] + far)
-    return rest, (cKDTree(x, leafsize=KNN_LEAFSIZE) if rest.size else None)
-
-
-def _fallback_balls(x, fallback, part, parts, k):
-    """A task of chunk part of parts of the rows that fall back, queried
-    against the tree of all points; returns as _chunk_balls does."""
-    rest, tree = fallback.result()
-    rows = np.array_split(rest, parts)[part]
-    if not rows.size:
-        return rows, None, [], rows
-    return _chunk_balls(tree, x[rows], rows, None, k)
+def _chunk_balls(tree, q, index, tree_index, k, limit, whole):
+    """A task: the chunk q of rows queried against tree, as _balls does, and
+    its rows whose k-th distance reaches limit again against whole, the
+    tree of all points.  index holds the distinct points' index of each row
+    of q, tree_index that of each point of tree (None when tree is whole).
+    Returns (index, tree_index, balls, far rows) per tree queried."""
+    balls, far = _balls(tree, q, k, limit)
+    found = [(index, tree_index, balls, far)]
+    if far.size:
+        found.append((index[far], None, _balls(whole, q[far], k)[0], far[:0]))
+    return found
 
 
 def _first_rows(x):
@@ -163,27 +151,34 @@ def _first_rows(x):
 
 class _Search:
     """estimate_lipschitz's k-NN search over the distinct rows of the
-    embedding x, as tasks on pool.  Here the calling thread builds a tree
-    of each block of more than k rows and submits min(CPUS, rows) tasks
-    that query a chunk of the block's rows each against it; then
-    (submit_fallback) one task waits for them and builds a tree of all
-    points for the rows that fall back, and CPUS query a chunk of those
-    rows each.  A task waits only on tasks submitted before it, so a pool
-    of any size finishes them.  The search reads the points alone;
-    max_slope takes the scores, on the calling thread."""
+    embedding x, as tasks on pool, none of which waits on another.  The
+    calling thread builds a tree of all points and one of each block of
+    more than k rows.  min(CPUS, rows) tasks query a chunk of a block's
+    rows each against the block's tree, then the chunk's rows that fall
+    back against the tree of all points; min(CPUS, rows) more query a
+    chunk each of the other rows against the tree of all points.  The
+    search reads the points alone; max_slope takes the scores, on the
+    calling thread."""
 
     def __init__(self, pool, x, k_neighbors=DEFAULT_K_NEIGHBORS):
         self.first = _first_rows(x)
-        x = self.x = x[self.first]
+        x = x[self.first]
         n = x.shape[0]
         if n < 2:
             raise ValueError("all calibration pairs are zero-distance")
         k = self.k = min(k_neighbors, n - 1)
-        self.pool, self.blocks, self.tasks = pool, [], None
+        whole, self.tasks = cKDTree(x, leafsize=KNN_LEAFSIZE), []
+
+        def submit(tree, q, index, tree_index, limit=math.inf):
+            for chunk in np.array_split(np.arange(index.size), min(CPUS, index.size)):
+                rows = slice(chunk[0], chunk[-1] + 1)      # views, not copies
+                self.tasks.append(pool.submit(_chunk_balls, tree, q[rows], index[rows],
+                                              tree_index, k, limit, whole))
+
         lo, hi = x.min(axis=0), x.max(axis=0)
         two = np.flatnonzero((lo < hi) & ((x == lo) | (x == hi)).all(axis=0))
         if not two.size:
-            self.rest = np.arange(n)
+            submit(whole, x, np.arange(n), None)
             return
         # rows sorted by their key (which columns sit at their max); a block
         # starts wherever the key changes, and its points are a slice of xs
@@ -202,35 +197,26 @@ class _Search:
             gap2[b] = math.inf
             limit = math.sqrt(gap2.min()) * (1.0 - 1e-9)
             own, members = xs[start:end], order[start:end]
-            tree = cKDTree(own, leafsize=KNN_LEAFSIZE)
-            for chunk in np.array_split(np.arange(end - start), min(CPUS, end - start)):
-                rows = slice(chunk[0], chunk[-1] + 1)      # views, not copies
-                self.blocks.append(pool.submit(_chunk_balls, tree, own[rows], members[rows],
-                                               members, k, limit))
-        self.rest = np.concatenate(rest)
-
-    def submit_fallback(self):
-        fallback = self.pool.submit(_fallback, self.x, self.blocks, self.rest)
-        self.tasks = self.blocks + [
-            self.pool.submit(_fallback_balls, self.x, fallback, part, CPUS, self.k)
-            for part in range(CPUS)]
-        return self
+            submit(cKDTree(own, leafsize=KNN_LEAFSIZE), own, members, members, limit)
+        rest = np.concatenate(rest)
+        if rest.size:
+            submit(whole, x[rest], rest, None)
 
     def max_slope(self, scores):
         """The max slope |s_i - s_j| / d_ij over the balls the tasks found,
         s_i the score of distinct row i; scores has one per row of x."""
         s, k, best = scores[self.first], self.k, 0.0
         for task in self.tasks:
-            index, tree_index, balls, far = task.result()
-            for rows, dist, nn in balls:
-                # column 0 is each point itself, column k its k-th neighbour
-                pair = (dist > 0) & (dist <= dist[:, k:k + 1])
-                if rows is None:
-                    pair[far] = False
-                    rows = slice(None)
-                j = nn if tree_index is None else tree_index[nn]
-                slopes = np.abs(s[index[rows], None] - s[j])[pair] / dist[pair]
-                best = max(best, float(slopes.max(initial=0.0)))
+            for index, tree_index, balls, far in task.result():
+                for rows, dist, nn in balls:
+                    # column 0 is each point itself, column k its k-th neighbour
+                    pair = (dist > 0) & (dist <= dist[:, k:k + 1])
+                    if rows is None:
+                        pair[far] = False
+                        rows = slice(None)
+                    j = nn if tree_index is None else tree_index[nn]
+                    slopes = np.abs(s[index[rows], None] - s[j])[pair] / dist[pair]
+                    best = max(best, float(slopes.max(initial=0.0)))
         return best
 
 
@@ -252,14 +238,14 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=DEFAULT_K_NEIGHBORS, standard
     block of more than k rows whose k-th distance in a tree of its own block
     lies below gap_b (less a 1e-9 share for rounding) has the same inclusive
     ball, hence the same slopes, as in a tree of all points.  Every other
-    row is queried against all points.  With no two-valued column that is
-    every row."""
+    row falls back: its task queries it against a tree of all points.  With
+    no two-valued column that is every row."""
     if standardize:
         x, _, _ = _embed(cal_ds)
     else:
         x = np.column_stack([cal_ds.features, cal_ds.target_y])
     with _knn_pool() as pool:
-        return _Search(pool, x, k_neighbors).submit_fallback().max_slope(scores)
+        return _Search(pool, x, k_neighbors).max_slope(scores)
 
 
 def _attempt(fn, *args, **kwargs):
@@ -320,10 +306,10 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     ref_test_ds; the reference itself is included as the epsilon = 0
     condition.  Conditions are reported in increasing epsilon order.
 
-    The Lipschitz estimate's k-NN search runs on a pool of CPUS threads
-    while this thread predicts each condition.  The error raised, if any,
-    is that of a sweep that estimates first: the estimate's comes before
-    any other.
+    The Lipschitz estimate's k-NN search (a _Search) runs on a pool of
+    CPUS threads while this thread predicts each condition.  The error
+    raised, if any, is that of a sweep that estimates first: the estimate's
+    comes before any other.
     """
     if len(shifted_series) == 0:
         raise ValueError("empty shift series")
@@ -332,7 +318,7 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
                          f"{cal_ds.n_nodes} nodes")
     x, mean, std = _embed(cal_ds)
     with _knn_pool() as pool:
-        search = _Search(pool, x).submit_fallback()
+        search = _Search(pool, x)
         try:
             kl = _kl(head_params)
             conditions = [(0.0, ref_test_ds)]
@@ -366,9 +352,9 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     coverage varies smoothly with size.
 
     This thread first submits the Lipschitz estimate's k-NN search of each
-    distinct size, largest first, to a pool of CPUS threads, then
-    calibrates each size while the pool searches, then predicts the shifted
-    set.  The rows, and the error raised if any, are those of a walk that
+    distinct size, largest first, to a pool of CPUS threads (a _Search
+    each), then calibrates each size while the pool searches, then predicts
+    the shifted set.  The rows, and the error raised if any, are those of a walk that
     predicts first and then takes the sizes in their order: an error is
     raised at the first size that meets one.
     """
@@ -380,14 +366,9 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     x = np.column_stack([cal_pool_ds.features, cal_pool_ds.target_y])
     distinct = sorted(set(sizes), reverse=True)
     with _knn_pool() as pool:
-        # every size's blocks first, then every size's fallback: a task that
-        # waits for a size's blocks then rarely waits long.  A size below 1
-        # has an empty calibration set, which raises first.
+        # a size below 1 has an empty calibration set, which raises first
         searches = {size: _attempt(_Search, pool, _standardize(x[:size])[0])
                     for size in distinct if size > 0}
-        for search in searches.values():
-            if not isinstance(search, Exception):
-                search.submit_fallback()
         _, mean, std = _standardize(x)
 
         # largest size first, each size's subset cut from the last one's:

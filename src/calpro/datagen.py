@@ -83,10 +83,13 @@ class Dataset:
     features (n, F); prior_b, target_y, disorder_flags, chain_ids (n,);
     group_tags and splits (n,) string arrays, splits in
     {train, calibration, test}; chain_coords and reference_coords (n, 3)
-    predicted and reference coordinates, or None.  edges: (m, 2) symmetric
-    and deduplicated with i < j per row; metadata carries the generator
-    echo.  group_tags and splits may be given as any sequence of strings;
-    construction turns them into arrays.
+    predicted and reference coordinates, or None.  edges: (m, 2), one row
+    per undirected edge, no edge twice; build_edges writes the rows sorted,
+    with i < j, and subset relabels the rows it keeps but leaves them in
+    their old order and orientation, so a subset on an index that is not
+    ascending may hold unsorted rows with i > j.  metadata carries the
+    generator echo.  group_tags and splits may be given as any sequence of
+    strings; construction turns them into arrays.
 
     Values that depend only on the graph's structure are built once and kept
     in a graph memo (the mean adjacency head.forward uses, and the
@@ -251,6 +254,12 @@ def _chain_features(pred_coords, target_y, onehots, noise):
     """Per-node features: local geometry from the predicted chain, segment
     one-hots (the masks of GROUP_TAGS, in order), a noisy copy of the target
     magnitude, and noise padding.
+
+    The geometry is taken over pred_coords as one walk, all chains end to
+    end: columns 0-2 (step forward, step back, curvature) of the nodes at a
+    seam between two chains span it, and are 0 only at the first and last
+    node of the whole array; column 7 is the distance from the centroid of
+    all chains, not of the node's own chain.
 
     noise is _feature_noise's pair of draws, the only random part; perturb
     reuses the generator's draws so feature noise stays fixed and measured

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -281,12 +282,12 @@ def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
 
 @pytest.mark.parametrize("scale", [0.01, 10.0], ids=["all_fall_back", "none_fall_back"])
 def test_knn_queries_run_one_thread_each_block_tree_shared_by_chunk_tasks(monkeypatch, scale):
-    """Every query runs on one thread.  The calling thread builds each
-    block's tree once, and min(CPUS, rows) tasks query a chunk of the
-    block's rows each against it, the deeper queries for ties included; the
-    rows that fall back are queried in CPUS chunks against one tree of all
-    points, built by a task.  Blocks of 5 rows are smaller than 8 CPUS, and
-    a block of 2 rows (at most k) falls back whole."""
+    """Every query runs on one thread.  The calling thread builds one tree
+    of all points and each block's tree once; min(CPUS, rows) tasks query a
+    chunk of the block's rows each against it, the deeper queries for ties
+    included, then the chunk's rows that fall back against the tree of all
+    points.  A block of 2 rows (at most k) falls back whole, in min(CPUS, 2)
+    chunk tasks of its own.  Blocks of 5 rows are smaller than 8 CPUS."""
     sizes = [40, 25, 5, 2]
     scores, ds = _blocks_case(sizes, scale)
     expected = _lipschitz_loop(scores, ds, 3, standardize=False)
@@ -319,7 +320,9 @@ def test_knn_queries_run_one_thread_each_block_tree_shared_by_chunk_tasks(monkey
         assert threading.active_count() == threads
         assert all(workers == 1 for _, _, workers, _ in queries)
         assert all(thread != caller for *_, thread in queries + tasks)
-        blocks = [(tree, n) for tree, n, thread, _ in built if thread == caller]
+        assert all(thread == caller for _, _, thread, _ in built)
+        (whole,) = [tree for tree, n, _, _ in built if n == ds.n_nodes]
+        blocks = [(tree, n) for tree, n, _, _ in built if tree != whole]
         assert sorted(n for _, n in blocks) == [5, 25, 40]
         for tree, n in blocks:
             # each task one chunk of the block's rows; the tree's queries,
@@ -328,18 +331,17 @@ def test_knn_queries_run_one_thread_each_block_tree_shared_by_chunk_tasks(monkey
             assert sorted(rows for rows, _ in chunks) == sorted(
                 len(c) for c in np.array_split(np.arange(n), min(cpus, n)))
             assert {th for t, _, _, th in queries if t == tree} <= {th for _, th in chunks}
-        rest = [(tree, n, thread) for tree, n, thread, _ in built if thread != caller]
-        assert [n for _, n, _ in rest] == [ds.n_nodes]
-        fallback = [rows for t, rows, _ in tasks if t == rest[0][0]]
-        falls_back = ds.n_nodes if scale < 1 else 2
-        assert sorted(fallback) == sorted(
-            len(c) for c in np.array_split(np.arange(falls_back), cpus) if c.size)
+        assert sorted(rows for t, rows, _ in tasks if t == whole) == ([2] if cpus == 1 else [1, 1])
+        # the block tasks query their far rows, every row or none, against
+        # the tree of all points; the 2-row block's tasks query 2 rows
+        again = sum(rows for t, rows, _, _ in queries if t == whole) - 2
+        assert again == (sum(sizes[:3]) if scale < 1 else 0)
 
 
 def test_search_tasks_under_frequent_thread_switches(monkeypatch):
     """More pool threads than CPUs, switching every few microseconds: the
-    tasks that wait for earlier ones still finish, the estimate is the pair
-    loop's, and no thread outlives a call."""
+    tasks finish, the estimate is the pair loop's, and no thread outlives
+    a call."""
     monkeypatch.setattr(bounds, "CPUS", 8)
     cases = [_blocks_case([40, 25, 35], scale, seed) for scale, seed in
              ((0.01, 0), (0.3, 1), (10.0, 2))]
@@ -356,26 +358,80 @@ def test_search_tasks_under_frequent_thread_switches(monkeypatch):
     assert threading.active_count() == threads
 
 
+class _ReversedPool:
+    """A stand-in for the k-NN pool that runs no task until a result is
+    asked for, then every task submitted so far, last first, on the calling
+    thread.  A task that asks for the result of one that has not run yet
+    raises."""
+
+    def __init__(self):
+        self.queued, self.running = [], False
+
+    def submit(self, fn, *args):
+        task = _ReversedTask(self, fn, args)
+        self.queued.append(task)
+        return task
+
+    def run(self):
+        self.running = True
+        for task in reversed(self.queued):
+            task.value, task.done = task.fn(*task.args), True
+        self.queued, self.running = [], False
+
+
+class _ReversedTask:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args, self.done = pool, fn, args, False
+
+    def result(self):
+        if not self.done:
+            if self.pool.running:
+                raise RuntimeError("a task asked for the result of one not run yet")
+            self.pool.run()
+        return self.value
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.3, 10.0])
+def test_search_tasks_run_in_reverse_order(monkeypatch, scale):
+    """No task of a search waits on another: run last first, before any
+    result is asked for, they give the pair loop's estimate."""
+    pools = []
+
+    @contextlib.contextmanager
+    def reversed_pool():
+        pools.append(_ReversedPool())
+        yield pools[-1]
+
+    monkeypatch.setattr(bounds, "_knn_pool", reversed_pool)
+    scores, ds = _blocks_case([40, 25, 5, 2], scale)
+    expected = _lipschitz_loop(scores, ds, 3, standardize=False)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(bounds, "CPUS", cpus)
+        assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == expected
+        assert pools[-1].queued == []
+
+
 def test_estimate_lipschitz_wide_gap_queries_each_row_once(monkeypatch):
     """Blocks 10 apart: every k-NN ball stays in its block, so each block's
-    own tree answers all its rows, and no tree of all points is built."""
+    own tree answers all its rows; the tree of all points is built once,
+    and no row queries it."""
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([40, 25, 35], 10.0)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
         _lipschitz_loop(scores, ds, 3, standardize=False)
-    assert sorted(log["trees"]) == [25, 35, 40]
+    assert sorted(log["trees"]) == [25, 35, 40, ds.n_nodes]
     assert sum(rows for _, rows in log["queries"]) == ds.n_nodes
+    assert all(n < ds.n_nodes for n, _ in log["queries"])
 
 
 def test_estimate_lipschitz_gap_below_every_kth_distance(monkeypatch):
     """Blocks 0.01 apart: no k-NN ball fits in its block, so every row is
-    queried again against all points."""
-    monkeypatch.setattr(bounds, "CPUS", 1)
+    queried once more against all points."""
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([40, 25, 35], 0.01)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
         _lipschitz_loop(scores, ds, 3, standardize=False)
-    assert log["queries"][-1] == (100, 100)
+    assert sum(rows for n, rows in log["queries"] if n == ds.n_nodes) == ds.n_nodes
 
 
 def test_estimate_lipschitz_ball_reaching_the_gap_leaves_its_block():

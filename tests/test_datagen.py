@@ -86,6 +86,27 @@ class TestChainGenerator:
         with pytest.raises(ValueError, match="MAX_FEATURE_ENTRIES"):
             GeneratorConfig(n_chains=at_bound + 1).validate()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_chain_features takes steps and curvature over all chains end "
+        "to end, across the seams between them, and column 7 from the centroid "
+        "of all chains; making them chain-local changes every artifact")
+    def test_geometry_features_are_chain_local(self):
+        """Columns 0-2 (step forward, step back, curvature) and 7 (distance
+        from the centroid) of each chain are those of the chain alone: 0
+        past either end of it.  On 4x10 at seed 0, node 9 (the end of chain
+        0) reads a forward step of 7.26 to node 10."""
+        ds = datagen.gen_chain_dataset(_cfg(n_chains=4, chain_length=10, seed=0))
+        for c in range(4):
+            rows = np.flatnonzero(ds.chain_ids == c)
+            p = ds.chain_coords[rows]
+            step = np.linalg.norm(np.diff(p, axis=0), axis=1)
+            curv = np.linalg.norm(np.diff(p, n=2, axis=0), axis=1)
+            alone = np.column_stack([np.r_[step, 0.0], np.r_[0.0, step], np.r_[0.0, curv, 0.0],
+                                     np.linalg.norm(p - p.mean(axis=0), axis=1)])
+            np.testing.assert_allclose(ds.features[rows][:, [0, 1, 2, 7]], alone,
+                                       rtol=1e-12, atol=1e-12)
+
 
 class TestTabularGenerator:
     def test_homoscedastic_prior_uninformative(self):

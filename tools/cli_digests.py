@@ -45,6 +45,12 @@ MATRIX = (
     ("pipeline_multibatch", ["pipeline"],
      {"generator": GENERATOR, "train": dict(TRAIN, batch_size=2)}),
     ("bound", ["bound"], PIPED),
+    # 40x40 = 1600 nodes, 2 epochs: a 320-node calibration set, at seed 0 in
+    # blocks of 56, 125 and 139 rows, so the bound sweep's tree of all points
+    # and its largest block's hold more than one 128-point leaf
+    ("bound_multileaf", ["bound"],
+     {"generator": {"n_chains": 40, "chain_length": 40},
+      "train": dict(TRAIN, max_epochs=2, warmup_epochs=1)}),
     ("ncal_sweep", ["ncal-sweep"], dict(PIPED, sizes=[50, 100, 150])),
     # sizes out of order and repeated: the rows follow sizes, one per entry
     ("ncal_sweep_unsorted", ["ncal-sweep"], dict(PIPED, sizes=[150, 50, 100, 50])),
