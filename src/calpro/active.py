@@ -141,6 +141,10 @@ def compare_strategies(pool, configs, seeds):
     budgets = {cfg.seed_set_size + cfg.batch_size * cfg.rounds for cfg in configs}
     if len(budgets) != 1:
         raise ValueError("strategies must share the same budget")
+    # a repeated strategy would run twice and report once
+    names = [cfg.strategy for cfg in configs]
+    if len(set(names)) < len(names):
+        raise ValueError(f"strategies must not repeat an entry, got {names}")
     table, all_curves = {}, {}
     for cfg in configs:
         curves = []

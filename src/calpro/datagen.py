@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import weakref
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -121,9 +121,9 @@ class Dataset:
         return self.features.shape[0]
 
     def __getstate__(self):
-        # the graph memo holds weak references, which do not pickle; the kept
-        # prediction (head.forward) is the sender's, not worth the bytes
-        return {k: v for k, v in self.__dict__.items() if k not in ("_graph", "_forward")}
+        # the fields only: the graph memo holds weak references, which do not
+        # pickle, and what other modules keep on the instance is the sender's
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def structural(self, key, build):
         """build(self) for a value that depends only on the graph's
@@ -434,7 +434,8 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
     config must hold the generator's whole node set in generator order: a
     node count other than n_chains * chain_length, or a chain id below its
     predecessor's, raises ValueError.  Nodes reordered within one chain go
-    undetected."""
+    undetected.  A magnitude whose coordinates or targets overflow to a
+    non-finite value raises ValueError too, with no numpy warning."""
     if ds.chain_coords is None or ds.reference_coords is None:
         raise ValueError("perturb requires chain_coords and reference coordinates")
     cfg = ds.metadata.get("config")
@@ -443,6 +444,20 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
         raise ValueError("perturb requires the generator's whole node set in generator order "
                          "(the feature noise is the generator's stream)")
     check_magnitude(magnitude)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords, target_y, feats = _perturbed(ds, kind, magnitude, seed)
+    # column 6 holds target_y plus noise, so this covers the targets too
+    if not np.isfinite(feats).all():
+        raise ValueError(f"{kind} perturbation of magnitude {magnitude!r} gives non-finite "
+                         "coordinates or targets")
+    meta = dict(ds.metadata)
+    meta["perturbation"] = {"kind": kind, "magnitude": magnitude, "seed": seed}
+    return _sharing_graph(ds, replace(ds, chain_coords=coords, target_y=target_y,
+                                      features=feats, metadata=meta))
+
+
+def _perturbed(ds, kind, magnitude, seed):
+    """perturb's (chain_coords, target_y, features), unchecked."""
     rng = rng_stream(seed, 2)
     coords = np.array(ds.chain_coords)
     ids = ds.chain_ids
@@ -474,16 +489,14 @@ def perturb(ds: Dataset, kind, magnitude, seed=0) -> Dataset:
         centroid = coords[blk].mean(axis=0)
         coords[blk] = (coords[blk] - centroid) @ rot.T + centroid
     elif kind == "blur":
-        coords = _blur(coords, ids, max(1, int(round(magnitude))))
+        # a window never leaves its chain: no half-width past the node count differs
+        coords = _blur(coords, ids, min(max(1, int(round(magnitude))), ds.n_nodes))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     target_y = np.linalg.norm(coords - ds.reference_coords, axis=1)
     feats = _chain_features(coords, target_y, [ds.group_tags == t for t in GROUP_TAGS],
                             _generator_noise(ds))
-    meta = dict(ds.metadata)
-    meta["perturbation"] = {"kind": kind, "magnitude": magnitude, "seed": seed}
-    return _sharing_graph(ds, replace(ds, chain_coords=coords, target_y=target_y,
-                                      features=feats, metadata=meta))
+    return coords, target_y, feats
 
 
 def _generator_noise(ds):
@@ -643,25 +656,52 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"malformed dataset file at byte offset {exc.pos}: {exc.msg}") from exc
     _check_schema(doc)
     rows = doc["nodes"]
-    fdim = len(rows[0]) - 4
-    feats = np.array([r[:fdim] for r in rows], dtype=float)
+    n, fdim = len(rows), len(rows[0]) - 4
     meta = dict(doc["metadata"])
-    chain_ids = np.array(meta.pop("chain_ids"), dtype=int)
     ref = meta.pop("reference_coords", None)
+    # an empty edge list is [], which numpy reads as floats of shape (0,)
+    edges = (np.zeros((0, 2), dtype=int) if doc["edges"] == [] else
+             _column(doc["edges"], _INTEGERS, (None, 2), "edges must be [i, j] pairs of integers"))
     ds = Dataset(
-        features=feats,
-        prior_b=np.array([r[fdim] for r in rows], dtype=float),
-        target_y=np.array([r[fdim + 1] for r in rows], dtype=float),
-        group_tags=[r[fdim + 2] for r in rows],
-        disorder_flags=np.array([r[fdim + 3] for r in rows], dtype=bool),
-        edges=np.array(doc["edges"], dtype=int).reshape(-1, 2),
-        splits=doc["splits"],
-        chain_coords=None if doc["chain_coords"] is None else np.array(doc["chain_coords"], dtype=float),
-        chain_ids=chain_ids,
-        reference_coords=None if ref is None else np.array(ref, dtype=float),
+        features=_column([r[:fdim] for r in rows], _NUMBERS, (n, fdim),
+                         "node features must be numbers"),
+        prior_b=_column([r[fdim] for r in rows], _NUMBERS, (n,), "prior_b must be numbers"),
+        target_y=_column([r[fdim + 1] for r in rows], _NUMBERS, (n,), "target_y must be numbers"),
+        group_tags=_column([r[fdim + 2] for r in rows], "U", (n,), "group tags must be strings"),
+        disorder_flags=_column([r[fdim + 3] for r in rows], "b", (n,),
+                               "disorder flags must be booleans"),
+        edges=edges,
+        splits=_column(doc["splits"], "U", (n,), "splits must be strings"),
+        chain_coords=(None if doc["chain_coords"] is None else _column(
+            doc["chain_coords"], _NUMBERS, (n, 3), "chain_coords must be n [x, y, z] numbers")),
+        chain_ids=_column(meta.pop("chain_ids"), _INTEGERS, (n,), "chain_ids must be integers"),
+        reference_coords=(None if ref is None else _column(
+            ref, _NUMBERS, (n, 3), "reference_coords must be n [x, y, z] numbers")),
         metadata=meta,
     )
     return ds.validate()
+
+
+# the numpy dtype kinds of a column of numbers (floats, or integers within
+# uint64) and of a column of integers (within int64)
+_NUMBERS, _INTEGERS = "fiu", "i"
+
+
+def _column(values, kinds, shape, message):
+    """values, a JSON array, as a numpy array of one of the dtype kinds and of
+    shape (None matches any length), a number column as floats; else
+    ValueError(message).  numpy picks the dtype from the values, so a value
+    of another kind is an error, never a conversion: "no" is no disorder
+    flag, 0.5 no chain id, and an integer beyond int64 (read as a float or
+    an object) no edge index."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:      # ragged nesting
+        raise ValueError(message) from None
+    if (arr.dtype.kind not in kinds or arr.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, arr.shape))):
+        raise ValueError(message)
+    return arr.astype(float, copy=False) if "f" in kinds else arr
 
 
 def _check_schema(doc):

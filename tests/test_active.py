@@ -88,6 +88,17 @@ class TestCompareStrategies:
         with pytest.raises(ValueError, match="budget"):
             active.compare_strategies(pool, [_cfg(), _cfg(rounds=1)], seeds=[0])
 
+    def test_repeated_strategy_rejected_before_any_loop(self, monkeypatch):
+        def refuse(pool, cfg):
+            raise AssertionError("an active loop ran")
+
+        monkeypatch.setattr(active, "run_active", refuse)
+        with pytest.raises(ValueError, match=r"^strategies must not repeat an entry, got "
+                                             r"\['random', 'calpro_width', 'random'\]$"):
+            active.compare_strategies(
+                _pool(), [_cfg(strategy=s) for s in ("random", "calpro_width", "random")],
+                seeds=[0])
+
     def test_ordering_emitted(self):
         pool = _pool(seed=9)
         out = active.compare_strategies(

@@ -213,6 +213,20 @@ class TestBoundCommands:
         assert proc.stderr.startswith("error: magnitude must be a finite number")
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_magnitude_exits_1_with_one_error_line(self, tmp_path):
+        """A finite magnitude whose perturbation overflows is refused, and
+        numpy's overflow warnings do not reach stderr."""
+        cfg = _gen_cfg(tmp_path, train=FAST_TRAIN, magnitudes=[1e308])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "calpro.cli", "bound",
+                               "--config", cfg, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: gaussian perturbation of magnitude 1e+308 gives non-finite coordinates or "
+            "targets"]
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.mark.parametrize("argv, extra, message", [
     (["bound"], {"magnitudes": 5}, "config key magnitudes must be a JSON array of numbers"),
@@ -741,26 +755,57 @@ class TestCorruptPriors:
         out = tmp_path / "run"
         assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("mangle", [
-        lambda d: {**d, "nodes": []},
-        lambda d: {k: v for k, v in d.items() if k != "nodes"},
-        lambda d: {**d, "metadata": {k: v for k, v in d["metadata"].items() if k != "chain_ids"}},
-        lambda d: {**d, "nodes": d["nodes"][:1] + [d["nodes"][1][:-1]] + d["nodes"][2:]},
-        lambda d: {**d, "nodes": [r[-4:] for r in d["nodes"]]},
-        lambda d: {**d, "splits": d["splits"][:-1]},
-        lambda d: {**d, "metadata": {**d["metadata"], "chain_ids": d["metadata"]["chain_ids"][:-1]}},
-        lambda d: [d],
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda d: {**d, "nodes": []}, "dataset file has no nodes"),
+        (lambda d: {k: v for k, v in d.items() if k != "nodes"}, "dataset file lacks keys: nodes"),
+        (lambda d: {**d, "metadata": {k: v for k, v in d["metadata"].items() if k != "chain_ids"}},
+         "dataset file lacks keys: metadata.chain_ids"),
+        (lambda d: {**d, "nodes": d["nodes"][:1] + [d["nodes"][1][:-1]] + d["nodes"][2:]},
+         "node rows must be lists of one length >= 5"),
+        (lambda d: {**d, "nodes": [r[-4:] for r in d["nodes"]]},
+         "node rows must be lists of one length >= 5"),
+        (lambda d: {**d, "splits": d["splits"][:-1]},
+         "splits must list one entry per node (100)"),
+        (lambda d: {**d, "metadata": {**d["metadata"], "chain_ids": d["metadata"]["chain_ids"][:-1]}},
+         "chain_ids must list one entry per node (100)"),
+        (lambda d: [d], "dataset file must hold a JSON object"),
+        (lambda d: {**d, "edges": None}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [[0, 2**70]]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [[0, 2**63]]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [[0, 1.7]]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [["0", "1"]]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [[[0], [1]]]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [0, 1]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "edges": [[0, 1], [2]]}, "edges must be [i, j] pairs of integers"),
+        (lambda d: {**d, "metadata": {**d["metadata"],
+                                      "chain_ids": [0.5] + d["metadata"]["chain_ids"][1:]}},
+         "chain_ids must be integers"),
+        (lambda d: {**d, "nodes": [d["nodes"][0][:-1] + ["no"]] + d["nodes"][1:]},
+         "disorder flags must be booleans"),
+        (lambda d: {**d, "nodes": [r[:-1] + [1] for r in d["nodes"]]},
+         "disorder flags must be booleans"),
+        (lambda d: {**d, "nodes": [["0.5"] + d["nodes"][0][1:]] + d["nodes"][1:]},
+         "node features must be numbers"),
+        (lambda d: {**d, "nodes": [r[:-2] + [7, r[-1]] for r in d["nodes"]]},
+         "group tags must be strings"),
+        (lambda d: {**d, "chain_coords": d["chain_coords"][:-1]},
+         "chain_coords must be n [x, y, z] numbers"),
     ], ids=["empty_nodes", "missing_nodes", "missing_chain_ids", "ragged_rows", "short_rows",
-            "short_splits", "short_chain_ids", "not_an_object"])
-    def test_malformed_dataset_clean_error(self, tmp_path, capsys, mangle):
+            "short_splits", "short_chain_ids", "not_an_object", "null_edges", "edge_past_uint64",
+            "edge_past_int64", "fractional_edge", "string_edge", "nested_edge", "flat_edges",
+            "ragged_edges", "fractional_chain_id", "string_flag", "integer_flags",
+            "string_feature", "integer_tags", "short_chain_coords"])
+    def test_malformed_dataset_clean_error(self, tmp_path, capsys, mangle, message):
+        """A malformed file is one error line that says what is wrong; each
+        column is read as the one kind it holds, never converted."""
         gen_out = tmp_path / "gen"
         assert cli.main(["gen-data", "--config", _gen_cfg(tmp_path), "--out", str(gen_out)]) == 0
         bad = _write(tmp_path, "bad.json", mangle(json.loads((gen_out / "dataset.json").read_text())))
         cfg = _write(tmp_path, "cor.json", {"dataset": bad, "mode": "shuffle"})
         capsys.readouterr()
         assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
 
 
 def test_artifacts_match_pinned_digests(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from calpro import datagen
+from calpro import datagen, head
 from calpro.datagen import Dataset, GeneratorConfig
 from calpro.numerics import rng_stream, spearman
 
@@ -192,6 +193,21 @@ class TestPerturb:
     def test_segment_swap_count_above_limit_rejected(self, small_chain_ds, magnitude):
         with pytest.raises(ValueError, match=f"limit of {datagen.MAX_SEGMENT_SWAPS} "):
             datagen.perturb(small_chain_ds, "segment_swap", magnitude)
+
+    def test_blur_half_width_past_the_chains_is_one_window(self):
+        """A blur window never leaves its chain, so every half-width from
+        the chain length up gives the same coordinates, 1e300 included."""
+        ds = datagen.gen_chain_dataset(_cfg(n_chains=4, chain_length=10, seed=0))
+        whole = datagen.perturb(ds, "blur", 40.0).chain_coords.tobytes()
+        for magnitude in (1e6, 1e300):
+            assert datagen.perturb(ds, "blur", magnitude).chain_coords.tobytes() == whole
+
+    def test_overflowing_magnitude_rejected_without_warnings(self, small_chain_ds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^gaussian perturbation of magnitude 1e\\+308 "
+                                                 "gives non-finite coordinates or targets$"):
+                datagen.perturb(small_chain_ds, "gaussian", 1e308)
 
     def test_blur_matches_window_loop(self, small_chain_ds):
         out = datagen.perturb(small_chain_ds, "blur", 2.0, seed=0)
@@ -819,6 +835,16 @@ class TestGraphMemo:
         expected = np.array([i for i, t in enumerate(resplit.splits) if t == "test"])
         assert np.array_equal(resplit.split_indices("test"), expected)
         assert not np.array_equal(expected, stale)
+
+    def test_pickles_its_fields_only(self, small_chain_ds, random_head):
+        """Whatever head.forward keeps on a dataset, by inference or by
+        training, stays with the sender."""
+        ds = replace(small_chain_ds)
+        head.forward(random_head, ds)
+        head.forward(random_head, ds, with_cache=True)
+        back = pickle.loads(pickle.dumps(ds))
+        assert set(back.__dict__) == {f.name for f in fields(datagen.Dataset)}
+        _assert_same_fields(back, ds)
 
     def test_pickles_without_its_graph_memo(self, small_chain_ds):
         ds = replace(small_chain_ds)
