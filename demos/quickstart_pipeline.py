@@ -18,8 +18,7 @@ print(f"dataset: {ds.n_nodes} nodes, {ds.edges.shape[0]} edges, "
 
 calib = conformal.calibrate(run["params"], run["cal_ds"],
                             levels=(0.8, 0.9, 0.95), mode="normalized")
-report = metrics.full_report(run["params"], calib, run["test_ds"],
-                             levels=(0.8, 0.9, 0.95))
+report = metrics.full_report(run["params"], calib, run["test_ds"])
 
 print("\ncoverage by level (target -> empirical):")
 for level in (0.8, 0.9, 0.95):

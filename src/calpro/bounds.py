@@ -293,6 +293,9 @@ def coverage_lower_bound(alpha, kl, delta, n_cal, lipschitz, epsilon):
 
 def epsilon_proxy(ref_ds, shifted_ds, mean, std):
     """Mean standardized displacement between aligned node embeddings."""
+    if shifted_ds.n_nodes != ref_ds.n_nodes:
+        raise ValueError(f"shifted set has {shifted_ds.n_nodes} nodes but the reference "
+                         f"has {ref_ds.n_nodes}")
     a = _embed(ref_ds, mean, std)
     b = _embed(shifted_ds, mean, std)
     return float(np.mean(np.linalg.norm(a - b, axis=1)))
@@ -306,35 +309,25 @@ def bound_vs_empirical_sweep(head_params, cal_ds, calib, ref_test_ds, shifted_se
     ref_test_ds; the reference itself is included as the epsilon = 0
     condition.  Conditions are reported in increasing epsilon order.
 
-    The Lipschitz estimate's k-NN search (a _Search) runs on a pool of
-    CPUS threads while this thread predicts each condition.  The error
-    raised, if any, is that of a sweep that estimates first: the estimate's
-    comes before any other.
+    One walk on the calling thread: the Lipschitz estimate first, then each
+    condition's bound, forward and coverage in turn.
     """
     if len(shifted_series) == 0:
         raise ValueError("empty shift series")
     if calib.n_cal != cal_ds.n_nodes:
         raise ValueError(f"calibration holds {calib.n_cal} scores but cal_ds has "
                          f"{cal_ds.n_nodes} nodes")
-    x, mean, std = _embed(cal_ds)
-    with _knn_pool() as pool:
-        search = _Search(pool, x)
-        try:
-            kl = _kl(head_params)
-            conditions = [(0.0, ref_test_ds)]
-            for ds in shifted_series:
-                conditions.append((epsilon_proxy(ref_test_ds, ds, mean, std), ds))
-            conditions.sort(key=lambda t: t[0])
-            # the first condition's bound checks these before its forward
-            _check_confidence(delta, calib.n_cal)
-            coverages = [metrics_mod.coverage(
-                conf_mod.intervals(head_mod.forward(head_params, ds), calib, tau), ds.target_y)
-                for _, ds in conditions]
-        finally:
-            lip = search.max_slope(calib.scores)
+    lip = estimate_lipschitz(calib.scores, cal_ds)
+    kl = _kl(head_params)
+    _, mean, std = _embed(cal_ds)
+    conditions = sorted([(0.0, ref_test_ds)] + [
+        (epsilon_proxy(ref_test_ds, ds, mean, std), ds) for ds in shifted_series],
+        key=lambda t: t[0])
     rows = []       # (epsilon, bound, raw bound, vacuous, empirical, conservative)
-    for (eps, _), cov in zip(conditions, coverages):
+    for eps, ds in conditions:
         b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, calib.n_cal, lip, eps)
+        cov = metrics_mod.coverage(
+            conf_mod.intervals(head_mod.forward(head_params, ds), calib, tau), ds.target_y)
         rows.append((eps, b, raw, v, cov, b <= cov))
     epsilons, bnds, raws, vac, emp, cons = zip(*rows)
     return BoundReport(kl=kl, lipschitz=lip, delta=delta, n_cal=calib.n_cal,
@@ -358,6 +351,8 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     predicts first and then takes the sizes in their order: an error is
     raised at the first size that meets one.
     """
+    if len(sizes) == 0:
+        raise ValueError("no calibration sizes")
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
     kl = _kl(head_params)

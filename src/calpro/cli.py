@@ -1,11 +1,13 @@
 """Command-line entry points.
 
-Every subcommand reads an optional strict JSON config, takes --seed / --out
-overrides, and writes its artifacts under the output directory.  A config
-key the command does not read, or one the run sets itself, is rejected, and
-each value is read as its dataclass field's annotation (_read).  Reports
-embed the artifact version, a hash of the effective config, and the seed; no
-wall-clock timestamps, so reruns are byte-identical.
+Every subcommand reads an optional JSON config, takes --seed / --out
+overrides, and writes its artifacts under the output directory.  The config
+is read by json.load, which also takes NaN and Infinity; each value's range
+check refuses them.  A config key the command does not read, or one the run
+sets itself, is rejected, and each value is read as its dataclass field's
+annotation (_read).  Reports embed the artifact version, a hash of the
+effective config, and the seed; no wall-clock timestamps, so reruns are
+byte-identical.
 """
 
 import argparse
@@ -233,7 +235,7 @@ def cmd_pipeline(args):
     head_mod.save_head(run["params"], os.path.join(out, "head.json"))
     conf_mod.save_calibration(calib, os.path.join(out, "calibration.json"))
     nig = head_mod.forward(run["params"], run["test_ds"])
-    report = metrics_mod.report_from_nig(nig, calib, run["test_ds"], conf_mod.DEFAULT_LEVELS)
+    report = metrics_mod.report_from_nig(nig, calib, run["test_ds"])
     y = run["test_ds"].target_y
     grid = metrics_mod.DEFAULT_LEVEL_GRID
     _write_csv(os.path.join(out, "calibration_curve.csv"),

@@ -137,16 +137,6 @@ def mean_adjacency(n_nodes, edges):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
 
-def _memo(ds, key, build):
-    """build(ds), computed on first use and kept on the (immutable) dataset
-    under key, so it lives and dies with that instance."""
-    value = ds.__dict__.get(key)
-    if value is None:
-        value = build(ds)
-        object.__setattr__(ds, key, value)
-    return value
-
-
 def _kept(owner, key, source, build):
     """build(source), kept on owner under key until a call passes another
     source object: a training hands the same gradient buffer to every step."""
@@ -201,7 +191,7 @@ def forward(params: HeadParams, ds, with_cache=False):
             return kept[1]
     adj, adj_t = _adjacency(ds)
     # layer 0's message sees no weights: kept per instance, as it reads the features
-    message0 = _memo(ds, "_message0", lambda d: adj @ d.features)
+    message0 = _kept(ds, "_message0", None, lambda _: adj @ ds.features)
     h = ds.features
     cache = {"adj": adj, "adj_t": adj_t, "hs": [h], "ms": [], "zs": []}
     for li, lay in enumerate(params.layers):

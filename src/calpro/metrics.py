@@ -94,10 +94,11 @@ def group_report(ivals, y, group_tags, tau):
     return table
 
 
-def full_report(head_params, calib, test_ds, levels=conf_mod.DEFAULT_LEVELS) -> MetricsReport:
-    """Standard report on the head's predictions for test_ds."""
+def full_report(head_params, calib, test_ds) -> MetricsReport:
+    """Standard report on the head's predictions for test_ds, at the
+    calibration's levels."""
     nig = head_mod.forward(head_params, test_ds)
-    return report_from_nig(nig, calib, test_ds, levels)
+    return report_from_nig(nig, calib, test_ds)
 
 
 def uncertainty_error_spearman(nig, y):
@@ -108,13 +109,13 @@ def uncertainty_error_spearman(nig, y):
                     np.abs(y - nig.mu))
 
 
-def report_from_nig(nig, calib, test_ds, levels) -> MetricsReport:
+def report_from_nig(nig, calib, test_ds) -> MetricsReport:
     """Standard report of the predictions nig for test_ds: coverage/sharpness
-    per level, ECE, ACE, uncertainty-error correlation and a group table
-    graded at DEFAULT_TAU, or at the last level if levels lack it."""
+    at each of calib's levels, ECE, ACE, uncertainty-error correlation and a
+    group table graded at DEFAULT_TAU, or at the last level if calib lacks it."""
     y = test_ds.target_y
-    ivals = {float(tau): conf_mod.intervals(nig, calib, tau) for tau in levels}
-    group_tau = conf_mod.DEFAULT_TAU if conf_mod.DEFAULT_TAU in ivals else float(levels[-1])
+    ivals = {tau: conf_mod.intervals(nig, calib, tau) for tau in calib.levels}
+    group_tau = conf_mod.DEFAULT_TAU if conf_mod.DEFAULT_TAU in ivals else calib.levels[-1]
     return MetricsReport(
         coverage={tau: coverage(iv, y) for tau, iv in ivals.items()},
         ece=ece(nig, y, calib),

@@ -61,23 +61,18 @@ def softplus_sigmoid(z):
     return np.maximum(t, 0.0) + np.log1p(e), np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def soft_quantile(scores, gamma):
-    """Temperature-controlled log-sum-exp upper quantile surrogate.
+def soft_quantile_and_grad(scores, gamma):
+    """Temperature-controlled log-sum-exp upper quantile surrogate of the
+    scores and its gradient w.r.t. them (a softmax), from one exp.
 
     Q = (1/gamma) * log((1/n) * sum_i exp(gamma * s_i)), stabilized by
     max-subtraction.  Monotone in gamma and satisfies
-    max(s) - Q <= log(n)/gamma.
+    max(s) - Q <= log(n)/gamma.  Scores with a leading arm axis give one
+    quantile per arm; each arm's log is math.log's, as for a single one.
     """
-    return soft_quantile_and_grad(scores, gamma)[0]
-
-
-def soft_quantile_and_grad(scores, gamma):
-    """soft_quantile of the scores and its gradient w.r.t. them (a softmax),
-    from one exp.  Scores with a leading arm axis give one quantile per arm;
-    each arm's log is math.log's, as for a single one."""
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
-        raise ValueError("soft_quantile of empty scores")
+        raise ValueError("soft quantile of empty scores")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     m = s.max(axis=-1)

@@ -583,6 +583,33 @@ class TestSweeps:
             bounds.ncal_sweep(trained["params"], pool, trained["test_ds"],
                               trained["test_ds"], sizes=(10 ** 6,))
 
+    def test_ncal_sweep_empty_sizes_rejected(self, trained):
+        with pytest.raises(ValueError, match="^no calibration sizes$"):
+            bounds.ncal_sweep(trained["params"], trained["cal_ds"], trained["test_ds"],
+                              trained["test_ds"], sizes=())
+
+    def test_bound_sweep_estimates_first_on_the_calling_thread(self, trained, monkeypatch):
+        """One bounds.estimate_lipschitz call, looked up on the module as a
+        tracer hooks it, on the calling thread, before the first forward."""
+        calls, estimate, forward = [], bounds.estimate_lipschitz, head.forward
+
+        def logging_estimate(*args, **kwargs):
+            calls.append(("estimate", threading.get_ident()))
+            return estimate(*args, **kwargs)
+
+        def logging_forward(*args, **kwargs):
+            calls.append(("forward", threading.get_ident()))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "estimate_lipschitz", logging_estimate)
+        monkeypatch.setattr(head, "forward", logging_forward)
+        calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=(0.9,))
+        calls.clear()
+        bounds.bound_vs_empirical_sweep(trained["params"], trained["cal_ds"], calib,
+                                        trained["test_ds"], [_shifted_test(trained["ds"], 0.3, 1)])
+        assert [name for name, _ in calls] == ["estimate", "forward", "forward"]
+        assert calls[0][1] == threading.get_ident()
+
     def test_bound_increases_with_ncal_fixed_terms(self):
         vals = [bounds.coverage_lower_bound(0.1, 1.0, 0.05, n, 0.0, 0.0)[0]
                 for n in (250, 500, 1000, 2000, 4000)]
@@ -592,6 +619,15 @@ class TestSweeps:
 def test_epsilon_proxy_zero_for_identical(trained):
     _, mean, std = bounds._embed(trained["cal_ds"])
     assert bounds.epsilon_proxy(trained["test_ds"], trained["test_ds"], mean, std) == 0.0
+
+
+def test_epsilon_proxy_rejects_misaligned_sets(trained):
+    _, mean, std = bounds._embed(trained["cal_ds"])
+    test = trained["test_ds"]
+    short = test.subset(np.arange(test.n_nodes - 1))
+    with pytest.raises(ValueError, match=f"^shifted set has {test.n_nodes - 1} nodes but "
+                                         f"the reference has {test.n_nodes}$"):
+        bounds.epsilon_proxy(test, short, mean, std)
 
 
 def test_epsilon_proxy_grows_with_magnitude(trained):

@@ -193,6 +193,11 @@ class TestFullReport:
         metrics.full_report(trained["params"], calib, trained["test_ds"])
         assert len(forward_calls) == 1 and forward_calls[0] is trained["test_ds"]
 
+    def test_reports_at_the_calibration_levels(self, trained):
+        calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=(0.8, 0.95))
+        rep = metrics.full_report(trained["params"], calib, trained["test_ds"])
+        assert list(rep.coverage) == list(rep.sharpness) == [0.8, 0.95]
+
     def test_group_table_graded_at_its_own_level(self, trained):
         """Without DEFAULT_TAU among the levels, the group table's intervals
         and its per-group ece both use the last level."""
@@ -200,7 +205,7 @@ class TestFullReport:
         calib = conformal.calibrate(trained["params"], trained["cal_ds"], levels=levels,
                                     mode="normalized")
         test = trained["test_ds"]
-        rep = metrics.full_report(trained["params"], calib, test, levels=levels)
+        rep = metrics.full_report(trained["params"], calib, test)
         iv = conformal.intervals(head.forward(trained["params"], test), calib, 0.95)
         assert rep.group_table == metrics.group_report(iv, test.target_y, test.group_tags, 0.95)
         for row in rep.group_table.values():

@@ -226,12 +226,12 @@ class TestSoftConfLoss:
         assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_small_kappa_limit(self):
-        from calpro.numerics import soft_quantile
+        from calpro.numerics import soft_quantile_and_grad
         cfg = ObjectiveConfig(kappa=1e-4, gamma=10.0)
         s = np.array([0.0, 0.0, 0.0, 10.0])
         # kappa -> 0: scores below the quantile vanish, the rest approach
         # their positive part over kappa
-        q = soft_quantile(s, cfg.gamma)
+        q = soft_quantile_and_grad(s, cfg.gamma)[0]
         expected = float(np.mean(np.maximum(s - q, 0.0))) / cfg.kappa
         assert soft_conf_loss(s, cfg)[0] == pytest.approx(expected, rel=1e-3)
 
@@ -250,11 +250,11 @@ class TestSoftConfLoss:
         assert np.max(np.abs(g - fd)) < 1e-6
 
     def test_stopgrad_drops_quantile_path(self):
-        from calpro.numerics import soft_quantile, sigmoid
+        from calpro.numerics import sigmoid, soft_quantile_and_grad
         cfg = ObjectiveConfig()
         s = rng_stream(9, 0).uniform(0, 3, 12)
         _, g = soft_conf_loss(s, cfg, stopgrad=True)
-        q = soft_quantile(s, cfg.gamma)
+        q = soft_quantile_and_grad(s, cfg.gamma)[0]
         expected = sigmoid((s - q) / cfg.kappa) / cfg.kappa / s.size
         assert np.allclose(g, expected, atol=1e-12)
 
@@ -312,13 +312,13 @@ class TestTotalLoss:
     def test_stopgrad_epoch_gradient_freezes_quantile(self):
         """During the stop-gradient phase the analytic gradient must match
         finite differences of a loss whose conformal quantile is frozen."""
-        from calpro.numerics import soft_quantile
+        from calpro.numerics import soft_quantile_and_grad
         ds, params, mono = self._setup(seed=13)
         cfg = ObjectiveConfig()
         _, _, hg, mg = total_loss(params, mono, ds, cfg, epoch=0)
         g = np.concatenate([hg.to_vector(), mg.to_vector()])
         nig0 = head.forward(params, ds)
-        q0 = soft_quantile(np.abs(ds.target_y - nig0.mu), cfg.gamma)
+        q0 = soft_quantile_and_grad(np.abs(ds.target_y - nig0.mu), cfg.gamma)[0]
         n_head = params.to_vector().size
 
         def frozen_q_loss(v):

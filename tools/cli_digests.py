@@ -81,6 +81,10 @@ MATRIX = (
     ("experiment_calibration_levels", ["experiment", "calibration", "--score-mode", "absolute"],
      {"generator": SMALL, "train": SHORT, "seeds": [0, 1], "levels": [0.8, 0.95],
       "ablations": ["full", "no_priors"]}),
+    # one arm whose objective is the plain squared error: on any CPU count
+    # its only stack is all mu_only, objective.total_loss's early return
+    ("experiment_calibration_no_evidential", ["experiment", "calibration"],
+     {"generator": SMALL, "train": SHORT, "ablations": ["no_evidential"]}),
     ("experiment_shift_generator", ["experiment", "shift"],
      {"generator": SMALL, "train": SHORT, "ablations": ["full"],
       "shifted_generator": {"n_chains": 6, "chain_length": 20, "ordered_noise_scale": 0.6,
