@@ -193,10 +193,10 @@ def _train_runs(seed_jobs, n_seeds):
     made) here, at most one beyond those the workers hold, as soon as a
     stack's training comes back and before the caller evaluates it; each
     keeps its seed's dataset alive until its runs are evaluated, so up to
-    CPUS + 2 seeds' datasets are (318 MB in this process at 200x100, 4
-    seeds, 2 CPUs).  The caller evaluates each run here as it arrives.  A training
-    that raises re-raises here, at its job's place.  On one CPU, or without
-    fork, the stacks train here, one after another."""
+    CPUS + 2 seeds' datasets are (247 MB in this process at 200x100, 4
+    seeds, 10 epochs, 2 CPUs).  The caller evaluates each run here as it
+    arrives.  A training that raises re-raises here, at its job's place.  On
+    one CPU, or without fork, the stacks train here, one after another."""
     workers = bounds_mod.CPUS
     parallel = workers > 1 and hasattr(os, "fork")
     n_stacks = -(-workers // n_seeds) if parallel else 1

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from calpro import datagen, head
 from calpro.datagen import Dataset, GeneratorConfig
@@ -226,6 +228,14 @@ def _blur_loop(coords, ids, half):
             hi = min(idx.size, k + half + 1)
             out[i] = coords[idx[lo:hi]].mean(axis=0)
     return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(3)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_row_norms_bitwise_match_linalg_norm(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert datagen._row_norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
 
 
 @st.composite
@@ -508,6 +518,34 @@ class TestRoundTrip:
             datagen.load_dataset(p)
 
 
+def _build_edges_reference(ds, window, radius):
+    """build_edges by its docstring, from the two pair sources as they come
+    (query_pairs as a set) and the np.unique(axis=0) canonicalization: the
+    chain window, every same-chain pair at an infinite radius, and the
+    pairs within a finite positive radius."""
+    n = ds.n_nodes
+    pairs = [datagen._chain_window_pairs(ds.chain_ids, n if math.isinf(radius) else window)]
+    if 0 < radius < math.inf:
+        spatial = cKDTree(ds.chain_coords).query_pairs(radius, output_type="set")
+        pairs.append(np.array(sorted(spatial), dtype=int).reshape(-1, 2))
+    return _dedupe_edges_unique(np.concatenate(pairs))
+
+
+@st.composite
+def _spatial_graph(draw):
+    """A graph of 0-40 nodes on 1-4 chains (one chain about a quarter of
+    the time), coordinates on a coarse grid so that points coincide and
+    spatial pairs repeat chain-window pairs, a window, and a radius: 0,
+    infinite, or finite and positive."""
+    n = draw(st.integers(0, 40))
+    n_chains = draw(st.sampled_from((1, 1, 2, 4)))
+    chain_ids = draw(st.lists(st.integers(0, n_chains - 1), min_size=n, max_size=n))
+    ds = _graph(sorted(chain_ids) if draw(st.booleans()) else chain_ids, ())
+    coords = draw(hnp.arrays(float, (n, 3), elements=st.integers(-3, 3).map(float)))
+    radius = draw(st.one_of(st.sampled_from((0.0, math.inf)), st.floats(0.1, 6.0)))
+    return replace(ds, chain_coords=coords), draw(st.integers(1, 6)), radius
+
+
 class TestBuildEdges:
     def test_path_graph(self, small_chain_ds):
         out = datagen.build_edges(small_chain_ds, chain_window=1, spatial_radius=0.0)
@@ -531,6 +569,22 @@ class TestBuildEdges:
         with pytest.raises(ValueError):
             datagen.build_edges(small_chain_ds, chain_window=0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), -0.5, -math.inf])
+    def test_nan_or_negative_radius_refused(self, small_chain_ds, radius):
+        """NaN fails every comparison, so a `radius < 0` test would let it
+        through to chain-window edges only."""
+        with pytest.raises(ValueError, match="spatial_radius >= 0"):
+            datagen.build_edges(small_chain_ds, spatial_radius=radius)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spatial_graph())
+    def test_matches_both_pair_sources_deduplicated(self, case):
+        ds, window, radius = case
+        out = datagen.build_edges(ds, chain_window=window, spatial_radius=radius)
+        expected = _build_edges_reference(ds, window, radius)
+        assert out.edges.dtype == expected.dtype and out.edges.shape == expected.shape
+        assert out.edges.flags.c_contiguous and out.edges.tobytes() == expected.tobytes()
+
 
 def test_generators_deterministic():
     a = datagen.gen_chain_dataset(_cfg(seed=9))
@@ -549,6 +603,55 @@ def test_default_edges_pinned(default_chain_ds):
     edges = default_chain_ds.edges
     assert edges.shape == (5361, 2) and edges.dtype == np.int64
     assert hashlib.sha256(edges.tobytes()).hexdigest() == DEFAULT_EDGES_SHA256
+
+
+# sha256 of GeneratorConfig(n_chains=100, chain_length=100, seed=0)'s
+# edges.tobytes(), the benchmark's shift_eval graph, recorded before
+# build_edges turned each pair source straight into keys
+SHIFT_EVAL_EDGES_SHA256 = "20ed3a929f1ab90fd117adf88072f440971ec9369284d4e4374cf66659932281"
+
+
+@pytest.fixture(scope="module")
+def shift_eval_ds():
+    return datagen.gen_chain_dataset(GeneratorConfig(n_chains=100, chain_length=100, seed=0))
+
+
+def test_shift_eval_edges_pinned(shift_eval_ds):
+    edges = shift_eval_ds.edges
+    assert edges.shape == (347350, 2) and edges.dtype == np.int64
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == SHIFT_EVAL_EDGES_SHA256
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEdgeMemory:
+    """Edge lists are built and cut without full-size temporaries: on the
+    100x100 graph build_edges peaks at about 1.5 times the edge array it
+    builds (4.8 times when it kept its pair arrays), and the test split's
+    subset at about 0.3 times its parent's edges (1.2 times when it
+    relabeled every row)."""
+
+    def test_build_edges_peak(self, shift_eval_ds):
+        bare = replace(shift_eval_ds, edges=np.zeros((0, 2), dtype=int))
+        out, peak = _traced_peak(lambda: datagen.build_edges(bare))
+        assert out.edges.shape == shift_eval_ds.edges.shape
+        assert peak <= 2 * out.edges.nbytes
+
+    def test_subset_peak(self, shift_eval_ds):
+        # a dataset of its own, so no live sub-dataset lends its edges
+        ds = replace(shift_eval_ds)
+        idx = ds.split_indices("test")
+        sub, peak = _traced_peak(lambda: ds.subset(idx))
+        assert sub.edges.shape[0] > 0
+        assert peak <= ds.edges.nbytes // 2
 
 
 def _graph(chain_ids, edges, splits=None, group_tags=None):
