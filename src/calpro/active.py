@@ -79,8 +79,6 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
         perm = rng_stream(cfg.seed, 31 + rnd).permutation(lab.size)
         train_idx = lab[perm[:n_train]]
         cal_idx = lab[perm[n_train:]]
-        if cal_idx.size == 0:
-            cal_idx = train_idx[-4:]
         train_ds = _retag(pool.subset(train_idx), "train")
         cal_ds = _retag(pool.subset(cal_idx), "calibration")
         retrain = dc_replace(cfg.retrain, seed=cfg.seed)
@@ -145,6 +143,10 @@ def compare_strategies(pool, configs, seeds):
     names = [cfg.strategy for cfg in configs]
     if len(set(names)) < len(names):
         raise ValueError(f"strategies must not repeat an entry, got {names}")
+    # every config is checked before any loop runs, so a bad one costs no run
+    pool_size = int(np.count_nonzero(pool.splits != "test"))
+    for cfg in configs:
+        cfg.validate(pool_size=pool_size)
     table, all_curves = {}, {}
     for cfg in configs:
         curves = []

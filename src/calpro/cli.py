@@ -166,13 +166,9 @@ def _out_dir(args):
 
 def cmd_gen_data(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"generator", "kind"})
-    kind = _value(cfg, "kind", str, "chain")
-    if kind not in ("chain", "tabular"):
-        raise SystemExit(f"error: kind must be chain or tabular, got {kind!r}")
+    _check_keys(cfg, {"generator"})
     gen = _generator_config(cfg, args.seed)
-    maker = datagen.gen_tabular_dataset if kind == "tabular" else datagen.gen_chain_dataset
-    ds = maker(gen)
+    ds = datagen.gen_chain_dataset(gen)
     out = _out_dir(args)
     datagen.save_dataset(ds, os.path.join(out, "dataset.json"))
     _write_csv(os.path.join(out, "dataset.csv"),

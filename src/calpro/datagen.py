@@ -2,8 +2,7 @@
 
 Chains of 3D points stand in for protein-like structures: a reference chain
 plus a noised "predicted" chain, with the per-node displacement as the
-regression target.  A tabular generator with covariate-dependent noise covers
-the non-geometric case.  All generators are deterministic in (config, seed).
+regression target.  The generator is deterministic in (config, seed).
 """
 
 import json
@@ -217,14 +216,6 @@ def _sharing_graph(source, derived):
     return derived
 
 
-def _dedupe_edges(pairs):
-    """Canonicalize to sorted unique (i, j) rows with i < j."""
-    arr = np.sort(np.asarray(pairs, dtype=int).reshape(-1, 2), axis=1)
-    arr = arr[arr[:, 0] != arr[:, 1]]
-    n = int(arr[:, 1].max(initial=-1)) + 1
-    return _edges_from_keys([_edge_keys(arr, n)], n)
-
-
 def _edge_keys(pairs, n):
     """The int64 key i * n + j of each (i, j) row of pairs (n > every index):
     the keys order as the rows do, lexicographically."""
@@ -367,47 +358,7 @@ def gen_chain_dataset(cfg: GeneratorConfig) -> Dataset:
         metadata={"generator": "chain", "config": asdict(cfg)},
     )
     ds = build_edges(ds, chain_window=5, spatial_radius=2.5)
-    ds = split(ds, (0.6, 0.2, 0.2), mode="family_aware", seed=cfg.seed)
-    return ds.validate()
-
-
-def gen_tabular_dataset(cfg: GeneratorConfig) -> Dataset:
-    """Tabular regression with covariate-dependent noise; the prior flags
-    extreme covariate magnitude.  Edges are 5-NN in covariate space (all
-    other nodes when there are fewer than 6)."""
-    cfg.validate()
-    rng = rng_stream(cfg.seed, 1)
-    n = cfg.n_chains * cfg.chain_length
-    d_cov = max(2, cfg.feature_dim - 2)
-    x = rng.standard_normal((n, d_cov))
-    extreme = np.max(np.abs(x), axis=1) > 1.7
-    scale = cfg.ordered_noise_scale + cfg.informativeness_eta * (
-        cfg.disordered_noise_scale - cfg.ordered_noise_scale) * extreme
-    target_y = scale * np.abs(rng.standard_normal(n))
-    prior_b = (1.0 - cfg.prior_noise) * extreme + cfg.prior_noise * rng.random(n)
-    prior_b = np.clip(prior_b, 0.0, 1.0)
-    feats = np.zeros((n, cfg.feature_dim))
-    feats[:, :d_cov] = x
-    feats[:, d_cov] = target_y + 0.5 * rng.standard_normal(n)
-    feats[:, d_cov + 1:] = rng.standard_normal((n, cfg.feature_dim - d_cov - 1))
-    tree = cKDTree(x)
-    # past the n - 1 other nodes the tree pads with index n, out of range
-    k = min(6, n)
-    _, nn = tree.query(x, k=k)
-    pairs = np.column_stack((np.repeat(np.arange(n), k - 1), nn[:, 1:].ravel()))
-    ds = Dataset(
-        features=feats,
-        prior_b=prior_b,
-        target_y=target_y,
-        group_tags=np.where(extreme, "extreme", "core"),
-        disorder_flags=extreme,
-        edges=_dedupe_edges(pairs),
-        splits=np.full(n, "train"),
-        chain_coords=None,
-        chain_ids=np.arange(n) // 50,
-        metadata={"generator": "tabular", "config": asdict(cfg)},
-    )
-    ds = split(ds, (0.6, 0.2, 0.2), mode="random", seed=cfg.seed)
+    ds = split(ds, (0.6, 0.2, 0.2), seed=cfg.seed)
     return ds.validate()
 
 
@@ -625,27 +576,18 @@ def with_priors(ds: Dataset, prior_b) -> Dataset:
     return _sharing_graph(ds, replace(ds, prior_b=prior_b))
 
 
-def split(ds: Dataset, fractions, mode="family_aware", seed=0) -> Dataset:
-    """Assign train/calibration/test tags.  family_aware assigns whole chains
-    to one split; random assigns nodes independently."""
+def split(ds: Dataset, fractions, seed=0) -> Dataset:
+    """Assign train/calibration/test tags, whole chains to one split."""
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
         raise ValueError("fractions must be three nonnegative values summing to 1")
     rng = rng_stream(seed, 4)
-    # a unit (a chain, or a node in random mode) takes one tag
-    if mode == "family_aware":
-        chains, node_unit = np.unique(ds.chain_ids, return_inverse=True)
-        n_units = chains.size
-    elif mode == "random":
-        n_units = ds.n_nodes
-        node_unit = np.arange(n_units)
-    else:
-        raise ValueError(f"unknown split mode {mode!r}")
-    order = rng.permutation(n_units)
-    tags = np.repeat(SPLITS, _allocate(n_units, fractions))
-    unit_tags = np.empty_like(tags)
-    unit_tags[order] = tags
-    return replace(ds, splits=unit_tags[node_unit])
+    chains, node_chain = np.unique(ds.chain_ids, return_inverse=True)
+    order = rng.permutation(chains.size)
+    tags = np.repeat(SPLITS, _allocate(chains.size, fractions))
+    chain_tags = np.empty_like(tags)
+    chain_tags[order] = tags
+    return replace(ds, splits=chain_tags[node_chain])
 
 
 def _allocate(total, fractions):

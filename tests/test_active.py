@@ -99,6 +99,19 @@ class TestCompareStrategies:
                 _pool(), [_cfg(strategy=s) for s in ("random", "calpro_width", "random")],
                 seeds=[0])
 
+    @pytest.mark.parametrize("configs, message", [
+        ([_cfg(strategy="random"), _cfg(strategy="bogus")], "unknown strategy 'bogus'"),
+        # 200 + 8 * 2 labels from the pool's 210 selectable nodes
+        ([_cfg(strategy=s, seed_set_size=200) for s in ("random", "calpro_width")],
+         "budget exceeds pool size"),
+    ], ids=["strategy", "budget"])
+    def test_every_config_checked_before_any_loop(self, monkeypatch, configs, message):
+        calls = []
+        monkeypatch.setattr(active, "run_active", lambda pool, cfg: calls.append(cfg))
+        with pytest.raises(ValueError, match=message):
+            active.compare_strategies(_pool(), configs, seeds=[0, 1])
+        assert calls == []
+
     def test_ordering_emitted(self):
         pool = _pool(seed=9)
         out = active.compare_strategies(

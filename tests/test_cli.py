@@ -72,10 +72,11 @@ class TestGenData:
             cli.main(["gen-data", "--config", str(p), "--out", str(tmp_path / "x")])
 
     def test_unknown_kind_rejected(self, tmp_path):
-        cfg = _gen_cfg(tmp_path, kind="tabualr")
+        """kind chose a second generator, now gone: an unknown key."""
+        cfg = _gen_cfg(tmp_path, kind="chain")
         with pytest.raises(SystemExit) as exc:
             cli.main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x")])
-        assert exc.value.code == "error: kind must be chain or tabular, got 'tabualr'"
+        assert exc.value.code == "error: unknown config keys: kind"
         assert not (tmp_path / "x").exists()
 
     def test_split_mode_rejected(self, tmp_path):
@@ -754,6 +755,21 @@ class TestCorruptPriors:
                      {"dataset": str(gen_out / "dataset.json"), "mode": "shuffle"})
         out = tmp_path / "run"
         assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_corrupt_file_without_coords(self, tmp_path):
+        """calpro-dataset/1 lets chain_coords and reference_coords be null:
+        such a file is corrupted as any other, and perturbing it is refused."""
+        ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(n_chains=5, chain_length=20))
+        src = tmp_path / "bare.json"
+        datagen.save_dataset(datagen.replace(ds, chain_coords=None, reference_coords=None), src)
+        cfg = _write(tmp_path, "cor.json", {"dataset": str(src), "mode": "invert"})
+        out = tmp_path / "run"
+        assert cli.main(["corrupt-priors", "--config", cfg, "--out", str(out)]) == 0
+        corrupted = datagen.load_dataset(out / "dataset_corrupted.json")
+        assert corrupted.chain_coords is None and corrupted.reference_coords is None
+        np.testing.assert_array_equal(corrupted.prior_b, 1.0 - ds.prior_b)
+        with pytest.raises(ValueError, match="requires chain_coords"):
+            datagen.perturb(corrupted, "gaussian", 0.5)
 
     @pytest.mark.parametrize("mangle, message", [
         (lambda d: {**d, "nodes": []}, "dataset file has no nodes"),

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from calpro import datagen, head
 from calpro.datagen import Dataset, GeneratorConfig
-from calpro.numerics import rng_stream, spearman
+from calpro.numerics import rng_stream
 
 
 PERTURB_KINDS = ("gaussian", "segment_swap", "block_rotate", "blur")
@@ -109,37 +109,6 @@ class TestChainGenerator:
                                      np.linalg.norm(p - p.mean(axis=0), axis=1)])
             np.testing.assert_allclose(ds.features[rows][:, [0, 1, 2, 7]], alone,
                                        rtol=1e-12, atol=1e-12)
-
-
-class TestTabularGenerator:
-    def test_homoscedastic_prior_uninformative(self):
-        rhos = []
-        for seed in range(10):
-            ds = datagen.gen_tabular_dataset(_cfg(informativeness_eta=0.0, seed=seed))
-            rhos.append(spearman(ds.prior_b, ds.target_y))
-        assert abs(np.median(rhos)) < 0.1
-
-    def test_heteroscedastic_prior_informative(self):
-        rhos = []
-        for seed in range(10):
-            ds = datagen.gen_tabular_dataset(_cfg(
-                n_chains=20, disordered_noise_scale=3.0, prior_noise=0.0, seed=seed))
-            rhos.append(spearman(ds.prior_b, ds.target_y))
-        assert np.median(rhos) > 0.3
-
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_up_to_six_nodes_join_every_pair(self, n):
-        ds = datagen.gen_tabular_dataset(_cfg(n_chains=1, chain_length=n))
-        assert ds.validate().edges.shape == (n * (n - 1) // 2, 2)
-
-    def test_deterministic_file_hash(self, tmp_path):
-        hashes = []
-        for _ in range(2):
-            ds = datagen.gen_tabular_dataset(_cfg(seed=5))
-            p = tmp_path / "t.json"
-            datagen.save_dataset(ds, p)
-            hashes.append(hashlib.sha256(p.read_bytes()).hexdigest())
-        assert hashes[0] == hashes[1]
 
 
 class TestPerturb:
@@ -393,21 +362,17 @@ class TestCorruptPriors:
 class TestSplit:
     def test_family_aware_chain_counts(self):
         ds = datagen.gen_chain_dataset(_cfg(n_chains=10, chain_length=50))
-        out = datagen.split(ds, (0.6, 0.2, 0.2), mode="family_aware", seed=1)
+        out = datagen.split(ds, (0.6, 0.2, 0.2), seed=1)
         by_tag = {}
         for t in ("train", "calibration", "test"):
             by_tag[t] = set(out.chain_ids[out.split_indices(t)].tolist())
         assert (len(by_tag["train"]), len(by_tag["calibration"]), len(by_tag["test"])) == (6, 2, 2)
 
     def test_family_aware_no_chain_straddles(self, small_chain_ds):
-        out = datagen.split(small_chain_ds, (0.5, 0.25, 0.25), mode="family_aware", seed=2)
+        out = datagen.split(small_chain_ds, (0.5, 0.25, 0.25), seed=2)
         for c in np.unique(out.chain_ids):
             tags = {out.splits[i] for i in np.flatnonzero(out.chain_ids == c)}
             assert len(tags) == 1
-
-    def test_random_all_train(self, small_chain_ds):
-        out = datagen.split(small_chain_ds, (1.0, 0.0, 0.0), mode="random")
-        assert set(out.splits) == {"train"}
 
     def test_bad_fractions(self, small_chain_ds):
         with pytest.raises(ValueError):
@@ -440,22 +405,28 @@ def _reference_save_dataset(ds, path):
         json.dump(doc, fh, sort_keys=True)
 
 
+def _chain_dataset_without_coords(cfg):
+    """A generated chain dataset with null chain_coords and reference_coords,
+    as calpro-dataset/1 allows."""
+    return replace(datagen.gen_chain_dataset(cfg), chain_coords=None, reference_coords=None)
+
+
 @st.composite
 def _round_trip_case(draw):
-    """A small generated dataset as it comes, an induced subset of it, or
-    (chain generator only) a perturbation of it."""
+    """A small generated dataset as it comes, an induced subset of it, a
+    perturbation of it, or it without coordinates."""
     cfg = GeneratorConfig(n_chains=draw(st.integers(1, 4)), chain_length=draw(st.integers(4, 15)),
                           feature_dim=draw(st.integers(8, 10)), seed=draw(st.integers(0, 2**16)))
-    chain = draw(st.booleans())
-    ds = (datagen.gen_chain_dataset if chain else datagen.gen_tabular_dataset)(cfg)
-    variant = draw(st.sampled_from(("generated", "subset", "perturbed") if chain
-                                   else ("generated", "subset")))
+    ds = datagen.gen_chain_dataset(cfg)
+    variant = draw(st.sampled_from(("generated", "subset", "perturbed", "without_coords")))
     if variant == "subset":
         idx = draw(st.lists(st.integers(0, ds.n_nodes - 1), min_size=1, unique=True))
         return ds.subset(idx)
     if variant == "perturbed":
         return datagen.perturb(ds, draw(st.sampled_from(PERTURB_KINDS)),
                                draw(st.floats(0.05, 3.0)), seed=draw(st.integers(0, 99)))
+    if variant == "without_coords":
+        return _chain_dataset_without_coords(cfg)
     return ds
 
 
@@ -486,7 +457,7 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="byte offset"):
             datagen.load_dataset(p)
 
-    @pytest.mark.parametrize("make", [datagen.gen_chain_dataset, datagen.gen_tabular_dataset])
+    @pytest.mark.parametrize("make", [datagen.gen_chain_dataset, _chain_dataset_without_coords])
     def test_bytes_match_reference_writer(self, make, tmp_path):
         ds = make(_cfg(seed=4))
         datagen.save_dataset(ds, tmp_path / "ds.json")
@@ -733,7 +704,7 @@ def _subset_edges_loop(ds, idx):
 
 
 def _dedupe_edges_unique(pairs):
-    """Reference: the np.unique(axis=0) canonicalization _dedupe_edges used."""
+    """Reference: pairs as sorted unique (i, j) rows with i < j, by np.unique(axis=0)."""
     if len(pairs) == 0:
         return np.zeros((0, 2), dtype=int)
     arr = np.sort(np.asarray(pairs, dtype=int), axis=1)
@@ -865,13 +836,6 @@ class TestVectorizedDataPlane:
         out = datagen.build_edges(ds, chain_window=1, spatial_radius=float("inf"))
         assert np.array_equal(out.edges, _chain_window_brute_force(ds.chain_ids, ds.n_nodes))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=100))
-    def test_dedupe_matches_unique_rows(self, pairs):
-        got = datagen._dedupe_edges(pairs)
-        expected = _dedupe_edges_unique(pairs)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert np.array_equal(got, expected)
 
 
 @st.composite
@@ -934,7 +898,7 @@ class TestGraphMemo:
         stale = pert.split_indices("test")
         retagged = replace(pert, splits=("test",) * pert.n_nodes)
         assert np.array_equal(retagged.split_indices("test"), np.arange(pert.n_nodes))
-        resplit = datagen.split(pert, (0.2, 0.2, 0.6), mode="random", seed=5)
+        resplit = datagen.split(pert, (0.2, 0.2, 0.6), seed=5)
         expected = np.array([i for i, t in enumerate(resplit.splits) if t == "test"])
         assert np.array_equal(resplit.split_indices("test"), expected)
         assert not np.array_equal(expected, stale)

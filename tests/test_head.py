@@ -310,7 +310,7 @@ def _graph_and_vectors(draw):
     n = draw(st.integers(1, 40))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=120))
-    edges = datagen._dedupe_edges(edges)
+    edges = np.unique(np.sort(np.array(edges, dtype=int).reshape(-1, 2), axis=1), axis=0)
     rng = rng_stream(draw(st.integers(0, 2**31 - 1)), 0)
     k = draw(st.integers(1, 6))
     x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))

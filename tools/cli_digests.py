@@ -66,7 +66,6 @@ MATRIX = (
      {"generator": GENERATOR, "train": dict(TRAIN, max_epochs=10, warmup_epochs=9),
       "active": {"rounds": 2}}),
     ("gen_data_chain", ["gen-data"], {"generator": GENERATOR}),
-    ("gen_data_tabular", ["gen-data"], {"generator": GENERATOR, "kind": "tabular"}),
     ("corrupt_priors", ["corrupt-priors"], {"generator": GENERATOR}),
     # config shapes no entry above sets, each on a 6x20 graph with 4 epochs:
     # nested head and objective keys, two seeds, levels, ablations, a shifted
