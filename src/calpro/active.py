@@ -62,7 +62,6 @@ def run_active(pool: "Dataset", cfg: ActiveConfig) -> ActiveCurve:
     all others are selectable.  Each round trains on 75% of the labeled set
     and calibrates (normalized scores) on the remaining 25%.
     """
-    cfg.validate()
     rng = rng_stream(cfg.seed, 30)
     test_idx = pool.split_indices("test")
     selectable = np.flatnonzero(pool.splits != "test")

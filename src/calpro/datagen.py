@@ -5,6 +5,7 @@ plus a noised "predicted" chain, with the per-node displacement as the
 regression target.  The generator is deterministic in (config, seed).
 """
 
+import itertools
 import json
 import math
 import numbers
@@ -669,16 +670,18 @@ _NUMBERS, _INTEGERS = "fiu", "i"
 def _column(values, kinds, shape, message):
     """values, a JSON array, as a numpy array of one of the dtype kinds and of
     shape (None matches any length), a number column as floats; else
-    ValueError(message).  numpy picks the dtype from the values, so a value
-    of another kind is an error, never a conversion: "no" is no disorder
-    flag, 0.5 no chain id, and an integer beyond int64 (read as a float or
-    an object) no edge index."""
+    ValueError(message).  A value of another kind is an error, never a
+    conversion: "no" is no disorder flag, 0.5 no chain id, an integer beyond
+    int64 (read as a float or an object) no edge index, and, which numpy
+    alone would convert, true no number and 7 no group tag."""
     try:
         arr = np.asarray(values)
     except ValueError:      # ragged nesting
         raise ValueError(message) from None
+    flat = itertools.chain.from_iterable(values) if arr.ndim == 2 else values
     if (arr.dtype.kind not in kinds or arr.ndim != len(shape)
-            or any(want not in (None, got) for want, got in zip(shape, arr.shape))):
+            or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+            or not set(map(type, flat)) <= {"U": {str}, "b": {bool}}.get(kinds, {int, float})):
         raise ValueError(message)
     return arr.astype(float, copy=False) if "f" in kinds else arr
 

@@ -354,29 +354,22 @@ def run_shift_experiment(spec: ExperimentSpec, tau=conf_mod.DEFAULT_TAU):
             "rows": _seed_median(per_seed), "per_seed": per_seed}
 
 
-def run_perturbation_correlation(spec: ExperimentSpec,
-                                 kinds=PERTURBATION_KINDS,
-                                 magnitudes=None):
-    """Spearman(predicted sqrt(Var), realized error) per perturbation kind
-    for full and no_priors configurations."""
-    magnitudes = dict(DEFAULT_PERTURBATION_MAGNITUDE, **(magnitudes or {}))
-    for kind in kinds:
-        if kind not in PERTURBATION_KINDS:
-            raise ValueError(f"unknown perturbation kind {kind!r}")
-        datagen.check_magnitude(magnitudes[kind], "magnitudes")
-
+def run_perturbation_correlation(spec: ExperimentSpec):
+    """Spearman(predicted sqrt(Var), realized error) per perturbation kind,
+    each at its DEFAULT_PERTURBATION_MAGNITUDE, for full and no_priors
+    configurations."""
     def one_seed(runs):
         out = {}
         for run in runs:
             if not out:     # the seed's perturbed test sets, from its first run's dataset
-                tests = {kind: _test_split(datagen.perturb(run["ds"], kind, magnitudes[kind],
-                                                           seed=run["seed"]))
-                         for kind in kinds}
+                tests = {kind: _test_split(datagen.perturb(
+                    run["ds"], kind, DEFAULT_PERTURBATION_MAGNITUDE[kind], seed=run["seed"]))
+                         for kind in PERTURBATION_KINDS}
             row = {}
             for kind, test_ds in tests.items():
                 row[kind] = metrics_mod.uncertainty_error_spearman(
                     head_mod.forward(run["params"], test_ds), test_ds.target_y)
-            row["overall"] = float(np.mean([row[k] for k in kinds]))
+            row["overall"] = float(np.mean([row[k] for k in PERTURBATION_KINDS]))
             out[run["config"]] = row
         return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .numerics import rng_stream, softplus, softplus_sigmoid
+from .numerics import rng_stream, softplus_sigmoid
 
 HEAD_VERSION = "calpro-head/2"
 
@@ -177,7 +177,8 @@ def forward(params: HeadParams, ds, with_cache=False):
     immutable) under the head's config, weight shape and weight bytes, and
     a call with the same head returns it again: a report predicts each set
     once, however many of its parts ask.  Its arrays are read-only.  With
-    the cache (training) nothing is kept or looked up.
+    the cache (training) nothing is kept or looked up; either way the
+    softplus outputs come with their sigmoids, backward's derivatives.
     """
     if ds.features.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {ds.features.shape[1]} does not match head "
@@ -211,10 +212,7 @@ def forward(params: HeadParams, ds, with_cache=False):
     # above zero that the strict constraints hold and downstream terms like
     # beta / (nu^2 (alpha - 1)) stay finite
     floor = 1e-10
-    if with_cache:      # backward's derivatives of the three softplus
-        sp, cache["sig"] = softplus_sigmoid(raw[..., 1:4])
-    else:
-        sp = softplus(raw[..., 1:4])
+    sp, cache["sig"] = softplus_sigmoid(raw[..., 1:4])
     nig = NIGParams(
         mu=raw[..., 0],
         nu=np.maximum(sp[..., 0], floor),

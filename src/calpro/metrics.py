@@ -64,16 +64,17 @@ def ece(nig, y, calib, level_grid=DEFAULT_LEVEL_GRID):
     return float(np.mean([abs(cov - tau) for cov, tau in zip(curve, level_grid)]))
 
 
-def ace(nig, y, calib, n_bins=10, tau=conf_mod.DEFAULT_TAU):
-    """Adaptive calibration error: equal-mass bins by predicted variance,
-    mean absolute coverage deviation at tau within bins."""
-    if y.size < n_bins:
-        raise ValueError("too few nodes for the requested number of bins")
+def ace(nig, y, calib):
+    """Adaptive calibration error: 10 equal-mass bins by predicted variance,
+    mean absolute coverage deviation at DEFAULT_TAU within bins."""
+    if y.size < 10:
+        raise ValueError("too few nodes for 10 bins")
     var = head_mod.epistemic_variance(nig)
     s_test = conf_mod.scores_from_nig(nig, y, calib.score_mode)
+    tau = conf_mod.DEFAULT_TAU
     q = calib.quantiles_at((tau,))[0]
     order = np.argsort(var, kind="stable")
-    bins = np.array_split(order, n_bins)
+    bins = np.array_split(order, 10)
     devs = [abs(float(np.mean(s_test[b] <= q)) - tau) for b in bins if b.size]
     return float(np.mean(devs))
 

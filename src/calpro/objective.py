@@ -180,20 +180,19 @@ def soft_conf_loss(scores, cfg: ObjectiveConfig, stopgrad=False):
 
 def _arm_weights(cfg):
     """(first config, (lambda_evid, lambda_prior, lambda_conf), the same as
-    per-node factors, mu_only, any mu_only, all mu_only) of total_loss's cfg,
-    after validating it: one config's own values, or for a sequence of
+    per-node factors, mu_only, any mu_only) of total_loss's cfg, validated:
+    one config's own values (mu_only a 0-d array), or for a sequence of
     configs one value per arm, as an array (and as an (arms, 1) column)."""
     if isinstance(cfg, ObjectiveConfig):
         cfg.validate()
         lam = cfg.lambda_evid, cfg.lambda_prior, cfg.lambda_conf
-        return cfg, lam, lam, cfg.mu_only, cfg.mu_only, cfg.mu_only
+        return cfg, lam, lam, np.array(cfg.mu_only), cfg.mu_only
     for c in cfg:
         c.validate()
     lam = [np.array([getattr(c, k) for c in cfg])
            for k in ("lambda_evid", "lambda_prior", "lambda_conf")]
     mu_only = np.array([c.mu_only for c in cfg])
-    return (cfg[0], lam, [w[:, None] for w in lam], mu_only,
-            bool(mu_only.any()), bool(mu_only.all()))
+    return cfg[0], lam, [w[:, None] for w in lam], mu_only, bool(mu_only.any())
 
 
 def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=None):
@@ -207,9 +206,12 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=Non
     For a stack of heads and maps (one row of out per arm), cfg may be a
     sequence of configs, one per arm, that differ only in the lambda_*
     weights and mu_only, and ds.prior_b may hold one column per arm.  The
-    value and each part are then arrays over the arms.
+    value and each part are then arrays over the arms.  An arm that sets
+    mu_only takes the mean squared error of mu as its value and "nig" part,
+    zero for the other parts and the map, and a gradient through mu alone:
+    every arm computes the full objective, which a mu_only arm then drops.
     """
-    base, lam, (lam_evid, lam_prior, lam_conf), mu_only, any_mu, all_mu = head_mod._kept(
+    base, lam, (lam_evid, lam_prior, lam_conf), mu_only, any_mu = head_mod._kept(
         head_params, "_weights", cfg, _arm_weights)
     if out is None:
         out = np.empty(head_params.arms + (head_params.size + monotone.size,))
@@ -218,19 +220,6 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=Non
     nig, cache = head_mod.forward(head_params, ds, with_cache=True)
     y = ds.target_y
     resid = y - nig.mu
-
-    if any_mu:      # the ablation's plain squared-error point head
-        sq = resid ** 2
-        mse = per_arm(sq.sum(axis=-1) / y.size)
-        d_mse = 2.0 * (nig.mu - y) / y.size
-        if all_mu:
-            zero = per_arm(np.zeros(head_params.arms))
-            parts = {"nig": mse, "evidence": zero, "prior": zero, "soft_conf": zero}
-            zeros = np.zeros_like(d_mse)
-            head_grads = head_mod.backward(head_params, cache, d_mse, zeros, zeros, zeros,
-                                           out=out_head)
-            mono_out._vec.fill(0.0)
-            return mse, parts, head_grads, mono_out
 
     l_nig, (d_mu, d_nu, d_alpha, d_beta) = nig_nll(nig, y)
     l_evid, d_alpha_evid = evidence_reg(nig.alpha)
@@ -251,11 +240,13 @@ def total_loss(head_params, monotone, ds, cfg: ObjectiveConfig, epoch=0, out=Non
     d_mu = d_mu + lam_conf * d_s * (-np.sign(resid))
 
     np.multiply(lam_prior, mono_grads._vec, out=mono_out._vec)
-    if any_mu:      # a stack mixing both objectives: each arm takes its own
-        node = mu_only[:, None]
-        total = np.where(mu_only, mse, total)
-        parts = {k: np.where(mu_only, mse if k == "nig" else 0.0, v) for k, v in parts.items()}
-        d_mu = np.where(node, d_mse, d_mu)
+    if any_mu:      # the ablation's plain squared-error point head, for its arms only
+        mse = per_arm((resid ** 2).sum(axis=-1) / y.size)
+        node = mu_only[..., None]
+        total = per_arm(np.where(mu_only, mse, total))
+        parts = {k: per_arm(np.where(mu_only, mse if k == "nig" else 0.0, v))
+                 for k, v in parts.items()}
+        d_mu = np.where(node, 2.0 * (nig.mu - y) / y.size, d_mu)
         d_nu, d_alpha, d_beta = (np.where(node, 0.0, d) for d in (d_nu, d_alpha, d_beta))
         mono_out._vec[mu_only] = 0.0
     head_grads = head_mod.backward(head_params, cache, d_mu, d_nu, d_alpha, d_beta,

@@ -121,9 +121,11 @@ def train(cfg: TrainConfig, train_ds, val_ds, objectives=None):
     as one stack of heads on train_ds, whose prior_b is either the arms' one
     prior or holds one column per arm, and train returns a list holding, per
     arm, what train on cfg with that objective (and prior) alone gives: its
-    (params, mono, record), or the exception it raises.  An arm that stops
-    early or whose loss turns non-finite leaves the stack, and the others go
-    on.  An invalid cfg or dataset raises for the whole call.
+    (params, mono, record), or the exception it raises.  An arm leaves the
+    stack, and the others go on, at the end of the epoch it stops early in,
+    or at the end of the step its loss turns non-finite in: that step's
+    Adam update works elementwise, so it moves no other arm's bits.  An
+    invalid cfg or dataset raises for the whole call.
     """
     shared = _shared(cfg.objective)
     replace(cfg, objective=shared).validate()
@@ -231,6 +233,14 @@ def _train_stack(cfg, fit_ds, val_ds, objectives):
         data = fit_ds if fit_ds.prior_b.ndim == 1 else datagen.with_priors(
             fit_ds, np.ascontiguousarray(fit_ds.prior_b[:, columns]))
 
+    def leave():
+        """Drop the arms that have a result, failed or finished; whether any
+        arm is left."""
+        keep = [row for row, arm in enumerate(arms) if results[arm.index] is None]
+        if keep and len(keep) < len(arms):
+            restack(keep)
+        return bool(keep)
+
     g = mhat = vhat = stack = out = objectives = data = None
     restack(list(range(len(arms))))
     batches = _batches(fit_ds.chain_ids, np.arange(fit_ds.n_nodes), cfg.batch_size)
@@ -245,24 +255,13 @@ def _train_stack(cfg, fit_ds, val_ds, objectives):
                 batch = data if batch_idx.size == data.n_nodes else data.subset(batch_idx)
                 val, parts, _, _ = total_loss(*stack, batch, objectives, epoch=epoch, out=out)
                 val, parts = arm_list(val), {k: arm_list(v) for k, v in parts.items()}
-                if not all(map(math.isfinite, val)):
-                    keep = []
-                    for row, arm in enumerate(arms):
-                        if math.isfinite(val[row]):
-                            keep.append(row)
-                            continue
+                step += 1
+                for row, arm in enumerate(arms):
+                    if not math.isfinite(val[row]):     # the arm leaves after this step
                         bad = [k for k, v in parts.items() if not math.isfinite(v[row])]
                         results[arm.index] = FloatingPointError(
                             f"non-finite training loss; offending terms: {bad}")
-                    if not keep:
-                        return results
-                    grads = g[keep]
-                    val, parts = [val[r] for r in keep], {k: [v[r] for r in keep]
-                                                           for k, v in parts.items()}
-                    restack(keep)
-                    g[:] = grads
-                step += 1
-                for row, arm in enumerate(arms):
+                        continue
                     grad = g[row]
                     norm = math.sqrt(grad.dot(grad))      # np.linalg.norm(grad), bit for bit
                     arm.norms.append(norm)
@@ -289,6 +288,8 @@ def _train_stack(cfg, fit_ds, val_ds, objectives):
                 vhat += eps
                 mhat /= vhat
                 theta -= mhat
+                if not leave():
+                    return results
             eces = arm_list(validation_ece(stack[0], val_ds))
             for arm, ece_val in zip(arms, eces):
                 arm.record.epochs.append({
@@ -300,7 +301,6 @@ def _train_stack(cfg, fit_ds, val_ds, objectives):
                 arm.record.grad_norms.append(max(arm.norms))
             if epoch < cfg.warmup_epochs:
                 continue
-            keep = []
             for row, (arm, ece_val) in enumerate(zip(arms, eces)):
                 if ece_val < arm.best_ece - 1e-12:
                     arm.best_ece = ece_val
@@ -311,12 +311,8 @@ def _train_stack(cfg, fit_ds, val_ds, objectives):
                     arm.bad_epochs += 1
                     if arm.bad_epochs >= cfg.patience > 0:
                         finish(row)
-                        continue
-                keep.append(row)
-            if not keep:
+            if not leave():
                 return results
-            if len(keep) < len(arms):
-                restack(keep)
     for row in range(len(arms)):
         finish(row)
     return results

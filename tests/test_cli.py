@@ -804,13 +804,16 @@ class TestCorruptPriors:
          "node features must be numbers"),
         (lambda d: {**d, "nodes": [r[:-2] + [7, r[-1]] for r in d["nodes"]]},
          "group tags must be strings"),
+        (lambda d: {**d, "nodes": [d["nodes"][0][:-4] + [True] + d["nodes"][0][-3:]]
+                    + d["nodes"][1:]},
+         "prior_b must be numbers"),
         (lambda d: {**d, "chain_coords": d["chain_coords"][:-1]},
          "chain_coords must be n [x, y, z] numbers"),
     ], ids=["empty_nodes", "missing_nodes", "missing_chain_ids", "ragged_rows", "short_rows",
             "short_splits", "short_chain_ids", "not_an_object", "null_edges", "edge_past_uint64",
             "edge_past_int64", "fractional_edge", "string_edge", "nested_edge", "flat_edges",
             "ragged_edges", "fractional_chain_id", "string_flag", "integer_flags",
-            "string_feature", "integer_tags", "short_chain_coords"])
+            "string_feature", "integer_tags", "true_prior_b", "short_chain_coords"])
     def test_malformed_dataset_clean_error(self, tmp_path, capsys, mangle, message):
         """A malformed file is one error line that says what is wrong; each
         column is read as the one kind it holds, never converted."""

@@ -479,6 +479,28 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=f"^non-finite {name}$"):
             datagen.load_dataset(p)
 
+    @pytest.mark.parametrize("where, value, message", [
+        (("nodes", 1, -2), 7, "group tags must be strings"),
+        (("metadata", "chain_ids", 1), True, "chain_ids must be integers"),
+        (("edges", 1, 0), True, "edges must be [i, j] pairs of integers"),
+        (("nodes", 1, 0), True, "node features must be numbers"),
+        (("nodes", 1, -4), True, "prior_b must be numbers"),
+    ], ids=["integer_tag", "true_chain_id", "true_edge_index", "true_feature", "true_prior_b"])
+    def test_value_of_another_json_kind_rejected(self, tmp_path, where, value, message):
+        """One value numpy would read into its column's kind ("7", 1 or 1.0)
+        among the others: the file is refused with the column's message."""
+        p = tmp_path / "ds.json"
+        datagen.save_dataset(datagen.gen_chain_dataset(_cfg(n_chains=3, chain_length=6)), p)
+        doc = json.loads(p.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            datagen.load_dataset(p)
+        assert str(exc.value) == message
+
     def test_version_mismatch(self, small_chain_ds, tmp_path):
         p = tmp_path / "ds.json"
         datagen.save_dataset(small_chain_ds, p)

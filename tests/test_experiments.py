@@ -149,11 +149,8 @@ class TestBoundSweepExperiment:
      "magnitudes must be non-empty"),
     (lambda spec: experiments.run_bound_sweep(spec, tau=float("nan")),
      r"tau must be in \(0, 1\), got nan"),
-    (lambda spec: experiments.run_perturbation_correlation(spec, magnitudes={"blur": 0.0}),
-     "magnitudes must be positive"),
 ], ids=["calibration_levels", "shift_tau", "prior_corruption_tau", "efficiency_tau",
-        "bound_sweep_magnitudes", "bound_sweep_no_magnitudes", "bound_sweep_tau",
-        "perturbation_magnitudes"])
+        "bound_sweep_magnitudes", "bound_sweep_no_magnitudes", "bound_sweep_tau"])
 def test_recipe_refuses_an_out_of_range_argument_before_training(monkeypatch, run, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a head was trained")

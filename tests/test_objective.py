@@ -372,6 +372,38 @@ def test_total_loss_into_buffer_bitwise(mu_only):
     assert np.shares_memory(hg_b.w_out, buf) and np.shares_memory(mg_b.w1_raw, buf)
 
 
+def test_mu_only_stack_matches_each_arm_alone():
+    """A stack of two mu_only arms, with their own weights, lambda_* and
+    prior columns, gives each arm's own call bit for bit; each arm's value
+    is the squared error of mu and its gradient the head's backward pass of
+    that alone, with no gradient for the map."""
+    ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(n_chains=3, chain_length=12, seed=8))
+    params = head.init_head(HeadConfig(widths=(6, 6)), ds.features.shape[1], 8)
+    mono = MonotoneMap.init(hidden=4, seed=8)
+    n_head = params.size
+    theta = np.concatenate([params.to_vector(), mono.to_vector()])
+    theta = np.stack([theta, theta + rng_stream(8, 1).normal(0.0, 0.1, theta.size)])
+    cfgs = [ObjectiveConfig(mu_only=True),
+            ObjectiveConfig(mu_only=True, lambda_evid=0.5, lambda_prior=0.0, lambda_conf=1.0)]
+    priors = np.stack([ds.prior_b, 1.0 - ds.prior_b], axis=-1)
+    g = np.empty_like(theta)
+    val, parts, _, _ = total_loss(params.view(theta[:, :n_head]), mono.view(theta[:, n_head:]),
+                                  datagen.with_priors(ds, priors), cfgs, epoch=20, out=g)
+    for row, cfg in enumerate(cfgs):
+        p_row, m_row = params.from_vector(theta[row, :n_head]), mono.from_vector(theta[row, n_head:])
+        own = np.empty(theta.shape[1])
+        own_val, own_parts, _, _ = total_loss(p_row, m_row, datagen.with_priors(ds, priors[:, row]),
+                                              cfg, epoch=20, out=own)
+        assert (val[row], {k: v[row] for k, v in parts.items()}) == (own_val, own_parts)
+        assert g[row].tobytes() == own.tobytes()
+        nig, cache = head.forward(p_row, ds, with_cache=True)
+        zeros = np.zeros_like(nig.mu)
+        ref = head.backward(p_row, cache, 2.0 * (nig.mu - ds.target_y) / ds.n_nodes,
+                            zeros, zeros, zeros).to_vector()
+        assert own.tobytes() == np.concatenate([ref, np.zeros(mono.size)]).tobytes()
+        assert own_parts == {"nig": own_val, "evidence": 0.0, "prior": 0.0, "soft_conf": 0.0}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ObjectiveConfig(gamma=0.0).validate()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from calpro import conformal, datagen, experiments, head, trainer
 from calpro.head import HeadConfig
 from calpro.metrics import DEFAULT_LEVEL_GRID
+from calpro.objective import MonotoneMap
 from calpro.numerics import rng_stream
 from calpro.trainer import TrainConfig
 
@@ -214,6 +215,27 @@ class TestStackedTraining:
         alone[1] = (replace(alone[1][0], objective=objectives[1]),) + alone[1][1:]
         stacked = self._check((cfg, fit_ds, val_ds, objectives), alone)
         assert [isinstance(r, FloatingPointError) for r in stacked] == [False, True, False, False]
+
+    def test_mu_only_arms(self):
+        """A stack whose every arm is mu_only: their priors differ, which
+        the squared error does not read, and no map weight moves."""
+        stacked = self._check_jobs(_jobs(_DESK, [("no_evidential", None),
+                                                 ("no_evidential", "shuffle")]))
+        init = MonotoneMap.init(_DESK.objective.monotone_hidden, seed=0).to_vector()
+        assert [mono.to_vector().tobytes() for _, mono, _ in stacked] == [init.tobytes()] * 2
+
+    def test_diverging_arm_leaves_arms_stopping_at_different_epochs(self):
+        """One arm fails in its first step, and the others stop early, not
+        all at one epoch."""
+        cfg = replace(_DESK, batch_size=4, max_epochs=30, patience=3, warmup_epochs=0)
+        jobs = _jobs(cfg, _ABLATIONS + [("vanilla", None)])
+        cfg, fit_ds, val_ds, objectives = experiments._stacked(jobs)
+        objectives[1] = replace(objectives[1], lambda_evid=1e308)
+        alone = [_alone(job) for job in jobs]
+        alone[1] = (replace(alone[1][0], objective=objectives[1]),) + alone[1][1:]
+        stacked = self._check((cfg, fit_ds, val_ds, objectives), alone)
+        assert isinstance(stacked[1], FloatingPointError)
+        assert len({len(r[2].epochs) for r in stacked if not isinstance(r, Exception)}) > 1
 
     def test_invalid_arm_is_its_own_error(self):
         jobs = _jobs(replace(_DESK, max_epochs=2), _ABLATIONS[:2])

@@ -81,7 +81,7 @@ MATRIX = (
      {"generator": SMALL, "train": SHORT, "seeds": [0, 1], "levels": [0.8, 0.95],
       "ablations": ["full", "no_priors"]}),
     # one arm whose objective is the plain squared error: on any CPU count
-    # its only stack is all mu_only, objective.total_loss's early return
+    # its only stack is all mu_only, the matrix's only such stack
     ("experiment_calibration_no_evidential", ["experiment", "calibration"],
      {"generator": SMALL, "train": SHORT, "ablations": ["no_evidential"]}),
     ("experiment_shift_generator", ["experiment", "shift"],
