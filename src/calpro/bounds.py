@@ -2,10 +2,8 @@
 score, the Gaussian PAC-Bayes complexity term, the worst-case coverage
 lower bound, and the calibration-size and bound-vs-empirical sweeps."""
 
-import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,25 +19,22 @@ METRIC_DESCRIPTION = "euclidean distance on standardized (features + target) spa
 # columns and near-isotropic spread, so a query visits nearly every point
 # whatever the tree, and larger leaves than scipy's default 16 cut the
 # traversal overhead.  estimate_lipschitz queries each block of rows with
-# equal one-hot columns against a tree of its own, in chunk tasks on the
-# pool's threads, and each task queries the rows whose k-NN ball may leave
-# their block again against a tree of all points.  Timed as the six
+# equal one-hot columns against a tree of its own, then the rows whose k-NN
+# ball may leave their block against a tree of all points.  Timed as the six
 # searches of a bound sweep plus an n_cal sweep on a 100x100 graph (250 to
-# 4000 points, blocks of about a third of them), each block one task, one
-# after another on one thread: 100-106 ms with 64-point leaves, 94-99 ms
-# with 128, 94-99 ms with 256 and 94-102 ms with 512 (medians of 20 runs at
-# seeds 0 and 3, 2-core x86-64): no size beats 128 beyond the noise.  The
-# timed schedule predates the chunk tasks; every row still meets the same
-# trees.  A one-leaf tree (a brute-force scan of each block) used 17% more
-# CPU than 128-point leaves at feature_dim 8 for 5% less at the default 16:
-# not worth a second size.
+# 4000 points, blocks of about a third of them), each query on one thread:
+# 100-106 ms with 64-point leaves, 94-99 ms with 128, 94-99 ms with 256 and
+# 94-102 ms with 512 (medians of 20 runs at seeds 0 and 3, 2-core x86-64):
+# no size beats 128 beyond the noise.  A one-leaf tree (a brute-force scan
+# of each block) used 17% more CPU than 128-point leaves at feature_dim 8
+# for 5% less at the default 16: not worth a second size.
 KNN_LEAFSIZE = 128
 
-# every CPU the process may run on: the threads of a call's k-NN pool
-# (_knn_pool), and the training workers of the experiment recipes
-# (experiments._train_runs).  scipy answers each query row on its own, with
-# the same distance code in every thread, so the estimate does not depend on
-# the count.
+# every CPU the process may run on: the threads scipy splits each k-NN
+# query's rows over (workers=CPUS, joined before the query returns), and the
+# training workers of the experiment recipes (experiments._train_runs).
+# scipy answers each query row on its own, with the same distance code in
+# every thread, so the estimate does not depend on the count.
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
 
@@ -69,13 +64,9 @@ class BoundReport:
 
 
 def _embed(ds, mean=None, std=None):
-    """(features + target) rows, optionally standardized by given stats."""
-    return _standardize(np.column_stack([ds.features, ds.target_y]), mean, std)
-
-
-def _standardize(x, mean=None, std=None):
-    """The rows x standardized by their own stats, with the stats, or by the
-    given ones."""
+    """The (features + target) rows of ds standardized by their own stats,
+    with the stats; or by the given ones."""
+    x = np.column_stack([ds.features, ds.target_y])
     if mean is None:
         mean = x.mean(axis=0)
         std = x.std(axis=0)
@@ -84,55 +75,35 @@ def _standardize(x, mean=None, std=None):
     return (x - mean) / std
 
 
-@contextlib.contextmanager
-def _knn_pool():
-    """A pool of CPUS threads for one call's k-NN queries, each query a task
-    on one thread.  Closed, its queued tasks cancelled, before the call
-    returns or raises: the recipes fork training workers, and a thread alive
-    at a fork can leave the child a lock it never releases."""
-    pool = ThreadPoolExecutor(max_workers=CPUS)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _max_slope(s_q, s_tree, dist, nn, k, near):
+    """The max slope |s_i - s_j| / d_ij over one query's balls, the rows
+    not near taking none; s_q the scores of the query's rows, s_tree those
+    of the tree's points."""
+    # column 0 is each point itself, column k its k-th neighbour
+    pair = (dist > 0) & (dist <= dist[:, k:k + 1]) & near
+    return float((np.abs(s_q[:, None] - s_tree[nn])[pair] / dist[pair]).max(initial=0.0))
 
 
-def _balls(tree, q, k, limit=math.inf):
-    """Query the points q against tree for their inclusive k-NN balls:
-    (rows of q, dist, nn) per query, the first of every row (rows None),
-    each other of the rows whose last column still tied their k-th distance,
-    twice as deep; and the rows whose k-th distance does not lie below
-    limit, which take no ball here.
-
-    Few numpy calls, and the pair arithmetic is left to max_slope: a pool
-    thread takes the GIL back after each call that releases it, and waits
-    for it while the calling thread runs Python.  A 1400-row block query
-    that takes 15 ms alone took 130-160 ms beside a thread running Python
-    with the pair arithmetic here, 45-55 ms without (2-core x86-64)."""
+def _balls(tree, q, s_q, s_tree, k, limit=math.inf):
+    """The max slope over the inclusive k-NN balls of the points q in tree,
+    and the rows of q whose k-th distance does not lie below limit, which
+    take no ball here.  s_q holds the scores of q's rows, s_tree those of
+    tree's points.  The first query reads k + 2 neighbours; each row whose
+    last one still ties its k-th distance is queried again, twice as deep,
+    until none does.  Each query splits its rows over CPUS threads and
+    returns when every row is answered."""
     n, m = tree.n, k + 2
-    dist, nn = tree.query(q, k=min(m, n))
+    dist, nn = tree.query(q, k=min(m, n), workers=CPUS)
     near = dist[:, k] < limit
-    balls, far = [(None, dist, nn)], np.flatnonzero(~near)
+    far = np.flatnonzero(~near)
+    best = _max_slope(s_q, s_tree, dist, nn, k, near[:, None])
     rows = np.flatnonzero(near & (dist[:, -1] == dist[:, k])) if m < n else far[:0]
     while rows.size:
         m *= 2
-        dist, nn = tree.query(q[rows], k=min(m, n))
-        balls.append((rows, dist, nn))
+        dist, nn = tree.query(q[rows], k=min(m, n), workers=CPUS)
+        best = max(best, _max_slope(s_q[rows], s_tree, dist, nn, k, True))
         rows = rows[dist[:, -1] == dist[:, k]] if m < n else rows[:0]
-    return balls, far
-
-
-def _chunk_balls(tree, q, index, tree_index, k, limit, whole):
-    """A task: the chunk q of rows queried against tree, as _balls does, and
-    its rows whose k-th distance reaches limit again against whole, the
-    tree of all points.  index holds the distinct points' index of each row
-    of q, tree_index that of each point of tree (None when tree is whole).
-    Returns (index, tree_index, balls, far rows) per tree queried."""
-    balls, far = _balls(tree, q, k, limit)
-    found = [(index, tree_index, balls, far)]
-    if far.size:
-        found.append((index[far], None, _balls(whole, q[far], k)[0], far[:0]))
-    return found
+    return best, far
 
 
 def _first_rows(x):
@@ -147,77 +118,6 @@ def _first_rows(x):
     if shared.size:
         first = np.r_[first, shared[np.unique(x[shared], axis=0, return_index=True)[1]]]
     return np.sort(first)
-
-
-class _Search:
-    """estimate_lipschitz's k-NN search over the distinct rows of the
-    embedding x, as tasks on pool, none of which waits on another.  The
-    calling thread builds a tree of all points and one of each block of
-    more than k rows.  min(CPUS, rows) tasks query a chunk of a block's
-    rows each against the block's tree, then the chunk's rows that fall
-    back against the tree of all points; min(CPUS, rows) more query a
-    chunk each of the other rows against the tree of all points.  The
-    search reads the points alone; max_slope takes the scores, on the
-    calling thread."""
-
-    def __init__(self, pool, x, k_neighbors=DEFAULT_K_NEIGHBORS):
-        self.first = _first_rows(x)
-        x = x[self.first]
-        n = x.shape[0]
-        if n < 2:
-            raise ValueError("all calibration pairs are zero-distance")
-        k = self.k = min(k_neighbors, n - 1)
-        whole, self.tasks = cKDTree(x, leafsize=KNN_LEAFSIZE), []
-
-        def submit(tree, q, index, tree_index, limit=math.inf):
-            for chunk in np.array_split(np.arange(index.size), min(CPUS, index.size)):
-                rows = slice(chunk[0], chunk[-1] + 1)      # views, not copies
-                self.tasks.append(pool.submit(_chunk_balls, tree, q[rows], index[rows],
-                                              tree_index, k, limit, whole))
-
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        two = np.flatnonzero((lo < hi) & ((x == lo) | (x == hi)).all(axis=0))
-        if not two.size:
-            submit(whole, x, np.arange(n), None)
-            return
-        # rows sorted by their key (which columns sit at their max); a block
-        # starts wherever the key changes, and its points are a slice of xs
-        bits = x[:, two] == hi[two]
-        order = np.lexsort(bits.T)
-        bits, xs = bits[order], x[order]
-        starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-        keys = bits[starts]
-        span2 = (hi[two] - lo[two]) ** 2
-        rest = [order[:0]]
-        for b, (start, end) in enumerate(zip(starts, np.r_[starts[1:], n])):
-            if end - start <= k:
-                rest.append(order[start:end])
-                continue
-            gap2 = (keys != keys[b]) @ span2
-            gap2[b] = math.inf
-            limit = math.sqrt(gap2.min()) * (1.0 - 1e-9)
-            own, members = xs[start:end], order[start:end]
-            submit(cKDTree(own, leafsize=KNN_LEAFSIZE), own, members, members, limit)
-        rest = np.concatenate(rest)
-        if rest.size:
-            submit(whole, x[rest], rest, None)
-
-    def max_slope(self, scores):
-        """The max slope |s_i - s_j| / d_ij over the balls the tasks found,
-        s_i the score of distinct row i; scores has one per row of x."""
-        s, k, best = scores[self.first], self.k, 0.0
-        for task in self.tasks:
-            for index, tree_index, balls, far in task.result():
-                for rows, dist, nn in balls:
-                    # column 0 is each point itself, column k its k-th neighbour
-                    pair = (dist > 0) & (dist <= dist[:, k:k + 1])
-                    if rows is None:
-                        pair[far] = False
-                        rows = slice(None)
-                    j = nn if tree_index is None else tree_index[nn]
-                    slopes = np.abs(s[index[rows], None] - s[j])[pair] / dist[pair]
-                    best = max(best, float(slopes.max(initial=0.0)))
-        return best
 
 
 def estimate_lipschitz(scores, cal_ds, k_neighbors=DEFAULT_K_NEIGHBORS, standardize=True):
@@ -238,29 +138,50 @@ def estimate_lipschitz(scores, cal_ds, k_neighbors=DEFAULT_K_NEIGHBORS, standard
     block of more than k rows whose k-th distance in a tree of its own block
     lies below gap_b (less a 1e-9 share for rounding) has the same inclusive
     ball, hence the same slopes, as in a tree of all points.  Every other
-    row falls back: its task queries it against a tree of all points.  With
-    no two-valued column that is every row."""
+    row falls back: after the blocks, the rows that fall back go in one
+    query against a tree of all points.  With no two-valued column that is
+    every row.  Every query runs on the calling thread, its rows split over
+    CPUS threads by scipy."""
     if standardize:
         x, _, _ = _embed(cal_ds)
     else:
         x = np.column_stack([cal_ds.features, cal_ds.target_y])
-    with _knn_pool() as pool:
-        return _Search(pool, x, k_neighbors).max_slope(scores)
-
-
-def _attempt(fn, *args, **kwargs):
-    """fn(*args, **kwargs), or the exception it raises, to raise in turn."""
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:
-        return exc
-
-
-def _done(outcome):
-    """outcome, an _attempt's result; raises it if it is an exception."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    first = _first_rows(x)
+    x, s = x[first], scores[first]
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("all calibration pairs are zero-distance")
+    k = min(k_neighbors, n - 1)
+    whole = cKDTree(x, leafsize=KNN_LEAFSIZE)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    two = np.flatnonzero((lo < hi) & ((x == lo) | (x == hi)).all(axis=0))
+    if not two.size:
+        return _balls(whole, x, s, s, k)[0]
+    # rows sorted by their key (which columns sit at their max); a block
+    # starts wherever the key changes, and its points are a slice of xs
+    bits = x[:, two] == hi[two]
+    order = np.lexsort(bits.T)
+    bits, xs = bits[order], x[order]
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    keys = bits[starts]
+    span2 = (hi[two] - lo[two]) ** 2
+    best, rest = 0.0, []
+    for b, (start, end) in enumerate(zip(starts, np.r_[starts[1:], n])):
+        members = order[start:end]
+        if end - start <= k:
+            rest.append(members)
+            continue
+        gap2 = (keys != keys[b]) @ span2
+        gap2[b] = math.inf
+        limit = math.sqrt(gap2.min()) * (1.0 - 1e-9)
+        own, s_own = xs[start:end], s[members]
+        slope, far = _balls(cKDTree(own, leafsize=KNN_LEAFSIZE), own, s_own, s_own, k, limit)
+        best = max(best, slope)
+        rest.append(members[far])
+    rest = np.concatenate(rest)
+    if rest.size:
+        best = max(best, _balls(whole, x[rest], s[rest], s, k)[0])
+    return best
 
 
 def _kl(head_params):
@@ -344,46 +265,31 @@ def ncal_sweep(head_params, cal_pool_ds, ref_test_ds, shifted_test_ds,
     in their order.  Subsets are nested prefixes of the pool so empirical
     coverage varies smoothly with size.
 
-    This thread first submits the Lipschitz estimate's k-NN search of each
-    distinct size, largest first, to a pool of CPUS threads (a _Search
-    each), then calibrates each size while the pool searches, then predicts
-    the shifted set.  The rows, and the error raised if any, are those of a walk that
-    predicts first and then takes the sizes in their order: an error is
-    raised at the first size that meets one.
+    One walk on the calling thread: each distinct size's subset is cut
+    first, then the shifted set is predicted, then each distinct size, in
+    the order sizes first gives it, is calibrated, its Lipschitz constant
+    estimated and its bound and coverage taken, once.
     """
     if len(sizes) == 0:
         raise ValueError("no calibration sizes")
     if cal_pool_ds.n_nodes < max(sizes):
         raise ValueError(f"calibration pool too small for size {max(sizes)}")
+    _, mean, std = _embed(cal_pool_ds)
     kl = _kl(head_params)
-    # a size's subset embeds as the pool's first rows, standardized by
-    # their own stats
-    x = np.column_stack([cal_pool_ds.features, cal_pool_ds.target_y])
-    distinct = sorted(set(sizes), reverse=True)
-    with _knn_pool() as pool:
-        # a size below 1 has an empty calibration set, which raises first
-        searches = {size: _attempt(_Search, pool, _standardize(x[:size])[0])
-                    for size in distinct if size > 0}
-        _, mean, std = _standardize(x)
-
-        # largest size first, each size's subset cut from the last one's:
-        # the same rows, edges and order as the pool's prefix, from fewer
-        # edges.  A size's subset or calibration error comes before its
-        # search's.
-        calibs, sub = {}, cal_pool_ds
-        for size in distinct:
-            sub = sub.subset(np.arange(size))
-            calibs[size] = _attempt(conf_mod.calibrate, head_params, sub, levels=(tau,),
-                                    mode=score_mode)
-        eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
-        nig = head_mod.forward(head_params, shifted_test_ds)
-        out = []
-        for size in sizes:
-            calib = _done(calibs[size])
-            lip = _done(searches[size]).max_slope(calib.scores)
-            b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, lip, eps)
-            cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau),
-                                       shifted_test_ds.target_y)
-            out.append({"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
-                        "empirical": cov, "gap": abs(cov - b)})
-    return out
+    # largest size first, each size's subset cut from the last one's: the
+    # same rows, edges and order as the pool's prefix, from fewer edges
+    subsets, sub = {}, cal_pool_ds
+    for size in sorted(set(sizes), reverse=True):
+        sub = subsets[size] = sub.subset(np.arange(size))
+    eps = epsilon_proxy(ref_test_ds, shifted_test_ds, mean, std)
+    nig = head_mod.forward(head_params, shifted_test_ds)
+    rows = {}
+    for size in dict.fromkeys(sizes):
+        sub = subsets.pop(size)
+        calib = conf_mod.calibrate(head_params, sub, levels=(tau,), mode=score_mode)
+        lip = estimate_lipschitz(calib.scores, sub)
+        b, raw, v = coverage_lower_bound(1.0 - tau, kl, delta, size, lip, eps)
+        cov = metrics_mod.coverage(conf_mod.intervals(nig, calib, tau), shifted_test_ds.target_y)
+        rows[size] = {"n_cal": size, "bound": b, "raw_bound": raw, "vacuous": v,
+                      "empirical": cov, "gap": abs(cov - b)}
+    return [dict(rows[size]) for size in sizes]

@@ -230,8 +230,8 @@ def cmd_pipeline(args):
     datagen.save_dataset(run["ds"], os.path.join(out, "dataset.json"))
     head_mod.save_head(run["params"], os.path.join(out, "head.json"))
     conf_mod.save_calibration(calib, os.path.join(out, "calibration.json"))
-    nig = head_mod.forward(run["params"], run["test_ds"])
-    report = metrics_mod.report_from_nig(nig, calib, run["test_ds"])
+    report = metrics_mod.full_report(run["params"], calib, run["test_ds"])
+    nig = head_mod.forward(run["params"], run["test_ds"])     # the report's, kept on test_ds
     y = run["test_ds"].target_y
     grid = metrics_mod.DEFAULT_LEVEL_GRID
     _write_csv(os.path.join(out, "calibration_curve.csv"),

@@ -185,7 +185,7 @@ def _train_runs(seed_jobs, n_seeds):
     order.
 
     A seed's jobs train as one stacked training (_stacked).  On more than
-    one CPU (bounds.CPUS, which also sizes the k-NN pools) only
+    one CPU (bounds.CPUS, which also sizes the k-NN query threads) only
     trainer.train runs elsewhere, on a pool of forked workers, one per CPU,
     and each stack is one task; when there are fewer seeds than CPUs, a
     seed's jobs are split into ceil(CPUS / n_seeds) stacks of consecutive

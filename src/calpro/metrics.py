@@ -95,13 +95,6 @@ def group_report(ivals, y, group_tags, tau):
     return table
 
 
-def full_report(head_params, calib, test_ds) -> MetricsReport:
-    """Standard report on the head's predictions for test_ds, at the
-    calibration's levels."""
-    nig = head_mod.forward(head_params, test_ds)
-    return report_from_nig(nig, calib, test_ds)
-
-
 def uncertainty_error_spearman(nig, y):
     """Spearman correlation of the predicted sd sqrt(Var[mu]) with the
     realized error |y - mu|.  The variance is floored at 0, not at VAR_FLOOR,
@@ -110,10 +103,12 @@ def uncertainty_error_spearman(nig, y):
                     np.abs(y - nig.mu))
 
 
-def report_from_nig(nig, calib, test_ds) -> MetricsReport:
-    """Standard report of the predictions nig for test_ds: coverage/sharpness
-    at each of calib's levels, ECE, ACE, uncertainty-error correlation and a
-    group table graded at DEFAULT_TAU, or at the last level if calib lacks it."""
+def full_report(head_params, calib, test_ds) -> MetricsReport:
+    """Standard report on the head's predictions for test_ds: coverage and
+    sharpness at each of calib's levels, ECE, ACE, uncertainty-error
+    correlation and a group table graded at DEFAULT_TAU, or at the last
+    level if calib lacks it."""
+    nig = head_mod.forward(head_params, test_ds)
     y = test_ds.target_y
     ivals = {tau: conf_mod.intervals(nig, calib, tau) for tau in calib.levels}
     group_tau = conf_mod.DEFAULT_TAU if conf_mod.DEFAULT_TAU in ivals else calib.levels[-1]

@@ -16,6 +16,10 @@ from scipy.special import gammaln, psi
 from . import head as head_mod
 from .numerics import arm_column, per_arm, rng_stream, soft_quantile_and_grad, softplus_sigmoid
 
+# the ObjectiveConfig weight of each weighted part of total_loss, in the
+# order it adds them to the "nig" part
+WEIGHTS = {"evidence": "lambda_evid", "prior": "lambda_prior", "soft_conf": "lambda_conf"}
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -185,12 +189,11 @@ def _arm_weights(cfg):
     configs one value per arm, as an array (and as an (arms, 1) column)."""
     if isinstance(cfg, ObjectiveConfig):
         cfg.validate()
-        lam = cfg.lambda_evid, cfg.lambda_prior, cfg.lambda_conf
+        lam = tuple(getattr(cfg, k) for k in WEIGHTS.values())
         return cfg, lam, lam, np.array(cfg.mu_only), cfg.mu_only
     for c in cfg:
         c.validate()
-    lam = [np.array([getattr(c, k) for c in cfg])
-           for k in ("lambda_evid", "lambda_prior", "lambda_conf")]
+    lam = [np.array([getattr(c, k) for c in cfg]) for k in WEIGHTS.values()]
     mu_only = np.array([c.mu_only for c in cfg])
     return cfg[0], lam, [w[:, None] for w in lam], mu_only, bool(mu_only.any())
 

@@ -12,12 +12,22 @@ from . import datagen
 from . import head as head_mod
 from .metrics import DEFAULT_LEVEL_GRID
 from .numerics import arm_list, conformal_quantiles, rng_stream
-from .objective import MonotoneMap, ObjectiveConfig, total_loss
+from .objective import WEIGHTS, MonotoneMap, ObjectiveConfig, total_loss
 
 GRAD_CLIP_NORM = 10.0
 
 # see _keep_freed_heap; below glibc's cap of 32 MiB for its dynamic threshold
 HEAP_BLOCK_BYTES = 16 << 20
+
+
+def _offending_terms(parts, objective):
+    """The names of a non-finite loss's non-finite parts; when every part
+    is finite, of its weighted terms that overflow; when those are finite
+    too, the weighted sum."""
+    weighted = {f"{w} * {k}": getattr(objective, w) * parts[k] for k, w in WEIGHTS.items()}
+    return ([k for k, v in parts.items() if not math.isfinite(v)]
+            or [k for k, v in weighted.items() if not math.isfinite(v)]
+            or [" + ".join(["nig", *weighted])])
 
 
 @dataclass(frozen=True)
@@ -258,7 +268,8 @@ def _train_stack(cfg, fit_ds, val_ds, objectives):
                 step += 1
                 for row, arm in enumerate(arms):
                     if not math.isfinite(val[row]):     # the arm leaves after this step
-                        bad = [k for k, v in parts.items() if not math.isfinite(v[row])]
+                        bad = _offending_terms({k: v[row] for k, v in parts.items()},
+                                               arm.objective)
                         results[arm.index] = FloatingPointError(
                             f"non-finite training loss; offending terms: {bad}")
                         continue

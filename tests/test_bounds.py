@@ -1,8 +1,6 @@
-import contextlib
 import dataclasses
 import math
 import os
-import sys
 import threading
 
 import numpy as np
@@ -206,7 +204,7 @@ def test_estimate_lipschitz_matches_pair_loop(case):
 def test_estimate_lipschitz_independent_of_tree(case):
     """Past one 64-point leaf, with ties at the k-th distance common: the
     estimate follows the inclusive rule and is the same for every leaf
-    size and pool size (8 threads: more than the blocks), so which tied
+    size and scipy worker count (8: more than the blocks), so which tied
     neighbour a tree meets first, and which thread answers a row, does not
     matter."""
     scores, ds, k, standardize = case
@@ -227,8 +225,8 @@ def test_estimate_lipschitz_independent_of_tree(case):
 def test_estimate_lipschitz_one_hot_blocks_match_pair_loop(case):
     """Rows of one category form a block, queried against a tree of its own
     rows, and the rows whose k-NN ball may leave it against all points: the
-    estimate is the pair loop's for every leaf size and pool size (8
-    threads: more than the blocks)."""
+    estimate is the pair loop's for every leaf size and scipy worker count
+    (8: more than the blocks)."""
     scores, ds, k, standardize = case
     try:
         expected = _lipschitz_loop(scores, ds, k, standardize)
@@ -271,8 +269,7 @@ def _blocks_case(sizes, indicator_scale, seed=0):
 
 
 def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
-    """Every row falls back: one tree of all points, queried in CPUS chunks."""
-    monkeypatch.setattr(bounds, "CPUS", 1)
+    """Every row falls back: one tree of all points, queried once."""
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([60], 1.0)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
@@ -282,12 +279,13 @@ def test_estimate_lipschitz_without_two_valued_column_is_one_query(monkeypatch):
 
 @pytest.mark.parametrize("scale", [0.01, 10.0], ids=["all_fall_back", "none_fall_back"])
 def test_knn_queries_run_one_thread_each_block_tree_shared_by_chunk_tasks(monkeypatch, scale):
-    """Every query runs on one thread.  The calling thread builds one tree
-    of all points and each block's tree once; min(CPUS, rows) tasks query a
-    chunk of the block's rows each against it, the deeper queries for ties
-    included, then the chunk's rows that fall back against the tree of all
-    points.  A block of 2 rows (at most k) falls back whole, in min(CPUS, 2)
-    chunk tasks of its own.  Blocks of 5 rows are smaller than 8 CPUS."""
+    """Every tree is built and queried on the calling thread, each query's
+    rows split over CPUS scipy workers.  One tree of all points and one of
+    each block of more than k rows are built, each once.  Each block's
+    tree first takes all the block's rows; after the blocks, one query
+    takes the rows that fall back against the tree of all points: the
+    block of 2 rows (at most k), and every row of the other blocks or none.
+    Blocks of 5 rows are smaller than 8 CPUS."""
     sizes = [40, 25, 5, 2]
     scores, ds = _blocks_case(sizes, scale)
     expected = _lipschitz_loop(scores, ds, 3, standardize=False)
@@ -304,111 +302,26 @@ def test_knn_queries_run_one_thread_each_block_tree_shared_by_chunk_tasks(monkey
                             threading.get_ident()))
             return super().query(x, *args, **kwargs)
 
-    chunk_balls = bounds._chunk_balls
-
-    def logging_chunk_balls(tree, q, *args, **kwargs):
-        tasks.append((id(tree), len(q), threading.get_ident()))
-        return chunk_balls(tree, q, *args, **kwargs)
-
     monkeypatch.setattr(bounds, "cKDTree", LoggingKDTree)
-    monkeypatch.setattr(bounds, "_chunk_balls", logging_chunk_balls)
     for cpus in (1, 2, 3, 8):
         monkeypatch.setattr(bounds, "CPUS", cpus)
-        queries, built, tasks = [], [], []
+        queries, built = [], []
         threads = threading.active_count()
         assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == expected
         assert threading.active_count() == threads
-        assert all(workers == 1 for _, _, workers, _ in queries)
-        assert all(thread != caller for *_, thread in queries + tasks)
+        assert all(workers == cpus for _, _, workers, _ in queries)
+        assert all(thread == caller for _, _, _, thread in queries)
         assert all(thread == caller for _, _, thread, _ in built)
         (whole,) = [tree for tree, n, _, _ in built if n == ds.n_nodes]
-        blocks = [(tree, n) for tree, n, _, _ in built if tree != whole]
-        assert sorted(n for _, n in blocks) == [5, 25, 40]
-        for tree, n in blocks:
-            # each task one chunk of the block's rows; the tree's queries,
-            # the deeper ones for ties included, run on its tasks' threads
-            chunks = [(rows, thread) for t, rows, thread in tasks if t == tree]
-            assert sorted(rows for rows, _ in chunks) == sorted(
-                len(c) for c in np.array_split(np.arange(n), min(cpus, n)))
-            assert {th for t, _, _, th in queries if t == tree} <= {th for _, th in chunks}
-        assert sorted(rows for t, rows, _ in tasks if t == whole) == ([2] if cpus == 1 else [1, 1])
-        # the block tasks query their far rows, every row or none, against
-        # the tree of all points; the 2-row block's tasks query 2 rows
-        again = sum(rows for t, rows, _, _ in queries if t == whole) - 2
-        assert again == (sum(sizes[:3]) if scale < 1 else 0)
-
-
-def test_search_tasks_under_frequent_thread_switches(monkeypatch):
-    """More pool threads than CPUs, switching every few microseconds: the
-    tasks finish, the estimate is the pair loop's, and no thread outlives
-    a call."""
-    monkeypatch.setattr(bounds, "CPUS", 8)
-    cases = [_blocks_case([40, 25, 35], scale, seed) for scale, seed in
-             ((0.01, 0), (0.3, 1), (10.0, 2))]
-    expected = [_lipschitz_loop(scores, ds, 3, standardize=False) for scores, ds in cases]
-    interval = sys.getswitchinterval()
-    threads = threading.active_count()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(5):
-            assert [bounds.estimate_lipschitz(scores, ds, 3, standardize=False)
-                    for scores, ds in cases] == expected
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-
-
-class _ReversedPool:
-    """A stand-in for the k-NN pool that runs no task until a result is
-    asked for, then every task submitted so far, last first, on the calling
-    thread.  A task that asks for the result of one that has not run yet
-    raises."""
-
-    def __init__(self):
-        self.queued, self.running = [], False
-
-    def submit(self, fn, *args):
-        task = _ReversedTask(self, fn, args)
-        self.queued.append(task)
-        return task
-
-    def run(self):
-        self.running = True
-        for task in reversed(self.queued):
-            task.value, task.done = task.fn(*task.args), True
-        self.queued, self.running = [], False
-
-
-class _ReversedTask:
-    def __init__(self, pool, fn, args):
-        self.pool, self.fn, self.args, self.done = pool, fn, args, False
-
-    def result(self):
-        if not self.done:
-            if self.pool.running:
-                raise RuntimeError("a task asked for the result of one not run yet")
-            self.pool.run()
-        return self.value
-
-
-@pytest.mark.parametrize("scale", [0.01, 0.3, 10.0])
-def test_search_tasks_run_in_reverse_order(monkeypatch, scale):
-    """No task of a search waits on another: run last first, before any
-    result is asked for, they give the pair loop's estimate."""
-    pools = []
-
-    @contextlib.contextmanager
-    def reversed_pool():
-        pools.append(_ReversedPool())
-        yield pools[-1]
-
-    monkeypatch.setattr(bounds, "_knn_pool", reversed_pool)
-    scores, ds = _blocks_case([40, 25, 5, 2], scale)
-    expected = _lipschitz_loop(scores, ds, 3, standardize=False)
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(bounds, "CPUS", cpus)
-        assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == expected
-        assert pools[-1].queued == []
+        blocks = {tree: n for tree, n, _, _ in built if tree != whole}
+        assert sorted(blocks.values()) == [5, 25, 40]
+        on = [tree for tree, _, _, _ in queries]
+        for tree, n in blocks.items():
+            assert queries[on.index(tree)][1] == n
+        first_whole = on.index(whole)
+        assert all(tree == whole for tree in on[first_whole:])
+        fall_back = queries[first_whole][1]
+        assert fall_back == 2 + (sum(sizes[:3]) if scale < 1 else 0)
 
 
 def test_estimate_lipschitz_wide_gap_queries_each_row_once(monkeypatch):
@@ -462,7 +375,6 @@ def test_estimate_lipschitz_far_row_takes_no_slope_from_its_block():
 def test_estimate_lipschitz_block_of_at_most_k_rows(monkeypatch):
     """A block of k rows has no k-th neighbour of its own: its rows go to
     the tree of all points, and the large block answers its own rows."""
-    monkeypatch.setattr(bounds, "CPUS", 1)      # the fall-back rows in one chunk
     log = _counting_kdtree(monkeypatch)
     scores, ds = _blocks_case([30, 3], 10.0)
     assert bounds.estimate_lipschitz(scores, ds, 3, standardize=False) == \
@@ -480,15 +392,27 @@ def test_first_rows_are_numpy_unique_first_occurrences(x):
     assert np.array_equal(bounds._first_rows(x), expected)
 
 
-def test_prefix_embedding_is_the_subset_embedding(trained):
-    """ncal_sweep embeds a size's subset as the first rows of the pool's
-    rows, standardized by their own stats: the bits of embedding the subset."""
+def test_prefix_embedding_is_the_subset_embedding(trained, monkeypatch):
+    """ncal_sweep's estimates embed the subsets it cuts from one another,
+    largest first, as the walk over pool prefixes embeds the pool's prefix
+    subsets: the same bits and stats."""
     pool = _whole_pool(trained["ds"])
-    rows = np.column_stack([pool.features, pool.target_y])
-    for size in (1, 2, 37, 100, pool.n_nodes):
-        whole = bounds._embed(pool.subset(np.arange(size)))
-        prefix = bounds._standardize(rows[:size])
-        for a, b in zip(whole, prefix):
+    searched, estimate = [], bounds.estimate_lipschitz
+
+    def logging_estimate(scores, ds, *args, **kwargs):
+        searched.append(ds)
+        return estimate(scores, ds, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "estimate_lipschitz", logging_estimate)
+    sizes = (2, 37, 100, pool.n_nodes, 1)
+    # the last size, one point, has no pair at a positive distance
+    with pytest.raises(ValueError, match="all calibration pairs are zero-distance"):
+        bounds.ncal_sweep(trained["params"], pool, trained["test_ds"], trained["test_ds"],
+                          sizes=sizes)
+    assert [ds.n_nodes for ds in searched] == list(sizes)
+    for ds in searched:
+        whole = bounds._embed(pool.subset(np.arange(ds.n_nodes)))
+        for a, b in zip(whole, bounds._embed(ds)):
             assert a.tobytes() == b.tobytes()
 
 
@@ -694,9 +618,10 @@ def _shifted_test(ds, magnitude, seed):
 
 
 class TestSweepContract:
-    """The sweeps search on a pool of CPUS threads; their results and
-    errors are those of the serial walk, and no thread outlives a call.
-    8 threads are more than the blocks of a search."""
+    """The sweeps search on the calling thread, each k-NN query's rows split
+    over CPUS scipy workers; their results and errors are those of the
+    serial walk, and no thread outlives a call.  8 workers are more than
+    the blocks of a search."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_ncal_sweep_rows_follow_sizes(self, trained, monkeypatch, cpus):
@@ -728,7 +653,8 @@ class TestSweepContract:
     def test_ncal_sweep_cuts_each_size_from_the_last(self, trained, monkeypatch):
         """Largest size first, each size's subset is taken from the previous
         size's subset, and it is the pool's prefix subset field by field, so
-        the rows are those of the walk over pool prefixes."""
+        the rows are those of the walk over pool prefixes.  Each distinct
+        size is calibrated once, in the order the sizes first appear."""
         pool = _whole_pool(trained["ds"])
         shifted = _shifted_test(trained["ds"], 0.4, 3)
         sizes = (100, 30, 150, 30, 60, 150)
@@ -751,7 +677,7 @@ class TestSweepContract:
         monkeypatch.undo()
         assert rows == expected
         assert sources == [pool.n_nodes, 150, 100, 60]
-        assert [ds.n_nodes for ds in calibrated] == [150, 100, 60, 30]
+        assert [ds.n_nodes for ds in calibrated] == [100, 30, 150, 60]
         for ds in calibrated:
             prefix = pool.subset(np.arange(ds.n_nodes))
             for f in dataclasses.fields(datagen.Dataset):
@@ -760,6 +686,23 @@ class TestSweepContract:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
                 else:
                     assert a == b, f.name
+
+    def test_ncal_sweep_estimates_once_per_distinct_size_on_the_calling_thread(
+            self, trained, monkeypatch):
+        """One bounds.estimate_lipschitz call per distinct size, looked up on
+        the module as a tracer hooks it, on the calling thread, in the order
+        the sizes first appear."""
+        calls, estimate = [], bounds.estimate_lipschitz
+
+        def logging_estimate(scores, ds, *args, **kwargs):
+            calls.append((ds.n_nodes, threading.get_ident()))
+            return estimate(scores, ds, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "estimate_lipschitz", logging_estimate)
+        bounds.ncal_sweep(trained["params"], _whole_pool(trained["ds"]), trained["test_ds"],
+                          _shifted_test(trained["ds"], 0.4, 3), (100, 30, 150, 30, 60, 150))
+        caller = threading.get_ident()
+        assert calls == [(size, caller) for size in (100, 30, 150, 60)]
 
     def test_ncal_sweep_zero_distance_size_raises(self, trained):
         """The pool's first 60 rows are one point: sizes 20 and 50 hold no
@@ -786,28 +729,26 @@ class TestSweepContract:
     def test_ncal_sweep_raises_at_the_first_failing_size(self, trained, monkeypatch,
                                                          search_fails, calibrate_fails,
                                                          message):
-        """Every size's search is submitted, largest first, before any
-        size is calibrated, yet the error raised is that of the first size,
-        in the order of sizes, whose calibration or search raises."""
-        search, calibrate = bounds._Search, conformal.calibrate
+        """Every size's subset is cut, largest first, before any size is
+        calibrated, yet the error raised is that of the first size, in the
+        order of sizes, whose calibration or search raises."""
+        search, calibrate = bounds.estimate_lipschitz, conformal.calibrate
 
-        def failing_search(pool, x, *args):
-            if x.shape[0] in search_fails:
-                raise ValueError(f"search at {x.shape[0]}")
-            return search(pool, x, *args)
+        def failing_search(scores, ds, *args, **kwargs):
+            if ds.n_nodes in search_fails:
+                raise ValueError(f"search at {ds.n_nodes}")
+            return search(scores, ds, *args, **kwargs)
 
         def failing_calibrate(params, ds, *args, **kwargs):
             if ds.n_nodes in calibrate_fails:
                 raise ValueError(f"calibrate at {ds.n_nodes}")
             return calibrate(params, ds, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "_Search", failing_search)
+        monkeypatch.setattr(bounds, "estimate_lipschitz", failing_search)
         monkeypatch.setattr(conformal, "calibrate", failing_calibrate)
-        # the pool's rows are distinct, so a size's search sees size points
         pool = _whole_pool(trained["ds"])
         args = (trained["params"], pool, trained["test_ds"], trained["test_ds"],
                 (150, 50, 100, 20))
-        assert np.unique(bounds._embed(pool)[0], axis=0).shape[0] == pool.n_nodes
         with pytest.raises(ValueError, match=f"^{message}$"):
             _ncal_sweep_serial(*args)
         threads = threading.active_count()

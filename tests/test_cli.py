@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calpro import active, cli, datagen, experiments, metrics, trainer
+from calpro import active, cli, datagen, experiments, head, metrics, trainer
 
 FAST_TRAIN = {"max_epochs": 5, "batch_size": 4, "learning_rate": 0.003, "patience": 3}
 
@@ -159,11 +159,21 @@ class TestPipeline:
         assert proc.returncode == 1
         assert proc.stderr == "error: unknown head keys: init_seed\n"
 
-    def test_predicts_test_set_once(self, tmp_path, forward_calls):
+    def test_predicts_test_set_once(self, tmp_path, monkeypatch):
+        """The report and the CSV files share one prediction of the test
+        set: every head.forward call on it returns the one kept on it."""
+        predictions, forward = [], head.forward
+
+        def logging_forward(params, ds, *args, **kwargs):
+            nig = forward(params, ds, *args, **kwargs)
+            if set(ds.splits) == {"test"}:
+                predictions.append(nig)
+            return nig
+
+        monkeypatch.setattr(head, "forward", logging_forward)
         cfg = _gen_cfg(tmp_path, train=FAST_TRAIN)
         assert cli.main(["pipeline", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-        test_sets = [ds for ds in forward_calls if set(ds.splits) == {"test"}]
-        assert len(test_sets) == 1
+        assert predictions and all(nig is predictions[0] for nig in predictions)
 
 
 class TestBoundCommands:

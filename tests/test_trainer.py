@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from calpro import conformal, datagen, experiments, head, trainer
 from calpro.head import HeadConfig
 from calpro.metrics import DEFAULT_LEVEL_GRID
-from calpro.objective import MonotoneMap
+from calpro.objective import MonotoneMap, ObjectiveConfig
 from calpro.numerics import rng_stream
 from calpro.trainer import TrainConfig
 
@@ -54,6 +55,27 @@ class TestTrain:
             if rec.epochs[-1]["loss"] < rec.epochs[0]["loss"]:
                 wins += 1
         assert wins >= 9
+
+    def test_overflowing_weighted_term_is_named(self):
+        """Every part of the loss is finite, and lambda_evid * evidence
+        overflows: the error names that weighted term."""
+        ds = datagen.gen_chain_dataset(datagen.GeneratorConfig(n_chains=6, chain_length=20))
+        tr = ds.subset(ds.split_indices("train"))
+        cfg = _fast_cfg(max_epochs=2, patience=0, objective=ObjectiveConfig(lambda_evid=1e308))
+        with pytest.raises(FloatingPointError, match=r"^non-finite training loss; offending "
+                                                     r"terms: \['lambda_evid \* evidence'\]$"):
+            trainer.train(cfg, tr, tr)
+
+    @pytest.mark.parametrize("parts, weights, named", [
+        ({"nig": math.inf, "evidence": math.nan}, {}, ["nig", "evidence"]),
+        ({}, {"lambda_prior": 1e308, "lambda_conf": 1e308},
+         ["lambda_prior * prior", "lambda_conf * soft_conf"]),
+        ({"nig": 1e308, "evidence": 1.0}, {"lambda_evid": 1e308},
+         ["nig + lambda_evid * evidence + lambda_prior * prior + lambda_conf * soft_conf"]),
+    ], ids=["parts", "weighted_terms", "weighted_sum"])
+    def test_offending_terms(self, parts, weights, named):
+        parts = {"nig": 1.0, "evidence": 2.0, "prior": 3.0, "soft_conf": 4.0, **parts}
+        assert trainer._offending_terms(parts, ObjectiveConfig(**weights)) == named
 
     def test_returns_best_epoch_params(self):
         ds = _ds(seed=3)
